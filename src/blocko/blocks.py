@@ -131,7 +131,11 @@ def _coxeter_matrix(simples):
             prod = coroot_pairing(simples[i], simples[j]) * coroot_pairing(
                 simples[j], simples[i]
             )
-            assert prod.denominator == 1 and prod >= 0
+            if prod.denominator != 1 or prod < 0:
+                raise UnsupportedError(
+                    f"integral simple roots {i + 1}, {j + 1} pair to {prod}, "
+                    "not a Coxeter bond"
+                )
             mat[i][j] = _ORDER_FROM_PRODUCT.get(int(prod), INFINITY)
     return tuple(tuple(row) for row in mat)
 

@@ -17,8 +17,8 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from . import blocks, kl, rootdata, zmod
-from .coxeter import INFINITY, CoxeterSystem
+from . import blocks, coxeter, kl, rootdata, zmod
+from .coxeter import INFINITY, CoxeterSystem, Element
 from .errors import BlockoError, CartanError, CriticalityError
 
 
@@ -116,29 +116,68 @@ def cache_root() -> Path:
     return Path.home() / ".cache" / "blocko"
 
 
+# the file layout and the word convention of its keys: a change to either
+# gets a new file name, so an old file is never read under new rules
+CACHE_FORMAT = "v2-shortlex"
+
+
 def _coxeter_cache_path(system: CoxeterSystem) -> Path:
     payload = json.dumps(
         [["inf" if m is INFINITY else m for m in row] for row in system.matrix],
         separators=(",", ":"),
     )
     digest = hashlib.sha256(payload.encode()).hexdigest()
-    return cache_root() / f"kl-{digest}.json"
+    return cache_root() / f"kl-{CACHE_FORMAT}-{digest}.json"
+
+
+def _possible_p(system: CoxeterSystem, x, w, coeffs):
+    """Whether a cached polynomial can be P_{x,w}: 1 for x = w, 0 off the
+    Bruhat cone, and otherwise P(0) = 1 with degree <= (l(w)-l(x)-1)/2."""
+    if not isinstance(coeffs, list) or any(type(c) is not int for c in coeffs):
+        return False
+    if coeffs and coeffs[-1] == 0:
+        return False
+    if x == w:
+        return coeffs == [1]
+    if not coxeter.bruhat_leq(Element(system, x), Element(system, w)):
+        return not coeffs
+    bound = (len(w) - len(x) - 1) // 2
+    return bool(coeffs) and coeffs[0] == 1 and len(coeffs) - 1 <= bound
 
 
 def _load_kl_cache(table: kl.KLTable):
+    """Fill the table's P store from the cache file.  Entries whose words
+    are not ShortLex normal forms, or that `_possible_p` rejects, are
+    dropped and recomputed when needed."""
     path = _coxeter_cache_path(table.system)
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return
+    if not isinstance(data, dict):
+        return
+    normal = {}  # word text -> the normal-form word it spells, or None
+
+    def word(text):
+        if text not in normal:
+            try:
+                w = parse_word(text)
+                normal[text] = w if table.system.normal_form(w) == w else None
+            except ValueError:
+                normal[text] = None
+        return normal[text]
+
     for key, coeffs in data.items():
-        xs, ws = key.split("|")
-        table.memo[(parse_word(xs), parse_word(ws))] = tuple(coeffs)
+        xs, bar, ws = key.partition("|")
+        x, w = word(xs), word(ws)
+        if bar and x is not None and w is not None:
+            if _possible_p(table.system, x, w, coeffs):
+                table.memo[(x, w)] = tuple(coeffs)
 
 
 def _store_kl_cache(table: kl.KLTable):
-    """Merge the table's plain P-entries into the cache file.
+    """Merge the table's P store into the cache file.
 
     Writes are atomic (temp file + rename) under an exclusive lock, so
     concurrent invocations only ever append."""
@@ -154,13 +193,8 @@ def _store_kl_cache(table: kl.KLTable):
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError):
             data = {}
-        for key, val in table.memo.items():
-            if (
-                len(key) == 2
-                and isinstance(key[0], tuple)
-                and all(isinstance(i, int) for i in key[0] + key[1])
-            ):
-                data[f"{word_str(key[0])}|{word_str(key[1])}"] = list(val)
+        for (xw, ww), val in table.memo.items():
+            data[f"{word_str(xw)}|{word_str(ww)}"] = list(val)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             json.dump(data, fh, sort_keys=True)
@@ -190,8 +224,8 @@ def cmd_kl(args):
     w = system.element(parse_word(args.w))
     table = kl.KLTable(system)
     _load_kl_cache(table)
-    p = kl.kl_poly(table, x, w)
-    q = kl.inverse_kl(table, x, w) if x.length <= w.length else kl.ZERO
+    p = table.poly(x, w)
+    q = table.inverse_poly(x, w) if x.length <= w.length else kl.ZERO
     _store_kl_cache(table)
     return {
         "x": word_str(x.word),

@@ -2,18 +2,22 @@
 
 Only crystallographic bond labels {2, 3, 4, 6, infinity} are supported, which
 covers every integral Weyl group of a symmetrizable Kac-Moody algebra.  For
-these labels the standard reflection representation can be realized by
-integer matrices acting on the root lattice, so element arithmetic, length
-and Bruhat order are exact.
+these labels the reflection representation is integral: s_k(alpha_j) =
+alpha_j - a_kj alpha_k with a Cartan-style pairing a_kj.
 
-Elements are kept in ShortLex normal form (the lexicographically least
-reduced word), computed greedily from left descents.
+An element w is handled through its orbit vector c(w) = (<alpha_j,
+w(rho^vee)>)_j: c(e) = (1, ..., 1), a left s_k acts by c_j <- c_j - a_kj c_k,
+and s_k w < w exactly when c_k(w) < 0, since c_k(w) is the height of the root
+w^-1(alpha_k) (Kac, Lemma 3.11; Casselman, Machine calculations in Weyl
+groups, 1994).  rho^vee is interior to the fundamental chamber, so c is
+injective on W, finite or affine.  Elements are kept in ShortLex normal form
+(the lexicographically least reduced word), read off c(w) by peeling the
+least left descent until none is left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import TruncationError, UnsupportedError
 
@@ -23,12 +27,9 @@ INFINITY = None  # Coxeter matrix entry for infinite order
 _BOND_PAIRS = {2: (0, 0), 3: (1, 1), 4: (1, 2), 6: (1, 3), INFINITY: (2, 2)}
 
 
-def _tuple_matrix(m):
-    return tuple(tuple(row) for row in m)
-
-
 class CoxeterSystem:
-    """A Coxeter system with its integral reflection representation."""
+    """A Coxeter system with its integral reflection representation, and the
+    caches of results that depend only on the system."""
 
     def __init__(self, matrix):
         matrix = tuple(
@@ -58,17 +59,17 @@ class CoxeterSystem:
                 cij, cji = _BOND_PAIRS[matrix[i][j]]
                 cartan[i][j] = -cij
                 cartan[j][i] = -cji
-        self.cartan = _tuple_matrix(cartan)
-        self.gen_matrices = tuple(
-            self._reflection_matrix(i) for i in range(n)
+        self.cartan = tuple(tuple(row) for row in cartan)
+        # the nonzero off-diagonal pairings of each generator: (j, a_kj)
+        self._bonds = tuple(
+            tuple((j, a) for j, a in enumerate(row) if a and j != k)
+            for k, row in enumerate(self.cartan)
         )
-
-    def _reflection_matrix(self, i):
-        n = self.generator_count
-        m = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-        for j in range(n):
-            m[i][j] -= self.cartan[i][j]
-        return _tuple_matrix(m)
+        self._rho = (1,) * n
+        self._closure = {}  # safety bound -> l(w0), or None if not closed
+        self._elements = None  # all elements of a finite group
+        self._bruhat = {}  # (x word, w word) -> x <= w
+        self._cones = {}  # w word -> frozenset of the words below it
 
     def __eq__(self, other):
         return isinstance(other, CoxeterSystem) and self.matrix == other.matrix
@@ -76,26 +77,35 @@ class CoxeterSystem:
     def __hash__(self):
         return hash(self.matrix)
 
-    # -- words ------------------------------------------------------------
+    # -- orbit vectors ------------------------------------------------------
 
-    def _mat_mul(self, a, b):
-        n = self.generator_count
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
+    def _act(self, k, c):
+        """c(s_k w) from c(w)."""
+        ck = c[k]
+        out = list(c)
+        out[k] = -ck
+        for j, a in self._bonds[k]:
+            out[j] -= a * ck
+        return tuple(out)
 
-    def _word_matrices(self, word):
-        """(W, W^-1) for the product s_{word[0]} ... s_{word[-1]}."""
-        n = self.generator_count
-        ident = _tuple_matrix(
-            [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-        )
-        w = winv = ident
-        for i in word:
-            w = self._mat_mul(w, self.gen_matrices[i])
-            winv = self._mat_mul(self.gen_matrices[i], winv)
-        return w, winv
+    def _vector(self, word):
+        """c(s_{word[0]} ... s_{word[-1]})."""
+        c = self._rho
+        for k in reversed(word):
+            c = self._act(k, c)
+        return c
+
+    def _peel(self, c):
+        """ShortLex normal form of the element with orbit vector c."""
+        out = []
+        while True:
+            for k, ck in enumerate(c):
+                if ck < 0:
+                    break
+            else:
+                return tuple(out)
+            out.append(k)
+            c = self._act(k, c)
 
     def normal_form(self, word):
         """ShortLex normal form of an arbitrary word (0-based indices)."""
@@ -103,32 +113,42 @@ class CoxeterSystem:
         for i in word:
             if not 0 <= i < n:
                 raise ValueError(f"generator index {i} out of range")
-        w, winv = self._word_matrices(word)
-        out = []
-        while True:
-            # left descent test: s_i w < w iff w^-1(alpha_i) < 0, i.e. the
-            # i-th column of winv has nonpositive entries
-            i = next(
-                (
-                    i
-                    for i in range(n)
-                    if all(winv[r][i] <= 0 for r in range(n))
-                    and any(winv[r][i] for r in range(n))
-                ),
-                None,
-            )
-            if i is None:
-                break
-            out.append(i)
-            w = self._mat_mul(self.gen_matrices[i], w)
-            winv = self._mat_mul(winv, self.gen_matrices[i])
-        return tuple(out)
+        return self._peel(self._vector(word))
+
+    def _next_level(self, level):
+        """{c(s_k w): normal form} over w in `level` and s_k with s_k w > w.
+
+        The normal form of u = s_k w starts with its least left descent i,
+        and s_i u has one length less, so its word is already in `level`."""
+        out = {}
+        for c in level:
+            for k, ck in enumerate(c):
+                if ck > 0:
+                    d = self._act(k, c)
+                    if d not in out:
+                        i = next(i for i, di in enumerate(d) if di < 0)
+                        out[d] = (i,) + level[self._act(i, d)]
+        return out
+
+    def longest_length(self, safety_bound):
+        """l(w0) if every element is shorter than safety_bound, else None.
+
+        Enumerates orbit vectors length by length, without words, once per
+        system and bound."""
+        if safety_bound not in self._closure:
+            level, length = {self._rho}, 0
+            while level and length < safety_bound:
+                level = {
+                    self._act(k, c) for c in level for k, ck in enumerate(c) if ck > 0
+                }
+                length += 1
+            self._closure[safety_bound] = None if level else length - 1
+        return self._closure[safety_bound]
+
+    # -- elements -----------------------------------------------------------
 
     def element(self, word=()):
         return Element(self, self.normal_form(tuple(word)))
-
-    def identity(self):
-        return Element(self, ())
 
     def generator(self, i):
         return self.element((i,))
@@ -151,35 +171,14 @@ class Element:
     def inverse(self):
         return Element(self.system, self.system.normal_form(self.word[::-1]))
 
-    def matrix(self):
-        return self.system._word_matrices(self.word)[0]
-
     def __str__(self):
         return " ".join(str(i + 1) for i in self.word) if self.word else "e"
 
-    @classmethod
-    def from_string(cls, system, s):
-        word = tuple(int(t) - 1 for t in s.split())
-        return system.element(word)
-
-
-def length(w: Element) -> int:
-    return w.length
-
-
-def multiply(a: Element, b: Element) -> Element:
-    return a * b
-
 
 def descents(w: Element):
-    """Right descent set {i : l(w s_i) < l(w)}."""
-    mat = w.matrix()
-    n = w.system.generator_count
-    return {
-        i
-        for i in range(n)
-        if all(mat[r][i] <= 0 for r in range(n))
-    }
+    """Right descent set {i : l(w s_i) < l(w)}: the left descents of w^-1."""
+    c = w.system._vector(w.word[::-1])
+    return {i for i, ci in enumerate(c) if ci < 0}
 
 
 def bruhat_leq(x: Element, w: Element) -> bool:
@@ -187,28 +186,34 @@ def bruhat_leq(x: Element, w: Element) -> bool:
     return _bruhat_leq_words(x.system, x.word, w.word)
 
 
-@lru_cache(maxsize=None)
 def _bruhat_leq_words(system, xw, ww):
+    key = (xw, ww)
+    memo = system._bruhat
+    if key in memo:
+        return memo[key]
     if len(xw) > len(ww):
-        return False
-    if xw == ww or not xw:
-        return True
-    s = ww[0]  # a left descent of w
-    sw = ww[1:]  # reduced: normal form tails are reduced
-    sx = system.normal_form((s,) + xw)
-    if len(sx) < len(xw):
-        return _bruhat_leq_words(system, sx, sw)
-    return _bruhat_leq_words(system, xw, sw)
+        val = False
+    elif xw == ww or not xw:
+        val = True
+    else:
+        s = ww[0]  # a left descent of w
+        sw = ww[1:]  # reduced: normal form tails are reduced
+        sx = system.normal_form((s,) + xw)
+        val = _bruhat_leq_words(system, sx if len(sx) < len(xw) else xw, sw)
+    memo[key] = val
+    return val
 
 
-@lru_cache(maxsize=None)
 def _lower_cone_words(system, ww):
     """All elements <= w, as normal-form words (subword enumeration)."""
-    out = {ww}
-    for k in range(len(ww)):
-        sub = ww[:k] + ww[k + 1 :]
-        out.update(_lower_cone_words(system, system.normal_form(sub)))
-    return frozenset(out)
+    memo = system._cones
+    if ww not in memo:
+        out = {ww}
+        for k in range(len(ww)):
+            sub = ww[:k] + ww[k + 1 :]
+            out.update(_lower_cone_words(system, system.normal_form(sub)))
+        memo[ww] = frozenset(out)
+    return memo[ww]
 
 
 def lower_cone(w: Element):
@@ -225,31 +230,26 @@ def interval(x: Element, w: Element):
 
 
 def elements_up_to(system: CoxeterSystem, length_bound: int):
-    """All elements of length <= length_bound (BFS on right multiplication)."""
-    out = {(): system.identity()}
-    frontier = [system.identity()]
+    """All elements of length <= length_bound, in ShortLex order."""
+    level = {system._rho: ()}
+    words = [()]
     for _ in range(length_bound):
-        nxt = []
-        for w in frontier:
-            for i in range(system.generator_count):
-                ws = w * system.generator(i)
-                if ws.length == w.length + 1 and ws.word not in out:
-                    out[ws.word] = ws
-                    nxt.append(ws)
-        frontier = nxt
-    return sorted(out.values(), key=lambda e: (e.length, e.word))
+        level = system._next_level(level)
+        if not level:
+            break
+        words.extend(sorted(level.values()))
+    return [Element(system, word) for word in words]
 
 
 def all_elements(system: CoxeterSystem, safety_bound: int = 64):
     """All elements of a finite Coxeter group; error if not closed within
     the safety bound."""
-    prev = None
-    for bound in range(1, safety_bound + 1):
-        cur = elements_up_to(system, bound)
-        if prev is not None and len(cur) == len(prev):
-            return cur
-        prev = cur
-    raise TruncationError("group did not close; is it infinite?")
+    longest = system.longest_length(safety_bound)
+    if longest is None:
+        raise TruncationError("group did not close; is it infinite?")
+    if system._elements is None:
+        system._elements = tuple(elements_up_to(system, longest))
+    return list(system._elements)
 
 
 def upper_cone(w: Element, length_bound: int):
@@ -273,8 +273,4 @@ def coset_min_reps(system: CoxeterSystem, stab_gens, length_bound: int):
 
 
 def is_finite(system: CoxeterSystem, safety_bound: int = 64) -> bool:
-    try:
-        all_elements(system, safety_bound)
-        return True
-    except TruncationError:
-        return False
+    return system.longest_length(safety_bound) is not None

@@ -9,12 +9,11 @@ index = power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import coxeter
 from .coxeter import Element, bruhat_leq, lower_cone
 from .errors import CriticalityError, UnsupportedError
-from .rootdata import leq
 
 ONE = (1,)
 ZERO = ()
@@ -73,11 +72,17 @@ def poly_str(a):
 
 
 class KLTable:
-    """Memoized Kazhdan-Lusztig polynomials over one Coxeter system."""
+    """Memoized Kazhdan-Lusztig polynomials over one Coxeter system.
+
+    Three stores: `memo` holds P_{x,w} keyed by (x word, w word), `q_memo`
+    holds Q_{w,y} keyed by (w word, y word), and `d_memo` holds decomposition
+    numbers keyed by (base position, y word, w word)."""
 
     def __init__(self, system):
         self.system = system
         self.memo = {}
+        self.q_memo = {}
+        self.d_memo = {}
 
     def poly(self, x: Element, w: Element):
         """P_{x,w} as a dense coefficient tuple."""
@@ -120,21 +125,18 @@ class KLTable:
         k = (d - 1) // 2
         return p[k] if k < len(p) else 0
 
-    def inverse_poly(self, w: Element, y: Element, length_bound=None):
+    def inverse_poly(self, w: Element, y: Element):
         """Q_{w,y}: unitriangular inversion of the signed P-matrix.
 
         Each entry only involves the finite Bruhat interval [w, y], so the
-        result is exact; length_bound is accepted for interface parity and
-        only sanity-checks the request.
+        result is exact.
         """
-        if length_bound is not None and y.length > length_bound:
-            raise ValueError("requested entry lies beyond the length bound")
         return self._q(w.word, y.word)
 
     def _q(self, ww, yw):
-        key = ("Q", ww, yw)
-        if key in self.memo:
-            return self.memo[key]
+        key = (ww, yw)
+        if key in self.q_memo:
+            return self.q_memo[key]
         w = Element(self.system, ww)
         y = Element(self.system, yw)
         if ww == yw:
@@ -154,7 +156,7 @@ class KLTable:
                 acc = poly_add(acc, term)
             sign = -1 if (y.length - w.length) % 2 else 1
             val = poly_scale(acc, -sign)
-        self.memo[key] = val
+        self.q_memo[key] = val
         return val
 
 
@@ -169,14 +171,6 @@ def _poly_mul(a, b):
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-def kl_poly(table: KLTable, x: Element, w: Element):
-    return table.poly(x, w)
-
-
-def inverse_kl(table: KLTable, w: Element, y: Element, length_bound=None):
-    return table.inverse_poly(w, y, length_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +207,12 @@ def _require_character_hypotheses(block):
 
 def base_weight_position(block):
     """Whether the base weight is dominant / antidominant in its class,
-    certified by coroot pairings against the truncated integral positives."""
+    certified by coroot pairings against the integral simple roots: every
+    positive integral coroot is a nonnegative combination of theirs."""
     from .rootdata import coroot_pairing, rho
 
     shifted = block.base_weight + rho(block.cartan)
-    pairings = [coroot_pairing(shifted, b) for b in block.integral_positive]
+    pairings = [coroot_pairing(shifted, b) for b in block.integral_simples]
     if all(p >= 0 for p in pairings):
         return "dominant"
     if all(p <= 0 for p in pairings):
@@ -302,9 +297,9 @@ def _decomp_entry(table, position, y, w):
     From C*D = identity: D[y][w] = delta_{y,w} - sum_{z != y} C[y][z] D[z][w];
     the sum runs over the finite Bruhat interval between w and y.
     """
-    key = ("D", position, y.word, w.word)
-    if key in table.memo:
-        return table.memo[key]
+    key = (position, y.word, w.word)
+    if key in table.d_memo:
+        return table.d_memo[key]
     if y.word == w.word:
         val = 1
     else:
@@ -322,7 +317,7 @@ def _decomp_entry(table, position, y, w):
             _char_coeff(table, position, y, z) * _decomp_entry(table, position, z, w)
             for z in between
         )
-    table.memo[key] = val
+    table.d_memo[key] = val
     return val
 
 
@@ -362,18 +357,36 @@ def projective_multiplicities(block, w: Element, table: KLTable = None):
 
 
 def verma_hom_dim(block, w: Element, w2: Element) -> int:
-    """dim Hom(M(w.lambda), M(w2.lambda)) for dominant or antidominant base."""
-    from .blocks import dot_action, is_critical
+    """dim Hom(M(w.lambda), M(w2.lambda)) for dominant or antidominant base.
+
+    Vermas of a block embed along the Bruhat order of W(lambda) modulo the
+    stabilizer (BGG; Kac-Kazhdan): on minimal coset representatives,
+    Hom != 0 iff w <= w2 for an antidominant base, iff w2 <= w for a
+    dominant one."""
+    from .blocks import is_critical
 
     if is_critical(block):
         raise CriticalityError("Verma embeddings need a non-critical block")
-    if base_weight_position(block) == "interior":
+    position = base_weight_position(block)
+    if position == "interior":
         raise UnsupportedError(
             "Verma embedding dimensions need a dominant or antidominant base"
         )
-    wl = dot_action(block, w.word, block.base_weight)
-    w2l = dot_action(block, w2.word, block.base_weight)
-    return 1 if leq(wl, w2l) else 0
+    stab = set(block.stab_simple_indices)
+    x, y = (_min_coset_rep(v, stab) for v in (w, w2))
+    if position == "dominant":
+        x, y = y, x
+    return 1 if bruhat_leq(x, y) else 0
+
+
+def _min_coset_rep(w: Element, gens):
+    """The shortest element of the coset w<gens>."""
+    while gens:
+        down = coxeter.descents(w) & gens
+        if not down:
+            break
+        w = w * w.system.generator(min(down))
+    return w
 
 
 # ---------------------------------------------------------------------------

@@ -23,22 +23,6 @@ def identity_matrix(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] += c * bt[j]
-    return out
-
-
 def mat_vec(a, v):
     return [sum((c * x for c, x in zip(row, v) if c), Fraction(0)) for row in a]
 

@@ -62,10 +62,6 @@ class Poly:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def is_homogeneous(self):
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
 

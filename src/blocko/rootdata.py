@@ -370,10 +370,6 @@ class RootSystem:
             )
         )
 
-    def all_roots(self):
-        pos = self.positive_roots
-        return pos + tuple(-r for r in pos)
-
 
 def build_root_system(cartan: CartanDatum, height_bound: int) -> RootSystem:
     """All roots of height <= height_bound, by reflection closure of the

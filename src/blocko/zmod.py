@@ -253,22 +253,6 @@ def structure_algebra(
     return ZLattice(graph, tuple(vertex_words), gens, degs)
 
 
-def subalgebra_embedding(graph: MomentGraphBlock, s: int):
-    """Membership predicate for the coset-invariant subalgebra Z^s: tuples
-    constant on right cosets {w, ws}."""
-    system = graph.block.coxeter_system
-
-    def member(lattice_slots, tup):
-        values = dict(zip(lattice_slots, tup))
-        for w in lattice_slots:
-            ws = system.normal_form(w + (s,))
-            if ws in values and values[w] != values[ws]:
-                return False
-        return True
-
-    return member
-
-
 # ---------------------------------------------------------------------------
 # lattices
 
@@ -452,12 +436,6 @@ def expand_many(M: ZLattice, tups, pd):
                 coeffs[j] = coeffs[j] + Poly(nv, {m: c})
         out.append(coeffs)
     return out
-
-
-def expand_in_basis(M: ZLattice, tup, pd):
-    """Coefficients of a degree-pd homogeneous slot tuple in M's generator
-    basis, or None if the tuple is outside the lattice."""
-    return expand_many(M, [tup], pd)[0]
 
 
 def _action_matrices(M: ZLattice, algebra: ZLattice):
@@ -734,10 +712,6 @@ def _mat_mul_frac(a, b):
         [Fraction(sum(x * y for x, y in zip(ra, cb)), den) for cb in bt]
         for ra in ia
     ]
-
-
-def _trace(a):
-    return sum(a[i][i] for i in range(len(a)))
 
 
 def _trace_product(a, b):

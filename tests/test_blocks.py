@@ -150,3 +150,19 @@ def test_block_json_shape(a2):
     assert report["stabilizer_order"] == 1
     assert len(report["orbit"]) == 6
     assert report["orbit"][0]["word"] == "e"
+
+
+@pytest.mark.parametrize(
+    "pairings",
+    [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(-1))],
+    ids=["quarter", "negative"],
+)
+def test_coxeter_matrix_rejects_a_non_coxeter_bond(pairings, a2, monkeypatch):
+    # the product of the two pairings is no Coxeter bond; the guard is a
+    # raise, not an assert, so it also holds under python -O
+    simples = [rootdata.simple_root(a2, i) for i in range(2)]
+    monkeypatch.setattr(
+        blocks, "coroot_pairing", lambda x, beta: pairings[simples.index(x)]
+    )
+    with pytest.raises(UnsupportedError, match="not a Coxeter bond"):
+        blocks._coxeter_matrix(simples)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from blocko import cli
+from blocko import cli, kl
 
 from conftest import A1, A1_AFFINE, A2, A3
 
@@ -102,6 +102,48 @@ def test_kl_cache_warm_equals_cold(cartan_file, capsys, tmp_path, monkeypatch):
     assert stored["2|2 1 3 2"] == [1, 1]
     _, warm = run(capsys, argv)
     assert warm == cold
+
+
+@pytest.mark.parametrize(
+    "forged",
+    [[7], [], [1, 0], [1, 1, 1, 1], [1.0], "1"],
+    ids=["constant", "zero", "trailing-zero", "degree", "float", "string"],
+)
+def test_kl_cache_forged_entry_is_recomputed(
+    forged, cartan_file, capsys, tmp_path, monkeypatch
+):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("BLOCKO_CACHE", str(cache))
+    path = cartan_file(A3)
+    argv = ["kl", "--cartan", path, "--x", "e", "--w", "1 2 1 3 2 1"]
+    _, cold = run(capsys, argv)
+    (file,) = cache.glob("kl-*.json")
+    assert cli.CACHE_FORMAT in file.name
+    data = json.loads(file.read_text())
+    data["e|1 2 1 3 2 1"] = forged
+    file.write_text(json.dumps(data))
+    code, warm = run(capsys, argv)
+    assert code == 0
+    assert warm == cold
+
+
+def test_kl_cache_load_keeps_only_possible_entries(cartan_file, tmp_path, monkeypatch):
+    monkeypatch.setenv("BLOCKO_CACHE", str(tmp_path / "cache"))
+    system = cli._integral_coxeter(cli.load_cartan(cartan_file(A3)))
+    path = cli._coxeter_cache_path(system)
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps({
+        "2|2 1 3 2": [1, 1],  # a true entry
+        "e|2 1 2": [1],  # "2 1 2" is not a normal form
+        "1 2 1 3 2 1|e": [1],  # nonzero off the Bruhat cone
+        "2|2": [1, 1],  # P_{w,w} is 1
+        "e|1 4": [1],  # no generator 4
+        "e": [1],  # no separator
+        "x|e": [1],  # not a word
+    }))
+    table = kl.KLTable(system)
+    cli._load_kl_cache(table)
+    assert table.memo == {((1,), (1, 0, 2, 1)): (1, 1)}
 
 
 def test_character_command_tsv(cartan_file, capsys, tmp_path, monkeypatch):

@@ -7,10 +7,16 @@ from blocko import coxeter
 from blocko.coxeter import INFINITY, CoxeterSystem, Element, bruhat_leq
 from blocko.errors import TruncationError
 
+import matrix_coxeter
+
 A2_COX = ((1, 3), (3, 1))
 B2_COX = ((1, 4), (4, 1))
 INF_COX = ((1, INFINITY), (INFINITY, 1))
 S4_COX = ((1, 3, 2), (3, 1, 3), (2, 3, 1))
+B3_COX = ((1, 3, 2), (3, 1, 4), (2, 4, 1))
+G2_COX = ((1, 6), (6, 1))
+A2_AFFINE_COX = ((1, 3, 3), (3, 1, 3), (3, 3, 1))
+A4_COX = ((1, 3, 2, 2), (3, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1))
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +39,17 @@ def test_group_orders():
     assert len(coxeter.all_elements(CoxeterSystem(A2_COX))) == 6
     assert len(coxeter.all_elements(CoxeterSystem(B2_COX))) == 8
     assert len(coxeter.all_elements(CoxeterSystem(S4_COX))) == 24
+    assert len(coxeter.all_elements(CoxeterSystem(B3_COX))) == 48
+    assert len(coxeter.all_elements(CoxeterSystem(G2_COX))) == 12
+    assert len(coxeter.all_elements(CoxeterSystem(A4_COX))) == 120
+
+
+def test_all_elements_are_distinct_normal_forms():
+    system = CoxeterSystem(B3_COX)
+    elems = coxeter.all_elements(system)
+    assert len({x.word for x in elems}) == len(elems)
+    assert all(system.normal_form(x.word) == x.word for x in elems)
+    assert elems == sorted(elems, key=lambda x: (x.length, x.word))
 
 
 def test_infinite_group_refuses_enumeration():
@@ -43,6 +60,46 @@ def test_infinite_group_refuses_enumeration():
 def test_is_finite():
     assert coxeter.is_finite(CoxeterSystem(B2_COX))
     assert not coxeter.is_finite(CoxeterSystem(INF_COX))
+    assert not coxeter.is_finite(CoxeterSystem(A2_AFFINE_COX))
+
+
+def test_finiteness_needs_closure_within_the_bound():
+    # the longest element of B3 has length 9: the group closes within a
+    # bound of 10, not within 9
+    system = CoxeterSystem(B3_COX)
+    assert not coxeter.is_finite(system, safety_bound=9)
+    assert coxeter.is_finite(system, safety_bound=10)
+    assert not coxeter.is_finite(system, safety_bound=9)
+    with pytest.raises(TruncationError):
+        coxeter.all_elements(system, safety_bound=9)
+
+
+REFERENCE_SYSTEMS = {
+    "A3": CoxeterSystem(S4_COX),
+    "B3": CoxeterSystem(B3_COX),
+    "G2": CoxeterSystem(G2_COX),
+    "A1~": CoxeterSystem(INF_COX),
+    "A2~": CoxeterSystem(A2_AFFINE_COX),
+}
+
+
+@st.composite
+def system_words(draw):
+    name = draw(st.sampled_from(sorted(REFERENCE_SYSTEMS)))
+    system = REFERENCE_SYSTEMS[name]
+    letters = st.integers(min_value=0, max_value=system.generator_count - 1)
+    return system, tuple(draw(st.lists(letters, max_size=14)))
+
+
+@settings(max_examples=200)
+@given(system_words())
+def test_normal_form_matches_matrix_reference(case):
+    system, word = case
+    nf = system.normal_form(word)
+    assert nf == matrix_coxeter.normal_form(system, word)
+    assert coxeter.descents(Element(system, nf)) == matrix_coxeter.right_descents(
+        system, word
+    )
 
 
 words = st.lists(st.integers(min_value=0, max_value=1), max_size=8).map(tuple)

@@ -7,10 +7,11 @@ from blocko.coxeter import INFINITY, CoxeterSystem, bruhat_leq
 from blocko.errors import UnsupportedError
 from blocko.kl import KLTable, ONE, ZERO, poly_eval_one, poly_str
 
-from conftest import A2, weight
+from conftest import A2, A3, weight
 from blocko import rootdata
 
 S4_COX = ((1, 3, 2), (3, 1, 3), (2, 3, 1))
+B3 = [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]
 
 
 def test_poly_str():
@@ -159,6 +160,51 @@ def test_verma_hom_dim_matches_bruhat(a2_anti):
         for w in elems:
             expected = 1 if bruhat_leq(x, w) else 0
             assert kl.verma_hom_dim(a2_anti, x, w) == expected
+
+
+def test_verma_hom_dim_is_not_the_weight_order():
+    # x.lambda <= w.lambda in the weight order, but x is not below w in the
+    # Bruhat order, so M(x.lambda) does not embed in M(w.lambda)
+    cartan = rootdata.cartan_datum(A3)
+    anti = blocks.block_data(cartan, weight(cartan, -2, -2, -2))
+    x = anti.coxeter_system.element((1, 0))  # "2 1"
+    w = anti.coxeter_system.element((0, 1, 2))  # "1 2 3"
+    assert rootdata.leq(
+        blocks.dot_action(anti, x.word, anti.base_weight),
+        blocks.dot_action(anti, w.word, anti.base_weight),
+    )
+    assert kl.verma_hom_dim(anti, x, w) == 0
+
+
+@pytest.mark.parametrize("side, coords", [("antidominant", -2), ("dominant", 0)])
+@pytest.mark.parametrize("matrix", [A3, B3], ids=["A3", "B3"])
+def test_verma_hom_dim_is_bruhat_order(matrix, side, coords):
+    cartan = rootdata.cartan_datum(matrix)
+    block = blocks.block_data(cartan, weight(cartan, *(coords,) * 3))
+    assert kl.base_weight_position(block) == side
+    elems = coxeter.all_elements(block.coxeter_system)
+    for x in elems:
+        for w in elems:
+            below = bruhat_leq(x, w) if side == "antidominant" else bruhat_leq(w, x)
+            assert kl.verma_hom_dim(block, x, w) == int(below)
+
+
+def test_verma_hom_dim_on_a_singular_block():
+    # lambda = (0, -1) is dominant with stabilizer <s_2>: Hom depends only
+    # on the weights, and is nonzero both ways exactly when they agree
+    cartan = rootdata.cartan_datum(A2)
+    block = blocks.block_data(cartan, weight(cartan, 0, -1))
+    elems = coxeter.all_elements(block.coxeter_system)
+    wt = {x.word: blocks.dot_action(block, x.word, block.base_weight) for x in elems}
+    for x in elems:
+        for w in elems:
+            there = kl.verma_hom_dim(block, x, w)
+            back = kl.verma_hom_dim(block, w, x)
+            assert (there and back) == (wt[x.word] == wt[w.word])
+    s1, s2 = (block.coxeter_system.generator(i) for i in (0, 1))
+    # M(s_1.lambda) is the Verma below M(lambda) = M(s_2.lambda)
+    assert kl.verma_hom_dim(block, s1, s2) == 1
+    assert kl.verma_hom_dim(block, s2, s1) == 0
 
 
 def test_kostant_partition_counts():
