@@ -1,7 +1,8 @@
 """Command-line front end: parse Cartan/weight input, run the library,
 emit JSON or TSV reports, and cache Kazhdan-Lusztig tables on disk.
 
-Exit codes: 0 ok, 1 usage or parse error, 2 mathematical rejection.
+Exit codes: 0 ok, 1 usage or parse error, 2 mathematical rejection,
+3 internal fault.
 Reports are deterministic: sorted keys, canonical polynomial strings, so
 identical inputs produce byte-identical output.
 """
@@ -148,15 +149,19 @@ def _possible_p(system: CoxeterSystem, x, w, coeffs):
 def _load_kl_cache(table: kl.KLTable):
     """Fill the table's P store from the cache file.  Entries whose words
     are not ShortLex normal forms, or that `_possible_p` rejects, are
-    dropped and recomputed when needed."""
+    dropped and recomputed when needed.
+
+    Returns what `_store_kl_cache` needs: the size of the P store after
+    loading and the set of dropped keys."""
+    dropped = set()
     path = _coxeter_cache_path(table.system)
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError):
-        return
+        return len(table.memo), dropped
     if not isinstance(data, dict):
-        return
+        return len(table.memo), dropped
     normal = {}  # word text -> the normal-form word it spells, or None
 
     def word(text):
@@ -171,16 +176,25 @@ def _load_kl_cache(table: kl.KLTable):
     for key, coeffs in data.items():
         xs, bar, ws = key.partition("|")
         x, w = word(xs), word(ws)
-        if bar and x is not None and w is not None:
-            if _possible_p(table.system, x, w, coeffs):
-                table.memo[(x, w)] = tuple(coeffs)
+        if (bar and x is not None and w is not None
+                and _possible_p(table.system, x, w, coeffs)):
+            table.memo[(x, w)] = tuple(coeffs)
+        else:
+            dropped.add(key)
+    return len(table.memo), dropped
 
 
-def _store_kl_cache(table: kl.KLTable):
-    """Merge the table's P store into the cache file.
+def _store_kl_cache(table: kl.KLTable, loaded):
+    """Merge the table's P store into the cache file and remove the keys
+    that load dropped; `loaded` is what `_load_kl_cache` returned.  When no
+    entry is new since loading and none was dropped, nothing is written.
 
-    Writes are atomic (temp file + rename) under an exclusive lock, so
-    concurrent invocations only ever append."""
+    Writes are atomic (temp file + rename) under an exclusive lock, so a
+    reader never sees a partial file and concurrent invocations merge
+    their entries."""
+    size, dropped = loaded
+    if len(table.memo) == size and not dropped:
+        return
     path = _coxeter_cache_path(table.system)
     path.parent.mkdir(parents=True, exist_ok=True)
     lock_path = path.with_suffix(".lock")
@@ -193,6 +207,8 @@ def _store_kl_cache(table: kl.KLTable):
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError):
             data = {}
+        for key in dropped:
+            data.pop(key, None)
         for (xw, ww), val in table.memo.items():
             data[f"{word_str(xw)}|{word_str(ww)}"] = list(val)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -223,10 +239,10 @@ def cmd_kl(args):
     x = system.element(parse_word(args.x))
     w = system.element(parse_word(args.w))
     table = kl.KLTable(system)
-    _load_kl_cache(table)
+    loaded = _load_kl_cache(table)
     p = table.poly(x, w)
     q = table.inverse_poly(x, w) if x.length <= w.length else kl.ZERO
-    _store_kl_cache(table)
+    _store_kl_cache(table, loaded)
     return {
         "x": word_str(x.word),
         "w": word_str(w.word),
@@ -243,9 +259,9 @@ def cmd_character(args):
         raise UsageError("character requires --w")
     w = block.coxeter_system.element(parse_word(args.w))
     table = kl.KLTable(block.coxeter_system)
-    _load_kl_cache(table)
+    loaded = _load_kl_cache(table)
     char = kl.simple_character(block, w, table)
-    _store_kl_cache(table)
+    _store_kl_cache(table, loaded)
     return {
         "w": word_str(w.word),
         "coefficients": char.to_json(),
@@ -382,6 +398,13 @@ def main(argv=None) -> int:
     except BlockoError as exc:
         emit({"error": str(exc)}, "json")
         return 2
+    except Exception as exc:
+        # a fault of the program, not of its input: keep the traceback
+        import traceback
+
+        traceback.print_exc()
+        emit({"error": f"internal error: {type(exc).__name__}: {exc}"}, "json")
+        return 3
     emit(report, args.format)
     return 0
 

@@ -1,14 +1,26 @@
 """Exact linear algebra over the rationals.
 
-Vectors are lists of Fraction, matrices are lists of rows.  Everything here
-is plain Gaussian elimination; sizes in this package are small (a few hundred
-unknowns at most), so no attempt is made at fraction-free pivoting.
+Vectors are lists of Fraction (ints are accepted), matrices are lists of
+rows.  Every elimination goes through one fraction-free kernel, `Echelon`:
+a row enters as a primitive integer vector (denominators cleared, content
+divided out), is reduced against the rows before it by integer
+cross-multiplication, and stays primitive.  Fractions appear only in the
+results, by one division per pivot.  Reduced row echelon forms, kernel
+bases, free-variables-zero solutions and span membership are canonical, so
+they do not depend on how the elimination is carried out.
+
+`kernel_incremental` and `congruence_inertia` keep their own loops: the
+order of the basis returned by the first is part of its output.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
-Vec = list
-Mat = list
+_ZERO = Fraction(0)
+
+
+class SingularMatrixError(ArithmeticError):
+    """`invert` was given a singular matrix."""
 
 
 def frac(x) -> Fraction:
@@ -16,7 +28,7 @@ def frac(x) -> Fraction:
 
 
 def zeros(n):
-    return [Fraction(0)] * n
+    return [_ZERO] * n
 
 
 def identity_matrix(n):
@@ -24,38 +36,97 @@ def identity_matrix(n):
 
 
 def mat_vec(a, v):
-    return [sum((c * x for c, x in zip(row, v) if c), Fraction(0)) for row in a]
+    return [sum((c * x for c, x in zip(row, v) if c), _ZERO) for row in a]
+
+
+def _scaled(v, den):
+    """The integers den * v, for a multiple den of every denominator."""
+    return [x.numerator * (den // x.denominator) for x in v]
+
+
+def mat_mul(a, b):
+    """Product of rational matrices, as one integer product over the common
+    denominators."""
+    da = lcm(*(x.denominator for row in a for x in row))
+    db = lcm(*(x.denominator for row in b for x in row))
+    ia = [_scaled(row, da) for row in a]
+    bt = list(zip(*(_scaled(row, db) for row in b)))
+    den = da * db
+    return [[Fraction(sum(map(int.__mul__, ra, cb)), den) for cb in bt] for ra in ia]
+
+
+def _primitive(w):
+    g = gcd(*w)
+    return [x // g for x in w] if g > 1 else w
+
+
+class Echelon:
+    """The row span of rational vectors, held as primitive integer rows.
+
+    Each row has a pivot, its first nonzero column, that no other row
+    shares, and is zero at the pivots of the rows added before it.
+    """
+
+    def __init__(self, rows=()):
+        self.rows = []
+        self.pivots = []
+        for v in rows:
+            self.add(v)
+
+    def reduce(self, v):
+        """An integer multiple of v minus an element of the span, zero at
+        every pivot: the zero vector exactly when v is in the span."""
+        w = _primitive(_scaled(v, lcm(*(x.denominator for x in v))))
+        for row, p in zip(self.rows, self.pivots):
+            b = w[p]
+            if b:
+                a = row[p]
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                if a == 1:
+                    w = [x - b * y for x, y in zip(w, row)]
+                else:
+                    w = _primitive([a * x - b * y for x, y in zip(w, row)])
+        return w
+
+    def add(self, v):
+        """Insert v; True when it was outside the span."""
+        w = self.reduce(v)
+        p = next((c for c, x in enumerate(w) if x), None)
+        if p is None:
+            return False
+        self.rows.append(_primitive(w))
+        self.pivots.append(p)
+        return True
+
+    def reduced(self):
+        """(integer rows, pivots) of the reduced echelon form, in pivot order:
+        each row is zero at every other pivot.  Dividing a row by its pivot
+        entry gives the row of the reduced row echelon form."""
+        back = Echelon()
+        for p, row in sorted(zip(self.pivots, self.rows), reverse=True):
+            back.rows.append(_primitive(back.reduce(row)))
+            back.pivots.append(p)
+        return back.rows[::-1], back.pivots[::-1]
 
 
 def rref(rows, ncols=None):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    m = [list(map(frac, r)) for r in rows]
-    if not m:
-        return [], []
-    if ncols is None:
-        ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    """Reduced row echelon form.  Returns (rows, pivot_columns); pivots are
+    sought in the first ncols columns only."""
+    red, pivots = Echelon(rows).reduced()
+    if ncols is not None:
+        keep = [i for i, p in enumerate(pivots) if p < ncols]
+        red, pivots = [red[i] for i in keep], [pivots[i] for i in keep]
+    return [
+        [Fraction(x, row[p]) if x else _ZERO for x in row]
+        for row, p in zip(red, pivots)
+    ], pivots
 
 
 def rank(rows, ncols=None):
-    return len(rref(rows, ncols)[0])
+    if ncols is not None:
+        rows = [r[:ncols] for r in rows]
+    return len(Echelon(rows).rows)
 
 
 def kernel_basis(rows, ncols):
@@ -117,78 +188,45 @@ def kernel_incremental(rows, ncols):
 
 
 def solve_many(rows, rhs_cols):
-    """Solve A x = b for several right-hand sides sharing the matrix A.
+    """Solve A x = b for several right-hand sides sharing the matrix A, by
+    one elimination of [A | b_1 ... b_k].
 
-    rhs_cols: list of column vectors.  Returns one solution (or None) per
-    column."""
+    rhs_cols: list of column vectors.  Returns, per column, the solution
+    whose free variables are zero, or None if the system is inconsistent."""
     ncols = len(rows[0]) if rows else 0
-    k = len(rhs_cols)
-    m = [
-        list(map(frac, r)) + [frac(col[i]) for col in rhs_cols]
-        for i, r in enumerate(rows)
-    ]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
+    aug = [list(r) + [col[i] for col in rhs_cols] for i, r in enumerate(rows)]
+    red, pivots = Echelon(aug).reduced()
+    solved = [(row, p) for row, p in zip(red, pivots) if p < ncols]
+    residues = [row for row, p in zip(red, pivots) if p >= ncols]
     out = []
-    for j in range(k):
-        col = ncols + j
-        # rows past the rank are zero in the coefficient part
-        if any(m[i][col] for i in range(r, len(m))):
+    for j in range(ncols, ncols + len(rhs_cols)):
+        if any(row[j] for row in residues):
             out.append(None)
             continue
         x = zeros(ncols)
-        for row_i, p in enumerate(pivots):
-            x[p] = m[row_i][col]
+        for row, p in solved:
+            if row[j]:
+                x[p] = Fraction(row[j], row[p])
         out.append(x)
     return out
 
 
 def solve(rows, rhs):
     """One solution of A x = b, or None if inconsistent."""
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(map(frac, r)) + [frac(b)] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, ncols + 1)
-    if ncols in pivots:
-        return None
-    x = zeros(ncols)
-    for r, p in zip(red, pivots):
-        x[p] = r[ncols]
-    return x
+    return solve_many(rows, [rhs])[0]
 
 
 def invert(mat):
     n = len(mat)
-    aug = [list(map(frac, row)) + identity_matrix(n)[i] for i, row in enumerate(mat)]
-    red, pivots = rref(aug, 2 * n)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    cols = solve_many(mat, identity_matrix(n))
+    if None in cols:
+        raise SingularMatrixError("matrix is singular")
+    return [[col[i] for col in cols] for i in range(n)]
 
 
 def in_span(basis_rows, v):
-    """Is v in the row span of basis_rows?  basis_rows must be in rref."""
-    w = list(map(frac, v))
-    for row in basis_rows:
-        p = next((j for j, x in enumerate(row) if x), None)
-        if p is not None and w[p]:
-            f = w[p]
-            w = [a - f * b for a, b in zip(w, row)]
-    return not any(w)
+    """Is v in the row span of basis_rows?"""
+    return not any(Echelon(basis_rows).reduce(v))
 
 
 def extend_basis(rref_rows, candidates):
@@ -196,14 +234,9 @@ def extend_basis(rref_rows, candidates):
 
     Returns (new_rref_rows, chosen_indices).
     """
-    rows = [list(r) for r in rref_rows]
-    chosen = []
-    for idx, v in enumerate(candidates):
-        if not in_span(rows, v):
-            rows.append(list(map(frac, v)))
-            rows, _ = rref(rows)
-            chosen.append(idx)
-    return rows, chosen
+    span = Echelon(rref_rows)
+    chosen = [idx for idx, v in enumerate(candidates) if span.add(v)]
+    return rref(span.rows)[0], chosen
 
 
 def congruence_inertia(sym):

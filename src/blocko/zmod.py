@@ -24,13 +24,12 @@ import sympy
 from .blocks import BlockData, dot_reflect
 from .errors import TruncationError, UnsupportedError
 from .linalg import (
-    frac,
-    in_span,
+    Echelon,
+    invert,
     kernel_basis,
     kernel_incremental,
+    mat_mul,
     rank,
-    rref,
-    solve,
     solve_many,
 )
 from .poly import (
@@ -161,12 +160,7 @@ def _congruence_kernel(graph, vertex_words, d):
     nv = graph.nvars
     width = len(monomials_of_degree(nv, d))
     n = len(list(vertex_words)) * width
-    rows = _congruence_rows(graph, vertex_words, d)
-    if not rows:
-        from .linalg import identity_matrix
-
-        return identity_matrix(n)
-    return kernel_basis(rows, n)
+    return kernel_basis(_congruence_rows(graph, vertex_words, d), n)
 
 
 def _generic_point(nvars):
@@ -178,7 +172,27 @@ def _generic_matrix(slots, generators, nvars):
     return [[g.evaluate(point) for g in gen] for gen in generators]
 
 
-def minimal_generators(nvars, nslots, candidates):
+def _flatten(tup, d):
+    """The degree-d coefficient vectors of a tuple of polynomials, joined."""
+    return [c for p in tup for c in poly_to_coeffs(p, d)]
+
+
+def _multiples(nvars, gens, d):
+    """(index, monomial m, flattened m * gen) for every generator (tuple,
+    polynomial degree) and every monomial m that makes the degree d."""
+    for i, (gen, dg) in enumerate(gens):
+        if dg <= d:
+            for m in monomials_of_degree(nvars, d - dg):
+                mono = Poly(nvars, {m: 1})
+                yield i, m, _flatten(tuple(mono * p for p in gen), d)
+
+
+def _graded(M: ZLattice):
+    """M's generators with their polynomial degrees."""
+    return [(g, gd // 2) for g, gd in zip(M.generators, M.degrees)]
+
+
+def minimal_generators(nvars, candidates):
     """Minimal homogeneous generating set of the S-span of the candidates.
 
     candidates: list of (tuple-of-Poly, polynomial degree).  Processes
@@ -190,29 +204,10 @@ def minimal_generators(nvars, nslots, candidates):
         by_degree.setdefault(d, []).append(gen)
     chosen = []
     for d in sorted(by_degree):
-        monos = monomials_of_degree(nvars, d)
-        width = len(monos)
-
-        def flatten(gen):
-            out = []
-            for p in gen:
-                out.extend(poly_to_coeffs(p, d) if not p.is_zero() else [Fraction(0)] * width)
-            return out
-
-        span = []
-        for gen, dg in chosen:
-            if dg > d:
-                continue
-            for m in monomials_of_degree(nvars, d - dg):
-                mono = Poly(nvars, {m: 1})
-                span.append(flatten(tuple(mono * p for p in gen)))
-        span_rref, _ = rref(span, nslots * width) if span else ([], [])
-        for gen in by_degree[d]:
-            v = flatten(gen)
-            if not in_span(span_rref, v):
-                chosen.append((gen, d))
-                span.append(v)
-                span_rref, _ = rref(span, nslots * width)
+        span = Echelon(v for _, _, v in _multiples(nvars, chosen, d))
+        chosen.extend(
+            (gen, d) for gen in by_degree[d] if span.add(_flatten(gen, d))
+        )
     return chosen
 
 
@@ -240,7 +235,7 @@ def structure_algebra(
                 for i in range(nslots)
             )
             candidates.append((gen, d))
-    chosen = minimal_generators(nv, nslots, candidates)
+    chosen = minimal_generators(nv, candidates)
     if len(chosen) != nslots:
         raise TruncationError(
             f"structure algebra on {nslots} vertices produced "
@@ -268,28 +263,8 @@ def verma_zmodule(graph: MomentGraphBlock, w) -> ZLattice:
 
 def lattice_contains(M: ZLattice, tup, d) -> bool:
     """Is the degree-d homogeneous tuple in the S-span of M's generators?"""
-    nv = M.graph.nvars
-    monos = monomials_of_degree(nv, d)
-    width = len(monos)
-
-    def flatten(gen):
-        out = []
-        for p in gen:
-            out.extend(poly_to_coeffs(p, d))
-        return out
-
-    span = []
-    for gen, gd in zip(M.generators, M.degrees):
-        pd = gd // 2
-        if pd > d:
-            continue
-        for m in monomials_of_degree(nv, d - pd):
-            mono = Poly(nv, {m: 1})
-            span.append(flatten(tuple(mono * p for p in gen)))
-    if not span:
-        return all(p.is_zero() for p in tup)
-    span_rref, _ = rref(span, M.rank * width)
-    return in_span(span_rref, flatten(tup))
+    span = Echelon(v for _, _, v in _multiples(M.graph.nvars, _graded(M), d))
+    return not any(span.reduce(_flatten(tup, d)))
 
 
 def theta_s(M: ZLattice, s: int, degree_bound: int = DEFAULT_DEGREE_BOUND) -> ZLattice:
@@ -341,7 +316,7 @@ def theta_s(M: ZLattice, s: int, degree_bound: int = DEFAULT_DEGREE_BOUND) -> ZL
                 z[z_index[w]] * diag[k] for k, w in enumerate(new_slots)
             )
             candidates.append((cand, (gd + zd) // 2))
-    chosen = minimal_generators(graph.nvars, len(new_slots), candidates)
+    chosen = minimal_generators(graph.nvars, candidates)
     gens = [g for g, _ in chosen]
     degs = [2 * d for _, d in chosen]
     if len(gens) != len(new_slots) or rank(
@@ -386,41 +361,15 @@ def _default_algebra(graph, degree_bound=DEFAULT_DEGREE_BOUND):
     return cache[key]
 
 
-def _expand_system(M: ZLattice, pd):
-    """Column description (generator index, multiplier monomial) and the
-    coefficient matrix of all degree-pd lattice elements in M's basis."""
-    nv = M.graph.nvars
-    cols = []  # (generator index, multiplier monomial)
-    col_vecs = []
-    for j, (g, gd) in enumerate(zip(M.generators, M.degrees)):
-        dj = gd // 2
-        if dj > pd:
-            continue
-        for m in monomials_of_degree(nv, pd - dj):
-            mono = Poly(nv, {m: 1})
-            vec = []
-            for p in g:
-                vec.extend(poly_to_coeffs(mono * p, pd))
-            cols.append((j, m))
-            col_vecs.append(vec)
-    rows = [
-        [col[r] for col in col_vecs] for r in range(len(col_vecs[0]))
-    ] if cols else []
-    return cols, rows
-
-
 def expand_many(M: ZLattice, tups, pd):
     """Coefficients of degree-pd homogeneous slot tuples in M's generator
     basis; None per tuple outside the lattice."""
     nv = M.graph.nvars
-    cols, rows = _expand_system(M, pd)
-    rhs_cols = []
-    for tup in tups:
-        rhs = []
-        for p in tup:
-            rhs.extend(poly_to_coeffs(p, pd))
-        rhs_cols.append(rhs)
-    if not cols:
+    # one unknown per degree-pd multiple m * g_j of a generator
+    multiples = list(_multiples(nv, _graded(M), pd))
+    rows = list(zip(*(vec for _, _, vec in multiples)))
+    rhs_cols = [_flatten(tup, pd) for tup in tups]
+    if not multiples:
         return [
             None if any(rhs) else [Poly.zero(nv) for _ in M.generators]
             for rhs in rhs_cols
@@ -431,7 +380,7 @@ def expand_many(M: ZLattice, tups, pd):
             out.append(None)
             continue
         coeffs = [Poly.zero(nv) for _ in M.generators]
-        for (j, m), c in zip(cols, x):
+        for (j, m, _), c in zip(multiples, x):
             if c:
                 coeffs[j] = coeffs[j] + Poly(nv, {m: c})
         out.append(coeffs)
@@ -440,36 +389,37 @@ def expand_many(M: ZLattice, tups, pd):
 
 def _action_matrices(M: ZLattice, algebra: ZLattice):
     """For each algebra generator z, the matrix F with F[j][i] = coefficient
-    of g_j in z * g_i.  Cached on the lattice, batched by target degree."""
+    of g_j in z * g_i.  Cached on the lattice; one expand_many per target
+    degree covers the products of every generator."""
     cache = getattr(M, "_action_cache", None)
     if cache is None:
         cache = {}
         M._action_cache = cache
-    key = id(algebra)
-    if key in cache:
-        return cache[key]
+    # an id can be reused once its object is collected: keep the algebra
+    # in the entry and compare it by identity
+    hit = cache.get(id(algebra))
+    if hit is not None and hit[0] is algebra:
+        return hit[1]
     index = {w: i for i, w in enumerate(algebra.slots)}
     n = len(M.generators)
-    out = []
-    for z, zd in zip(algebra.generators, algebra.degrees):
-        zp = zd // 2
-        by_pd = {}
+    by_pd = {}
+    for t, (z, zd) in enumerate(zip(algebra.generators, algebra.degrees)):
         for i, (g, gd) in enumerate(zip(M.generators, M.degrees)):
             tup = tuple(
                 z[index[w]] * g[k] for k, w in enumerate(M.slots)
             )
-            by_pd.setdefault(zp + gd // 2, []).append((i, tup))
-        cols = [None] * n
-        for pd, items in by_pd.items():
-            expanded = expand_many(M, [t for _, t in items], pd)
-            for (i, _), coeffs in zip(items, expanded):
-                if coeffs is None:
-                    raise TruncationError(
-                        "lattice is not stable under the structure algebra"
-                    )
-                cols[i] = coeffs
-        out.append([[cols[i][j] for i in range(n)] for j in range(n)])
-    cache[key] = out
+            by_pd.setdefault(zd // 2 + gd // 2, []).append((t, i, tup))
+    cols = [[None] * n for _ in algebra.generators]
+    for pd, items in by_pd.items():
+        expanded = expand_many(M, [tup for _, _, tup in items], pd)
+        for (t, i, _), coeffs in zip(items, expanded):
+            if coeffs is None:
+                raise TruncationError(
+                    "lattice is not stable under the structure algebra"
+                )
+            cols[t][i] = coeffs
+    out = [[[c[i][j] for i in range(n)] for j in range(n)] for c in cols]
+    cache[id(algebra)] = (algebra, out)
     return out
 
 
@@ -642,75 +592,31 @@ def homs_equal(a, b):
 # action on the top graded piece of the lattice
 
 
-def _top_basis(M: ZLattice):
+def _rep_matrices(M: ZLattice, endos):
+    """Matrices of the endomorphisms on the top graded piece, from one
+    solve of a basis of that piece against all their images."""
     nv = M.graph.nvars
     D = max(gd // 2 for gd in M.degrees)
-    monos = monomials_of_degree(nv, D)
-    width = len(monos)
-
-    def flatten(tup):
-        out = []
-        for p in tup:
-            out.extend(poly_to_coeffs(p, D))
-        return out
-
-    labels = []
-    vecs = []
-    for i, (g, gd) in enumerate(zip(M.generators, M.degrees)):
-        for m in monomials_of_degree(nv, D - gd // 2):
-            mono = Poly(nv, {m: 1})
-            labels.append((m, i))
-            vecs.append(flatten(tuple(mono * p for p in g)))
-    chosen = []
-    span = []
-    for lab, v in zip(labels, vecs):
-        if not in_span(span, v):
-            chosen.append((lab, v))
-            span, _ = rref([c[1] for c in chosen], M.rank * width)
-    return D, flatten, chosen
-
-
-def _rep_matrix(M: ZLattice, U, top):
-    """Matrix of the endomorphism U on the top graded piece."""
-    nv = M.graph.nvars
-    D, flatten, chosen = top
-    cols = [list(v) for _, v in chosen]
-    rows = [[c[r] for c in cols] for r in range(len(cols[0]))]
-    images = apply_hom(U, M, M)
-    vecs = [
-        flatten(tuple(Poly(nv, {m: 1}) * p for p in images[i]))
-        for (m, i), _ in chosen
+    span = Echelon()
+    chosen = [
+        ((m, i), v) for i, m, v in _multiples(nv, _graded(M), D) if span.add(v)
     ]
+    n = len(chosen)
+    rows = list(zip(*(v for _, v in chosen)))
+    vecs = []
+    for U in endos:
+        images = apply_hom(U, M, M)
+        vecs.extend(
+            _flatten(tuple(Poly(nv, {m: 1}) * p for p in images[i]), D)
+            for (m, i), _ in chosen
+        )
     mat = solve_many(rows, vecs)
     if any(coords is None for coords in mat):
         raise TruncationError("endomorphism does not preserve the lattice")
     # mat rows are images in basis coordinates; transpose to act on columns
-    n = len(chosen)
-    return [[mat[j][i] for j in range(n)] for i in range(n)]
-
-
-def _int_scaled(mat):
-    """(integer matrix, common denominator) with mat = int / den."""
-    from math import gcd
-
-    den = 1
-    for row in mat:
-        for x in row:
-            d = x.denominator
-            den = den * d // gcd(den, d)
-    return [[int(x * den) for x in row] for row in mat], den
-
-
-def _mat_mul_frac(a, b):
-    # big-int products are much cheaper than Fraction products
-    m, p = len(b), len(b[0]) if b else 0
-    ia, da = _int_scaled(a)
-    ib, db = _int_scaled(b)
-    bt = [[ib[k][j] for k in range(m)] for j in range(p)]
-    den = da * db
     return [
-        [Fraction(sum(x * y for x, y in zip(ra, cb)), den) for cb in bt]
-        for ra in ia
+        [[mat[k + j][i] for j in range(n)] for i in range(n)]
+        for k in range(0, len(mat), n)
     ]
 
 
@@ -750,7 +656,7 @@ def _poly_of_matrix(coeffs, mat):
                 [out[i][j] + c * power[i][j] for j in range(n)]
                 for i in range(n)
             ]
-        power = _mat_mul_frac(power, mat)
+        power = mat_mul(power, mat)
     return out
 
 
@@ -794,9 +700,7 @@ def _slot_idempotent(M: ZLattice, U):
     gm = [[p.evaluate(point) for p in g] for g in M.generators]
     gt = [[gm[j][i] for j in range(len(gm))] for i in range(M.rank)]
     up = [[p.evaluate(point) for p in row] for row in U]
-    from .linalg import invert
-
-    return _mat_mul_frac(_mat_mul_frac(gt, up), invert(gt))
+    return mat_mul(mat_mul(gt, up), invert(gt))
 
 
 def _project_summand(M: ZLattice, U):
@@ -811,25 +715,19 @@ def _project_summand(M: ZLattice, U):
     chosen_slots = []
     for w in sorted(by_vertex, key=_vertex_key):
         idx = by_vertex[w]
-        block = [[a[r][c] for c in idx] for r in idx]
-        r_w = rank(block)
         # greedy independent rows: projection onto them stays injective on
         # the image of the block
-        span = []
-        for r, row in zip(idx, block):
-            if len(span) == r_w:
-                break
-            trial = span + [row]
-            if rank(trial) > len(span):
-                span.append(row)
-                chosen_slots.append(r)
+        span = Echelon()
+        chosen_slots.extend(
+            r for r in idx if span.add([a[r][c] for c in idx])
+        )
     candidates = []
     for img, gd in zip(images, M.degrees):
         cut = tuple(img[s] for s in chosen_slots)
         if all(p.is_zero() for p in cut):
             continue
         candidates.append((cut, gd // 2))
-    chosen = minimal_generators(nv, len(chosen_slots), candidates)
+    chosen = minimal_generators(nv, candidates)
     gens = [g for g, _ in chosen]
     degs = [2 * d for _, d in chosen]
     new_slots = tuple(M.slots[s] for s in chosen_slots)
@@ -848,8 +746,7 @@ def decompose(M: ZLattice, algebra: ZLattice = None, attempts: int = 60):
     if algebra is None:
         algebra = _default_algebra(M.graph)
     basis = hom_graded(M, M, 0, algebra)
-    top = _top_basis(M)
-    reps = [_rep_matrix(M, U, top) for U in basis]
+    reps = _rep_matrices(M, basis)
     if len(basis) - _radical_dim(reps) == 1:
         return [M]
     nv = M.graph.nvars
@@ -857,7 +754,7 @@ def decompose(M: ZLattice, algebra: ZLattice = None, attempts: int = 60):
     trials = list(zip(basis, reps))
     for (ua, ra) in list(trials):
         for (ub, rb) in list(trials):
-            trials.append((compose(ua, ub, nv), _mat_mul_frac(ra, rb)))
+            trials.append((compose(ua, ub, nv), mat_mul(ra, rb)))
     split = None
     for t in range(attempts):
         if t < len(trials):
@@ -913,18 +810,14 @@ def graded_char(M: ZLattice):
     slot_order = sorted(
         range(M.rank), key=lambda i: (_vertex_key(M.slots[i]), i)
     )
-    pivots = []  # (slot, vector)
+    # coordinates in slot order, so that a pivot is the first such slot
+    span = Echelon()
     out = {}
     for gi in order:
-        vec = [frac(p.evaluate(point)) for p in M.generators[gi]]
-        for slot, pv in pivots:
-            if vec[slot]:
-                c = vec[slot] / pv[slot]
-                vec = [a - c * b for a, b in zip(vec, pv)]
-        slot = next((s for s in slot_order if vec[s]), None)
-        if slot is None:
+        gen = M.generators[gi]
+        if not span.add([gen[s].evaluate(point) for s in slot_order]):
             raise TruncationError("generator set is generically dependent")
-        pivots.append((slot, vec))
+        slot = slot_order[span.pivots[-1]]
         out.setdefault(M.slots[slot], []).append(M.degrees[gi])
     return {w: sorted(ds) for w, ds in out.items()}
 
@@ -1041,7 +934,7 @@ def invariant_structure_algebra(
                 for i in range(nslots)
             )
             candidates.append((gen, d))
-    chosen = minimal_generators(nv, nslots, candidates)
+    chosen = minimal_generators(nv, candidates)
     if len(chosen) != len(cosets):
         raise TruncationError(
             f"invariant subalgebra on {len(cosets)} cosets produced "

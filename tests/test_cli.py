@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from blocko import cli, kl
+from blocko import cli, kl, linalg
+from blocko.errors import TruncationError
 
 from conftest import A1, A1_AFFINE, A2, A3
 
@@ -144,6 +145,67 @@ def test_kl_cache_load_keeps_only_possible_entries(cartan_file, tmp_path, monkey
     table = kl.KLTable(system)
     cli._load_kl_cache(table)
     assert table.memo == {((1,), (1, 0, 2, 1)): (1, 1)}
+
+
+def test_kl_cache_warm_run_writes_nothing(cartan_file, capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("BLOCKO_CACHE", str(cache))
+    argv = ["kl", "--cartan", cartan_file(A3), "--x", "2", "--w", "2 1 3 2"]
+    run(capsys, argv)
+    (file,) = cache.glob("kl-*.json")
+    before = file.stat()
+    run(capsys, argv)
+    after = file.stat()
+    # a rewrite replaces the file by a new one (new inode)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+def test_kl_cache_store_drops_rejected_keys(cartan_file, capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("BLOCKO_CACHE", str(cache))
+    argv = ["kl", "--cartan", cartan_file(A3), "--x", "2", "--w", "2 1 3 2"]
+    run(capsys, argv)
+    (file,) = cache.glob("kl-*.json")
+    data = json.loads(file.read_text())
+    data["e|2 1 2"] = [5]  # "2 1 2" is not a normal form
+    file.write_text(json.dumps(data))
+    _, out = run(capsys, argv)
+    stored = json.loads(file.read_text())
+    assert "e|2 1 2" not in stored
+    assert stored["2|2 1 3 2"] == [1, 1]
+    assert json.loads(out)["p"] == "1+q"
+
+
+def _singular_invert(args):
+    return linalg.invert([[1, 2], [2, 4]])
+
+
+def _raiser(exc):
+    def command(args):
+        raise exc
+
+    return command
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        (_raiser(cli.UsageError("bad flag")), 1),
+        (_raiser(TruncationError("bound too small")), 2),
+        (_singular_invert, 3),
+        (_raiser(KeyError("slot")), 3),
+        (_raiser(RuntimeError("bug")), 3),
+    ],
+    ids=["usage", "rejection", "singular-invert", "key-error", "runtime-error"],
+)
+def test_exit_code_separates_faults_from_input(command, code, cartan_file, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_block", command)
+    got = cli.main(["block", "--cartan", cartan_file(A1), "--weight", "0"])
+    out, err = capsys.readouterr()
+    assert got == code
+    assert set(json.loads(out)) == {"error"}
+    # only an internal fault prints its traceback, on stderr
+    assert ("Traceback" in err) == (code == 3)
 
 
 def test_character_command_tsv(cartan_file, capsys, tmp_path, monkeypatch):

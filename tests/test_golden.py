@@ -1,10 +1,11 @@
 """Golden outputs of the structure-algebra layer.
 
-`golden_zmod.json` holds the canonical JSON of a few `zmod` results, written
-by `python tests/test_golden.py --write`.  Any change to the exact linear
-algebra underneath must leave them byte-identical: reduced echelon forms,
-kernel bases, free-variables-zero solutions and span membership are all
-canonical, so a correct kernel cannot change them.
+`golden_zmod.json` holds the canonical JSON of a few `zmod` results,
+written by `PYTHONPATH=src python tests/test_golden.py --write`.  Any
+change to the exact linear algebra underneath must leave them
+byte-identical: reduced echelon forms, kernel bases, free-variables-zero
+solutions and span membership are all canonical, so a correct kernel
+cannot change them.
 """
 
 import io
@@ -24,15 +25,11 @@ G2 = [[2, -1], [-3, 2]]
 GOLDEN = Path(__file__).with_name("golden_zmod.json")
 
 
-def _word(w):
-    return " ".join(str(i + 1) for i in w) if w else "e"
-
-
 def _canon(lattice):
     return {
         "lattice": zmod.zlattice_to_json(lattice),
         "graded_char": sorted(
-            (_word(w), ds) for w, ds in zmod.graded_char(lattice).items()
+            (cli.word_str(w), ds) for w, ds in zmod.graded_char(lattice).items()
         ),
     }
 
@@ -46,7 +43,7 @@ def _graph(matrix, length_bound=blocks.DEFAULT_LENGTH_BOUND):
 def _projectives(matrix, max_length):
     graph = _graph(matrix)
     return {
-        _word(w): _canon(zmod.identify_projective(graph, w))
+        cli.word_str(w): _canon(zmod.identify_projective(graph, w))
         for w in graph.vertices
         if len(w) <= max_length
     }

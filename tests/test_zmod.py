@@ -231,3 +231,15 @@ def test_zlattice_json(a1_graph):
     report = zlattice_to_json(z)
     assert report["slots"] == ["e", "1"]
     assert [g["degree"] for g in report["generators"]] == [0, 2]
+
+
+def test_action_matrices_ignore_an_entry_under_a_reused_id(a2_graph):
+    """An id can be reused once its object is collected: an entry another
+    algebra left under the same id must not be returned."""
+    b = bott_samelson(a2_graph, (0,))
+    algebra = structure_algebra(a2_graph)
+    b._action_cache = {id(algebra): (object(), "stale matrices")}
+    got = zmod._action_matrices(b, algebra)
+    fresh = ZLattice(a2_graph, b.slots, b.generators, b.degrees)
+    assert got == zmod._action_matrices(fresh, algebra)
+    assert zmod._action_matrices(b, algebra) is got  # now cached
