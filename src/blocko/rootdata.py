@@ -255,38 +255,53 @@ def weight_gram(cartan: CartanDatum):
     return tuple(tuple(row) for row in g)
 
 
+def _root_coords(root: Root):
+    """Integer fundamental-weight coordinates <root, alpha_i^vee>."""
+    a = root.cartan.matrix
+    m = root.simple_coords
+    return tuple(sum(a_ij * m_j for a_ij, m_j in zip(row, m)) for row in a)
+
+
 def root_to_weight(root: Root) -> Weight:
     """Express a root in the weight basis."""
     cartan = root.cartan
-    n = cartan.rank
-    m = root.simple_coords
-    coords = tuple(
-        sum(Fraction(cartan.matrix[i][j]) * m[j] for j in range(n))
-        for i in range(n)
-    )
     delta = Fraction(0)
     if cartan.is_affine:
         jstar = cartan.affine_node
-        delta = Fraction(m[jstar], cartan.marks[jstar])
-    return Weight(cartan, coords, delta)
-
-
-def _as_weight(x) -> Weight:
-    return root_to_weight(x) if isinstance(x, Root) else x
+        delta = Fraction(root.simple_coords[jstar], cartan.marks[jstar])
+    return Weight(cartan, _root_coords(root), delta)
 
 
 def form(x, y) -> Fraction:
-    """The invariant symmetric bilinear form; arguments are Weights or Roots."""
+    """The invariant symmetric bilinear form; arguments are Weights or Roots.
+
+    A root pairs through its simple coordinates without becoming a weight:
+    (alpha_j, x) = d_j <x, alpha_j^vee>, which is d_j x_j for a weight and
+    d_j a_jk for x = alpha_k."""
     _same_cartan(x, y)
-    wx, wy = _as_weight(x), _as_weight(y)
-    g = weight_gram(wx.cartan)
-    vx, vy = wx.full_coords(), wy.full_coords()
+    if not isinstance(x, Root):
+        x, y = y, x
+    if not isinstance(x, Root):
+        g = weight_gram(x.cartan)
+        vx, vy = x.full_coords(), y.full_coords()
+        return sum(
+            vx[i] * g[i][j] * vy[j]
+            for i in range(len(vx))
+            for j in range(len(vy))
+            if vx[i] and g[i][j] and vy[j]
+        ) or Fraction(0)
+    cartan = x.cartan
+    if cartan.kind not in (FINITE, AFFINE):
+        raise CartanError("invariant form on weights needs finite or affine type")
+    coords = _root_coords(y) if isinstance(y, Root) else y.coords
     return sum(
-        vx[i] * g[i][j] * vy[j]
-        for i in range(len(vx))
-        for j in range(len(vy))
-        if vx[i] and g[i][j] and vy[j]
-    ) or Fraction(0)
+        (
+            d * m * c
+            for d, m, c in zip(cartan.symmetrizer, x.simple_coords, coords)
+            if m and c
+        ),
+        Fraction(0),
+    )
 
 
 def coroot_pairing(x, beta: Root) -> Fraction:

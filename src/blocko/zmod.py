@@ -18,8 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import sympy
+from math import lcm
 
 from .blocks import BlockData, dot_reflect
 from .errors import TruncationError, UnsupportedError
@@ -42,6 +41,9 @@ from .poly import (
 from .rootdata import Weight, form
 
 DEFAULT_DEGREE_BOUND = 10
+
+# endomorphisms `decompose` tries for a splitting idempotent
+_SPLIT_TRIALS = 60
 
 # generic evaluation point; primes keep distinct linear forms distinct
 _GENERIC_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
@@ -577,7 +579,6 @@ def scalar_hom(M: ZLattice, p: Poly):
 
 
 def _hom_add(a, b, scale_b=1):
-    nv = a[0][0].nvars if a else 0
     return [
         [x + y.scale(scale_b) for x, y in zip(ra, rb)]
         for ra, rb in zip(a, b)
@@ -635,50 +636,171 @@ def _radical_dim(rep_basis):
     return len(kernel_basis(rows, n))
 
 
-def _charpoly_factors(mat):
-    sm = sympy.Matrix(
-        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in mat]
-    )
-    x = sympy.Symbol("x")
-    cp = sm.charpoly(x).as_expr()
-    _, factors = sympy.factor_list(sympy.Poly(cp, x))
-    return [(sympy.Poly(f, x), mult) for f, mult in factors]
+# idempotents from the characteristic polynomial: univariate polynomials
+# are dense Fraction coefficient lists, lowest degree first
 
 
-def _poly_of_matrix(coeffs, mat):
-    """sum coeffs[i] * mat^i (coefficients ascending)."""
+def _charpoly(mat):
+    """Characteristic polynomial det(x - mat), by reduction to upper
+    Hessenberg form with similarity transforms."""
     n = len(mat)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in coeffs:
-        if c:
-            out = [
-                [out[i][j] + c * power[i][j] for j in range(n)]
-                for i in range(n)
-            ]
-        power = mat_mul(power, mat)
+    a = [[Fraction(x) for x in row] for row in mat]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if a[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            a[piv], a[j + 1] = a[j + 1], a[piv]
+            for row in a:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        top = a[j + 1]
+        for i in range(j + 2, n):
+            if not a[i][j]:
+                continue
+            t = a[i][j] / top[j]
+            row = a[i]
+            for k in range(j, n):
+                if top[k]:
+                    row[k] -= t * top[k]
+            for other in a:
+                if other[i]:
+                    other[j + 1] += t * other[i]
+    # p_m = (x - h_mm) p_{m-1} - sum_i h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1}
+    polys = [[Fraction(1)]]
+    for m in range(n):
+        p = [Fraction(0)] + polys[m]
+        for k, c in enumerate(polys[m]):
+            p[k] -= a[m][m] * c
+        sub = Fraction(1)
+        for i in range(m - 1, -1, -1):
+            sub *= a[i + 1][i]
+            if not sub:
+                break
+            if a[i][m]:
+                for k, c in enumerate(polys[i]):
+                    p[k] -= a[i][m] * sub * c
+        polys.append(p)
+    return polys[n]
+
+
+def _trim(p):
+    while p and not p[-1]:
+        p = p[:-1]
+    return p
+
+
+def _upoly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
     return out
 
 
+def _upoly_sub(p, q):
+    out = list(p) + [Fraction(0)] * (len(q) - len(p))
+    for i, b in enumerate(q):
+        out[i] -= b
+    return _trim(out)
+
+
+def _upoly_divmod(p, d):
+    """(quotient, remainder) of p by the nonzero polynomial d."""
+    r = list(p)
+    q = [Fraction(0)] * max(len(p) - len(d) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + len(d) - 1] / d[-1]
+        q[k] = c
+        if c:
+            for i, b in enumerate(d):
+                r[k + i] -= c * b
+    return q, _trim(r[: len(d) - 1])
+
+
+def _iroot_ceil(c, k):
+    """The least t >= 0 with t**k >= c."""
+    lo, hi = 0, 1 << (c.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**k >= c:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _rational_roots(cp):
+    """Rational roots of a monic polynomial, with their multiplicities.
+
+    With D the common denominator of the coefficients, D^m p(y/D) is monic
+    with integer coefficients, so its rational roots are integers dividing
+    its constant term; they are searched up to Fujiwara's bound on the
+    absolute value of a root."""
+    k = next(i for i, c in enumerate(cp) if c)
+    roots = [(Fraction(0), k)] if k else []
+    g = cp[k:]
+    m = len(g) - 1
+    den = 1
+    for c in g:
+        den = lcm(den, c.denominator)
+    h = [int(c * den ** (m - i)) for i, c in enumerate(g)]
+    bound = 2 * max(
+        (_iroot_ceil(abs(h[m - i]), i) for i in range(1, m + 1)), default=0
+    )
+    d = 1
+    while len(h) > 1 and d <= min(bound, abs(h[0])):
+        if h[0] % d == 0:
+            for r in (d, -d):
+                mult = 0
+                while len(h) > 1:
+                    # synthetic division by (y - r), highest degree first
+                    quot = [h[-1]]
+                    for c in reversed(h[1:-1]):
+                        quot.append(c + r * quot[-1])
+                    if h[0] + r * quot[-1]:
+                        break
+                    h = quot[::-1]
+                    mult += 1
+                if mult:
+                    roots.append((Fraction(r, den), mult))
+        d += 1
+    return roots
+
+
+def _charpoly_factors(mat):
+    """The characteristic polynomial of mat and its rational roots with
+    multiplicities, ordered as a factorisation over the integers sorts the
+    primitive linear factors q x - p: by multiplicity, then by (q, -p)."""
+    cp = _charpoly(mat)
+    roots = _rational_roots(cp)
+    roots.sort(key=lambda rm: (rm[1], rm[0].denominator, -rm[0].numerator))
+    return cp, roots
+
+
 def _splitting_poly(mat):
-    """Coefficients of a polynomial p with p(mat) a nontrivial idempotent,
-    from a coprime factorization of the characteristic polynomial."""
-    factors = _charpoly_factors(mat)
-    if len(factors) < 2:
+    """Coefficients of the polynomial e with e(mat) the projection onto the
+    generalized eigenspace of the first rational root lam (multiplicity m)
+    of the characteristic polynomial p along the others: e = 1 mod
+    (x - lam)^m, e = 0 mod p/(x - lam)^m, deg e < deg p.  None when p has
+    no rational root or no other root."""
+    cp, roots = _charpoly_factors(mat)
+    if not roots or roots[0][1] == len(cp) - 1:
         return None
-    x = sympy.Symbol("x")
-    f, mult = factors[0]
-    g = f ** mult
-    h = sympy.Poly(1, x)
-    for f, mult in factors[1:]:
-        h = h * f ** mult
-    u, v, gcd = sympy.gcdex(g.as_expr(), h.as_expr(), x)
-    gp = sympy.Poly(gcd, x)
-    if gp.degree() != 0:
-        return None
-    scale = sympy.Rational(1) / gp.coeffs()[0]
-    vh = sympy.Poly(sympy.expand(v * h.as_expr() * scale), x)
-    return [Fraction(str(c)) for c in reversed(vh.all_coeffs())]
+    lam, mult = roots[0]
+    g = [Fraction(1)]
+    for _ in range(mult):
+        g = _upoly_mul(g, [-lam, Fraction(1)])
+    h, _ = _upoly_divmod(cp, g)
+    # extended Euclid: v h = 1 mod g, since h(lam) != 0
+    r0, r1 = g, _upoly_divmod(h, g)[1]
+    s0, s1 = [], [Fraction(1)]
+    while r1:
+        q, r = _upoly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _upoly_sub(s0, _upoly_mul(q, s1))
+    v = [c / r0[0] for c in s0]
+    return _trim(_upoly_mul(v, h))
 
 
 def _poly_of_hom(coeffs, U, M):
@@ -738,9 +860,34 @@ def _project_summand(M: ZLattice, U):
     return ZLattice(M.graph, new_slots, gens, degs)
 
 
-def decompose(M: ZLattice, algebra: ZLattice = None, attempts: int = 60):
+def _trial_endos(M: ZLattice, basis, reps):
+    """Endomorphisms with their matrices to try for a splitting idempotent:
+    the basis, then for each basis element its products with every trial
+    listed before that element's turn, then random combinations."""
+    nv = M.graph.nvars
+    trials = list(zip(basis, reps))
+    yield from trials
+    for ua, ra in zip(basis, reps):
+        for j in range(len(trials)):
+            ub, rb = trials[j]
+            trials.append((compose(ua, ub, nv), mat_mul(ra, rb)))
+            yield trials[-1]
+    rng = random.Random(20230823)
+    n = len(reps[0])
+    while True:
+        cs = [Fraction(rng.randint(-9, 9)) for _ in basis]
+        u = [[Poly.zero(nv)] * len(basis[0]) for _ in range(len(basis[0]))]
+        r = [[Fraction(0)] * n for _ in range(n)]
+        for c, ub, rb in zip(cs, basis, reps):
+            u = _hom_add(u, ub, c)
+            r = [[x + c * y for x, y in zip(rr, rbr)] for rr, rbr in zip(r, rb)]
+        yield u, r
+
+
+def decompose(M: ZLattice, algebra: ZLattice = None):
     """Complete list of indecomposable direct summands, by idempotent
-    splitting of the degree-0 endomorphism algebra."""
+    splitting of the degree-0 endomorphism algebra, trying the first
+    _SPLIT_TRIALS endomorphisms of _trial_endos."""
     if M.rank == 0:
         return []
     if algebra is None:
@@ -749,46 +896,25 @@ def decompose(M: ZLattice, algebra: ZLattice = None, attempts: int = 60):
     reps = _rep_matrices(M, basis)
     if len(basis) - _radical_dim(reps) == 1:
         return [M]
-    nv = M.graph.nvars
-    rng = random.Random(20230823)
-    trials = list(zip(basis, reps))
-    for (ua, ra) in list(trials):
-        for (ub, rb) in list(trials):
-            trials.append((compose(ua, ub, nv), mat_mul(ra, rb)))
+    # e(r) projects onto the generalized eigenspace of a root whose
+    # multiplicity is below dim r, so it is neither 0 nor 1: the first trial
+    # whose charpoly splits gives a nontrivial idempotent
     split = None
-    for t in range(attempts):
-        if t < len(trials):
-            u, r = trials[t]
-        else:
-            cs = [Fraction(rng.randint(-9, 9)) for _ in basis]
-            u = basis[0]
-            u = [[Poly.zero(nv)] * len(u) for _ in range(len(u))]
-            r = [[Fraction(0)] * len(reps[0]) for _ in range(len(reps[0]))]
-            for c, ub, rb in zip(cs, basis, reps):
-                u = _hom_add(u, ub, c)
-                r = [
-                    [x + c * y for x, y in zip(rr, rbr)]
-                    for rr, rbr in zip(r, rb)
-                ]
+    for _, (u, r) in zip(range(_SPLIT_TRIALS), _trial_endos(M, basis, reps)):
         coeffs = _splitting_poly(r)
-        if coeffs is None:
-            continue
-        e_rep = _poly_of_matrix(coeffs, r)
-        n = len(e_rep)
-        ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        if e_rep == ident or not any(any(row) for row in e_rep):
-            continue
-        split = _poly_of_hom(coeffs, u, M)
-        break
+        if coeffs is not None:
+            split = _poly_of_hom(coeffs, u, M)
+            break
     if split is None:
         raise TruncationError(
             "endomorphism algebra is not local but no splitting idempotent "
-            "was found"
+            f"was found in {_SPLIT_TRIALS} trial endomorphisms: no trial's "
+            "characteristic polynomial has a rational root splitting it"
         )
     comp = _hom_add(identity_hom(M), split, -1)
     out = []
     for idem in (split, comp):
-        out.extend(decompose(_project_summand(M, idem), algebra, attempts))
+        out.extend(decompose(_project_summand(M, idem), algebra))
     return sorted(
         out,
         key=lambda S: (

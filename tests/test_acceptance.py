@@ -177,6 +177,24 @@ def test_acceptance_4():
             assert got == {w: n for w, n in want.items() if n}
 
 
+def test_graded_projectives_match_kl_polynomials():
+    """The graded rank of P(w) at y: 2 l(y) + 4 i, as often as q^i occurs
+    in P_{y,w} (w up to length 3: all of A2, B2 without w0; acceptance 4
+    checks only the ungraded counts)."""
+    for key in ("a2", "b2"):
+        graph = _graph(key)
+        system = graph.block.coxeter_system
+        table = KLTable(system)
+        for w in graph.vertices:
+            if len(w) > 3:
+                continue
+            got = graded_char(identify_projective(graph, w))
+            for y in graph.vertices:
+                p = table.poly(system.element(y), system.element(w))
+                want = [2 * len(y) + 4 * i for i, c in enumerate(p) for _ in range(c)]
+                assert sorted(got.get(y, [])) == want
+
+
 @verdict(5, "Kazhdan-Lusztig recursion and signed inversion")
 def test_acceptance_5():
     # every dihedral polynomial is 1 on comparable pairs, up to length 6

@@ -1,6 +1,10 @@
 """Command-line interface: parsing, exit codes, determinism, KL cache."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -287,3 +291,14 @@ def test_json_report_reparses(cartan_file, capsys):
     cartan = rootdata.cartan_from_json(report["cartan"])
     assert cartan.matrix == ((2, -1), (-1, 2))
     rootdata.weight_from_json(report["base_weight"], cartan)
+
+
+def test_cli_import_does_not_load_sympy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, blocko.cli; print('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -1,9 +1,10 @@
 """Cartan data, the invariant form, roots and the weight order."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from blocko import rootdata
 from blocko.errors import CartanError
@@ -161,3 +162,48 @@ def test_cartan_json_round_trip():
     again = cartan_from_json(cartan_to_json(cartan))
     assert again.matrix == cartan.matrix
     assert again.symmetrizer == cartan.symmetrizer
+
+
+TYPES = {
+    "A3": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+    "B3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+    "G2": [[2, -1], [-3, 2]],
+    "A1~": A1_AFFINE,
+    "A2~": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+    "C2~": [[2, -2, 0], [-1, 2, -1], [0, -2, 2]],
+}
+
+
+@lru_cache(maxsize=None)
+def _positive_roots(name):
+    return build_root_system(cartan_datum(TYPES[name]), 6).positive_roots
+
+
+@pytest.mark.parametrize("name", sorted(TYPES))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_root_pairing_matches_weight_gram(name, data):
+    """A root pairs through its simple coordinates; the same value comes
+    from the root as a weight and the Gram matrix of the weight basis."""
+    roots = _positive_roots(name)
+    cartan = roots[0].cartan
+    beta, gamma = (data.draw(st.sampled_from(roots)) for _ in range(2))
+    beta = beta if data.draw(st.booleans()) else -beta
+    lam = Weight(
+        cartan,
+        tuple(data.draw(rationals) for _ in range(cartan.rank)),
+        data.draw(rationals) if cartan.is_affine else 0,
+    )
+    as_weight = rootdata.root_to_weight
+    assert form(beta, lam) == form(lam, beta) == form(as_weight(beta), lam)
+    assert form(beta, gamma) == form(as_weight(beta), as_weight(gamma))
+    assert isinstance(form(beta, gamma), Fraction)
+
+
+def test_indefinite_form_on_roots_rejected():
+    cartan = cartan_datum([[2, -3], [-3, 2]])
+    alpha = simple_root(cartan, 0)
+    with pytest.raises(CartanError):
+        form(alpha, alpha)
+    with pytest.raises(CartanError):
+        form(alpha, Weight(cartan, (1, 0)))

@@ -243,3 +243,39 @@ def test_action_matrices_ignore_an_entry_under_a_reused_id(a2_graph):
     fresh = ZLattice(a2_graph, b.slots, b.generators, b.degrees)
     assert got == zmod._action_matrices(fresh, algebra)
     assert zmod._action_matrices(b, algebra) is got  # now cached
+
+
+def test_splitting_poly_needs_a_rational_root():
+    # charpoly (x^2 - 2)(x^2 - 3): reducible, but without a rational root
+    mat = [[Fraction(x) for x in row] for row in
+           [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 3], [0, 0, 1, 0]]]
+    assert zmod._charpoly_factors(mat) == ([6, 0, -5, 0, 1], [])
+    assert zmod._splitting_poly(mat) is None
+
+
+def test_splitting_poly_is_the_crt_idempotent():
+    # diag(0, 0, -1, 2): roots ordered by multiplicity, then (q, -p) of
+    # q x - p, so 2 (factor x - 2) comes before -1 (factor x + 1)
+    mat = [[Fraction(int(i == j) * d) for j in range(4)]
+           for i, d in enumerate((0, 0, -1, 2))]
+    cp, roots = zmod._charpoly_factors(mat)
+    assert cp == [0, 0, -2, -1, 1]
+    assert roots == [(2, 1), (-1, 1), (0, 2)]
+    # e(2) = 1, e(-1) = e(0) = e'(0) = 0: e = (x^3 + x^2) / 12
+    assert zmod._splitting_poly(mat) == [0, 0, Fraction(1, 12), Fraction(1, 12)]
+
+
+def test_decompose_names_its_trial_bound(a2_graph, monkeypatch):
+    m = verma_zmodule(a2_graph, ())
+    double = ZLattice(
+        a2_graph,
+        m.slots + m.slots,
+        [g + (Poly.zero(a2_graph.nvars),) for g in m.generators]
+        + [(Poly.zero(a2_graph.nvars),) + g for g in m.generators],
+        m.degrees + m.degrees,
+    )
+    calls = []
+    monkeypatch.setattr(zmod, "_splitting_poly", lambda r: calls.append(r))
+    with pytest.raises(TruncationError, match="in 60 trial endomorphisms"):
+        decompose(double)
+    assert len(calls) == zmod._SPLIT_TRIALS == 60
