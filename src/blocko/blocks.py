@@ -9,7 +9,6 @@ fails loudly instead of silently truncating.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import permutations
 
 from . import coxeter
@@ -27,7 +26,6 @@ from .rootdata import (
     reflect,
     reflect_root,
     rho,
-    root_to_weight,
     weight_to_json,
 )
 

@@ -280,7 +280,9 @@ def cmd_bs(args):
     word = parse_word(args.word)
     graph = zmod.moment_graph(block)
     lattice = zmod.bott_samelson(graph, word, args.degree_bound)
-    summands = zmod.decompose(lattice)
+    summands = zmod.decompose(
+        lattice, zmod.full_structure_algebra(graph, args.degree_bound)
+    )
     target = block.coxeter_system.normal_form(word)
     projective = zmod.identify_projective(graph, target, args.degree_bound)
     return {

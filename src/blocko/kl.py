@@ -3,8 +3,10 @@
 P_{x,w} is computed by the classical recursion; the inverse polynomials
 Q_{w,y} are defined operationally by unitriangular inversion of the signed
 P-matrix, so that the two character formulas are mutually inverse by
-construction.  Polynomials in q are dense integer coefficient tuples,
-index = power.
+construction.  The decomposition numbers, the inverse of the character
+matrix, are therefore read off in closed form: [M(y.l):L(w.l)] = P_{y,w}(1)
+for a dominant base weight and Q_{w,y}(1) for an antidominant one.
+Polynomials in q are dense integer coefficient tuples, index = power.
 """
 
 from __future__ import annotations
@@ -74,15 +76,13 @@ def poly_str(a):
 class KLTable:
     """Memoized Kazhdan-Lusztig polynomials over one Coxeter system.
 
-    Three stores: `memo` holds P_{x,w} keyed by (x word, w word), `q_memo`
-    holds Q_{w,y} keyed by (w word, y word), and `d_memo` holds decomposition
-    numbers keyed by (base position, y word, w word)."""
+    Two stores: `memo` holds P_{x,w} keyed by (x word, w word), and
+    `q_memo` holds Q_{w,y} keyed by (w word, y word)."""
 
     def __init__(self, system):
         self.system = system
         self.memo = {}
         self.q_memo = {}
-        self.d_memo = {}
 
     def poly(self, x: Element, w: Element):
         """P_{x,w} as a dense coefficient tuple."""
@@ -220,16 +220,36 @@ def base_weight_position(block):
     return "interior"
 
 
+def _extremal_position(block):
+    """The base weight's position for the character formulas, which hold on
+    a regular, non-critical block with a dominant or antidominant base."""
+    _require_character_hypotheses(block)
+    position = base_weight_position(block)
+    if position == "interior":
+        raise UnsupportedError(
+            "base weight is neither dominant nor antidominant in its class"
+        )
+    return position
+
+
+def _elements(block, length_bound):
+    """The whole integral Weyl group, or its elements up to the length bound
+    when it is infinite; the flag says whether the list is truncated."""
+    system = block.coxeter_system
+    if coxeter.is_finite(system):
+        return coxeter.all_elements(system), False
+    return coxeter.elements_up_to(system, length_bound), True
+
+
 def simple_character(block, w: Element, table: KLTable = None) -> CharacterVector:
     """ch L(w.lambda) as a combination of Verma characters.
 
     Dominant base weight: ch L(w.l) = sum_{y>=w} (-1)^{l(y)-l(w)} Q_{w,y}(1) ch M(y.l).
     Antidominant:         ch L(w.l) = sum_{y<=w} (-1)^{l(w)-l(y)} P_{y,w}(1) ch M(y.l).
     """
-    _require_character_hypotheses(block)
+    position = _extremal_position(block)
     if table is None:
         table = KLTable(block.coxeter_system)
-    position = base_weight_position(block)
     coeffs = {}
     truncated = False
     if position == "antidominant":
@@ -238,119 +258,62 @@ def simple_character(block, w: Element, table: KLTable = None) -> CharacterVecto
             c = sign * poly_eval_one(table.poly(y, w))
             if c:
                 coeffs[y.word] = c
-    elif position == "dominant":
-        if coxeter.is_finite(block.coxeter_system):
-            cone = [
-                y
-                for y in coxeter.all_elements(block.coxeter_system)
-                if bruhat_leq(w, y)
-            ]
-        else:
-            cone = coxeter.upper_cone(w, block.length_bound)
-            truncated = True
-        for y in cone:
+    else:
+        elems, truncated = _elements(block, block.length_bound)
+        for y in elems:
+            if not bruhat_leq(w, y):
+                continue
             sign = -1 if (y.length - w.length) % 2 else 1
             c = sign * poly_eval_one(table.inverse_poly(w, y))
             if c:
                 coeffs[y.word] = c
-    else:
-        raise UnsupportedError(
-            "base weight is neither dominant nor antidominant in its class"
-        )
     return CharacterVector(block, coeffs, truncated)
 
 
-def decomposition_matrix(block, length_bound=None, table: KLTable = None):
-    """[M(y.lambda) : L(w.lambda)] for orbit words y, w.
+def _multiplicity(table, position, y, w):
+    """[M(y.lambda) : L(w.lambda)].  The character matrix is the signed
+    Q-matrix for a dominant base and the transposed signed P-matrix for an
+    antidominant one, so its inverse is P(1), resp. Q(1) transposed."""
+    if position == "dominant":
+        return poly_eval_one(table.poly(y, w))
+    return poly_eval_one(table.inverse_poly(w, y))
 
-    The unitriangular inverse of the simple-character matrix; every entry only
-    needs the Bruhat interval [y, w] (or [w, y]), so truncation is exact.
+
+def decomposition_matrix(block, length_bound=None, table: KLTable = None):
+    """[M(y.lambda) : L(w.lambda)] for orbit words y, w related in the Bruhat
+    order: P_{y,w}(1) for y <= w over a dominant base, Q_{w,y}(1) for w <= y
+    over an antidominant one.  Every entry only needs the Bruhat interval
+    between y and w, so truncation is exact.
     """
-    _require_character_hypotheses(block)
+    position = _extremal_position(block)
     if table is None:
         table = KLTable(block.coxeter_system)
     if length_bound is None:
         length_bound = block.length_bound
-    position = base_weight_position(block)
-    if coxeter.is_finite(block.coxeter_system):
-        elems = coxeter.all_elements(block.coxeter_system)
-    else:
-        elems = coxeter.elements_up_to(block.coxeter_system, length_bound)
+    elems, _ = _elements(block, length_bound)
     out = {}
     for y in elems:
         for w in elems:
-            # support: antidominant entries need w <= y, dominant y <= w
-            if position == "antidominant":
-                ok = bruhat_leq(w, y)
-            else:
-                ok = bruhat_leq(y, w)
-            if not ok:
-                continue
-            out[(y.word, w.word)] = _decomp_entry(table, position, y, w)
+            below, above = (y, w) if position == "dominant" else (w, y)
+            if bruhat_leq(below, above):
+                out[(y.word, w.word)] = _multiplicity(table, position, y, w)
     return out
 
 
-def _decomp_entry(table, position, y, w):
-    """[M(y):L(w)]: entry of the unitriangular inverse of the
-    simple-character matrix C, C[w][z] = ch M(z)-coefficient of ch L(w).
-
-    From C*D = identity: D[y][w] = delta_{y,w} - sum_{z != y} C[y][z] D[z][w];
-    the sum runs over the finite Bruhat interval between w and y.
-    """
-    key = (position, y.word, w.word)
-    if key in table.d_memo:
-        return table.d_memo[key]
-    if y.word == w.word:
-        val = 1
-    else:
-        if position == "antidominant":
-            # C[y][z] != 0 needs z <= y; D[z][w] != 0 needs w <= z
-            between = [
-                z for z in lower_cone(y) if bruhat_leq(w, z) and z.word != y.word
-            ]
-        else:
-            # C[y][z] != 0 needs z >= y; D[z][w] != 0 needs z <= w
-            between = [
-                z for z in lower_cone(w) if bruhat_leq(y, z) and z.word != y.word
-            ]
-        val = -sum(
-            _char_coeff(table, position, y, z) * _decomp_entry(table, position, z, w)
-            for z in between
-        )
-    table.d_memo[key] = val
-    return val
-
-
-def _char_coeff(table, position, wv, yv):
-    """Coefficient of ch M(y) in ch L(w)."""
-    if position == "antidominant":
-        if not bruhat_leq(yv, wv):
-            return 0
-        sign = -1 if (wv.length - yv.length) % 2 else 1
-        return sign * poly_eval_one(table.poly(yv, wv))
-    if not bruhat_leq(wv, yv):
-        return 0
-    sign = -1 if (yv.length - wv.length) % 2 else 1
-    return sign * poly_eval_one(table.inverse_poly(wv, yv))
-
-
 def projective_multiplicities(block, w: Element, table: KLTable = None):
-    """(P(w.lambda) : M(y.lambda)) via BGG reciprocity."""
+    """(P(w.lambda) : M(y.lambda)) = [M(y.lambda) : L(w.lambda)] by BGG
+    reciprocity."""
     if block.level_class != "dominant-containing":
         raise UnsupportedError(
             "projectives need a dominant-containing block; apply tilt first"
         )
-    _require_character_hypotheses(block)
+    position = _extremal_position(block)
     if table is None:
         table = KLTable(block.coxeter_system)
-    position = base_weight_position(block)
-    if coxeter.is_finite(block.coxeter_system):
-        elems = coxeter.all_elements(block.coxeter_system)
-    else:
-        elems = coxeter.elements_up_to(block.coxeter_system, block.length_bound)
+    elems, _ = _elements(block, block.length_bound)
     out = {}
     for y in elems:
-        mult = _decomp_entry(table, position, y, w)
+        mult = _multiplicity(table, position, y, w)
         if mult:
             out[y.word] = mult
     return out

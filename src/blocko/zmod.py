@@ -56,16 +56,13 @@ def _nvars(cartan):
 def root_form(cartan, beta) -> Poly:
     """The linear form h_beta(mu) = (beta, mu) in weight coordinates."""
     n = cartan.rank
-    nv = _nvars(cartan)
     coeffs = []
     for k in range(n):
         unit = Weight(cartan, tuple(1 if j == k else 0 for j in range(n)))
         coeffs.append(form(beta, unit))
     if cartan.is_affine:
         coeffs.append(form(beta, Weight(cartan, (0,) * n, 1)))
-    p = Poly.linear(coeffs)
-    assert p.nvars == nv
-    return p
+    return Poly.linear(coeffs)
 
 
 @dataclass
@@ -75,9 +72,10 @@ class MomentGraphBlock:
     weights: dict  # word -> Weight
     edges: dict  # frozenset({word, word}) -> Poly (h_beta)
     nvars: int
-
-    def vertex_weight(self, word):
-        return self.weights[word]
+    # degree bound -> structure algebra on every vertex (full_structure_algebra)
+    algebras: dict = field(default_factory=dict, repr=False, compare=False)
+    # vertex word -> its projective (identify_projective)
+    projectives: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def moment_graph(block: BlockData) -> MomentGraphBlock:
@@ -169,7 +167,7 @@ def _generic_point(nvars):
     return [Fraction(p) for p in _GENERIC_PRIMES[:nvars]]
 
 
-def _generic_matrix(slots, generators, nvars):
+def _generic_matrix(generators, nvars):
     point = _generic_point(nvars)
     return [[g.evaluate(point) for g in gen] for gen in generators]
 
@@ -245,7 +243,7 @@ def structure_algebra(
         )
     gens = [g for g, _ in chosen]
     degs = [2 * d for _, d in chosen]
-    if rank(_generic_matrix(vertex_words, gens, nv)) != nslots:
+    if rank(_generic_matrix(gens, nv)) != nslots:
         raise TruncationError("structure algebra rank certificate failed")
     return ZLattice(graph, tuple(vertex_words), gens, degs)
 
@@ -306,7 +304,6 @@ def theta_s(M: ZLattice, s: int, degree_bound: int = DEFAULT_DEGREE_BOUND) -> ZL
             if wv == times_s(w):
                 new_slots.append(w)
                 sources.append(j)
-    assert len(new_slots) == 2 * M.rank
 
     z_alg = structure_algebra(graph, closure, degree_bound)
     z_index = {w: i for i, w in enumerate(z_alg.slots)}
@@ -322,7 +319,7 @@ def theta_s(M: ZLattice, s: int, degree_bound: int = DEFAULT_DEGREE_BOUND) -> ZL
     gens = [g for g, _ in chosen]
     degs = [2 * d for _, d in chosen]
     if len(gens) != len(new_slots) or rank(
-        _generic_matrix(new_slots, gens, graph.nvars)
+        _generic_matrix(gens, graph.nvars)
     ) != len(new_slots):
         raise TruncationError("translated lattice failed its rank certificate")
     return ZLattice(graph, tuple(new_slots), gens, degs)
@@ -352,15 +349,12 @@ def bott_samelson(
 # coordinates a perfectly good lattice map can pick up denominators.
 
 
-def _default_algebra(graph, degree_bound=DEFAULT_DEGREE_BOUND):
-    cache = getattr(graph, "_algebra_cache", None)
-    if cache is None:
-        cache = {}
-        graph._algebra_cache = cache
-    key = ("full", degree_bound)
-    if key not in cache:
-        cache[key] = structure_algebra(graph, None, degree_bound)
-    return cache[key]
+def full_structure_algebra(graph, degree_bound=DEFAULT_DEGREE_BOUND):
+    """The structure algebra on every vertex, computed once per graph and
+    degree bound."""
+    if degree_bound not in graph.algebras:
+        graph.algebras[degree_bound] = structure_algebra(graph, None, degree_bound)
+    return graph.algebras[degree_bound]
 
 
 def expand_many(M: ZLattice, tups, pd):
@@ -391,17 +385,8 @@ def expand_many(M: ZLattice, tups, pd):
 
 def _action_matrices(M: ZLattice, algebra: ZLattice):
     """For each algebra generator z, the matrix F with F[j][i] = coefficient
-    of g_j in z * g_i.  Cached on the lattice; one expand_many per target
-    degree covers the products of every generator."""
-    cache = getattr(M, "_action_cache", None)
-    if cache is None:
-        cache = {}
-        M._action_cache = cache
-    # an id can be reused once its object is collected: keep the algebra
-    # in the entry and compare it by identity
-    hit = cache.get(id(algebra))
-    if hit is not None and hit[0] is algebra:
-        return hit[1]
+    of g_j in z * g_i.  One expand_many per target degree covers the
+    products of every generator."""
     index = {w: i for i, w in enumerate(algebra.slots)}
     n = len(M.generators)
     by_pd = {}
@@ -420,9 +405,7 @@ def _action_matrices(M: ZLattice, algebra: ZLattice):
                     "lattice is not stable under the structure algebra"
                 )
             cols[t][i] = coeffs
-    out = [[[c[i][j] for i in range(n)] for j in range(n)] for c in cols]
-    cache[id(algebra)] = (algebra, out)
-    return out
+    return [[[c[i][j] for i in range(n)] for j in range(n)] for c in cols]
 
 
 def hom_graded(M: ZLattice, N: ZLattice, d: int, algebra: ZLattice = None):
@@ -435,9 +418,9 @@ def hom_graded(M: ZLattice, N: ZLattice, d: int, algebra: ZLattice = None):
     k = d // 2
     nv = M.graph.nvars
     if algebra is None:
-        algebra = _default_algebra(M.graph)
+        algebra = full_structure_algebra(M.graph)
     fm = _action_matrices(M, algebra)
-    fn = _action_matrices(N, algebra)
+    fn = fm if N is M else _action_matrices(N, algebra)
     m_deg = [gd // 2 for gd in M.degrees]
     n_deg = [gd // 2 for gd in N.degrees]
     nm, nn = len(m_deg), len(n_deg)
@@ -854,7 +837,7 @@ def _project_summand(M: ZLattice, U):
     degs = [2 * d for _, d in chosen]
     new_slots = tuple(M.slots[s] for s in chosen_slots)
     if len(gens) != len(new_slots) or (
-        gens and rank(_generic_matrix(new_slots, gens, nv)) != len(new_slots)
+        gens and rank(_generic_matrix(gens, nv)) != len(new_slots)
     ):
         raise TruncationError("summand failed its rank certificate")
     return ZLattice(M.graph, new_slots, gens, degs)
@@ -891,7 +874,7 @@ def decompose(M: ZLattice, algebra: ZLattice = None):
     if M.rank == 0:
         return []
     if algebra is None:
-        algebra = _default_algebra(M.graph)
+        algebra = full_structure_algebra(M.graph)
     basis = hom_graded(M, M, 0, algebra)
     reps = _rep_matrices(M, basis)
     if len(basis) - _radical_dim(reps) == 1:
@@ -979,28 +962,26 @@ def identify_projective(
     graph: MomentGraphBlock,
     w,
     degree_bound: int = DEFAULT_DEGREE_BOUND,
-    _memo=None,
 ):
     """The summand of the Bott-Samelson lattice for a reduced word of w that
-    does not match any shorter projective, by induction on length."""
+    does not match any shorter projective, by induction on length.  Kept on
+    the graph, one per vertex."""
     word = tuple(w)
-    if _memo is None:
-        _memo = getattr(graph, "_projective_cache", None)
-        if _memo is None:
-            _memo = {}
-            graph._projective_cache = _memo
-    if word in _memo:
-        return _memo[word]
+    if word in graph.projectives:
+        return graph.projectives[word]
     if not word:
         out = verma_zmodule(graph, ())
-        _memo[word] = out
+        graph.projectives[word] = out
         return out
     shorter = [
-        identify_projective(graph, v, degree_bound, _memo)
+        identify_projective(graph, v, degree_bound)
         for v in graph.vertices
         if len(v) < len(word)
     ]
-    summands = decompose(bott_samelson(graph, word, degree_bound))
+    summands = decompose(
+        bott_samelson(graph, word, degree_bound),
+        full_structure_algebra(graph, degree_bound),
+    )
     matches = [
         S
         for S in summands
@@ -1015,7 +996,7 @@ def identify_projective(
             f"projective identification ambiguous: {len(distinct)} candidate "
             "summands"
         )
-    _memo[word] = distinct[0]
+    graph.projectives[word] = distinct[0]
     return distinct[0]
 
 

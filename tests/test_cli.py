@@ -11,7 +11,7 @@ import pytest
 from blocko import cli, kl, linalg
 from blocko.errors import TruncationError
 
-from conftest import A1, A1_AFFINE, A2, A3
+from conftest import A1, A1_AFFINE, A2, A3, G2
 
 
 def run(capsys, argv):
@@ -243,6 +243,21 @@ def test_bs_command(cartan_file, capsys):
     sizes = sorted(len(s) for s in report["summands"])
     assert sizes == [2, 6]
     assert len(report["projective"]["graded_character"]) == 6
+
+
+def test_bs_decomposes_at_the_given_degree_bound(cartan_file, capsys):
+    # the G2 structure algebra needs degree 12 = 2 l(w0): the splitting of
+    # the Bott-Samelson lattice must use the bound given, not the default
+    path = cartan_file(G2)
+    code, out = run(
+        capsys,
+        ["bs", "--cartan", path, "--weight", "0,0", "--word", "1",
+         "--degree-bound", "12"],
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["summands"] == [{"e": [0], "1": [2]}]
+    assert report["projective"]["graded_character"] == {"e": [0], "1": [2]}
 
 
 def test_center_command(cartan_file, capsys):

@@ -7,8 +7,9 @@ from blocko.coxeter import INFINITY, CoxeterSystem, bruhat_leq
 from blocko.errors import UnsupportedError
 from blocko.kl import KLTable, ONE, ZERO, poly_eval_one, poly_str
 
-from conftest import A2, A3, weight
+from conftest import A1_AFFINE, A2, A3, G2, weight
 from blocko import rootdata
+from unitriangular_decomposition import UnitriangularInverse
 
 S4_COX = ((1, 3, 2), (3, 1, 3), (2, 3, 1))
 B3 = [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]
@@ -129,6 +130,58 @@ def test_decomposition_inverts_characters(a2_anti):
                 for z in elems
             )
             assert total == (1 if y.word == w.word else 0)
+
+
+@pytest.mark.parametrize("side, coords", [("antidominant", -2), ("dominant", 0)])
+@pytest.mark.parametrize(
+    "matrix, length_bound",
+    [(A3, None), (B3, None), (G2, None), (A1_AFFINE, 6)],
+    ids=["A3", "B3", "G2", "A1~"],
+)
+def test_decomposition_matches_unitriangular_inversion(matrix, length_bound, side, coords):
+    # P(1) and Q(1) against the entrywise inverse of the character matrix
+    cartan = rootdata.cartan_datum(matrix)
+    bounds = {} if length_bound is None else {"length_bound": length_bound}
+    block = blocks.block_data(cartan, weight(cartan, *(coords,) * len(matrix)), **bounds)
+    assert kl.base_weight_position(block) == side
+    system = block.coxeter_system
+    if length_bound is None:
+        elems = coxeter.all_elements(system)
+    else:
+        elems = coxeter.elements_up_to(system, length_bound)
+    table = KLTable(system)
+    inverse = UnitriangularInverse(KLTable(system), side)
+    related = {
+        (y.word, w.word)
+        for y in elems
+        for w in elems
+        if (bruhat_leq(y, w) if side == "dominant" else bruhat_leq(w, y))
+    }
+    want = {(y.word, w.word): inverse.entry(y, w) for y in elems for w in elems}
+    assert kl.decomposition_matrix(block, table=table) == {
+        key: want[key] for key in related
+    }
+    assert all(not n for key, n in want.items() if key not in related)
+    if block.level_class != "dominant-containing":
+        return
+    for w in elems:
+        assert kl.projective_multiplicities(block, w, table) == {
+            y.word: want[(y.word, w.word)] for y in elems if want[(y.word, w.word)]
+        }
+
+
+def test_multiplicities_reject_an_interior_base():
+    # lambda = (-2, 1) = s_1.0 is neither dominant nor antidominant; read
+    # from it, the dominant formula would give P(s_1.lambda) two Vermas,
+    # but s_1.lambda = 0 is dominant, so P(0) = M(0)
+    cartan = rootdata.cartan_datum(A2)
+    block = blocks.block_data(cartan, weight(cartan, -2, 1))
+    assert kl.base_weight_position(block) == "interior"
+    assert block.stab_order == 1
+    with pytest.raises(UnsupportedError, match="neither dominant nor antidominant"):
+        kl.projective_multiplicities(block, block.coxeter_system.element((0,)))
+    with pytest.raises(UnsupportedError, match="neither dominant nor antidominant"):
+        kl.decomposition_matrix(block)
 
 
 def test_projective_multiplicities_bgg(a2_dom):

@@ -233,16 +233,23 @@ def test_zlattice_json(a1_graph):
     assert [g["degree"] for g in report["generators"]] == [0, 2]
 
 
-def test_action_matrices_ignore_an_entry_under_a_reused_id(a2_graph):
-    """An id can be reused once its object is collected: an entry another
-    algebra left under the same id must not be returned."""
+def test_hom_graded_computes_action_matrices_once(a2_graph, monkeypatch):
+    """End(M) reuses M's action matrices for the target; a copy of M that
+    is another object gets its own, and the same Hom."""
     b = bott_samelson(a2_graph, (0,))
-    algebra = structure_algebra(a2_graph)
-    b._action_cache = {id(algebra): (object(), "stale matrices")}
-    got = zmod._action_matrices(b, algebra)
-    fresh = ZLattice(a2_graph, b.slots, b.generators, b.degrees)
-    assert got == zmod._action_matrices(fresh, algebra)
-    assert zmod._action_matrices(b, algebra) is got  # now cached
+    calls = []
+    action = zmod._action_matrices
+
+    def counted(M, algebra):
+        calls.append(M)
+        return action(M, algebra)
+
+    monkeypatch.setattr(zmod, "_action_matrices", counted)
+    ends = hom_graded(b, b, 0)
+    assert calls == [b]
+    copy = ZLattice(a2_graph, b.slots, b.generators, b.degrees)
+    assert hom_graded(b, copy, 0) == ends
+    assert len(calls) == 3
 
 
 def test_splitting_poly_needs_a_rational_root():
