@@ -300,6 +300,22 @@ def tilt(block: BlockData) -> BlockData:
     )
 
 
+def _chamber_stab_indices(block: BlockData, dominant: bool):
+    """Indices of the integral simple roots fixing the base weight after
+    integral simple dot-reflections move it into the dominant (else the
+    antidominant) chamber of W(lambda), where its stabilizer is the standard
+    parabolic subgroup on those indices."""
+    shifted = block.base_weight + rho(block.cartan)
+    sign = 1 if dominant else -1
+    simples = block.integral_simples
+    while True:
+        pairings = [sign * form(shifted, b) for b in simples]
+        wrong = [b for b, p in zip(simples, pairings) if p < 0]
+        if not wrong:
+            return {i for i, p in enumerate(pairings) if p == 0}
+        shifted = reflect(wrong[0], shifted)
+
+
 def equivalence_check(block_a: BlockData, block_b: BlockData) -> str:
     """Mechanical verification of the equivalence-theorem hypotheses.
 
@@ -323,8 +339,9 @@ def equivalence_check(block_a: BlockData, block_b: BlockData) -> str:
     if n > 8:
         raise UnsupportedError("graph isomorphism search capped at 8 generators")
     ma, mb = block_a.coxeter_matrix, block_b.coxeter_matrix
-    sa = set(block_a.stab_simple_indices)
-    sb = set(block_b.stab_simple_indices)
+    dominant = block_a.has_dominant and block_b.has_dominant
+    sa = _chamber_stab_indices(block_a, dominant)
+    sb = _chamber_stab_indices(block_b, dominant)
     for perm in permutations(range(n)):
         if any(
             ma[i][j] != mb[perm[i]][perm[j]] for i in range(n) for j in range(n)

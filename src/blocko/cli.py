@@ -284,7 +284,10 @@ def cmd_bs(args):
         lattice, zmod.full_structure_algebra(graph, args.degree_bound)
     )
     target = block.coxeter_system.normal_form(word)
-    projective = zmod.identify_projective(graph, target, args.degree_bound)
+    if len(target) == len(word):
+        projective = zmod.projective_summand(summands, target)
+    else:
+        projective = zmod.identify_projective(graph, target, args.degree_bound)
     return {
         "word": word_str(word),
         "rank": lattice.rank,

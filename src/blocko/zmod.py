@@ -74,8 +74,6 @@ class MomentGraphBlock:
     nvars: int
     # degree bound -> structure algebra on every vertex (full_structure_algebra)
     algebras: dict = field(default_factory=dict, repr=False, compare=False)
-    # vertex word -> its projective (identify_projective)
-    projectives: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def moment_graph(block: BlockData) -> MomentGraphBlock:
@@ -156,20 +154,8 @@ def _congruence_rows(graph, vertex_words, d):
     return rows
 
 
-def _congruence_kernel(graph, vertex_words, d):
-    nv = graph.nvars
-    width = len(monomials_of_degree(nv, d))
-    n = len(list(vertex_words)) * width
-    return kernel_basis(_congruence_rows(graph, vertex_words, d), n)
-
-
 def _generic_point(nvars):
     return [Fraction(p) for p in _GENERIC_PRIMES[:nvars]]
-
-
-def _generic_matrix(generators, nvars):
-    point = _generic_point(nvars)
-    return [[g.evaluate(point) for g in gen] for gen in generators]
 
 
 def _flatten(tup, d):
@@ -211,6 +197,46 @@ def minimal_generators(nvars, candidates):
     return chosen
 
 
+def _certified_lattice(graph, slots, candidates, count, what):
+    """The lattice on the slots generated by the candidates (tuple, polynomial
+    degree), certified free of rank `count`: its minimal generators must be
+    exactly `count` and generically independent.  `what` names the lattice
+    in the TruncationError raised otherwise."""
+    chosen = minimal_generators(graph.nvars, candidates)
+    gens = [g for g, _ in chosen]
+    if len(gens) != count:
+        raise TruncationError(f"{what} produced {len(gens)} generators, not {count}")
+    point = _generic_point(graph.nvars)
+    if rank([[p.evaluate(point) for p in g] for g in gens]) != count:
+        raise TruncationError(f"{what} failed its rank certificate")
+    return ZLattice(graph, tuple(slots), gens, [2 * d for _, d in chosen])
+
+
+def _congruence_candidates(graph, vertex_words, degree_bound, equal_pairs=()):
+    """Degree by degree, a basis of the tuples on the vertex subset that
+    satisfy every edge congruence and agree on the slots a, b of each pair in
+    `equal_pairs`, as (tuple-of-Poly, polynomial degree) candidates."""
+    nv = graph.nvars
+    nslots = len(vertex_words)
+    candidates = []
+    for d in range(degree_bound // 2 + 1):
+        width = len(monomials_of_degree(nv, d))
+        rows = _congruence_rows(graph, vertex_words, d)
+        for a, b in equal_pairs:
+            for j in range(width):
+                row = [Fraction(0)] * (nslots * width)
+                row[a * width + j] = Fraction(1)
+                row[b * width + j] = Fraction(-1)
+                rows.append(row)
+        for vec in kernel_basis(rows, nslots * width):
+            gen = tuple(
+                coeffs_to_poly(nv, d, vec[i * width : (i + 1) * width])
+                for i in range(nslots)
+            )
+            candidates.append((gen, d))
+    return candidates
+
+
 def structure_algebra(
     graph: MomentGraphBlock,
     vertex_words=None,
@@ -224,28 +250,10 @@ def structure_algebra(
     if vertex_words is None:
         vertex_words = list(graph.vertices)
     vertex_words = sorted(vertex_words, key=_vertex_key)
-    nv = graph.nvars
-    nslots = len(vertex_words)
-    candidates = []
-    for d in range(degree_bound // 2 + 1):
-        width = len(monomials_of_degree(nv, d))
-        for vec in _congruence_kernel(graph, vertex_words, d):
-            gen = tuple(
-                coeffs_to_poly(nv, d, vec[i * width : (i + 1) * width])
-                for i in range(nslots)
-            )
-            candidates.append((gen, d))
-    chosen = minimal_generators(nv, candidates)
-    if len(chosen) != nslots:
-        raise TruncationError(
-            f"structure algebra on {nslots} vertices produced "
-            f"{len(chosen)} generators within degree {degree_bound}"
-        )
-    gens = [g for g, _ in chosen]
-    degs = [2 * d for _, d in chosen]
-    if rank(_generic_matrix(gens, nv)) != nslots:
-        raise TruncationError("structure algebra rank certificate failed")
-    return ZLattice(graph, tuple(vertex_words), gens, degs)
+    n = len(vertex_words)
+    candidates = _congruence_candidates(graph, vertex_words, degree_bound)
+    what = f"structure algebra on {n} vertices within degree {degree_bound}"
+    return _certified_lattice(graph, vertex_words, candidates, n, what)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +289,7 @@ def theta_s(M: ZLattice, s: int, degree_bound: int = DEFAULT_DEGREE_BOUND) -> ZL
     def times_s(w):
         return system.normal_form(w + (s,))
 
-    support = sorted({w for w in M.slots}, key=_vertex_key)
-    closure = sorted(
-        {w for w in support} | {times_s(w) for w in support}, key=_vertex_key
-    )
+    closure = sorted(set(M.slots) | {times_s(w) for w in M.slots}, key=_vertex_key)
     for w in closure:
         if w not in graph.weights:
             raise TruncationError(
@@ -296,14 +301,11 @@ def theta_s(M: ZLattice, s: int, degree_bound: int = DEFAULT_DEGREE_BOUND) -> ZL
     new_slots = []
     sources = []  # old slot index feeding each new slot
     for w in closure:
-        for j, wv in enumerate(M.slots):
-            if wv == w:
-                new_slots.append(w)
-                sources.append(j)
-        for j, wv in enumerate(M.slots):
-            if wv == times_s(w):
-                new_slots.append(w)
-                sources.append(j)
+        for v in (w, times_s(w)):
+            for j, wv in enumerate(M.slots):
+                if wv == v:
+                    new_slots.append(w)
+                    sources.append(j)
 
     z_alg = structure_algebra(graph, closure, degree_bound)
     z_index = {w: i for i, w in enumerate(z_alg.slots)}
@@ -315,14 +317,9 @@ def theta_s(M: ZLattice, s: int, degree_bound: int = DEFAULT_DEGREE_BOUND) -> ZL
                 z[z_index[w]] * diag[k] for k, w in enumerate(new_slots)
             )
             candidates.append((cand, (gd + zd) // 2))
-    chosen = minimal_generators(graph.nvars, candidates)
-    gens = [g for g, _ in chosen]
-    degs = [2 * d for _, d in chosen]
-    if len(gens) != len(new_slots) or rank(
-        _generic_matrix(gens, graph.nvars)
-    ) != len(new_slots):
-        raise TruncationError("translated lattice failed its rank certificate")
-    return ZLattice(graph, tuple(new_slots), gens, degs)
+    n = len(new_slots)
+    what = f"translated lattice on {n} slots within degree {degree_bound}"
+    return _certified_lattice(graph, new_slots, candidates, n, what)
 
 
 def bott_samelson(
@@ -334,8 +331,6 @@ def bott_samelson(
     for s in word:
         M = theta_s(M, s, degree_bound)
     return M
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +806,6 @@ def _slot_idempotent(M: ZLattice, U):
 def _project_summand(M: ZLattice, U):
     """The image lattice of the idempotent U, re-coordinatized onto a
     vertex-labeled slot subset of the right generic rank."""
-    nv = M.graph.nvars
     images = apply_hom(U, M, M)
     a = _slot_idempotent(M, U)
     by_vertex = {}
@@ -832,15 +826,9 @@ def _project_summand(M: ZLattice, U):
         if all(p.is_zero() for p in cut):
             continue
         candidates.append((cut, gd // 2))
-    chosen = minimal_generators(nv, candidates)
-    gens = [g for g, _ in chosen]
-    degs = [2 * d for _, d in chosen]
-    new_slots = tuple(M.slots[s] for s in chosen_slots)
-    if len(gens) != len(new_slots) or (
-        gens and rank(_generic_matrix(gens, nv)) != len(new_slots)
-    ):
-        raise TruncationError("summand failed its rank certificate")
-    return ZLattice(M.graph, new_slots, gens, degs)
+    slots = [M.slots[s] for s in chosen_slots]
+    n = len(slots)
+    return _certified_lattice(M.graph, slots, candidates, n, f"summand on {n} slots")
 
 
 def _trial_endos(M: ZLattice, basis, reps):
@@ -947,8 +935,9 @@ def _shift_normalized(char):
 
 
 def isomorphic_up_to_shift(a: ZLattice, b: ZLattice) -> bool:
-    """Graded characters agree after aligning the lowest degree; used as the
-    isomorphism test within one block's identified family."""
+    """Graded characters agree after aligning the lowest degree; used by
+    `singular_reduce` as the isomorphism test among the summands of a wall
+    translation."""
     return _shift_normalized(graded_char(a)) == _shift_normalized(
         graded_char(b)
     )
@@ -958,46 +947,32 @@ def isomorphic_up_to_shift(a: ZLattice, b: ZLattice) -> bool:
 # projectives
 
 
+def projective_summand(summands, w):
+    """The one summand whose slots contain the vertex w.  Among the summands
+    of a Bott-Samelson lattice for a reduced word of w, which has rank 1 at
+    w, that is P(w)."""
+    word = tuple(w)
+    over = [S for S in summands if word in S.slots]
+    if len(over) != 1:
+        raise TruncationError(
+            f"{len(over)} summands have a slot at the vertex, expected 1"
+        )
+    return over[0]
+
+
 def identify_projective(
     graph: MomentGraphBlock,
     w,
     degree_bound: int = DEFAULT_DEGREE_BOUND,
 ):
-    """The summand of the Bott-Samelson lattice for a reduced word of w that
-    does not match any shorter projective, by induction on length.  Kept on
-    the graph, one per vertex."""
-    word = tuple(w)
-    if word in graph.projectives:
-        return graph.projectives[word]
-    if not word:
-        out = verma_zmodule(graph, ())
-        graph.projectives[word] = out
-        return out
-    shorter = [
-        identify_projective(graph, v, degree_bound)
-        for v in graph.vertices
-        if len(v) < len(word)
-    ]
+    """P(w), the summand over w of the Bott-Samelson lattice for the reduced
+    word w; its other summands are shifted P(y) with y < w (Fiebig, Adv.
+    Math. 217, 2008)."""
     summands = decompose(
-        bott_samelson(graph, word, degree_bound),
+        bott_samelson(graph, w, degree_bound),
         full_structure_algebra(graph, degree_bound),
     )
-    matches = [
-        S
-        for S in summands
-        if not any(isomorphic_up_to_shift(S, P) for P in shorter)
-    ]
-    distinct = []
-    for S in matches:
-        if not any(isomorphic_up_to_shift(S, T) for T in distinct):
-            distinct.append(S)
-    if len(distinct) != 1:
-        raise TruncationError(
-            f"projective identification ambiguous: {len(distinct)} candidate "
-            "summands"
-        )
-    graph.projectives[word] = distinct[0]
-    return distinct[0]
+    return projective_summand(summands, w)
 
 
 def invariant_structure_algebra(
@@ -1011,45 +986,17 @@ def invariant_structure_algebra(
     system = graph.block.coxeter_system
     vertex_words = sorted(vertex_words, key=_vertex_key)
     index = {w: i for i, w in enumerate(vertex_words)}
-    cosets = set()
+    pairs = []  # (w, ws) slot indices, one per coset
     for w in vertex_words:
         ws = system.normal_form(w + (s,))
         if ws not in index:
             raise TruncationError("vertex set is not closed under the wall")
-        cosets.add(min((w, ws), key=_vertex_key))
-    nv = graph.nvars
-    nslots = len(vertex_words)
-    candidates = []
-    for d in range(degree_bound // 2 + 1):
-        monos = monomials_of_degree(nv, d)
-        width = len(monos)
-        rows = []
-        for w in vertex_words:
-            ws = system.normal_form(w + (s,))
-            if _vertex_key(w) >= _vertex_key(ws):
-                continue
-            a, b = index[w], index[ws]
-            for j in range(width):
-                row = [Fraction(0)] * (nslots * width)
-                row[a * width + j] = Fraction(1)
-                row[b * width + j] = Fraction(-1)
-                rows.append(row)
-        rows.extend(_congruence_rows(graph, vertex_words, d))
-        for vec in kernel_basis(rows, nslots * width):
-            gen = tuple(
-                coeffs_to_poly(nv, d, vec[i * width : (i + 1) * width])
-                for i in range(nslots)
-            )
-            candidates.append((gen, d))
-    chosen = minimal_generators(nv, candidates)
-    if len(chosen) != len(cosets):
-        raise TruncationError(
-            f"invariant subalgebra on {len(cosets)} cosets produced "
-            f"{len(chosen)} generators within degree {degree_bound}"
-        )
-    gens = [g for g, _ in chosen]
-    degs = [2 * d for _, d in chosen]
-    return ZLattice(graph, tuple(vertex_words), gens, degs)
+        if _vertex_key(w) < _vertex_key(ws):
+            pairs.append((index[w], index[ws]))
+    n = len(pairs)
+    candidates = _congruence_candidates(graph, vertex_words, degree_bound, pairs)
+    what = f"invariant subalgebra on {n} cosets within degree {degree_bound}"
+    return _certified_lattice(graph, vertex_words, candidates, n, what)
 
 
 def singular_reduce(graph: MomentGraphBlock, M: ZLattice, stab_gens):
@@ -1070,11 +1017,7 @@ def singular_reduce(graph: MomentGraphBlock, M: ZLattice, stab_gens):
         ws = system.normal_form(w + (s,))
         return min((w, ws), key=_vertex_key)
 
-    closure = sorted(
-        {w for w in M.slots}
-        | {system.normal_form(w + (s,)) for w in M.slots},
-        key=_vertex_key,
-    )
+    closure = set(M.slots) | {system.normal_form(w + (s,)) for w in M.slots}
     algebra = invariant_structure_algebra(graph, closure, s)
     merged = ZLattice(
         graph, tuple(rep(w) for w in M.slots), M.generators, M.degrees

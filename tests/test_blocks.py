@@ -3,13 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blocko import blocks, rootdata
 from blocko.coxeter import INFINITY
 from blocko.errors import CriticalityError, UnsupportedError
 from blocko.rootdata import rho
 
-from conftest import A1, A1_AFFINE, A2, B2, weight
+from conftest import A1, A1_AFFINE, A2, B2, B3, weight
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +134,36 @@ def test_equivalence_distinguishes_singular_blocks(a2):
     regular = blocks.block_data(a2, weight(a2, 0, 0))
     singular = blocks.block_data(a2, weight(a2, 0, -1))
     assert blocks.equivalence_check(regular, singular) == "not-determined"
+
+
+def test_equivalence_tells_short_from_long_walls():
+    # both stabilizers have order 2 and no simple index in the base weight,
+    # but one wall is short and the other long
+    cartan = rootdata.cartan_datum(B3)
+    short_wall = blocks.block_data(cartan, weight(cartan, -4, -3, 0))
+    long_wall = blocks.block_data(cartan, weight(cartan, -4, -3, 1))
+    assert short_wall.stab_order == long_wall.stab_order == 2
+    assert blocks.equivalence_check(short_wall, long_wall) == "not-determined"
+
+
+_CLASS_CARTANS = {"A2": A2, "B2": B2, "B3": B3}
+_COORDS = st.sampled_from([-3, -2, -1, 0, 1, Fraction(-1, 2)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_equivalence_verdict_is_a_class_invariant(data):
+    """The verdict does not depend on which weight of the class is passed."""
+    matrix = _CLASS_CARTANS[data.draw(st.sampled_from(sorted(_CLASS_CARTANS)))]
+    cartan = rootdata.cartan_datum(matrix)
+    coords = st.tuples(*[_COORDS] * cartan.rank)
+    block_a = blocks.block_data(cartan, weight(cartan, *data.draw(coords)))
+    block_b = blocks.block_data(cartan, weight(cartan, *data.draw(coords)))
+    vertex = data.draw(st.sampled_from(block_a.orbit))
+    moved = blocks.block_data(cartan, vertex.weight)
+    verdict = blocks.equivalence_check(block_a, block_b)
+    assert blocks.equivalence_check(moved, block_b) == verdict
+    assert blocks.equivalence_check(block_b, moved) == verdict
 
 
 def test_equivalence_rejects_critical(a1_affine):

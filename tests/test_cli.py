@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from blocko import cli, kl, linalg
+from blocko import cli, kl, linalg, zmod
 from blocko.errors import TruncationError
 
 from conftest import A1, A1_AFFINE, A2, A3, G2
@@ -243,6 +243,25 @@ def test_bs_command(cartan_file, capsys):
     sizes = sorted(len(s) for s in report["summands"])
     assert sizes == [2, 6]
     assert len(report["projective"]["graded_character"]) == 6
+
+
+def test_bs_builds_one_bott_samelson_lattice(cartan_file, capsys, monkeypatch):
+    # for a reduced word, P(w) is read off the decomposition already printed
+    calls = []
+    original = zmod.bott_samelson
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(zmod, "bott_samelson", counted)
+    path = cartan_file(A2)
+    code, _ = run(
+        capsys,
+        ["bs", "--cartan", path, "--weight", "0,0", "--word", "1 2 1"],
+    )
+    assert code == 0
+    assert calls == [(0, 1, 0)]
 
 
 def test_bs_decomposes_at_the_given_degree_bound(cartan_file, capsys):

@@ -1,6 +1,9 @@
-"""Source hygiene of the package: every imported name is used."""
+"""Source hygiene of the package: every imported name is used, and every
+name the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -28,3 +31,25 @@ def _unused_imports(tree):
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def _wrapped_paths():
+    """(module, attribute path) of every entry in perfbench/tracer.py's
+    WRAPPED; the "sympy" layer's paths start with their module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, paths in tracer.WRAPPED.items():
+        for dotted in paths:
+            parts = dotted.split(".")
+            module = parts.pop(0) if layer == "sympy" else layer
+            yield pytest.param(module, parts, id=f"{layer}.{dotted}")
+
+
+@pytest.mark.parametrize("module, parts", list(_wrapped_paths()))
+def test_traced_names_exist(module, parts):
+    owner = importlib.import_module(f"blocko.{module}")
+    for part in parts:
+        owner = getattr(owner, part)
+    assert callable(owner)

@@ -7,12 +7,12 @@ from blocko.coxeter import INFINITY, CoxeterSystem, bruhat_leq
 from blocko.errors import UnsupportedError
 from blocko.kl import KLTable, ONE, ZERO, poly_eval_one, poly_str
 
-from conftest import A1_AFFINE, A2, A3, G2, weight
+from conftest import A1_AFFINE, A2, A3, B3, G2, weight
 from blocko import rootdata
 from unitriangular_decomposition import UnitriangularInverse
 
 S4_COX = ((1, 3, 2), (3, 1, 3), (2, 3, 1))
-B3 = [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]
+A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
 
 
 def test_poly_str():
@@ -130,6 +130,22 @@ def test_decomposition_inverts_characters(a2_anti):
                 for z in elems
             )
             assert total == (1 if y.word == w.word else 0)
+
+
+@pytest.mark.parametrize("matrix", [A3, B3, G2, A4], ids=["A3", "B3", "G2", "A4"])
+def test_inverse_polynomials_by_kl_inversion(matrix):
+    """Q_{w,y} = P_{w0 y, w0 w} on every pair of a finite Weyl group
+    (Kazhdan-Lusztig, Invent. Math. 53, 1979), a second route to the
+    interval inversion behind `inverse_poly`."""
+    cartan = rootdata.cartan_datum(matrix)
+    block = blocks.block_data(cartan, weight(cartan, *(0,) * cartan.rank))
+    system = block.coxeter_system
+    elems = coxeter.all_elements(system)
+    w0 = max(elems, key=lambda x: x.length)
+    table = KLTable(system)
+    for w in elems:
+        for y in elems:
+            assert table.inverse_poly(w, y) == table.poly(w0 * y, w0 * w)
 
 
 @pytest.mark.parametrize("side, coords", [("antidominant", -2), ("dominant", 0)])

@@ -28,7 +28,7 @@ from blocko.zmod import (
     zlattice_to_json,
 )
 
-from conftest import weight
+from conftest import A2, B2, G2, weight
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +201,38 @@ def test_identify_projective_matches_multiplicities(a2_graph):
             block, block.coxeter_system.element(v.word)
         )
         assert got == {w: n for w, n in want.items() if n}
+
+
+def test_identify_projective_honours_each_degree_bound():
+    # the structure algebra of A2 needs degree 6: a call at degree 4 fails
+    # even after a call at 12 on the same graph
+    cartan = rootdata.cartan_datum(A2)
+    graph = moment_graph(blocks.block_data(cartan, weight(cartan, 0, 0)))
+    identify_projective(graph, (0,), 12)
+    with pytest.raises(TruncationError):
+        identify_projective(graph, (0,), 4)
+
+
+@pytest.mark.parametrize("matrix", [A2, B2, G2], ids=["A2", "B2", "G2"])
+def test_projective_is_the_one_summand_new_in_its_length(matrix):
+    """The summand of BS(w) over w is the only one not isomorphic up to shift
+    to a projective of smaller length (w up to length 3, degree bound 12)."""
+    cartan = rootdata.cartan_datum(matrix)
+    graph = moment_graph(blocks.block_data(cartan, weight(cartan, 0, 0)))
+    algebra = zmod.full_structure_algebra(graph, 12)
+    found = {}
+    for w in graph.vertices:
+        if len(w) > 3:
+            break
+        summands = decompose(bott_samelson(graph, w, 12), algebra)
+        shorter = [P for v, P in found.items() if len(v) < len(w)]
+        new = [
+            S
+            for S in summands
+            if not any(isomorphic_up_to_shift(S, P) for P in shorter)
+        ]
+        found[w] = zmod.projective_summand(summands, w)
+        assert len(new) == 1 and new[0] is found[w]
 
 
 def test_isomorphic_up_to_shift(a2_graph):
