@@ -279,15 +279,13 @@ def cmd_bs(args):
         raise UsageError("bs requires --word")
     word = parse_word(args.word)
     graph = zmod.moment_graph(block)
-    lattice = zmod.bott_samelson(graph, word, args.degree_bound)
-    summands = zmod.decompose(
-        lattice, zmod.full_structure_algebra(graph, args.degree_bound)
-    )
+    lattice = zmod.bott_samelson(graph, word)
+    summands = zmod.decompose(lattice)
     target = block.coxeter_system.normal_form(word)
     if len(target) == len(word):
         projective = zmod.projective_summand(summands, target)
     else:
-        projective = zmod.identify_projective(graph, target, args.degree_bound)
+        projective = zmod.identify_projective(graph, target)
     return {
         "word": word_str(word),
         "rank": lattice.rank,
@@ -304,7 +302,7 @@ def cmd_bs(args):
 def cmd_center(args):
     block = _build_block(args)
     graph = zmod.moment_graph(block)
-    algebra = zmod.structure_algebra(graph, None, args.degree_bound)
+    algebra = zmod.structure_algebra(graph)
     return zmod.zlattice_to_json(algebra)
 
 
@@ -380,9 +378,9 @@ def build_parser() -> _Parser:
         p.add_argument(
             "--length-bound", type=int, default=blocks.DEFAULT_LENGTH_BOUND
         )
-        p.add_argument(
-            "--degree-bound", type=int, default=zmod.DEFAULT_DEGREE_BOUND
-        )
+        # accepted for old scripts and ignored: structure algebras are
+        # certified without a degree bound
+        p.add_argument("--degree-bound", type=int)
         p.add_argument("--format", choices=("json", "tsv"), default="json")
         p.add_argument("--require-noncritical", action="store_true")
         p.set_defaults(func=func)

@@ -11,7 +11,8 @@ class CriticalityError(BlockoError):
 
 
 class TruncationError(BlockoError):
-    """A height/length/degree bound was too small to certify the result."""
+    """A height or length bound was too small, or a lattice failed its
+    certificate."""
 
 
 class UnsupportedError(BlockoError):

@@ -9,8 +9,9 @@ results, by one division per pivot.  Reduced row echelon forms, kernel
 bases, free-variables-zero solutions and span membership are canonical, so
 they do not depend on how the elimination is carried out.
 
-`kernel_incremental` and `congruence_inertia` keep their own loops: the
-order of the basis returned by the first is part of its output.
+`kernel_incremental` keeps its own loop: the order of the basis it returns
+is part of its output.  `charpoly` reduces to Hessenberg form over Fraction,
+and `congruence_inertia` is read off its result.
 """
 
 from fractions import Fraction
@@ -33,10 +34,6 @@ def zeros(n):
 
 def identity_matrix(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def mat_vec(a, v):
-    return [sum((c * x for c, x in zip(row, v) if c), _ZERO) for row in a]
 
 
 def _scaled(v, den):
@@ -150,16 +147,11 @@ def kernel_incremental(rows, ncols):
     Equivalent to kernel_basis but much faster when the kernel is small
     compared to the number of rows.  Internally integer arithmetic with gcd
     reduction; input entries may be Fraction."""
-    from math import gcd
-
     basis = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     for row in rows:
-        den = 1
-        for x in row:
-            if x:
-                d = frac(x).denominator
-                den = den * d // gcd(den, d)
-        irow = [(i, int(x * den)) for i, x in enumerate(row) if x]
+        cols = [i for i, x in enumerate(row) if x]
+        vals = [row[i] for i in cols]
+        irow = list(zip(cols, _scaled(vals, lcm(*(x.denominator for x in vals)))))
         if not irow:
             continue
         dots = [sum(c * v[i] for i, c in irow) for v in basis]
@@ -172,15 +164,7 @@ def kernel_incremental(rows, ncols):
             if i == piv:
                 continue
             if d:
-                w = [pd * a - d * b for a, b in zip(v, pv)]
-                g = 0
-                for x in w:
-                    g = gcd(g, x)
-                    if g == 1:
-                        break
-                if g > 1:
-                    w = [x // g for x in w]
-                new_basis.append(w)
+                new_basis.append(_primitive([pd * a - d * b for a, b in zip(v, pv)]))
             else:
                 new_basis.append(v)
         basis = new_basis
@@ -239,53 +223,58 @@ def extend_basis(rref_rows, candidates):
     return rref(span.rows)[0], chosen
 
 
+def charpoly(mat):
+    """Characteristic polynomial det(x - mat), by reduction to upper
+    Hessenberg form with similarity transforms."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] for row in mat]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if a[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            a[piv], a[j + 1] = a[j + 1], a[piv]
+            for row in a:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        top = a[j + 1]
+        for i in range(j + 2, n):
+            if not a[i][j]:
+                continue
+            t = a[i][j] / top[j]
+            row = a[i]
+            for k in range(j, n):
+                if top[k]:
+                    row[k] -= t * top[k]
+            for other in a:
+                if other[i]:
+                    other[j + 1] += t * other[i]
+    # p_m = (x - h_mm) p_{m-1} - sum_i h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1}
+    polys = [[Fraction(1)]]
+    for m in range(n):
+        p = [Fraction(0)] + polys[m]
+        for k, c in enumerate(polys[m]):
+            p[k] -= a[m][m] * c
+        sub = Fraction(1)
+        for i in range(m - 1, -1, -1):
+            sub *= a[i + 1][i]
+            if not sub:
+                break
+            if a[i][m]:
+                for k, c in enumerate(polys[i]):
+                    p[k] -= a[i][m] * sub * c
+        polys.append(p)
+    return polys[n]
+
+
 def congruence_inertia(sym):
     """Inertia (n_pos, n_zero, n_neg) of a symmetric rational matrix.
 
-    Uses symmetric Gaussian elimination (congruence transformations only).
+    Its characteristic polynomial has only real roots, so Descartes' rule of
+    signs counts the positive eigenvalues exactly; the zero eigenvalues are
+    the order of vanishing at 0.
     """
-    n = len(sym)
-    m = [list(map(frac, row)) for row in sym]
-    pos = neg = 0
-    used = [False] * n
-    for _ in range(n):
-        k = next(
-            (i for i in range(n) if not used[i] and m[i][i]),
-            None,
-        )
-        if k is None:
-            # look for an off-diagonal entry among unused rows
-            pair = next(
-                (
-                    (i, j)
-                    for i in range(n)
-                    if not used[i]
-                    for j in range(n)
-                    if not used[j] and m[i][j]
-                ),
-                None,
-            )
-            if pair is None:
-                break
-            i, j = pair
-            # congruence: add row/col j to row/col i, creating a diagonal entry
-            for c in range(n):
-                m[i][c] += m[j][c]
-            for r in range(n):
-                m[r][i] += m[r][j]
-            k = i
-        d = m[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        used[k] = True
-        for i in range(n):
-            if i != k and not used[i] and m[i][k]:
-                f = m[i][k] / d
-                for c in range(n):
-                    m[i][c] -= f * m[k][c]
-                for r in range(n):
-                    m[r][i] -= f * m[r][k]
-    zero = n - pos - neg
-    return pos, zero, neg
+    cp = charpoly(sym)
+    zero = next(k for k, c in enumerate(cp) if c)
+    signs = [c > 0 for c in cp if c]
+    pos = sum(a != b for a, b in zip(signs, signs[1:]))
+    return pos, zero, len(sym) - zero - pos

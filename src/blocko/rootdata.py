@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import lcm
 
 from . import linalg
 from .errors import CartanError
@@ -83,14 +83,7 @@ def _kernel_marks(matrix):
     if len(kern) != 1:
         return None
     v = kern[0]
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
+    ints = linalg._primitive(linalg._scaled(v, lcm(*(x.denominator for x in v))))
     if all(x > 0 for x in ints):
         return tuple(ints)
     if all(x < 0 for x in ints):
@@ -342,16 +335,12 @@ def weight_root_coords(w: Weight):
     """Coordinates of w in the simple-root basis, or None if w is not in
     the root lattice's rational span."""
     cartan = w.cartan
-    n = cartan.rank
-    a = [[Fraction(x) for x in row] for row in cartan.matrix]
-    if cartan.kind == FINITE:
-        ainv = linalg.invert(a)
-        return linalg.mat_vec(ainv, list(w.coords))
-    if cartan.kind != AFFINE:
+    if cartan.kind not in (FINITE, AFFINE):
         raise CartanError("root coordinates need finite or affine type")
+    a = [[Fraction(x) for x in row] for row in cartan.matrix]
     sol = linalg.solve(a, list(w.coords))
-    if sol is None:
-        return None
+    if sol is None or cartan.kind == FINITE:
+        return sol
     jstar = cartan.affine_node
     astar = Fraction(cartan.marks[jstar])
     # general solution sol + t * marks; pin t by the delta coefficient

@@ -9,8 +9,7 @@ vertex-labeled slots plus homogeneous generator tuples, everything degreewise
 linear algebra over the rationals.
 
 Degrees: one polynomial variable per fundamental weight (plus one for delta
-in affine type), each of graded degree 2.  `degree_bound` always refers to
-the graded (q-) degree.
+in affine type), each of graded degree 2.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from .blocks import BlockData, dot_reflect
 from .errors import TruncationError, UnsupportedError
 from .linalg import (
     Echelon,
+    charpoly,
     invert,
     kernel_basis,
     kernel_incremental,
@@ -39,8 +39,6 @@ from .poly import (
     restrict_to_hyperplane,
 )
 from .rootdata import Weight, form
-
-DEFAULT_DEGREE_BOUND = 10
 
 # endomorphisms `decompose` tries for a splitting idempotent
 _SPLIT_TRIALS = 60
@@ -72,7 +70,7 @@ class MomentGraphBlock:
     weights: dict  # word -> Weight
     edges: dict  # frozenset({word, word}) -> Poly (h_beta)
     nvars: int
-    # degree bound -> structure algebra on every vertex (full_structure_algebra)
+    # sorted vertex words -> structure algebra on them (structure_algebra)
     algebras: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -197,12 +195,11 @@ def minimal_generators(nvars, candidates):
     return chosen
 
 
-def _certified_lattice(graph, slots, candidates, count, what):
-    """The lattice on the slots generated by the candidates (tuple, polynomial
-    degree), certified free of rank `count`: its minimal generators must be
-    exactly `count` and generically independent.  `what` names the lattice
-    in the TruncationError raised otherwise."""
-    chosen = minimal_generators(graph.nvars, candidates)
+def _certified_lattice(graph, slots, chosen, count, what):
+    """The lattice on the slots with the chosen minimal generators (tuple,
+    polynomial degree), certified free of rank `count`: exactly `count`
+    generators, generically independent.  `what` names the lattice in the
+    TruncationError raised otherwise."""
     gens = [g for g, _ in chosen]
     if len(gens) != count:
         raise TruncationError(f"{what} produced {len(gens)} generators, not {count}")
@@ -212,14 +209,30 @@ def _certified_lattice(graph, slots, candidates, count, what):
     return ZLattice(graph, tuple(slots), gens, [2 * d for _, d in chosen])
 
 
-def _congruence_candidates(graph, vertex_words, degree_bound, equal_pairs=()):
-    """Degree by degree, a basis of the tuples on the vertex subset that
-    satisfy every edge congruence and agree on the slots a, b of each pair in
-    `equal_pairs`, as (tuple-of-Poly, polynomial degree) candidates."""
+def _grown_algebra(graph, vertex_words, count, edge_count, what, equal_pairs=()):
+    """The tuples on the sorted vertex subset that satisfy every edge
+    congruence and agree on the slots a, b of each pair in `equal_pairs`,
+    certified free of rank `count`.
+
+    Degree by degree, each vector of the congruence kernel outside the
+    S-span of the generators kept so far is kept, until there are `count`.
+    Their polynomial degrees must then add up to `edge_count`.  The edges
+    with one label h form a matching, so localising at h shows that every
+    full-rank sublattice has h^(number of h-edges) dividing its determinant;
+    a full-rank sublattice of degree sum `edge_count` has determinant
+    c * prod_e h_e, and is the whole algebra.  Raises UnsupportedError once
+    the generators still missing cannot fit under `edge_count`."""
     nv = graph.nvars
     nslots = len(vertex_words)
-    candidates = []
-    for d in range(degree_bound // 2 + 1):
+    chosen = []
+    d = 0
+    while len(chosen) < count:
+        missing = count - len(chosen)
+        if sum(dg for _, dg in chosen) + missing * d > edge_count:
+            raise UnsupportedError(
+                f"{what} is not free: {missing} generators of degree {d} or "
+                f"more do not fit under {edge_count} edges"
+            )
         width = len(monomials_of_degree(nv, d))
         rows = _congruence_rows(graph, vertex_words, d)
         for a, b in equal_pairs:
@@ -228,32 +241,46 @@ def _congruence_candidates(graph, vertex_words, degree_bound, equal_pairs=()):
                 row[a * width + j] = Fraction(1)
                 row[b * width + j] = Fraction(-1)
                 rows.append(row)
+        span = Echelon(v for _, _, v in _multiples(nv, chosen, d))
         for vec in kernel_basis(rows, nslots * width):
-            gen = tuple(
-                coeffs_to_poly(nv, d, vec[i * width : (i + 1) * width])
-                for i in range(nslots)
-            )
-            candidates.append((gen, d))
-    return candidates
+            if span.add(vec):
+                gen = tuple(
+                    coeffs_to_poly(nv, d, vec[i * width : (i + 1) * width])
+                    for i in range(nslots)
+                )
+                chosen.append((gen, d))
+                if len(chosen) == count:
+                    break
+        d += 1
+    lattice = _certified_lattice(graph, vertex_words, chosen, count, what)
+    total = sum(dg for _, dg in chosen)
+    if total != edge_count:
+        raise UnsupportedError(
+            f"{what} is not free: its generator degrees add up to {total}, "
+            f"not {edge_count} edges"
+        )
+    return lattice
 
 
-def structure_algebra(
-    graph: MomentGraphBlock,
-    vertex_words=None,
-    degree_bound: int = DEFAULT_DEGREE_BOUND,
-) -> ZLattice:
-    """An S-basis of the congruence algebra on the vertex subset.
+def structure_algebra(graph: MomentGraphBlock, vertex_words=None) -> ZLattice:
+    """An S-basis of the congruence algebra on the vertex subset (every
+    vertex by default), computed once per graph and vertex subset.
 
-    Fails loudly if the degree bound does not exhibit exactly one generator
-    per vertex with generically independent rows.
+    Certified by the generator count, the generic rank and the degree sum;
+    fails loudly when the algebra is not free.
     """
     if vertex_words is None:
-        vertex_words = list(graph.vertices)
+        vertex_words = graph.vertices
     vertex_words = sorted(vertex_words, key=_vertex_key)
-    n = len(vertex_words)
-    candidates = _congruence_candidates(graph, vertex_words, degree_bound)
-    what = f"structure algebra on {n} vertices within degree {degree_bound}"
-    return _certified_lattice(graph, vertex_words, candidates, n, what)
+    key = tuple(vertex_words)
+    if key not in graph.algebras:
+        vset = set(vertex_words)
+        edge_count = sum(1 for edge in graph.edges if edge <= vset)
+        what = f"structure algebra on {len(key)} vertices"
+        graph.algebras[key] = _grown_algebra(
+            graph, vertex_words, len(key), edge_count, what
+        )
+    return graph.algebras[key]
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +302,7 @@ def lattice_contains(M: ZLattice, tup, d) -> bool:
     return not any(span.reduce(_flatten(tup, d)))
 
 
-def theta_s(M: ZLattice, s: int, degree_bound: int = DEFAULT_DEGREE_BOUND) -> ZLattice:
+def theta_s(M: ZLattice, s: int) -> ZLattice:
     """Translation through the s-wall and back: the lattice generated by
     structure-algebra multiples of diagonally doubled generators.
 
@@ -307,7 +334,7 @@ def theta_s(M: ZLattice, s: int, degree_bound: int = DEFAULT_DEGREE_BOUND) -> ZL
                     new_slots.append(w)
                     sources.append(j)
 
-    z_alg = structure_algebra(graph, closure, degree_bound)
+    z_alg = structure_algebra(graph, closure)
     z_index = {w: i for i, w in enumerate(z_alg.slots)}
     candidates = []
     for g, gd in zip(M.generators, M.degrees):
@@ -318,18 +345,17 @@ def theta_s(M: ZLattice, s: int, degree_bound: int = DEFAULT_DEGREE_BOUND) -> ZL
             )
             candidates.append((cand, (gd + zd) // 2))
     n = len(new_slots)
-    what = f"translated lattice on {n} slots within degree {degree_bound}"
-    return _certified_lattice(graph, new_slots, candidates, n, what)
+    chosen = minimal_generators(graph.nvars, candidates)
+    what = f"translated lattice on {n} slots"
+    return _certified_lattice(graph, new_slots, chosen, n, what)
 
 
-def bott_samelson(
-    graph: MomentGraphBlock, word, degree_bound: int = DEFAULT_DEGREE_BOUND
-) -> ZLattice:
+def bott_samelson(graph: MomentGraphBlock, word) -> ZLattice:
     """theta_{s_n} ... theta_{s_1} applied to the lattice at the identity
     vertex; rank 2^n."""
     M = verma_zmodule(graph, ())
     for s in word:
-        M = theta_s(M, s, degree_bound)
+        M = theta_s(M, s)
     return M
 
 
@@ -342,14 +368,6 @@ def bott_samelson(
 # with U[l][j] = coefficient of the l-th target generator in the image of
 # the j-th source generator.  Slot matrices are avoided on purpose: on slot
 # coordinates a perfectly good lattice map can pick up denominators.
-
-
-def full_structure_algebra(graph, degree_bound=DEFAULT_DEGREE_BOUND):
-    """The structure algebra on every vertex, computed once per graph and
-    degree bound."""
-    if degree_bound not in graph.algebras:
-        graph.algebras[degree_bound] = structure_algebra(graph, None, degree_bound)
-    return graph.algebras[degree_bound]
 
 
 def expand_many(M: ZLattice, tups, pd):
@@ -413,7 +431,7 @@ def hom_graded(M: ZLattice, N: ZLattice, d: int, algebra: ZLattice = None):
     k = d // 2
     nv = M.graph.nvars
     if algebra is None:
-        algebra = full_structure_algebra(M.graph)
+        algebra = structure_algebra(M.graph)
     fm = _action_matrices(M, algebra)
     fn = fm if N is M else _action_matrices(N, algebra)
     m_deg = [gd // 2 for gd in M.degrees]
@@ -618,49 +636,6 @@ def _radical_dim(rep_basis):
 # are dense Fraction coefficient lists, lowest degree first
 
 
-def _charpoly(mat):
-    """Characteristic polynomial det(x - mat), by reduction to upper
-    Hessenberg form with similarity transforms."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    for j in range(n - 2):
-        piv = next((i for i in range(j + 1, n) if a[i][j]), None)
-        if piv is None:
-            continue
-        if piv != j + 1:
-            a[piv], a[j + 1] = a[j + 1], a[piv]
-            for row in a:
-                row[piv], row[j + 1] = row[j + 1], row[piv]
-        top = a[j + 1]
-        for i in range(j + 2, n):
-            if not a[i][j]:
-                continue
-            t = a[i][j] / top[j]
-            row = a[i]
-            for k in range(j, n):
-                if top[k]:
-                    row[k] -= t * top[k]
-            for other in a:
-                if other[i]:
-                    other[j + 1] += t * other[i]
-    # p_m = (x - h_mm) p_{m-1} - sum_i h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1}
-    polys = [[Fraction(1)]]
-    for m in range(n):
-        p = [Fraction(0)] + polys[m]
-        for k, c in enumerate(polys[m]):
-            p[k] -= a[m][m] * c
-        sub = Fraction(1)
-        for i in range(m - 1, -1, -1):
-            sub *= a[i + 1][i]
-            if not sub:
-                break
-            if a[i][m]:
-                for k, c in enumerate(polys[i]):
-                    p[k] -= a[i][m] * sub * c
-        polys.append(p)
-    return polys[n]
-
-
 def _trim(p):
     while p and not p[-1]:
         p = p[:-1]
@@ -750,7 +725,7 @@ def _charpoly_factors(mat):
     """The characteristic polynomial of mat and its rational roots with
     multiplicities, ordered as a factorisation over the integers sorts the
     primitive linear factors q x - p: by multiplicity, then by (q, -p)."""
-    cp = _charpoly(mat)
+    cp = charpoly(mat)
     roots = _rational_roots(cp)
     roots.sort(key=lambda rm: (rm[1], rm[0].denominator, -rm[0].numerator))
     return cp, roots
@@ -828,7 +803,8 @@ def _project_summand(M: ZLattice, U):
         candidates.append((cut, gd // 2))
     slots = [M.slots[s] for s in chosen_slots]
     n = len(slots)
-    return _certified_lattice(M.graph, slots, candidates, n, f"summand on {n} slots")
+    chosen = minimal_generators(M.graph.nvars, candidates)
+    return _certified_lattice(M.graph, slots, chosen, n, f"summand on {n} slots")
 
 
 def _trial_endos(M: ZLattice, basis, reps):
@@ -862,7 +838,7 @@ def decompose(M: ZLattice, algebra: ZLattice = None):
     if M.rank == 0:
         return []
     if algebra is None:
-        algebra = full_structure_algebra(M.graph)
+        algebra = structure_algebra(M.graph)
     basis = hom_graded(M, M, 0, algebra)
     reps = _rep_matrices(M, basis)
     if len(basis) - _radical_dim(reps) == 1:
@@ -960,43 +936,39 @@ def projective_summand(summands, w):
     return over[0]
 
 
-def identify_projective(
-    graph: MomentGraphBlock,
-    w,
-    degree_bound: int = DEFAULT_DEGREE_BOUND,
-):
+def identify_projective(graph: MomentGraphBlock, w):
     """P(w), the summand over w of the Bott-Samelson lattice for the reduced
     word w; its other summands are shifted P(y) with y < w (Fiebig, Adv.
     Math. 217, 2008)."""
-    summands = decompose(
-        bott_samelson(graph, w, degree_bound),
-        full_structure_algebra(graph, degree_bound),
-    )
-    return projective_summand(summands, w)
+    return projective_summand(decompose(bott_samelson(graph, w)), w)
 
 
 def invariant_structure_algebra(
-    graph: MomentGraphBlock,
-    vertex_words,
-    s: int,
-    degree_bound: int = DEFAULT_DEGREE_BOUND,
+    graph: MomentGraphBlock, vertex_words, s: int
 ) -> ZLattice:
     """Generators of the coset-invariant subalgebra Z^s on an s-closed
-    vertex set: congruence tuples constant on right cosets {w, ws}."""
+    vertex set: congruence tuples constant on right cosets {w, ws}.  It is
+    the structure algebra of the graph on the cosets, whose edges are the
+    edges joining different cosets, paired up by w - x <-> ws - xs."""
     system = graph.block.coxeter_system
     vertex_words = sorted(vertex_words, key=_vertex_key)
     index = {w: i for i, w in enumerate(vertex_words)}
     pairs = []  # (w, ws) slot indices, one per coset
+    coset = {}
     for w in vertex_words:
         ws = system.normal_form(w + (s,))
         if ws not in index:
             raise TruncationError("vertex set is not closed under the wall")
-        if _vertex_key(w) < _vertex_key(ws):
+        coset[w] = min(w, ws, key=_vertex_key)
+        if coset[w] == w:
             pairs.append((index[w], index[ws]))
+    cross = sum(
+        1 for a, b in map(tuple, graph.edges)
+        if a in coset and b in coset and coset[a] != coset[b]
+    )
     n = len(pairs)
-    candidates = _congruence_candidates(graph, vertex_words, degree_bound, pairs)
-    what = f"invariant subalgebra on {n} cosets within degree {degree_bound}"
-    return _certified_lattice(graph, vertex_words, candidates, n, what)
+    what = f"invariant subalgebra on {n} cosets"
+    return _grown_algebra(graph, vertex_words, n, cross // 2, what, pairs)
 
 
 def singular_reduce(graph: MomentGraphBlock, M: ZLattice, stab_gens):

@@ -2,7 +2,9 @@
 
 The elimination routines that `blocko.linalg` used before its integer
 kernel: dense row reduction with a division per pivot.  Slow, but
-independent of the integer code, so the tests compare the two.
+independent of the integer code, so the tests compare the two.  The
+symmetric elimination here computed `congruence_inertia` before it was
+read off the characteristic polynomial.
 """
 
 from fractions import Fraction
@@ -94,3 +96,53 @@ def in_span(basis_rows, v):
             f = w[p]
             w = [a - f * b for a, b in zip(w, row)]
     return not any(w)
+
+
+def congruence_inertia(sym):
+    """Inertia (n_pos, n_zero, n_neg) of a symmetric rational matrix, by
+    symmetric Gaussian elimination (congruence transformations only)."""
+    n = len(sym)
+    m = [list(map(frac, row)) for row in sym]
+    pos = neg = 0
+    used = [False] * n
+    for _ in range(n):
+        k = next(
+            (i for i in range(n) if not used[i] and m[i][i]),
+            None,
+        )
+        if k is None:
+            # look for an off-diagonal entry among unused rows
+            pair = next(
+                (
+                    (i, j)
+                    for i in range(n)
+                    if not used[i]
+                    for j in range(n)
+                    if not used[j] and m[i][j]
+                ),
+                None,
+            )
+            if pair is None:
+                break
+            i, j = pair
+            # congruence: add row/col j to row/col i, creating a diagonal entry
+            for c in range(n):
+                m[i][c] += m[j][c]
+            for r in range(n):
+                m[r][i] += m[r][j]
+            k = i
+        d = m[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        used[k] = True
+        for i in range(n):
+            if i != k and not used[i] and m[i][k]:
+                f = m[i][k] / d
+                for c in range(n):
+                    m[i][c] -= f * m[k][c]
+                for r in range(n):
+                    m[r][i] -= f * m[r][k]
+    zero = n - pos - neg
+    return pos, zero, neg

@@ -181,8 +181,7 @@ def test_acceptance_4():
 def test_graded_projectives_match_kl_polynomials():
     """The graded rank of P(w) at y: 2 l(y) + 4 i, as often as q^i occurs
     in P_{y,w} (w up to length 3: all of A2, B2 without w0, G2 up to length
-    3, whose structure algebra needs degree 12 = 2 l(w0); acceptance 4
-    checks only the ungraded counts)."""
+    3; acceptance 4 checks only the ungraded counts)."""
     for key in ("a2", "b2", "g2"):
         graph = _graph(key)
         system = graph.block.coxeter_system
@@ -190,7 +189,7 @@ def test_graded_projectives_match_kl_polynomials():
         for w in graph.vertices:
             if len(w) > 3:
                 continue
-            got = graded_char(identify_projective(graph, w, 12))
+            got = graded_char(identify_projective(graph, w))
             for y in graph.vertices:
                 p = table.poly(system.element(y), system.element(w))
                 want = [2 * len(y) + 4 * i for i, c in enumerate(p) for _ in range(c)]

@@ -279,6 +279,48 @@ def test_bs_decomposes_at_the_given_degree_bound(cartan_file, capsys):
     assert report["projective"]["graded_character"] == {"e": [0], "1": [2]}
 
 
+def test_g2_center_needs_no_degree_bound(cartan_file, capsys):
+    golden = json.loads(
+        (Path(__file__).with_name("golden_zmod.json")).read_text()
+    )
+    path = cartan_file(G2)
+    code, out = run(capsys, ["center", "--cartan", path, "--weight", "0,0"])
+    assert code == 0
+    assert out == golden["G2.center.degree12.stdout"]
+
+
+def test_g2_bs_needs_no_degree_bound(cartan_file, capsys):
+    path = cartan_file(G2)
+    code, out = run(
+        capsys, ["bs", "--cartan", path, "--weight", "0,0", "--word", "1 2 1"]
+    )
+    assert code == 0
+    assert json.loads(out)["rank"] == 8
+
+
+def test_affine_a1_bs_reaches_the_projective(cartan_file, capsys):
+    # P_{y, s1 s2} = 1 for every y <= s1 s2
+    path = cartan_file(A1_AFFINE)
+    code, out = run(
+        capsys,
+        ["bs", "--cartan", path, "--weight", "0,0", "--word", "1 2",
+         "--length-bound", "6"],
+    )
+    assert code == 0
+    assert json.loads(out)["projective"]["graded_character"] == {
+        "e": [0], "1": [2], "2": [2], "1 2": [4]
+    }
+
+
+def test_degree_bound_is_checked_and_ignored(cartan_file, capsys):
+    path = cartan_file(A2)
+    argv = ["center", "--cartan", path, "--weight", "0,0"]
+    code, plain = run(capsys, argv)
+    assert code == 0
+    assert run(capsys, argv + ["--degree-bound", "2"]) == (0, plain)
+    assert run(capsys, argv + ["--degree-bound", "0"])[0] == 1
+
+
 def test_center_command(cartan_file, capsys):
     path = cartan_file(A1)
     code, out = run(capsys, ["center", "--cartan", path, "--weight", "0"])

@@ -1,5 +1,6 @@
-"""Source hygiene of the package: every imported name is used, and every
-name the benchmark's tracer wraps exists."""
+"""Source hygiene of the package: every imported name is used, every
+private function is called, and every name the benchmark's tracer wraps
+exists."""
 
 import ast
 import importlib
@@ -31,6 +32,41 @@ def _unused_imports(tree):
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def _referenced_names():
+    """(module file, top-level node index) -> names and attributes it uses."""
+    refs = {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for i, top in enumerate(tree.body):
+            refs[path.name, i] = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(top)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            }
+    return refs
+
+
+def _private_functions():
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for i, top in enumerate(tree.body):
+            if isinstance(top, ast.FunctionDef) and top.name.startswith("_"):
+                if not top.name.startswith("__"):
+                    yield pytest.param(path.name, i, top.name,
+                                       id=f"{path.stem}.{top.name}")
+
+
+REFERENCES = _referenced_names()
+
+
+@pytest.mark.parametrize("module, index, name", list(_private_functions()))
+def test_every_private_function_is_called(module, index, name):
+    # a use anywhere in the package other than the function's own body
+    assert any(
+        name in used for key, used in REFERENCES.items() if key != (module, index)
+    )
 
 
 def _wrapped_paths():

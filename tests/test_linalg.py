@@ -1,5 +1,6 @@
 """The integer elimination kernel against Gaussian elimination over Fraction."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -135,3 +136,45 @@ def test_mat_mul_matches_fraction_product(data):
     want = [[sum((x * b[k][j] for k, x in enumerate(row)), ZERO) for j in range(width)]
             for row in a]
     assert linalg.mat_mul(a, b) == want
+
+
+def _random_symmetric(rng):
+    """A symmetric rational matrix of size 1 to 6: random, zero, or
+    B D B^T of rank below its size with D of mixed signs."""
+    n = rng.randint(1, 6)
+    kind = rng.choice(["random", "zero", "singular"])
+    if kind == "zero":
+        return [[ZERO] * n for _ in range(n)]
+    if kind == "random":
+        m = [[ZERO] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return m
+    r = rng.randint(0, n - 1)
+    b = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(r)]
+         for _ in range(n)]
+    d = [rng.choice([-2, -1, 1, 3]) for _ in range(r)]
+    return [[sum((b[i][k] * d[k] * b[j][k] for k in range(r)), ZERO)
+             for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_congruence_inertia_matches_symmetric_elimination(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        m = _random_symmetric(rng)
+        assert linalg.congruence_inertia(m) == ref.congruence_inertia(m)
+
+
+@pytest.mark.parametrize("sym, inertia", [
+    ([[0]], (0, 1, 0)),
+    ([[Fraction(5, 2)]], (1, 0, 0)),
+    ([[-1]], (0, 0, 1)),
+    ([[0] * 3 for _ in range(3)], (0, 3, 0)),
+    ([[0, 1], [1, 0]], (1, 0, 1)),
+    ([[1, 1, 0], [1, 1, 0], [0, 0, -3]], (1, 1, 1)),
+], ids=["zero-1x1", "positive-1x1", "negative-1x1", "zero-3x3",
+        "indefinite", "singular-indefinite"])
+def test_congruence_inertia_small_cases(sym, inertia):
+    assert linalg.congruence_inertia(sym) == inertia == ref.congruence_inertia(sym)

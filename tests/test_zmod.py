@@ -1,10 +1,11 @@
 """Structure algebra, graded lattices, translation, decomposition."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from blocko import blocks, rootdata, zmod
+from blocko import blocks, linalg, rootdata, zmod
 from blocko.errors import TruncationError, UnsupportedError
 from blocko.poly import Poly, divisible_by_linear
 from blocko.zmod import (
@@ -28,7 +29,7 @@ from blocko.zmod import (
     zlattice_to_json,
 )
 
-from conftest import A2, B2, G2, weight
+from conftest import A1_AFFINE, A2, A3, B2, G2, weight
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +86,84 @@ def test_structure_algebra_closed_under_products(a2_graph):
                 (p.degree() for p in prod if not p.is_zero()), default=0
             )
             assert lattice_contains(z, prod, d)
+
+
+def _graph(matrix, *coords, length_bound=blocks.DEFAULT_LENGTH_BOUND):
+    cartan = rootdata.cartan_datum(matrix)
+    block = blocks.block_data(
+        cartan, weight(cartan, *coords), length_bound=length_bound
+    )
+    return moment_graph(block)
+
+
+def _random_subset(matrix, seed):
+    graph = _graph(matrix, 0, 0)
+    rng = random.Random(seed)
+    return graph, rng.sample(graph.vertices, rng.randint(2, len(graph.vertices)))
+
+
+# (graph, vertex subset or None for every vertex)
+CERTIFIED = {
+    "A2": lambda: (_graph(A2, 0, 0), None),
+    "B2": lambda: (_graph(B2, 0, 0), None),
+    "G2": lambda: (_graph(G2, 0, 0), None),
+    "A3": lambda: (_graph(A3, 0, 0, 0), None),
+    # words of length <= 1, but a generator of degree 4
+    "A2-singular(0,-2)": lambda: (_graph(A2, 0, -2), None),
+    "G2(1/3,0)": lambda: (_graph(G2, Fraction(1, 3), 0), None),
+    "B2(0,1/2)": lambda: (_graph(B2, 0, Fraction(1, 2)), None),
+    "A1~-length3": lambda: (_graph(A1_AFFINE, 0, 0, length_bound=3), None),
+    "A1~-length5": lambda: (_graph(A1_AFFINE, 0, 0, length_bound=5), None),
+    **{
+        f"{name}-subset{seed}": lambda m=m, seed=seed: _random_subset(m, seed)
+        for name, m in (("A2", A2), ("B2", B2))
+        for seed in (1, 2, 3)
+    },
+}
+
+
+def _generic_rank(lattice):
+    point = [Fraction(p) for p in (7, 11, 13)[: lattice.graph.nvars]]
+    return linalg.rank([[p.evaluate(point) for p in g] for g in lattice.generators])
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFIED))
+def test_structure_algebra_degrees_add_up_to_the_edge_count(case):
+    graph, words = CERTIFIED[case]()
+    z = structure_algebra(graph, words)
+    vertices = set(z.slots)
+    edges = [e for e in graph.edges if e <= vertices]
+    assert len(z.generators) == len(vertices) == _generic_rank(z)
+    assert sum(z.degrees) == 2 * len(edges)
+
+
+@pytest.mark.parametrize("matrix", [A2, B2, G2], ids=["A2", "B2", "G2"])
+@pytest.mark.parametrize("s", [0, 1])
+def test_invariant_subalgebra_degrees_add_up_to_the_cross_coset_edges(matrix, s):
+    graph = _graph(matrix, 0, 0)
+    system = graph.block.coxeter_system
+    z = invariant_structure_algebra(graph, graph.vertices, s)
+    coset = {
+        w: frozenset({w, system.normal_form(w + (s,))}) for w in graph.vertices
+    }
+    cross = [e for e in graph.edges if len({coset[w] for w in e}) == 2]
+    assert len(z.generators) == len(set(coset.values())) == _generic_rank(z)
+    assert sum(z.degrees) == len(cross)
+
+
+@pytest.mark.parametrize("off", [-1, 1])
+def test_an_edge_count_off_by_one_is_not_certified(a2_graph, off):
+    words = a2_graph.vertices
+    edges = len(a2_graph.edges)
+    with pytest.raises(UnsupportedError, match="not free"):
+        zmod._grown_algebra(a2_graph, words, len(words), edges + off, "A2")
+
+
+def test_structure_algebra_is_stored_per_vertex_set(a2_graph):
+    z = structure_algebra(a2_graph)
+    assert structure_algebra(a2_graph, reversed(a2_graph.vertices)) is z
+    sub = structure_algebra(a2_graph, [(), (0,)])
+    assert sub is not z and sub.slots == ((), (0,))
 
 
 def test_verma_zmodule_is_rank_one(a2_graph):
@@ -203,28 +282,17 @@ def test_identify_projective_matches_multiplicities(a2_graph):
         assert got == {w: n for w, n in want.items() if n}
 
 
-def test_identify_projective_honours_each_degree_bound():
-    # the structure algebra of A2 needs degree 6: a call at degree 4 fails
-    # even after a call at 12 on the same graph
-    cartan = rootdata.cartan_datum(A2)
-    graph = moment_graph(blocks.block_data(cartan, weight(cartan, 0, 0)))
-    identify_projective(graph, (0,), 12)
-    with pytest.raises(TruncationError):
-        identify_projective(graph, (0,), 4)
-
-
 @pytest.mark.parametrize("matrix", [A2, B2, G2], ids=["A2", "B2", "G2"])
 def test_projective_is_the_one_summand_new_in_its_length(matrix):
     """The summand of BS(w) over w is the only one not isomorphic up to shift
-    to a projective of smaller length (w up to length 3, degree bound 12)."""
+    to a projective of smaller length (w up to length 3)."""
     cartan = rootdata.cartan_datum(matrix)
     graph = moment_graph(blocks.block_data(cartan, weight(cartan, 0, 0)))
-    algebra = zmod.full_structure_algebra(graph, 12)
     found = {}
     for w in graph.vertices:
         if len(w) > 3:
             break
-        summands = decompose(bott_samelson(graph, w, 12), algebra)
+        summands = decompose(bott_samelson(graph, w))
         shorter = [P for v, P in found.items() if len(v) < len(w)]
         new = [
             S
