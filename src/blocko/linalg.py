@@ -10,8 +10,10 @@ bases, free-variables-zero solutions and span membership are canonical, so
 they do not depend on how the elimination is carried out.
 
 `kernel_incremental` keeps its own loop: the order of the basis it returns
-is part of its output.  `charpoly` reduces to Hessenberg form over Fraction,
-and `congruence_inertia` is read off its result.
+is part of its output.  It takes sparse integer rows, lists of (column,
+integer) pairs, and returns integer vectors.  `charpoly` reduces to
+Hessenberg form over Fraction, and `congruence_inertia` is read off its
+result.
 """
 
 from fractions import Fraction
@@ -144,17 +146,13 @@ def kernel_basis(rows, ncols):
 def kernel_incremental(rows, ncols):
     """Kernel basis computed by intersecting one constraint at a time.
 
-    Equivalent to kernel_basis but much faster when the kernel is small
-    compared to the number of rows.  Internally integer arithmetic with gcd
-    reduction; input entries may be Fraction."""
+    Much faster than kernel_basis when the kernel is small compared to the
+    number of rows.  Rows are sparse: lists of (column, integer) pairs.  The
+    basis is primitive integer vectors; a row scaled by a positive factor
+    gives the same basis."""
     basis = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     for row in rows:
-        cols = [i for i, x in enumerate(row) if x]
-        vals = [row[i] for i in cols]
-        irow = list(zip(cols, _scaled(vals, lcm(*(x.denominator for x in vals)))))
-        if not irow:
-            continue
-        dots = [sum(c * v[i] for i, c in irow) for v in basis]
+        dots = [sum(c * v[i] for i, c in row) for v in basis]
         piv = next((i for i, d in enumerate(dots) if d), None)
         if piv is None:
             continue
@@ -168,7 +166,7 @@ def kernel_incremental(rows, ncols):
             else:
                 new_basis.append(v)
         basis = new_basis
-    return [[Fraction(x) for x in v] for v in basis]
+    return basis
 
 
 def solve_many(rows, rhs_cols):

@@ -35,12 +35,6 @@ class Poly:
         return cls(nvars, {(0,) * nvars: frac(c)})
 
     @classmethod
-    def variable(cls, nvars, i):
-        mono = [0] * nvars
-        mono[i] = 1
-        return cls(nvars, {tuple(mono): Fraction(1)})
-
-    @classmethod
     def linear(cls, coeffs):
         """Linear form sum c_i x_i from a coefficient vector."""
         n = len(coeffs)
@@ -112,9 +106,6 @@ class Poly:
         if c:
             p.terms = {m: c * x for m, x in self.terms.items()}
         return p
-
-    def coefficient(self, mono):
-        return self.terms.get(tuple(mono), Fraction(0))
 
     def evaluate(self, point):
         total = Fraction(0)

@@ -5,8 +5,11 @@ joins w and s_beta.w whenever both lie in the truncation, labeled by the
 linear form h_beta = (beta, -).  The structure algebra Z is the set of
 vertex-tuples (z_w) with z_w congruent to z_{s_beta w} mod h_beta on every
 edge.  Modules over Z are presented as graded lattices: finitely many
-vertex-labeled slots plus homogeneous generator tuples, everything degreewise
-linear algebra over the rationals.
+vertex-labeled slots plus homogeneous generator tuples of `Poly`.  The
+linear algebra runs on integer graded pieces: a degree-d slot tuple is a
+slot-major integer vector over one denominator, indexed by monomial tables
+the moment graph builds on demand, so that multiplying by a monomial is an
+index map.
 
 Degrees: one polynomial variable per fundamental weight (plus one for delta
 in affine type), each of graded degree 2.
@@ -18,6 +21,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import add, mul
 
 from .blocks import BlockData, dot_reflect
 from .errors import TruncationError, UnsupportedError
@@ -31,13 +35,7 @@ from .linalg import (
     rank,
     solve_many,
 )
-from .poly import (
-    Poly,
-    coeffs_to_poly,
-    monomials_of_degree,
-    poly_to_coeffs,
-    restrict_to_hyperplane,
-)
+from .poly import Poly, coeffs_to_poly, monomials_of_degree
 from .rootdata import Weight, form
 
 # endomorphisms `decompose` tries for a splitting idempotent
@@ -72,6 +70,10 @@ class MomentGraphBlock:
     nvars: int
     # sorted vertex words -> structure algebra on them (structure_algebra)
     algebras: dict = field(default_factory=dict, repr=False, compare=False)
+    # tables of _monomials, _shifts and _annihilator, built on demand
+    monomials: dict = field(default_factory=dict, repr=False, compare=False)
+    shifts: dict = field(default_factory=dict, repr=False, compare=False)
+    annihilators: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def moment_graph(block: BlockData) -> MomentGraphBlock:
@@ -105,6 +107,8 @@ class ZLattice:
     slots: tuple  # vertex word per slot
     generators: list  # tuples of Poly, homogeneous
     degrees: list  # graded degree (= 2 * polynomial degree) per generator
+    # (integers, denominator, polynomial degree) per generator (_gen_vectors)
+    vectors: list = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def rank(self):
@@ -118,36 +122,135 @@ class ZLattice:
 
 
 # ---------------------------------------------------------------------------
+# integer graded pieces: a degree-d slot tuple is a slot-major vector of
+# integers over one denominator, indexed by monomial position
+
+
+def _monomials(graph, d):
+    """(degree-d monomials, monomial -> position), built once per graph."""
+    if d not in graph.monomials:
+        monos = monomials_of_degree(graph.nvars, d)
+        graph.monomials[d] = (monos, {m: i for i, m in enumerate(monos)})
+    return graph.monomials[d]
+
+
+def _width(graph, d):
+    return len(_monomials(graph, d)[0])
+
+
+def _shifts(graph, e, d):
+    """Multiplication by a degree-e monomial m as an index map: per m, the
+    positions of m * a for the degree-d monomials a."""
+    if (e, d) not in graph.shifts:
+        index = _monomials(graph, d + e)[1]
+        graph.shifts[e, d] = [
+            [index[tuple(map(add, m, a))] for a in _monomials(graph, d)[0]]
+            for m in _monomials(graph, e)[0]
+        ]
+    return graph.shifts[e, d]
+
+
+def _integral(vec):
+    """A rational vector as (integers, denominator)."""
+    den = lcm(*(x.denominator for x in vec))
+    return [x.numerator * (den // x.denominator) for x in vec], den
+
+
+def _vector(graph, tup, d):
+    """A degree-d slot tuple of Poly as (integers, denominator)."""
+    index, width = _monomials(graph, d)[1], _width(graph, d)
+    flat = [0] * (len(tup) * width)
+    for s, p in enumerate(tup):
+        for m, c in p.terms.items():
+            flat[s * width + index[m]] = c
+    return _integral(flat)
+
+
+def _poly_tuple(graph, vec, den, d):
+    """The slot tuple of Poly with slot-major coefficients vec / den."""
+    w, coeffs = _width(graph, d), [Fraction(x, den) for x in vec]
+    return tuple(
+        coeffs_to_poly(graph.nvars, d, coeffs[s : s + w])
+        for s in range(0, len(vec), w)
+    )
+
+
+def _gen_vectors(M):
+    """M's generators as (integers, denominator, polynomial degree)."""
+    if M.vectors is None:
+        M.vectors = [
+            _vector(M.graph, g, gd // 2) + (gd // 2,)
+            for g, gd in zip(M.generators, M.degrees)
+        ]
+    return M.vectors
+
+
+def _slot_product(graph, a, da, amap, b, db, bmap):
+    """The integer slot vector whose slot k is the product of slot amap[k]
+    of a (degree da) and slot bmap[k] of b (degree db)."""
+    wa, wb, w = _width(graph, da), _width(graph, db), _width(graph, da + db)
+    shifts = _shifts(graph, da, db)
+    out = [0] * (len(amap) * w)
+    for k, (sa, sb) in enumerate(zip(amap, bmap)):
+        bslot = [(q, y) for q, y in enumerate(b[sb * wb : (sb + 1) * wb]) if y]
+        for p, x in enumerate(a[sa * wa : (sa + 1) * wa]):
+            if x:
+                for q, y in bslot:
+                    out[k * w + shifts[p][q]] += x * y
+    return out
+
+
+def _multiples(graph, gens, d):
+    """(index, monomial position p, integer vector of m_p * gen) for every
+    generator (integers, denominator, polynomial degree) and every monomial
+    m_p that makes the degree d."""
+    width = _width(graph, d)
+    for i, (vec, _, dg) in enumerate(gens):
+        if dg > d:
+            continue
+        w0 = _width(graph, dg)
+        nonzero = [(k // w0 * width, k % w0, x) for k, x in enumerate(vec) if x]
+        for p, sh in enumerate(_shifts(graph, d - dg, dg)):
+            out = [0] * (len(vec) // w0 * width)
+            for base, q, x in nonzero:
+                out[base + sh[q]] = x
+            yield i, p, out
+
+
+# ---------------------------------------------------------------------------
 # structure algebra
 
 
-def _congruence_rows(graph, vertex_words, d):
-    """Constraint rows (flattened slot-major, degree-d coefficients) imposing
-    all edge congruences inside the vertex subset."""
-    nv = graph.nvars
-    monos = monomials_of_degree(nv, d)
-    width = len(monos)
-    vset = list(vertex_words)
-    index = {w: i for i, w in enumerate(vset)}
+def _annihilator(graph, h, d):
+    """Integer rows over the degree-d monomials whose common kernel is h
+    times the degree-(d - 1) polynomials (the row space of restriction to
+    h = 0), built once per edge label and degree."""
+    if (h, d) not in graph.annihilators:
+        label = [_vector(graph, (h,), 1) + (1,)]
+        multiples = [v for _, _, v in _multiples(graph, label, d)]
+        rows = kernel_basis(multiples, _width(graph, d))
+        graph.annihilators[h, d] = [_integral(r)[0] for r in rows]
+    return graph.annihilators[h, d]
+
+
+def _congruence_rows(graph, vertex_words, d, equal_pairs=()):
+    """Integer constraint rows (slot-major, degree-d coefficients) imposing
+    every edge congruence z_a = z_b mod h inside the vertex subset, and
+    z_a = z_b on the slot pairs a, b in `equal_pairs`."""
+    width = _width(graph, d)
+    index = {w: i for i, w in enumerate(vertex_words)}
+    unit = [[int(i == j) for j in range(width)] for i in range(width)]
+    constraints = [
+        (index[a], index[b], _annihilator(graph, h, d))
+        for a, b, h in ((*key, h) for key, h in graph.edges.items())
+        if a in index and b in index
+    ] + [(a, b, unit) for a, b in equal_pairs]
     rows = []
-    for key, h in graph.edges.items():
-        pair = tuple(key)
-        if pair[0] not in index or pair[1] not in index:
-            continue
-        a, b = index[pair[0]], index[pair[1]]
-        # z_a - z_b must vanish on h = 0: restrict each monomial and read
-        # off the coefficients of the restricted polynomial
-        restricted = [
-            restrict_to_hyperplane(Poly(nv, {m: 1}), h) for m in monos
-        ]
-        target_monos = sorted({m for r in restricted for m in r.terms})
-        for tm in target_monos:
-            row = [Fraction(0)] * (len(vset) * width)
-            for j, r in enumerate(restricted):
-                c = r.terms.get(tm, Fraction(0))
-                if c:
-                    row[a * width + j] += c
-                    row[b * width + j] -= c
+    for a, b, block in constraints:
+        for r in block:
+            row = [0] * (len(vertex_words) * width)
+            row[a * width : (a + 1) * width] = r
+            row[b * width : (b + 1) * width] = [-x for x in r]
             rows.append(row)
     return rows
 
@@ -156,57 +259,37 @@ def _generic_point(nvars):
     return [Fraction(p) for p in _GENERIC_PRIMES[:nvars]]
 
 
-def _flatten(tup, d):
-    """The degree-d coefficient vectors of a tuple of polynomials, joined."""
-    return [c for p in tup for c in poly_to_coeffs(p, d)]
-
-
-def _multiples(nvars, gens, d):
-    """(index, monomial m, flattened m * gen) for every generator (tuple,
-    polynomial degree) and every monomial m that makes the degree d."""
-    for i, (gen, dg) in enumerate(gens):
-        if dg <= d:
-            for m in monomials_of_degree(nvars, d - dg):
-                mono = Poly(nvars, {m: 1})
-                yield i, m, _flatten(tuple(mono * p for p in gen), d)
-
-
-def _graded(M: ZLattice):
-    """M's generators with their polynomial degrees."""
-    return [(g, gd // 2) for g, gd in zip(M.generators, M.degrees)]
-
-
-def minimal_generators(nvars, candidates):
+def minimal_generators(graph, candidates):
     """Minimal homogeneous generating set of the S-span of the candidates.
 
-    candidates: list of (tuple-of-Poly, polynomial degree).  Processes
-    degrees in increasing order, keeping a candidate iff it lies outside the
-    span of monomial multiples of the ones already kept.
+    candidates: list of (integers, denominator, polynomial degree).
+    Processes degrees in increasing order, keeping a candidate iff it lies
+    outside the span of monomial multiples of the ones already kept.
     """
     by_degree = {}
-    for gen, d in candidates:
-        by_degree.setdefault(d, []).append(gen)
+    for cand in candidates:
+        by_degree.setdefault(cand[2], []).append(cand)
     chosen = []
     for d in sorted(by_degree):
-        span = Echelon(v for _, _, v in _multiples(nvars, chosen, d))
-        chosen.extend(
-            (gen, d) for gen in by_degree[d] if span.add(_flatten(gen, d))
-        )
+        span = Echelon(v for _, _, v in _multiples(graph, chosen, d))
+        chosen.extend(c for c in by_degree[d] if span.add(c[0]))
     return chosen
 
 
 def _certified_lattice(graph, slots, chosen, count, what):
-    """The lattice on the slots with the chosen minimal generators (tuple,
-    polynomial degree), certified free of rank `count`: exactly `count`
-    generators, generically independent.  `what` names the lattice in the
-    TruncationError raised otherwise."""
-    gens = [g for g, _ in chosen]
-    if len(gens) != count:
-        raise TruncationError(f"{what} produced {len(gens)} generators, not {count}")
+    """The lattice on the slots with the chosen minimal generators
+    (integers, denominator, polynomial degree), certified free of rank
+    `count`: exactly `count` generators, generically independent.  `what`
+    names the lattice in the TruncationError raised otherwise."""
+    if len(chosen) != count:
+        raise TruncationError(f"{what} produced {len(chosen)} generators, not {count}")
+    gens = [_poly_tuple(graph, vec, den, d) for vec, den, d in chosen]
     point = _generic_point(graph.nvars)
     if rank([[p.evaluate(point) for p in g] for g in gens]) != count:
         raise TruncationError(f"{what} failed its rank certificate")
-    return ZLattice(graph, tuple(slots), gens, [2 * d for _, d in chosen])
+    lattice = ZLattice(graph, tuple(slots), gens, [2 * d for _, _, d in chosen])
+    lattice.vectors = chosen
+    return lattice
 
 
 def _grown_algebra(graph, vertex_words, count, edge_count, what, equal_pairs=()):
@@ -222,38 +305,26 @@ def _grown_algebra(graph, vertex_words, count, edge_count, what, equal_pairs=())
     a full-rank sublattice of degree sum `edge_count` has determinant
     c * prod_e h_e, and is the whole algebra.  Raises UnsupportedError once
     the generators still missing cannot fit under `edge_count`."""
-    nv = graph.nvars
-    nslots = len(vertex_words)
     chosen = []
     d = 0
     while len(chosen) < count:
         missing = count - len(chosen)
-        if sum(dg for _, dg in chosen) + missing * d > edge_count:
+        if sum(dg for _, _, dg in chosen) + missing * d > edge_count:
             raise UnsupportedError(
                 f"{what} is not free: {missing} generators of degree {d} or "
                 f"more do not fit under {edge_count} edges"
             )
-        width = len(monomials_of_degree(nv, d))
-        rows = _congruence_rows(graph, vertex_words, d)
-        for a, b in equal_pairs:
-            for j in range(width):
-                row = [Fraction(0)] * (nslots * width)
-                row[a * width + j] = Fraction(1)
-                row[b * width + j] = Fraction(-1)
-                rows.append(row)
-        span = Echelon(v for _, _, v in _multiples(nv, chosen, d))
-        for vec in kernel_basis(rows, nslots * width):
+        rows = _congruence_rows(graph, vertex_words, d, equal_pairs)
+        span = Echelon(v for _, _, v in _multiples(graph, chosen, d))
+        for vec in kernel_basis(rows, len(vertex_words) * _width(graph, d)):
+            vec, den = _integral(vec)
             if span.add(vec):
-                gen = tuple(
-                    coeffs_to_poly(nv, d, vec[i * width : (i + 1) * width])
-                    for i in range(nslots)
-                )
-                chosen.append((gen, d))
+                chosen.append((vec, den, d))
                 if len(chosen) == count:
                     break
         d += 1
     lattice = _certified_lattice(graph, vertex_words, chosen, count, what)
-    total = sum(dg for _, dg in chosen)
+    total = sum(dg for _, _, dg in chosen)
     if total != edge_count:
         raise UnsupportedError(
             f"{what} is not free: its generator degrees add up to {total}, "
@@ -298,8 +369,8 @@ def verma_zmodule(graph: MomentGraphBlock, w) -> ZLattice:
 
 def lattice_contains(M: ZLattice, tup, d) -> bool:
     """Is the degree-d homogeneous tuple in the S-span of M's generators?"""
-    span = Echelon(v for _, _, v in _multiples(M.graph.nvars, _graded(M), d))
-    return not any(span.reduce(_flatten(tup, d)))
+    span = Echelon(v for _, _, v in _multiples(M.graph, _gen_vectors(M), d))
+    return not any(span.reduce(_vector(M.graph, tup, d)[0]))
 
 
 def theta_s(M: ZLattice, s: int) -> ZLattice:
@@ -336,16 +407,14 @@ def theta_s(M: ZLattice, s: int) -> ZLattice:
 
     z_alg = structure_algebra(graph, closure)
     z_index = {w: i for i, w in enumerate(z_alg.slots)}
-    candidates = []
-    for g, gd in zip(M.generators, M.degrees):
-        diag = tuple(g[j] for j in sources)
-        for z, zd in zip(z_alg.generators, z_alg.degrees):
-            cand = tuple(
-                z[z_index[w]] * diag[k] for k, w in enumerate(new_slots)
-            )
-            candidates.append((cand, (gd + zd) // 2))
+    z_slots = [z_index[w] for w in new_slots]
+    candidates = [
+        (_slot_product(graph, z, zd, z_slots, g, gd, sources), gden * zden, gd + zd)
+        for g, gden, gd in _gen_vectors(M)
+        for z, zden, zd in _gen_vectors(z_alg)
+    ]
     n = len(new_slots)
-    chosen = minimal_generators(graph.nvars, candidates)
+    chosen = minimal_generators(graph, candidates)
     what = f"translated lattice on {n} slots"
     return _certified_lattice(graph, new_slots, chosen, n, what)
 
@@ -370,48 +439,42 @@ def bott_samelson(graph: MomentGraphBlock, word) -> ZLattice:
 # coordinates a perfectly good lattice map can pick up denominators.
 
 
-def expand_many(M: ZLattice, tups, pd):
-    """Coefficients of degree-pd homogeneous slot tuples in M's generator
-    basis; None per tuple outside the lattice."""
-    nv = M.graph.nvars
-    # one unknown per degree-pd multiple m * g_j of a generator
-    multiples = list(_multiples(nv, _graded(M), pd))
-    rows = list(zip(*(vec for _, _, vec in multiples)))
-    rhs_cols = [_flatten(tup, pd) for tup in tups]
+def expand_many(M: ZLattice, vectors, pd):
+    """Coefficients in M's generator basis of degree-pd slot vectors, given
+    as (integers, denominator): per vector None when it lies outside the
+    lattice, else per generator {monomial position: Fraction}."""
+    gens = _gen_vectors(M)
+    # one unknown per multiple m * g_j; its vector is scaled by den_j, so a
+    # solution x gives the coefficient x * den_j / den
+    multiples = list(_multiples(M.graph, gens, pd))
     if not multiples:
-        return [
-            None if any(rhs) else [Poly.zero(nv) for _ in M.generators]
-            for rhs in rhs_cols
-        ]
+        return [None if any(vec) else [{} for _ in gens] for vec, _ in vectors]
+    rows = list(zip(*(vec for _, _, vec in multiples)))
     out = []
-    for x in solve_many(rows, rhs_cols):
-        if x is None:
-            out.append(None)
-            continue
-        coeffs = [Poly.zero(nv) for _ in M.generators]
-        for (j, m, _), c in zip(multiples, x):
+    for (_, den), x in zip(vectors, solve_many(rows, [vec for vec, _ in vectors])):
+        coeffs = None if x is None else [{} for _ in gens]
+        for (j, p, _), c in zip(multiples, x or ()):
             if c:
-                coeffs[j] = coeffs[j] + Poly(nv, {m: c})
+                coeffs[j][p] = c * gens[j][1] / den
         out.append(coeffs)
     return out
 
 
 def _action_matrices(M: ZLattice, algebra: ZLattice):
     """For each algebra generator z, the matrix F with F[j][i] = coefficient
-    of g_j in z * g_i.  One expand_many per target degree covers the
-    products of every generator."""
+    of g_j in z * g_i, as {monomial position: Fraction}.  One expand_many
+    per target degree covers the products of every generator."""
     index = {w: i for i, w in enumerate(algebra.slots)}
+    z_slots = [index[w] for w in M.slots]
     n = len(M.generators)
     by_pd = {}
-    for t, (z, zd) in enumerate(zip(algebra.generators, algebra.degrees)):
-        for i, (g, gd) in enumerate(zip(M.generators, M.degrees)):
-            tup = tuple(
-                z[index[w]] * g[k] for k, w in enumerate(M.slots)
-            )
-            by_pd.setdefault(zd // 2 + gd // 2, []).append((t, i, tup))
+    for t, (z, zden, zd) in enumerate(_gen_vectors(algebra)):
+        for i, (g, gden, gd) in enumerate(_gen_vectors(M)):
+            vec = _slot_product(M.graph, z, zd, z_slots, g, gd, range(M.rank))
+            by_pd.setdefault(zd + gd, []).append((t, i, (vec, zden * gden)))
     cols = [[None] * n for _ in algebra.generators]
     for pd, items in by_pd.items():
-        expanded = expand_many(M, [tup for _, _, tup in items], pd)
+        expanded = expand_many(M, [vec for _, _, vec in items], pd)
         for (t, i, _), coeffs in zip(items, expanded):
             if coeffs is None:
                 raise TruncationError(
@@ -429,98 +492,61 @@ def hom_graded(M: ZLattice, N: ZLattice, d: int, algebra: ZLattice = None):
     if d < 0 or d % 2:
         return []
     k = d // 2
-    nv = M.graph.nvars
+    graph = M.graph
     if algebra is None:
-        algebra = structure_algebra(M.graph)
+        algebra = structure_algebra(graph)
     fm = _action_matrices(M, algebra)
     fn = fm if N is M else _action_matrices(N, algebra)
     m_deg = [gd // 2 for gd in M.degrees]
     n_deg = [gd // 2 for gd in N.degrees]
     nm, nn = len(m_deg), len(n_deg)
     # unknowns: entries U[l][j] of degree k + m_deg[j] - n_deg[l]
-    entries = []
     offsets = {}
     total = 0
     for l in range(nn):
         for j in range(nm):
             dd = k + m_deg[j] - n_deg[l]
-            if dd < 0:
-                continue
-            monos = monomials_of_degree(nv, dd)
-            offsets[(l, j)] = (total, dd, monos)
-            total += len(monos)
-            entries.append((l, j))
+            if dd >= 0:
+                offsets[(l, j)] = (total, dd)
+                total += _width(graph, dd)
     if total == 0:
         return []
 
-    def _is_scalar(F):
-        diag = F[0][0]
-        for a, row in enumerate(F):
-            for b, p in enumerate(row):
-                if a == b:
-                    if not (p - diag).is_zero():
-                        return None
-                elif not p.is_zero():
-                    return None
-        return diag
-
     def rows():
-        # U . F^M_t = F^N_t . U, entrywise in each target monomial
+        # U . F^M_t = F^N_t . U, entrywise in each target monomial, as
+        # sparse integer rows [(column, value)]: both sides times the least
+        # common denominator of the entries of F^M_t and F^N_t
         for t, (FM, FN) in enumerate(zip(fm, fn)):
+            entries = [c for F in (FM, FN) for r in F for p in r for c in p.values()]
+            den = lcm(*(c.denominator for c in entries))
             zp = algebra.degrees[t] // 2
-            # a generator acting as the same scalar on both sides (always
-            # true for the constant generator) constrains nothing
-            cm = _is_scalar(FM)
-            if cm is not None:
-                cn = _is_scalar(FN)
-                if cn is not None and (cm - cn).is_zero():
-                    continue
             for l in range(nn):
                 for i in range(nm):
                     td = k + zp + m_deg[i] - n_deg[l]
-                    if td < 0:
-                        continue
-                    target = monomials_of_degree(nv, td)
-                    tindex = {m: a for a, m in enumerate(target)}
-                    acc = [
-                        [Fraction(0)] * total for _ in range(len(target))
-                    ]
-                    used = False
-                    for j in range(nm):
-                        off = offsets.get((l, j))
-                        if off is not None and not FM[j][i].is_zero():
-                            base, dd, monos = off
-                            for a, em in enumerate(monos):
-                                for gm, c in FM[j][i].terms.items():
-                                    prod = tuple(
-                                        x + y for x, y in zip(em, gm)
-                                    )
-                                    acc[tindex[prod]][base + a] += c
-                            used = True
-                    for j in range(nn):
-                        off = offsets.get((j, i))
-                        if off is not None and not FN[l][j].is_zero():
-                            base, dd, monos = off
-                            for a, em in enumerate(monos):
-                                for gm, c in FN[l][j].terms.items():
-                                    prod = tuple(
-                                        x + y for x, y in zip(em, gm)
-                                    )
-                                    acc[tindex[prod]][base + a] -= c
-                            used = True
-                    if used:
-                        for row in acc:
-                            if any(row):
-                                yield row
+                    terms = [(offsets.get((l, j)), FM[j][i], den) for j in range(nm)]
+                    terms += [(offsets.get((j, i)), FN[l][j], -den) for j in range(nn)]
+                    acc = {}
+                    for unknown, entry, scale in terms:
+                        if unknown is None or not entry:
+                            continue
+                        base, dd = unknown
+                        shifts = _shifts(graph, td - dd, dd)
+                        for q, c in entry.items():
+                            c = c.numerator * (scale // c.denominator)
+                            for col, pos in enumerate(shifts[q], base):
+                                row = acc.setdefault(pos, {})
+                                row[col] = row.get(col, 0) + c
+                    for pos in sorted(acc):
+                        row = [(col, c) for col, c in acc[pos].items() if c]
+                        if row:
+                            yield row
 
-    kern = kernel_incremental(rows(), total)
     out = []
-    for v in kern:
-        U = [[Poly.zero(nv) for _ in range(nm)] for _ in range(nn)]
-        for (l, j), (base, dd, monos) in offsets.items():
-            U[l][j] = coeffs_to_poly(
-                nv, dd, v[base : base + len(monos)]
-            )
+    for v in kernel_incremental(rows(), total):
+        U = [[Poly.zero(graph.nvars) for _ in range(nm)] for _ in range(nn)]
+        for (l, j), (base, dd) in offsets.items():
+            coeffs = v[base : base + _width(graph, dd)]
+            U[l][j] = coeffs_to_poly(graph.nvars, dd, coeffs)
         out.append(U)
     return out
 
@@ -544,41 +570,25 @@ def apply_hom(U, M: ZLattice, N: ZLattice):
 
 def compose(U2, U1, nvars):
     """Matrix product U2 . U1 in the generator bases."""
-    rows, mid = len(U2), len(U1)
-    cols = len(U1[0]) if U1 else 0
-    out = [[Poly.zero(nvars) for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            acc = Poly.zero(nvars)
-            for t in range(mid):
-                if not U2[i][t].is_zero() and not U1[t][j].is_zero():
-                    acc = acc + U2[i][t] * U1[t][j]
-            out[i][j] = acc
-    return out
+    zero = Poly.zero(nvars)
+
+    def entry(row, col):
+        return sum((a * b for a, b in zip(row, col) if a.terms and b.terms), zero)
+
+    return [[entry(row, col) for col in zip(*U1)] for row in U2]
 
 
 def identity_hom(M: ZLattice):
-    nv = M.graph.nvars
-    n = len(M.generators)
-    return [
-        [Poly.const(nv, 1) if i == j else Poly.zero(nv) for j in range(n)]
-        for i in range(n)
-    ]
+    return scalar_hom(M, Poly.const(M.graph.nvars, 1))
 
 
 def scalar_hom(M: ZLattice, p: Poly):
     n = len(M.generators)
-    return [
-        [p if i == j else Poly.zero(p.nvars) for j in range(n)]
-        for i in range(n)
-    ]
+    return [[p if i == j else Poly.zero(p.nvars) for j in range(n)] for i in range(n)]
 
 
 def _hom_add(a, b, scale_b=1):
-    return [
-        [x + y.scale(scale_b) for x, y in zip(ra, rb)]
-        for ra, rb in zip(a, b)
-    ]
+    return [[x + y.scale(scale_b) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def homs_equal(a, b):
@@ -590,46 +600,44 @@ def homs_equal(a, b):
 
 
 def _rep_matrices(M: ZLattice, endos):
-    """Matrices of the endomorphisms on the top graded piece, from one
-    solve of a basis of that piece against all their images."""
-    nv = M.graph.nvars
-    D = max(gd // 2 for gd in M.degrees)
+    """Matrices of the degree-0 endomorphisms on the top graded piece, in a
+    basis of multiples m * g_i.  U maps m * g_i to the sum over l of
+    (m U[l][i]) g_l, whose terms are multiples of the g_l, so one solve of
+    the basis against every multiple gives all the matrices."""
+    graph, gens = M.graph, _gen_vectors(M)
+    D = max(dg for _, _, dg in gens)
+    multiples = list(_multiples(graph, gens, D))
     span = Echelon()
-    chosen = [
-        ((m, i), v) for i, m, v in _multiples(nv, _graded(M), D) if span.add(v)
-    ]
-    n = len(chosen)
-    rows = list(zip(*(v for _, v in chosen)))
-    vecs = []
+    basis = [(i, p, v) for i, p, v in multiples if span.add(v)]
+    rows = list(zip(*(v for _, _, v in basis)))
+    solved = solve_many(rows, [v for _, _, v in multiples])
+    # the vectors are scaled by their generators' denominators
+    coords = {
+        (l, q): [c * gens[j][1] / gens[l][1] for c, (j, _, _) in zip(x, basis)]
+        for (l, q, _), x in zip(multiples, solved)
+    }
+    reps = []
     for U in endos:
-        images = apply_hom(U, M, M)
-        vecs.extend(
-            _flatten(tuple(Poly(nv, {m: 1}) * p for p in images[i]), D)
-            for (m, i), _ in chosen
-        )
-    mat = solve_many(rows, vecs)
-    if any(coords is None for coords in mat):
-        raise TruncationError("endomorphism does not preserve the lattice")
-    # mat rows are images in basis coordinates; transpose to act on columns
-    return [
-        [[mat[k + j][i] for j in range(n)] for i in range(n)]
-        for k in range(0, len(mat), n)
-    ]
-
-
-def _trace_product(a, b):
-    n = len(a)
-    return sum(a[i][k] * b[k][i] for i in range(n) for k in range(n))
+        cols = []
+        for i, p, _ in basis:
+            col = [Fraction(0)] * len(basis)
+            for l, (_, _, dl) in enumerate(gens):
+                e = gens[i][2] - dl
+                for mono, c in U[l][i].terms.items():
+                    q = _shifts(graph, e, D - e - dl)[_monomials(graph, e)[1][mono]][p]
+                    col = [a + c * b for a, b in zip(col, coords[l, q])]
+            cols.append(col)
+        reps.append([list(r) for r in zip(*cols)])
+    return reps
 
 
 def _radical_dim(rep_basis):
-    """dim of the radical of the span, via the trace form (char 0)."""
-    n = len(rep_basis)
-    rows = [
-        [_trace_product(rep_basis[i], rep_basis[j]) for j in range(n)]
-        for i in range(n)
-    ]
-    return len(kernel_basis(rows, n))
+    """dim of the radical of the span, via the trace form (char 0).  Scaling
+    each matrix to integers scales rows and columns of the Gram matrix and
+    keeps its rank."""
+    flat = [_integral([x for row in a for x in row])[0] for a in rep_basis]
+    flat_t = [_integral([x for col in zip(*a) for x in col])[0] for a in rep_basis]
+    return len(rep_basis) - rank([[sum(map(mul, a, b)) for b in flat_t] for a in flat])
 
 
 # idempotents from the characteristic polynomial: univariate polynomials
@@ -800,10 +808,10 @@ def _project_summand(M: ZLattice, U):
         cut = tuple(img[s] for s in chosen_slots)
         if all(p.is_zero() for p in cut):
             continue
-        candidates.append((cut, gd // 2))
+        candidates.append(_vector(M.graph, cut, gd // 2) + (gd // 2,))
     slots = [M.slots[s] for s in chosen_slots]
     n = len(slots)
-    chosen = minimal_generators(M.graph.nvars, candidates)
+    chosen = minimal_generators(M.graph, candidates)
     return _certified_lattice(M.graph, slots, chosen, n, f"summand on {n} slots")
 
 

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from blocko import blocks, linalg, rootdata, zmod
+import poly_graded
+from blocko import blocks, linalg, poly, rootdata, zmod
 from blocko.errors import TruncationError, UnsupportedError
 from blocko.poly import Poly, divisible_by_linear
 from blocko.zmod import (
@@ -386,3 +389,167 @@ def test_decompose_names_its_trial_bound(a2_graph, monkeypatch):
     with pytest.raises(TruncationError, match="in 60 trial endomorphisms"):
         decompose(double)
     assert len(calls) == zmod._SPLIT_TRIALS == 60
+
+
+# ---------------------------------------------------------------------------
+# integer graded pieces against the Poly route (tests/poly_graded.py)
+
+ROUTE_GRAPHS = {
+    "A2": lambda: _graph(A2, 0, 0),
+    "B2": lambda: _graph(B2, 0, 0),
+    "G2": lambda: _graph(G2, 0, 0),
+    "A1~": lambda: _graph(A1_AFFINE, 0, 0, length_bound=3),
+}
+_ROUTE_CACHE = {}
+
+
+def _route_graph(name):
+    if name not in _ROUTE_CACHE:
+        _ROUTE_CACHE[name] = ROUTE_GRAPHS[name]()
+    return _ROUTE_CACHE[name]
+
+
+@st.composite
+def _lattices(draw, graph):
+    """A structure algebra on a random vertex subset, or a Bott-Samelson
+    lattice of a word of length at most 3."""
+    if draw(st.booleans()):
+        words = draw(
+            st.lists(st.sampled_from(graph.vertices), min_size=1, unique=True)
+        )
+        try:
+            return structure_algebra(graph, words)
+        except UnsupportedError:
+            assume(False)
+    return bott_samelson(graph, tuple(draw(st.lists(st.integers(0, 1), max_size=3))))
+
+
+@st.composite
+def _route_cases(draw):
+    graph = _route_graph(draw(st.sampled_from(sorted(ROUTE_GRAPHS))))
+    return graph, draw(_lattices(graph)), draw(_lattices(graph))
+
+
+def _normalized_rows(rows):
+    """Each row divided by its first nonzero entry, sorted."""
+    out = []
+    for row in rows:
+        lead = next(x for x in row if x)
+        out.append(tuple(Fraction(x) / lead for x in row))
+    return sorted(out)
+
+
+def _rows_into_kernel(module, call):
+    """call()'s result and the rows it passed to module.kernel_incremental."""
+    rows = []
+    kernel = module.kernel_incremental
+
+    def capture(gen, ncols):
+        captured = list(gen)
+        rows.extend(captured)
+        return kernel(captured, ncols)
+
+    module.kernel_incremental = capture
+    try:
+        return call(), rows
+    finally:
+        module.kernel_incremental = kernel
+
+
+def _positive_multiple(sparse, dense):
+    """Is the sparse integer row a positive multiple of the dense row?"""
+    row = dict(sparse)
+    ref = {col: y for col, y in enumerate(dense) if y}
+    if row.keys() != ref.keys():
+        return False
+    lead = min(ref)
+    scale = row[lead] / ref[lead]
+    return scale > 0 and all(row[col] == scale * y for col, y in ref.items())
+
+
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(_route_cases())
+def test_integer_graded_pieces_match_the_poly_route(case):
+    graph, M, N = case
+    nv = graph.nvars
+    algebra = structure_algebra(graph)
+    # generator vectors and their monomial multiples, as Fractions
+    gens = zmod._gen_vectors(M)
+    for (vec, den, d), g in zip(gens, M.generators):
+        assert [Fraction(x, den) for x in vec] == poly_graded.flatten(g, d)
+    for d in range(max(dg for _, _, dg in gens) + 2):
+        got = [
+            (i, zmod._monomials(graph, d - gens[i][2])[0][p],
+             [Fraction(x, gens[i][1]) for x in v])
+            for i, p, v in zmod._multiples(graph, gens, d)
+        ]
+        assert got == list(poly_graded.multiples(nv, poly_graded.graded(M), d))
+    # congruence rows on the lattice's vertices, up to a factor per row
+    words = sorted(set(M.slots), key=lambda w: (len(w), w))
+    for d in range(4):
+        assert _normalized_rows(zmod._congruence_rows(graph, words, d)) == (
+            _normalized_rows(poly_graded.congruence_rows(graph, words, d))
+        )
+    # expand_many on the products z * g, and on x1^d at the first slot
+    index = {w: i for i, w in enumerate(algebra.slots)}
+    by_pd = {}
+    for z, zd in zip(algebra.generators, algebra.degrees):
+        for g, gd in zip(M.generators, M.degrees):
+            tup = tuple(z[index[w]] * g[k] for k, w in enumerate(M.slots))
+            by_pd.setdefault((zd + gd) // 2, []).append(tup)
+    for pd, tups in by_pd.items():
+        corner = Poly(nv, {(pd,) + (0,) * (nv - 1): 1})
+        tups.append((corner,) + (Poly.zero(nv),) * (M.rank - 1))
+        got = zmod.expand_many(M, [zmod._vector(graph, t, pd) for t in tups], pd)
+        want = poly_graded.expand_many(M, tups, pd)
+        for coeffs, ref in zip(got, want):
+            assert (coeffs is None) == (ref is None)
+            if coeffs is not None:
+                assert [
+                    Poly(nv, {zmod._monomials(graph, pd - dg)[0][p]: c
+                              for p, c in entry.items()})
+                    for entry, (_, _, dg) in zip(coeffs, gens)
+                ] == ref
+    # hom_graded: the same bases in the same order, from rows that are
+    # positive multiples of the dense Fraction rows, in the same order
+    for target in (M, N):
+        for d in (0, 2):
+            got, rows = _rows_into_kernel(
+                zmod, lambda: hom_graded(M, target, d, algebra)
+            )
+            want, ref_rows = _rows_into_kernel(
+                poly_graded, lambda: poly_graded.hom_graded(M, target, d, algebra)
+            )
+            assert got == want
+            assert len(rows) == len(ref_rows)
+            assert all(map(_positive_multiple, rows, ref_rows))
+
+
+def test_structure_algebra_and_hom_form_no_poly_products(monkeypatch):
+    """Z and the degree-0 Homs of a Bott-Samelson lattice are computed on
+    integer graded pieces: no Poly product, no coefficient vector read back
+    from a Poly, no restriction through Poly.substitute."""
+    graph = _graph(B2, 0, 0)
+    M = bott_samelson(graph, (0, 1, 0))
+    calls = {}
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Poly, "__mul__", counting("Poly.__mul__", Poly.__mul__))
+    monkeypatch.setattr(Poly, "__rmul__", counting("Poly.__mul__", Poly.__rmul__))
+    for name in ("poly_to_coeffs", "restrict_to_hyperplane"):
+        wrapped = counting(name, getattr(poly, name))
+        monkeypatch.setattr(poly, name, wrapped)
+        monkeypatch.setattr(zmod, name, wrapped, raising=False)
+    structure_algebra(graph)
+    assert hom_graded(M, M, 0)
+    assert calls == {}
