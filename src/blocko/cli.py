@@ -18,8 +18,8 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from . import blocks, coxeter, kl, rootdata, zmod
-from .coxeter import INFINITY, CoxeterSystem, Element
+from . import blocks, kl, rootdata, zmod
+from .coxeter import INFINITY, CoxeterSystem
 from .errors import BlockoError, CartanError, CriticalityError
 
 
@@ -132,24 +132,25 @@ def _coxeter_cache_path(system: CoxeterSystem) -> Path:
 
 
 def _possible_p(system: CoxeterSystem, x, w, coeffs):
-    """Whether a cached polynomial can be P_{x,w}: 1 for x = w, 0 off the
-    Bruhat cone, and otherwise P(0) = 1 with degree <= (l(w)-l(x)-1)/2."""
+    """Whether a cached polynomial can be P_{x,w} (x, w ids): 1 for x = w,
+    0 off the Bruhat cone, else P(0) = 1 with degree <= (l(w)-l(x)-1)/2."""
     if not isinstance(coeffs, list) or any(type(c) is not int for c in coeffs):
         return False
     if coeffs and coeffs[-1] == 0:
         return False
     if x == w:
         return coeffs == [1]
-    if not coxeter.bruhat_leq(Element(system, x), Element(system, w)):
+    if not system.cone(w) >> x & 1:
         return not coeffs
-    bound = (len(w) - len(x) - 1) // 2
+    bound = (system.length[w] - system.length[x] - 1) // 2
     return bool(coeffs) and coeffs[0] == 1 and len(coeffs) - 1 <= bound
 
 
 def _load_kl_cache(table: kl.KLTable):
     """Fill the table's P store from the cache file.  Entries whose words
     are not ShortLex normal forms, or that `_possible_p` rejects, are
-    dropped and recomputed when needed.
+    dropped and recomputed when needed.  Each distinct word is looked up
+    once, numbering the group no further than the longest word read.
 
     Returns what `_store_kl_cache` needs: the size of the P store after
     loading and the set of dropped keys."""
@@ -162,23 +163,23 @@ def _load_kl_cache(table: kl.KLTable):
         return len(table.memo), dropped
     if not isinstance(data, dict):
         return len(table.memo), dropped
-    normal = {}  # word text -> the normal-form word it spells, or None
+    system = table.system
+    ids = {}  # word text -> id of the normal form it spells, or None
 
-    def word(text):
-        if text not in normal:
+    def index(text):
+        if text not in ids:
             try:
-                w = parse_word(text)
-                normal[text] = w if table.system.normal_form(w) == w else None
+                ids[text] = system.index(parse_word(text))
             except ValueError:
-                normal[text] = None
-        return normal[text]
+                ids[text] = None
+        return ids[text]
 
     for key, coeffs in data.items():
         xs, bar, ws = key.partition("|")
-        x, w = word(xs), word(ws)
+        x, w = index(xs), index(ws)
         if (bar and x is not None and w is not None
-                and _possible_p(table.system, x, w, coeffs)):
-            table.memo[(x, w)] = tuple(coeffs)
+                and _possible_p(system, x, w, coeffs)):
+            table.memo[(system.words[x], system.words[w])] = tuple(coeffs)
         else:
             dropped.add(key)
     return len(table.memo), dropped

@@ -10,9 +10,16 @@ w(rho^vee)>)_j: c(e) = (1, ..., 1), a left s_k acts by c_j <- c_j - a_kj c_k,
 and s_k w < w exactly when c_k(w) < 0, since c_k(w) is the height of the root
 w^-1(alpha_k) (Kac, Lemma 3.11; Casselman, Machine calculations in Weyl
 groups, 1994).  rho^vee is interior to the fundamental chamber, so c is
-injective on W, finite or affine.  Elements are kept in ShortLex normal form
-(the lexicographically least reduced word), read off c(w) by peeling the
-least left descent until none is left.
+injective on W, finite or affine.
+
+Elements are numbered in ShortLex order (by length, then by normal form, the
+lexicographically least reduced word), one length at a time from the orbit
+vectors: a finite group up to w0, an affine group only as far as the longest
+element asked for, and growing never changes an id.  Per id the system keeps
+the word, length, left and right descent bitmasks, left and right products
+with each generator, and inverse.  A Bruhat cone [e, w] is a bitset, a Python
+int with bit x set when x <= w, built on first use from [e, w] = [e, sw] u
+s[e, sw] for a left descent s; it lists its elements in ShortLex order.
 """
 
 from __future__ import annotations
@@ -27,9 +34,20 @@ INFINITY = None  # Coxeter matrix entry for infinite order
 _BOND_PAIRS = {2: (0, 0), 3: (1, 1), 4: (1, 2), 6: (1, 3), INFINITY: (2, 2)}
 
 
+def members(mask):
+    """The ids in a bitset, in increasing order."""
+    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
 class CoxeterSystem:
-    """A Coxeter system with its integral reflection representation, and the
-    caches of results that depend only on the system."""
+    """A Coxeter system with its integral reflection representation, its
+    ShortLex numbering and the tables over it.
+
+    Per id i of w: `words[i]` (`ids` maps it back), `elements[i]`,
+    `length[i]`, the descent bitmasks `ldesc[i]` and `rdesc[i]`, the ids
+    `lmul[k][i]` of s_k w, `rmul[k][i]` of w s_k and `inv[i]` of w^-1.
+    Bitsets of ids: `descent_set[k]` with left descent s_k, `parity[p]` of
+    length = p mod 2."""
 
     def __init__(self, matrix):
         matrix = tuple(
@@ -67,9 +85,17 @@ class CoxeterSystem:
         )
         self._rho = (1,) * n
         self._closure = {}  # safety bound -> l(w0), or None if not closed
-        self._elements = None  # all elements of a finite group
-        self._bruhat = {}  # (x word, w word) -> x <= w
-        self._cones = {}  # w word -> frozenset of the words below it
+        self.words, self.ids, self.length = [()], {(): 0}, [0]
+        self.ldesc, self.rdesc, self.inv = [0], [0], [0]
+        self.lmul = tuple([None] for _ in range(n))
+        self.rmul = tuple([None] for _ in range(n))
+        self.descent_set = [0] * n
+        self.parity = [1, 0]
+        self.elements = [Element(self, ())]  # id -> Element
+        self._cones = [1]  # id -> bitset of [e, w], None until first use
+        self._starts = [0]  # length -> its first id
+        self._frontier = {self._rho: 0}  # orbit vector -> id, longest length
+        self._closed = False  # every element is numbered
 
     def __eq__(self, other):
         return isinstance(other, CoxeterSystem) and self.matrix == other.matrix
@@ -88,47 +114,101 @@ class CoxeterSystem:
             out[j] -= a * ck
         return tuple(out)
 
-    def _vector(self, word):
-        """c(s_{word[0]} ... s_{word[-1]})."""
-        c = self._rho
-        for k in reversed(word):
-            c = self._act(k, c)
-        return c
-
-    def _peel(self, c):
-        """ShortLex normal form of the element with orbit vector c."""
-        out = []
-        while True:
-            for k, ck in enumerate(c):
-                if ck < 0:
-                    break
-            else:
-                return tuple(out)
-            out.append(k)
-            c = self._act(k, c)
-
     def normal_form(self, word):
         """ShortLex normal form of an arbitrary word (0-based indices)."""
         n = self.generator_count
-        for i in word:
-            if not 0 <= i < n:
-                raise ValueError(f"generator index {i} out of range")
-        return self._peel(self._vector(word))
+        w = 0
+        for k in reversed(word):
+            if not 0 <= k < n:
+                raise ValueError(f"generator index {k} out of range")
+            if self.lmul[k][w] is None:
+                self._count(self.length[w] + 1)
+            w = self.lmul[k][w]
+        return self.words[w]
 
-    def _next_level(self, level):
-        """{c(s_k w): normal form} over w in `level` and s_k with s_k w > w.
+    def _next_level(self):
+        """Number the elements one length above the longest numbered ones.
 
         The normal form of u = s_k w starts with its least left descent i,
-        and s_i u has one length less, so its word is already in `level`."""
-        out = {}
-        for c in level:
-            for k, ck in enumerate(c):
-                if ck > 0:
+        and s_i u is numbered, one length shorter.  Products between the two
+        lengths follow: u^-1 = s_j (u s_j)^-1 for the last letter j of u,
+        and w s_k = (s_k w^-1)^-1."""
+        old, words, lmul, rmul = self._frontier, self.words, self.lmul, self.rmul
+        n, inv, rdesc = self.generator_count, self.inv, self.rdesc
+        found, ups = {}, []  # c(u) -> word of u; (k, w, c(s_k w)) with s_k w > w
+        for c, w in old.items():
+            for k in range(n):
+                if c[k] > 0:
                     d = self._act(k, c)
-                    if d not in out:
+                    ups.append((k, w, d))
+                    if d not in found:
                         i = next(i for i, di in enumerate(d) if di < 0)
-                        out[d] = (i,) + level[self._act(i, d)]
-        return out
+                        found[d] = (i,) + words[old[self._act(i, d)]]
+        if not found:
+            self._closed = True
+            return
+        start, end, length = len(words), len(words) + len(found), len(self._starts)
+        self._starts.append(start)
+        self._frontier = new = {}
+        for d, word in sorted(found.items(), key=lambda item: item[1]):
+            new[d] = self.ids[word] = len(words)
+            words.append(word)
+            self.elements.append(Element(self, word))
+            self.ldesc.append(sum(1 << k for k in range(n) if d[k] < 0))
+        self.length.extend([length] * len(found))
+        self._cones.extend([None] * len(found))
+        self.parity[length & 1] |= (1 << end) - (1 << start)
+        for k in range(n):
+            lmul[k].extend([None] * len(found))
+            rmul[k].extend([None] * len(found))
+            self.descent_set[k] |= sum(
+                1 << u for u in range(start, end) if self.ldesc[u] >> k & 1
+            )
+        for k, w, d in ups:
+            lmul[k][w], lmul[k][new[d]] = new[d], w
+        for word in words[start:]:
+            inv.append(lmul[word[-1]][inv[self.ids[word[:-1]]]])
+        rdesc.extend(self.ldesc[inv[u]] for u in range(start, end))
+        for w in old.values():
+            for k in range(n):
+                if not rdesc[w] >> k & 1:
+                    u = inv[lmul[k][inv[w]]]
+                    rmul[k][w], rmul[k][u] = u, w
+
+    def _count(self, length):
+        """The number of elements of length <= `length`, numbering them."""
+        while not self._closed and len(self._starts) <= length:
+            self._next_level()
+        starts = self._starts
+        return starts[length + 1] if length + 1 < len(starts) else len(self.words)
+
+    def index(self, word):
+        """The id of a ShortLex normal form, None for any other word.  Its
+        prefixes are normal forms: grow while the longest numbered one is."""
+        while (len(word) >= len(self._starts) and not self._closed
+               and word[: len(self._starts) - 1] in self.ids):
+            self._next_level()
+        return self.ids.get(word)
+
+    def right(self, w, k):
+        """The id of w s_k, for w given by its id."""
+        if self.rmul[k][w] is None:
+            self._count(self.length[w] + 1)
+        return self.rmul[k][w]
+
+    def word_times(self, word, k):
+        """The normal form of w s_k, for w given by its normal form."""
+        return self.words[self.right(self.index(word), k)]
+
+    def cone(self, w):
+        """The bitset of the ids x <= w, for w given by its id."""
+        if self._cones[w] is None:
+            down = self.lmul[self.words[w][0]]
+            cone = below = self.cone(down[w])
+            for x in members(below):
+                cone |= 1 << down[x]
+            self._cones[w] = cone
+        return self._cones[w]
 
     def longest_length(self, safety_bound):
         """l(w0) if every element is shorter than safety_bound, else None.
@@ -164,81 +244,52 @@ class Element:
         return len(self.word)
 
     def __mul__(self, other):
-        if self.system is not other.system and self.system != other.system:
+        system = self.system
+        if system is not other.system and system != other.system:
             raise ValueError("elements of different Coxeter systems")
-        return Element(self.system, self.system.normal_form(self.word + other.word))
+        w = system.index(self.word)
+        for k in other.word:
+            w = system.right(w, k)
+        return system.elements[w]
 
     def inverse(self):
-        return Element(self.system, self.system.normal_form(self.word[::-1]))
+        return self.system.elements[self.system.inv[self.system.index(self.word)]]
 
     def __str__(self):
         return " ".join(str(i + 1) for i in self.word) if self.word else "e"
 
 
 def descents(w: Element):
-    """Right descent set {i : l(w s_i) < l(w)}: the left descents of w^-1."""
-    c = w.system._vector(w.word[::-1])
-    return {i for i, ci in enumerate(c) if ci < 0}
+    """Right descent set {i : l(w s_i) < l(w)}."""
+    mask = w.system.rdesc[w.system.index(w.word)]
+    return {i for i in range(w.system.generator_count) if mask >> i & 1}
 
 
 def bruhat_leq(x: Element, w: Element) -> bool:
-    """Bruhat order via the subword property."""
-    return _bruhat_leq_words(x.system, x.word, w.word)
-
-
-def _bruhat_leq_words(system, xw, ww):
-    key = (xw, ww)
-    memo = system._bruhat
-    if key in memo:
-        return memo[key]
-    if len(xw) > len(ww):
-        val = False
-    elif xw == ww or not xw:
-        val = True
-    else:
-        s = ww[0]  # a left descent of w
-        sw = ww[1:]  # reduced: normal form tails are reduced
-        sx = system.normal_form((s,) + xw)
-        val = _bruhat_leq_words(system, sx if len(sx) < len(xw) else xw, sw)
-    memo[key] = val
-    return val
-
-
-def _lower_cone_words(system, ww):
-    """All elements <= w, as normal-form words (subword enumeration)."""
-    memo = system._cones
-    if ww not in memo:
-        out = {ww}
-        for k in range(len(ww)):
-            sub = ww[:k] + ww[k + 1 :]
-            out.update(_lower_cone_words(system, system.normal_form(sub)))
-        memo[ww] = frozenset(out)
-    return memo[ww]
+    """Bruhat order: one bit of the cone of w."""
+    if len(x.word) >= len(w.word):
+        return x.word == w.word
+    system = w.system
+    return bool(system.cone(system.index(w.word)) >> system.index(x.word) & 1)
 
 
 def lower_cone(w: Element):
-    """All x <= w in Bruhat order."""
-    return sorted(
-        (Element(w.system, word) for word in _lower_cone_words(w.system, w.word)),
-        key=lambda e: (e.length, e.word),
-    )
+    """All x <= w in Bruhat order, in ShortLex order."""
+    system = w.system
+    return [system.elements[x] for x in members(system.cone(system.index(w.word)))]
 
 
 def interval(x: Element, w: Element):
-    """The Bruhat interval [x, w]."""
-    return [y for y in lower_cone(w) if bruhat_leq(x, y)]
+    """The Bruhat interval [x, w], in ShortLex order."""
+    system, cone = w.system, w.system.cone
+    i = system.index(x.word)
+    below = members(cone(system.index(w.word)))
+    return [system.elements[z] for z in below if cone(z) >> i & 1]
 
 
 def elements_up_to(system: CoxeterSystem, length_bound: int):
     """All elements of length <= length_bound, in ShortLex order."""
-    level = {system._rho: ()}
-    words = [()]
-    for _ in range(length_bound):
-        level = system._next_level(level)
-        if not level:
-            break
-        words.extend(sorted(level.values()))
-    return [Element(system, word) for word in words]
+    return system.elements[: system._count(length_bound)]
 
 
 def all_elements(system: CoxeterSystem, safety_bound: int = 64):
@@ -247,29 +298,23 @@ def all_elements(system: CoxeterSystem, safety_bound: int = 64):
     longest = system.longest_length(safety_bound)
     if longest is None:
         raise TruncationError("group did not close; is it infinite?")
-    if system._elements is None:
-        system._elements = tuple(elements_up_to(system, longest))
-    return list(system._elements)
+    return system.elements[: system._count(longest)]
 
 
 def upper_cone(w: Element, length_bound: int):
     """All y >= w with l(y) <= length_bound."""
-    return [
-        y
-        for y in elements_up_to(w.system, length_bound)
-        if bruhat_leq(w, y)
-    ]
+    system, cone = w.system, w.system.cone
+    i = system.index(w.word)
+    return [system.elements[y] for y in range(system._count(length_bound))
+            if cone(y) >> i & 1]
 
 
 def coset_min_reps(system: CoxeterSystem, stab_gens, length_bound: int):
     """Minimal-length representatives of W / <stab_gens> for a standard
     parabolic subgroup, up to the length bound."""
-    stab = set(stab_gens)
-    return [
-        w
-        for w in elements_up_to(system, length_bound)
-        if not (descents(w) & stab)
-    ]
+    mask = sum(1 << k for k in set(stab_gens))
+    return [system.elements[y] for y in range(system._count(length_bound))
+            if not system.rdesc[y] & mask]
 
 
 def is_finite(system: CoxeterSystem, safety_bound: int = 64) -> bool:

@@ -1,12 +1,13 @@
 """Kazhdan-Lusztig polynomials, character formulas and multiplicities.
 
-P_{x,w} is computed by the classical recursion; the inverse polynomials
-Q_{w,y} are defined operationally by unitriangular inversion of the signed
-P-matrix, so that the two character formulas are mutually inverse by
-construction.  The decomposition numbers, the inverse of the character
-matrix, are therefore read off in closed form: [M(y.l):L(w.l)] = P_{y,w}(1)
-for a dominant base weight and Q_{w,y}(1) for an antidominant one.
-Polynomials in q are dense integer coefficient tuples, index = power.
+P_{x,w} comes from the classical recursion run on the Coxeter system's ids:
+s w, s x and s z are table lookups, x <= w is a cone bit, and the sum over z
+reads the mu-list of v = sw, its z with mu(z, v) != 0 (du Cloux, Exp. Math.
+11, 2002).  Q_{w,y} inverts the signed P-matrix over the interval [w, y], so
+the two character formulas are mutually inverse by construction, and the
+decomposition numbers are read off in closed form: [M(y.l):L(w.l)] =
+P_{y,w}(1) for a dominant base weight and Q_{w,y}(1) for an antidominant
+one.  Polynomials in q are dense integer tuples, index = power.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import coxeter
-from .coxeter import Element, bruhat_leq, lower_cone
+from .coxeter import Element, bruhat_leq, lower_cone, members
 from .errors import CriticalityError, UnsupportedError
 
 ONE = (1,)
@@ -76,54 +77,70 @@ def poly_str(a):
 class KLTable:
     """Memoized Kazhdan-Lusztig polynomials over one Coxeter system.
 
-    Two stores: `memo` holds P_{x,w} keyed by (x word, w word), and
-    `q_memo` holds Q_{w,y} keyed by (w word, y word)."""
+    `memo`, the one P store, which the disk cache reads and fills, is keyed
+    by (x word, w word), `q_memo` by ids.  `mu_lists[v]` is (bitset of the z
+    whose mu(z, v) was read, the (z, mu) among them with mu != 0)."""
 
     def __init__(self, system):
         self.system = system
         self.memo = {}
         self.q_memo = {}
+        self.mu_lists = {}
 
     def poly(self, x: Element, w: Element):
         """P_{x,w} as a dense coefficient tuple."""
-        key = (x.word, w.word)
-        if key in self.memo:
-            return self.memo[key]
-        val = self._compute(x, w)
-        self.memo[key] = val
+        val = self.memo.get((x.word, w.word))
+        if val is None:
+            index = self.system.index
+            val = self._p(index(x.word), index(w.word))
+        return val
+
+    def _p(self, x, w):
+        words = self.system.words
+        key = (words[x], words[w])
+        val = self.memo.get(key)
+        if val is None:
+            val = self.memo[key] = self._compute(x, w)
         return val
 
     def _compute(self, x, w):
-        if x.word == w.word:
+        if x == w:
             return ONE
-        if not bruhat_leq(x, w):
+        system = self.system
+        if not system.cone(w) >> x & 1:
             return ZERO
-        s_idx = w.word[0]  # left descent of w
-        s = self.system.generator(s_idx)
-        v = s * w  # length l(w) - 1
-        sx = s * x
-        if sx.length > x.length:
+        s = system.words[w][0]  # left descent of w
+        v, sx = system.lmul[s][w], system.lmul[s][x]  # l(v) = l(w) - 1
+        length = system.length
+        if length[sx] > length[x]:
             # standard reduction: P_{x,w} = P_{sx,w} when sx > x, sw < w
-            return self.poly(sx, w)
-        total = poly_add(self.poly(sx, v), poly_shift(self.poly(x, v), 1))
-        for z in lower_cone(v):
-            if (s * z).length < z.length and bruhat_leq(x, z):
-                mu = self.mu(z, v)
-                if mu:
-                    p = self.poly(x, z)
-                    if p:
-                        k = (w.length - z.length) // 2
-                        total = poly_sub(total, poly_scale(poly_shift(p, k), mu))
+            return self._p(sx, w)
+        total = poly_add(self._p(sx, v), poly_shift(self._p(x, v), 1))
+        for z, mu in self._mu_terms(x, s, v):
+            k = (length[w] - length[z]) // 2
+            total = poly_sub(total, poly_scale(poly_shift(self._p(x, z), k), mu))
         return total
 
-    def mu(self, z: Element, v: Element):
-        """Coefficient of q^((l(v)-l(z)-1)/2) in P_{z,v}."""
-        d = v.length - z.length
-        if d <= 0 or d % 2 == 0:
-            return 0
-        p = self.poly(z, v)
-        k = (d - 1) // 2
-        return p[k] if k < len(p) else 0
+    def _mu_terms(self, x, s, v):
+        """(z, mu) over the z < v with sz < z, x <= z and mu(z, v), the
+        coefficient of q^((l(v)-l(z)-1)/2) in P_{z,v}, nonzero.  The mu-list
+        grows by the z first needed here: `memo` gets the classical pairs."""
+        system = self.system
+        cone, length = system.cone, system.length
+        seen, found = self.mu_lists.get(v) or (0, [])
+        lv = length[v]
+        new = cone(v) & system.descent_set[s] & system.parity[(lv + 1) & 1] & ~seen
+        if new:
+            for z in members(new):
+                if cone(z) >> x & 1:
+                    seen |= 1 << z
+                    p = self._p(z, v)
+                    k = (lv - length[z] - 1) // 2
+                    if k < len(p) and p[k]:
+                        found.append((z, p[k]))
+            self.mu_lists[v] = (seen, found)
+        ldesc = system.ldesc
+        return [(z, mu) for z, mu in found if ldesc[z] >> s & 1 and cone(z) >> x & 1]
 
     def inverse_poly(self, w: Element, y: Element):
         """Q_{w,y}: unitriangular inversion of the signed P-matrix.
@@ -131,33 +148,24 @@ class KLTable:
         Each entry only involves the finite Bruhat interval [w, y], so the
         result is exact.
         """
-        return self._q(w.word, y.word)
+        index = self.system.index
+        return self._q(index(w.word), index(y.word))
 
-    def _q(self, ww, yw):
-        key = (ww, yw)
-        if key in self.q_memo:
-            return self.q_memo[key]
-        w = Element(self.system, ww)
-        y = Element(self.system, yw)
-        if ww == yw:
-            val = ONE
-        elif not bruhat_leq(w, y):
-            val = ZERO
-        else:
-            # sum_{w <= z <= y} (-1)^{l(z)-l(w)} Q_{w,z} P_{z,y} = 0
+    def _q(self, w, y):
+        key = (w, y)
+        if key not in self.q_memo:
+            cone, length = self.system.cone, self.system.length
+            # sum_{w <= z <= y} (-1)^{l(z)-l(w)} Q_{w,z} P_{z,y} = 0, and
+            # no z lies in between when w is not <= y
             acc = ZERO
-            for z in coxeter.interval(w, y):
-                if z.word == yw:
-                    continue
-                sign = -1 if (z.length - w.length) % 2 else 1
-                term = poly_scale(
-                    _poly_mul(self._q(ww, z.word), self.poly(z, y)), sign
-                )
-                acc = poly_add(acc, term)
-            sign = -1 if (y.length - w.length) % 2 else 1
-            val = poly_scale(acc, -sign)
-        self.q_memo[key] = val
-        return val
+            for z in members(cone(y)):
+                if z != y and cone(z) >> w & 1:
+                    sign = -1 if (length[z] - length[w]) % 2 else 1
+                    term = poly_scale(_poly_mul(self._q(w, z), self._p(z, y)), sign)
+                    acc = poly_add(acc, term)
+            sign = -1 if (length[y] - length[w]) % 2 else 1
+            self.q_memo[key] = ONE if w == y else poly_scale(acc, -sign)
+        return self.q_memo[key]
 
 
 def _poly_mul(a, b):
@@ -343,13 +351,14 @@ def verma_hom_dim(block, w: Element, w2: Element) -> int:
 
 
 def _min_coset_rep(w: Element, gens):
-    """The shortest element of the coset w<gens>."""
-    while gens:
-        down = coxeter.descents(w) & gens
-        if not down:
-            break
-        w = w * w.system.generator(min(down))
-    return w
+    """The shortest element of the coset w<gens>: strip the least right
+    descent in gens while there is one."""
+    system = w.system
+    mask = sum(1 << k for k in gens)
+    v = system.index(w.word)
+    while down := system.rdesc[v] & mask:
+        v = system.rmul[(down & -down).bit_length() - 1][v]
+    return system.elements[v]
 
 
 # ---------------------------------------------------------------------------

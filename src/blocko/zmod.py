@@ -384,10 +384,8 @@ def theta_s(M: ZLattice, s: int) -> ZLattice:
     if graph.block.stab_order != 1:
         raise UnsupportedError("translation combinatorics needs a regular block")
 
-    def times_s(w):
-        return system.normal_form(w + (s,))
-
-    closure = sorted(set(M.slots) | {times_s(w) for w in M.slots}, key=_vertex_key)
+    closure = sorted(set(M.slots) | {system.word_times(w, s) for w in M.slots},
+                     key=_vertex_key)
     for w in closure:
         if w not in graph.weights:
             raise TruncationError(
@@ -399,7 +397,7 @@ def theta_s(M: ZLattice, s: int) -> ZLattice:
     new_slots = []
     sources = []  # old slot index feeding each new slot
     for w in closure:
-        for v in (w, times_s(w)):
+        for v in (w, system.word_times(w, s)):
             for j, wv in enumerate(M.slots):
                 if wv == v:
                     new_slots.append(w)
@@ -964,7 +962,7 @@ def invariant_structure_algebra(
     pairs = []  # (w, ws) slot indices, one per coset
     coset = {}
     for w in vertex_words:
-        ws = system.normal_form(w + (s,))
+        ws = system.word_times(w, s)
         if ws not in index:
             raise TruncationError("vertex set is not closed under the wall")
         coset[w] = min(w, ws, key=_vertex_key)
@@ -994,10 +992,10 @@ def singular_reduce(graph: MomentGraphBlock, M: ZLattice, stab_gens):
     stab_order = 2
 
     def rep(w):
-        ws = system.normal_form(w + (s,))
+        ws = system.word_times(w, s)
         return min((w, ws), key=_vertex_key)
 
-    closure = set(M.slots) | {system.normal_form(w + (s,)) for w in M.slots}
+    closure = set(M.slots) | {system.word_times(w, s) for w in M.slots}
     algebra = invariant_structure_algebra(graph, closure, s)
     merged = ZLattice(
         graph, tuple(rep(w) for w in M.slots), M.generators, M.degrees

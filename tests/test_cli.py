@@ -151,6 +151,25 @@ def test_kl_cache_load_keeps_only_possible_entries(cartan_file, tmp_path, monkey
     assert table.memo == {((1,), (1, 0, 2, 1)): (1, 1)}
 
 
+def test_kl_cache_load_numbers_no_further_than_a_word_read(
+    cartan_file, tmp_path, monkeypatch
+):
+    # a long word that is not a normal form must not grow an affine group's
+    # numbering to its length: growth stops at its first non-normal prefix
+    monkeypatch.setenv("BLOCKO_CACHE", str(tmp_path / "cache"))
+    system = cli._integral_coxeter(cli.load_cartan(cartan_file(A1_AFFINE)))
+    path = cli._coxeter_cache_path(system)
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps({
+        "e|1 2": [1],
+        "e|" + " ".join(["1"] * 500): [1],
+    }))
+    table = kl.KLTable(system)
+    cli._load_kl_cache(table)
+    assert table.memo == {((), (0, 1)): (1,)}
+    assert max(system.length) == 2
+
+
 def test_kl_cache_warm_run_writes_nothing(cartan_file, capsys, tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("BLOCKO_CACHE", str(cache))

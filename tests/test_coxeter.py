@@ -1,5 +1,7 @@
 """Coxeter systems: normal forms, Bruhat order, cones and finiteness."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -193,3 +195,65 @@ def test_coset_min_reps(a2):
     reps = coxeter.coset_min_reps(a2, (0,), 3)
     words = {x.word for x in reps}
     assert words == {(), (1,), (0, 1)}
+
+
+TABLE_BOUNDS = {"A3": None, "B3": None, "G2": None, "A1~": 8, "A2~": 5}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_BOUNDS))
+def test_tables_match_matrix_reference(name):
+    """Words, lengths, products, inverses and descent masks of the id tables
+    against integer matrix products, and every cone against the subword
+    property: x <= w iff x is the product of a subword of a reduced word
+    of w."""
+    system = CoxeterSystem(REFERENCE_SYSTEMS[name].matrix)
+    bound = TABLE_BOUNDS[name]
+    elems = (coxeter.all_elements(system) if bound is None
+             else coxeter.elements_up_to(system, bound))
+    count = len(elems)
+    assert system.words[:count] == sorted(system.words[:count], key=lambda u: (len(u), u))
+    normal = {}
+
+    def nf(word):
+        if word not in normal:
+            normal[word] = matrix_coxeter.normal_form(system, word)
+        return normal[word]
+
+    def mask(indices):
+        return sum(1 << k for k in indices)
+
+    n = system.generator_count
+    for i, x in enumerate(elems):
+        word = x.word
+        assert system.ids[word] == i and nf(word) == word
+        assert system.length[i] == len(word)
+        assert system.inv[i] == system.ids[nf(word[::-1])]
+        assert system.rdesc[i] == mask(matrix_coxeter.right_descents(system, word))
+        assert system.ldesc[i] == mask(matrix_coxeter.right_descents(system, word[::-1]))
+        for k in range(n):
+            for table, product in ((system.lmul, (k,) + word), (system.rmul, word + (k,))):
+                if table[k][i] is not None:
+                    assert system.words[table[k][i]] == nf(product)
+                else:  # only an upward product of the longest numbered length
+                    assert len(nf(product)) == len(word) + 1 == system.length[-1] + 1
+        below = set()
+        for picks in itertools.product((0, 1), repeat=len(word)):
+            below.add(system.ids[nf(tuple(a for a, p in zip(word, picks) if p))])
+        assert coxeter.members(system.cone(i)) == sorted(below)
+
+
+@pytest.mark.parametrize("name", ["A1~", "A2~"])
+def test_growing_keeps_the_ids_of_shorter_elements(name):
+    matrix = REFERENCE_SYSTEMS[name].matrix
+    stepwise, at_once = CoxeterSystem(matrix), CoxeterSystem(matrix)
+    seen = []
+    for length in range(7):
+        words = [x.word for x in coxeter.elements_up_to(stepwise, length)]
+        assert words[: len(seen)] == seen
+        assert all(stepwise.ids[u] == i for i, u in enumerate(words))
+        seen = words
+    assert [x.word for x in coxeter.elements_up_to(at_once, 6)] == seen
+    # a lookup grows the numbering only up to the word's length
+    fresh = CoxeterSystem(matrix)
+    assert fresh.index(seen[-1]) == len(seen) - 1
+    assert len(fresh.words) == len(seen)

@@ -1,5 +1,7 @@
 """Kazhdan-Lusztig polynomials, character formulas, multiplicities."""
 
+import random
+
 import pytest
 
 from blocko import blocks, coxeter, kl
@@ -10,6 +12,7 @@ from blocko.kl import KLTable, ONE, ZERO, poly_eval_one, poly_str
 from conftest import A1_AFFINE, A2, A3, B3, G2, weight
 from blocko import rootdata
 from unitriangular_decomposition import UnitriangularInverse
+from word_kl import WordKL
 
 S4_COX = ((1, 3, 2), (3, 1, 3), (2, 3, 1))
 A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
@@ -291,3 +294,70 @@ def test_trivial_module_has_total_dimension_one():
     char = kl.simple_character(block, block.coxeter_system.element(()))
     dims = kl.character_weight_dimensions(block, char, 8)
     assert dims == {(0,): 1}
+
+
+WORD_ROUTE_SYSTEMS = {
+    "A3": (S4_COX, None),
+    "B3": (((1, 3, 2), (3, 1, 4), (2, 4, 1)), None),
+    "G2": (((1, 6), (6, 1)), None),
+    "A4": (((1, 3, 2, 2), (3, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1)), None),
+    "A1~": (((1, INFINITY), (INFINITY, 1)), 8),
+    "A2~": (((1, 3, 3), (3, 1, 3), (3, 3, 1)), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_ROUTE_SYSTEMS))
+def test_id_core_matches_the_word_route(name):
+    """Every P and every Q of the id-indexed recursion equals the word-keyed
+    recursion's, and both store the same P pairs."""
+    matrix, bound = WORD_ROUTE_SYSTEMS[name]
+    system = CoxeterSystem(matrix)
+    if bound is None:
+        elems = coxeter.all_elements(system)
+    else:
+        elems = coxeter.elements_up_to(system, bound)
+    table, ref = KLTable(system), WordKL(system)
+    for w in elems:
+        for x in elems:
+            assert table.poly(x, w) == ref.poly(x.word, w.word), (x, w)
+    for w in elems:
+        for y in elems:
+            assert table.inverse_poly(w, y) == ref.inverse_poly(w.word, y.word), (w, y)
+    assert table.memo.keys() == ref.memo.keys()
+
+
+@pytest.mark.parametrize("name", ["B3", "A4", "A2~"])
+def test_single_queries_store_the_pairs_of_the_word_route(name):
+    """A lone query with x != e leaves the mu-lists partly read; the P store
+    (and so the disk cache) still gets exactly the word route's pairs."""
+    matrix, bound = WORD_ROUTE_SYSTEMS[name]
+    system = CoxeterSystem(matrix)
+    elems = coxeter.elements_up_to(system, bound or 64)
+    rng = random.Random(7)
+    table, ref = KLTable(system), WordKL(system)
+    for _ in range(12):
+        x, w = rng.choice(elems), rng.choice(elems)
+        assert table.poly(x, w) == ref.poly(x.word, w.word)
+        assert table.inverse_poly(x, w) == ref.inverse_poly(x.word, w.word)
+        assert table.memo.keys() == ref.memo.keys()
+
+
+def test_p_table_makes_no_normal_form_call(monkeypatch):
+    """The recursion runs on the tables: once the elements are numbered,
+    the whole B3 P-table needs no word normal form."""
+    system = CoxeterSystem(((1, 3, 2), (3, 1, 4), (2, 4, 1)))
+    elems = coxeter.all_elements(system)
+    calls = []
+    original = CoxeterSystem.normal_form
+
+    def counted(self, word):
+        calls.append(word)
+        return original(self, word)
+
+    monkeypatch.setattr(CoxeterSystem, "normal_form", counted)
+    table = KLTable(system)
+    for w in elems:
+        for x in elems:
+            table.poly(x, w)
+    assert len(table.memo) >= len(elems) ** 2
+    assert len(calls) == 0
