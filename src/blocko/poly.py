@@ -8,7 +8,6 @@ bookkeeping, restriction to the zero set of a linear form, and evaluation.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 from .linalg import frac
@@ -150,7 +149,6 @@ class Poly:
     __repr__ = __str__
 
 
-@lru_cache(maxsize=None)
 def monomials_of_degree(nvars, d):
     """All exponent tuples of total degree d, in a fixed order."""
     if nvars == 0:

@@ -20,7 +20,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from itertools import islice
+from math import lcm, prod
 from operator import add, mul
 
 from .blocks import BlockData, dot_reflect
@@ -35,7 +36,7 @@ from .linalg import (
     rank,
     solve_many,
 )
-from .poly import Poly, coeffs_to_poly, monomials_of_degree
+from .poly import Poly, monomials_of_degree
 from .rootdata import Weight, form
 
 # endomorphisms `decompose` tries for a splitting idempotent
@@ -168,10 +169,10 @@ def _vector(graph, tup, d):
 
 def _poly_tuple(graph, vec, den, d):
     """The slot tuple of Poly with slot-major coefficients vec / den."""
-    w, coeffs = _width(graph, d), [Fraction(x, den) for x in vec]
+    monos, coeffs = _monomials(graph, d)[0], [Fraction(x, den) for x in vec]
     return tuple(
-        coeffs_to_poly(graph.nvars, d, coeffs[s : s + w])
-        for s in range(0, len(vec), w)
+        Poly(graph.nvars, dict(zip(monos, coeffs[s : s + len(monos)])))
+        for s in range(0, len(vec), len(monos))
     )
 
 
@@ -389,7 +390,9 @@ def theta_s(M: ZLattice, s: int) -> ZLattice:
     for w in closure:
         if w not in graph.weights:
             raise TruncationError(
-                "orbit truncation is not closed under the wall reflection"
+                "orbit truncation is not closed under the wall reflection: "
+                f"vertex {' '.join(str(i + 1) for i in w)} of length {len(w)} "
+                f"lies outside length bound {graph.block.length_bound}"
             )
 
     # new slots: per vertex w, one per old slot at w, then one per old
@@ -543,8 +546,8 @@ def hom_graded(M: ZLattice, N: ZLattice, d: int, algebra: ZLattice = None):
     for v in kernel_incremental(rows(), total):
         U = [[Poly.zero(graph.nvars) for _ in range(nm)] for _ in range(nn)]
         for (l, j), (base, dd) in offsets.items():
-            coeffs = v[base : base + _width(graph, dd)]
-            U[l][j] = coeffs_to_poly(graph.nvars, dd, coeffs)
+            monos = _monomials(graph, dd)[0]
+            U[l][j] = Poly(graph.nvars, dict(zip(monos, v[base : base + len(monos)])))
         out.append(U)
     return out
 
@@ -585,10 +588,6 @@ def scalar_hom(M: ZLattice, p: Poly):
     return [[p if i == j else Poly.zero(p.nvars) for j in range(n)] for i in range(n)]
 
 
-def _hom_add(a, b, scale_b=1):
-    return [[x + y.scale(scale_b) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def homs_equal(a, b):
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
@@ -597,35 +596,34 @@ def homs_equal(a, b):
 # action on the top graded piece of the lattice
 
 
-def _rep_matrices(M: ZLattice, endos):
-    """Matrices of the degree-0 endomorphisms on the top graded piece, in a
-    basis of multiples m * g_i.  U maps m * g_i to the sum over l of
-    (m U[l][i]) g_l, whose terms are multiples of the g_l, so one solve of
-    the basis against every multiple gives all the matrices."""
-    graph, gens = M.graph, _gen_vectors(M)
+def _top_index(M: ZLattice):
+    """The top degree D of M's generators and {(i, p): position} of the
+    multiples m_p * g_i of degree D, in the order `_multiples` yields them."""
+    gens = _gen_vectors(M)
     D = max(dg for _, _, dg in gens)
-    multiples = list(_multiples(graph, gens, D))
-    span = Echelon()
-    basis = [(i, p, v) for i, p, v in multiples if span.add(v)]
-    rows = list(zip(*(v for _, _, v in basis)))
-    solved = solve_many(rows, [v for _, _, v in multiples])
-    # the vectors are scaled by their generators' denominators
-    coords = {
-        (l, q): [c * gens[j][1] / gens[l][1] for c, (j, _, _) in zip(x, basis)]
-        for (l, q, _), x in zip(multiples, solved)
-    }
+    pairs = [(i, p) for i, (_, _, dg) in enumerate(gens)
+             for p in range(_width(M.graph, D - dg))]
+    return D, {ip: k for k, ip in enumerate(pairs)}
+
+
+def _rep_matrices(M: ZLattice, endos):
+    """Matrices of the degree-0 endomorphisms on the top graded piece, in
+    the basis of multiples m_p * g_i ordered by `_top_index`.  Every lattice
+    is certified free on its generators when it is built, so these multiples
+    are a basis, and a term t of U[l][i] sends m_p * g_i to t * m_p * g_l."""
+    graph, gens = M.graph, _gen_vectors(M)
+    D, index = _top_index(M)
     reps = []
     for U in endos:
-        cols = []
-        for i, p, _ in basis:
-            col = [Fraction(0)] * len(basis)
+        rep = [[Fraction(0)] * len(index) for _ in index]
+        for (i, p), col in index.items():
             for l, (_, _, dl) in enumerate(gens):
                 e = gens[i][2] - dl
                 for mono, c in U[l][i].terms.items():
-                    q = _shifts(graph, e, D - e - dl)[_monomials(graph, e)[1][mono]][p]
-                    col = [a + c * b for a, b in zip(col, coords[l, q])]
-            cols.append(col)
-        reps.append([list(r) for r in zip(*cols)])
+                    m = _monomials(graph, e)[1][mono]
+                    q = _shifts(graph, e, D - gens[i][2])[m][p]
+                    rep[index[l, q]][col] = c
+        reps.append(rep)
     return reps
 
 
@@ -636,45 +634,6 @@ def _radical_dim(rep_basis):
     flat = [_integral([x for row in a for x in row])[0] for a in rep_basis]
     flat_t = [_integral([x for col in zip(*a) for x in col])[0] for a in rep_basis]
     return len(rep_basis) - rank([[sum(map(mul, a, b)) for b in flat_t] for a in flat])
-
-
-# idempotents from the characteristic polynomial: univariate polynomials
-# are dense Fraction coefficient lists, lowest degree first
-
-
-def _trim(p):
-    while p and not p[-1]:
-        p = p[:-1]
-    return p
-
-
-def _upoly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def _upoly_sub(p, q):
-    out = list(p) + [Fraction(0)] * (len(q) - len(p))
-    for i, b in enumerate(q):
-        out[i] -= b
-    return _trim(out)
-
-
-def _upoly_divmod(p, d):
-    """(quotient, remainder) of p by the nonzero polynomial d."""
-    r = list(p)
-    q = [Fraction(0)] * max(len(p) - len(d) + 1, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = r[k + len(d) - 1] / d[-1]
-        q[k] = c
-        if c:
-            for i, b in enumerate(d):
-                r[k + i] -= c * b
-    return q, _trim(r[: len(d) - 1])
 
 
 def _iroot_ceil(c, k):
@@ -738,57 +697,54 @@ def _charpoly_factors(mat):
 
 
 def _splitting_poly(mat):
-    """Coefficients of the polynomial e with e(mat) the projection onto the
-    generalized eigenspace of the first rational root lam (multiplicity m)
-    of the characteristic polynomial p along the others: e = 1 mod
-    (x - lam)^m, e = 0 mod p/(x - lam)^m, deg e < deg p.  None when p has
-    no rational root or no other root."""
+    """The idempotent matrix projecting onto the generalized eigenspace of
+    the first rational root lam (multiplicity m) of the characteristic
+    polynomial along the others: onto the kernel of (mat - lam)^k along its
+    image, for the first k whose kernel has dimension m, as (mat - lam)^m
+    has.  None when the characteristic polynomial has no rational root or
+    no other root."""
     cp, roots = _charpoly_factors(mat)
     if not roots or roots[0][1] == len(cp) - 1:
         return None
     lam, mult = roots[0]
-    g = [Fraction(1)]
-    for _ in range(mult):
-        g = _upoly_mul(g, [-lam, Fraction(1)])
-    h, _ = _upoly_divmod(cp, g)
-    # extended Euclid: v h = 1 mod g, since h(lam) != 0
-    r0, r1 = g, _upoly_divmod(h, g)[1]
-    s0, s1 = [], [Fraction(1)]
-    while r1:
-        q, r = _upoly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _upoly_sub(s0, _upoly_mul(q, s1))
-    v = [c / r0[0] for c in s0]
-    return _trim(_upoly_mul(v, h))
+    shifted = [[x - lam if i == j else x for j, x in enumerate(r)]
+               for i, r in enumerate(mat)]
+    power, kernel = shifted, kernel_basis(shifted, len(mat))
+    while len(kernel) < mult:
+        power = mat_mul(power, shifted)
+        kernel = kernel_basis(power, len(mat))
+    # columns: a kernel basis (m vectors), then an image basis
+    columns = kernel + Echelon(zip(*power)).rows
+    basis = [list(r) for r in zip(*columns)]
+    return mat_mul([r[:mult] for r in basis], invert(basis)[:mult])
 
 
-def _poly_of_hom(coeffs, U, M):
-    nv = M.graph.nvars
-    n = len(U)
-    out = [[Poly.zero(nv) for _ in range(n)] for _ in range(n)]
-    power = identity_hom(M)
-    for c in coeffs:
-        if c:
-            out = _hom_add(out, [[p.scale(c) for p in row] for row in power])
-        power = compose(power, U, nv)
-    return out
-
-
-def _slot_idempotent(M: ZLattice, U):
-    """The vertex-block slot matrix of U at a generic point."""
-    nv = M.graph.nvars
-    point = _generic_point(nv)
-    gm = [[p.evaluate(point) for p in g] for g in M.generators]
-    gt = [[gm[j][i] for j in range(len(gm))] for i in range(M.rank)]
-    up = [[p.evaluate(point) for p in row] for row in U]
-    return mat_mul(mat_mul(gt, up), invert(gt))
-
-
-def _project_summand(M: ZLattice, U):
-    """The image lattice of the idempotent U, re-coordinatized onto a
-    vertex-labeled slot subset of the right generic rank."""
-    images = apply_hom(U, M, M)
-    a = _slot_idempotent(M, U)
+def _project_summand(M: ZLattice, E):
+    """The image lattice of the idempotent e with matrix E on the top graded
+    piece, re-coordinatized onto a vertex-labeled slot subset of the right
+    generic rank.  e maps m_0 * g_i to m_0 * e(g_i), so for m_0 the first
+    monomial of degree D - deg g_i the coefficient of t * g_l in e(g_i) is
+    E[(l, t * m_0), (i, m_0)]."""
+    graph, gens = M.graph, _gen_vectors(M)
+    D, index = _top_index(M)
+    point = _generic_point(graph.nvars)
+    up = [[Fraction(0)] * len(gens) for _ in gens]  # e at the generic point
+    images = []
+    for i, (_, _, di) in enumerate(gens):
+        img = [Fraction(0)] * (M.rank * _width(graph, di))
+        for l, t, vec in _multiples(graph, gens, di):
+            dt = di - gens[l][2]
+            c = E[index[l, _shifts(graph, dt, D - di)[t][0]]][index[i, 0]]
+            if c:
+                up[l][i] += c * prod(map(pow, point, _monomials(graph, dt)[0][t]))
+                c /= gens[l][1]
+                for k, x in enumerate(vec):
+                    if x:
+                        img[k] += c * x
+        images.append(img)
+    # the vertex-block slot matrix of e at the generic point
+    gt = list(zip(*([p.evaluate(point) for p in g] for g in M.generators)))
+    a = mat_mul(mat_mul(gt, up), invert(gt))
     by_vertex = {}
     for i, w in enumerate(M.slots):
         by_vertex.setdefault(w, []).append(i)
@@ -802,39 +758,35 @@ def _project_summand(M: ZLattice, U):
             r for r in idx if span.add([a[r][c] for c in idx])
         )
     candidates = []
-    for img, gd in zip(images, M.degrees):
-        cut = tuple(img[s] for s in chosen_slots)
-        if all(p.is_zero() for p in cut):
-            continue
-        candidates.append(_vector(M.graph, cut, gd // 2) + (gd // 2,))
+    for img, (_, _, d) in zip(images, gens):
+        w = _width(graph, d)
+        cut = [x for s in chosen_slots for x in img[s * w : (s + 1) * w]]
+        if any(cut):
+            candidates.append(_integral(cut) + (d,))
     slots = [M.slots[s] for s in chosen_slots]
     n = len(slots)
-    chosen = minimal_generators(M.graph, candidates)
-    return _certified_lattice(M.graph, slots, chosen, n, f"summand on {n} slots")
+    chosen = minimal_generators(graph, candidates)
+    return _certified_lattice(graph, slots, chosen, n, f"summand on {n} slots")
 
 
-def _trial_endos(M: ZLattice, basis, reps):
-    """Endomorphisms with their matrices to try for a splitting idempotent:
-    the basis, then for each basis element its products with every trial
+def _trial_endos(reps):
+    """Matrices of the endomorphisms to try for a splitting idempotent: the
+    basis, then for each basis element its products with every trial
     listed before that element's turn, then random combinations."""
-    nv = M.graph.nvars
-    trials = list(zip(basis, reps))
+    trials = list(reps)
     yield from trials
-    for ua, ra in zip(basis, reps):
+    for ra in reps:
         for j in range(len(trials)):
-            ub, rb = trials[j]
-            trials.append((compose(ua, ub, nv), mat_mul(ra, rb)))
+            trials.append(mat_mul(ra, trials[j]))
             yield trials[-1]
     rng = random.Random(20230823)
     n = len(reps[0])
     while True:
-        cs = [Fraction(rng.randint(-9, 9)) for _ in basis]
-        u = [[Poly.zero(nv)] * len(basis[0]) for _ in range(len(basis[0]))]
+        cs = [Fraction(rng.randint(-9, 9)) for _ in reps]
         r = [[Fraction(0)] * n for _ in range(n)]
-        for c, ub, rb in zip(cs, basis, reps):
-            u = _hom_add(u, ub, c)
+        for c, rb in zip(cs, reps):
             r = [[x + c * y for x, y in zip(rr, rbr)] for rr, rbr in zip(r, rb)]
-        yield u, r
+        yield r
 
 
 def decompose(M: ZLattice, algebra: ZLattice = None):
@@ -849,14 +801,13 @@ def decompose(M: ZLattice, algebra: ZLattice = None):
     reps = _rep_matrices(M, basis)
     if len(basis) - _radical_dim(reps) == 1:
         return [M]
-    # e(r) projects onto the generalized eigenspace of a root whose
-    # multiplicity is below dim r, so it is neither 0 nor 1: the first trial
-    # whose charpoly splits gives a nontrivial idempotent
+    # the projection onto the generalized eigenspace of a root whose
+    # multiplicity is below dim r is neither 0 nor 1: the first trial whose
+    # charpoly splits gives a nontrivial idempotent
     split = None
-    for _, (u, r) in zip(range(_SPLIT_TRIALS), _trial_endos(M, basis, reps)):
-        coeffs = _splitting_poly(r)
-        if coeffs is not None:
-            split = _poly_of_hom(coeffs, u, M)
+    for r in islice(_trial_endos(reps), _SPLIT_TRIALS):
+        split = _splitting_poly(r)
+        if split is not None:
             break
     if split is None:
         raise TruncationError(
@@ -864,7 +815,7 @@ def decompose(M: ZLattice, algebra: ZLattice = None):
             f"was found in {_SPLIT_TRIALS} trial endomorphisms: no trial's "
             "characteristic polynomial has a rational root splitting it"
         )
-    comp = _hom_add(identity_hom(M), split, -1)
+    comp = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(split)]
     out = []
     for idem in (split, comp):
         out.extend(decompose(_project_summand(M, idem), algebra))

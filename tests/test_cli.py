@@ -264,6 +264,20 @@ def test_bs_command(cartan_file, capsys):
     assert len(report["projective"]["graded_character"]) == 6
 
 
+def test_bs_names_the_length_bound_it_outgrows(cartan_file, capsys):
+    path = cartan_file(A2)
+    code, out = run(
+        capsys,
+        ["bs", "--cartan", path, "--weight", "0,0", "--word", "1 2 1",
+         "--length-bound", "2"],
+    )
+    assert code == 2
+    assert json.loads(out)["error"] == (
+        "orbit truncation is not closed under the wall reflection: "
+        "vertex 1 2 1 of length 3 lies outside length bound 2"
+    )
+
+
 def test_bs_builds_one_bott_samelson_lattice(cartan_file, capsys, monkeypatch):
     # for a reduced word, P(w) is read off the decomposition already printed
     calls = []

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import poly_graded
-from blocko import blocks, linalg, poly, rootdata, zmod
+from blocko import blocks, kl, linalg, poly, rootdata, zmod
 from blocko.errors import TruncationError, UnsupportedError
 from blocko.poly import Poly, divisible_by_linear
 from blocko.zmod import (
@@ -273,8 +273,6 @@ def test_decompose_direct_sum_of_vermas(a2_graph):
 
 
 def test_identify_projective_matches_multiplicities(a2_graph):
-    from blocko import kl
-
     block = a2_graph.block
     for v in block.orbit:
         p = identify_projective(a2_graph, v.word)
@@ -304,6 +302,53 @@ def test_projective_is_the_one_summand_new_in_its_length(matrix):
         ]
         found[w] = zmod.projective_summand(summands, w)
         assert len(new) == 1 and new[0] is found[w]
+
+
+@pytest.mark.parametrize(
+    "matrix, max_length", [(A2, 3), (B2, 4), (G2, 3)], ids=["A2", "B2", "G2"]
+)
+def test_decompose_matches_the_kl_peel_of_the_bott_samelson_character(
+    matrix, max_length
+):
+    """Every summand of BS(w) is a shifted P(y), whose graded character is
+    2 l(x) + 4 i + k at x for each q^i in P_{x,y}; and the (y, k) are the
+    ones that peel BS(w)'s graded character top-down by these KL columns."""
+    graph = _graph(matrix, 0, 0)
+    system = graph.block.coxeter_system
+    table = kl.KLTable(system)
+
+    def shifted_projective(y, k):
+        char = {}
+        for x in graph.vertices:
+            p = table.poly(system.element(x), system.element(y))
+            degrees = [
+                2 * len(x) + 4 * i + k for i, c in enumerate(p) for _ in range(c)
+            ]
+            if degrees:
+                char[x] = degrees
+        return char
+
+    for w in graph.vertices:
+        if len(w) > max_length:
+            continue
+        M = bott_samelson(graph, w)
+        got = []
+        for S in decompose(M):
+            char = graded_char(S)
+            top = max(len(x) for x in char)
+            (y,) = [x for x in char if len(x) == top]
+            got.append((y, char[y][0] - 2 * len(y)))
+            assert char == shifted_projective(*got[-1])
+        rest = graded_char(M)
+        peeled = []
+        for y in reversed(graph.vertices):
+            for degree in list(rest.get(y, ())):
+                peeled.append((y, degree - 2 * len(y)))
+                for x, degrees in shifted_projective(*peeled[-1]).items():
+                    for d in degrees:
+                        rest[x].remove(d)
+        assert not any(rest.values())
+        assert sorted(got) == sorted(peeled)
 
 
 def test_isomorphic_up_to_shift(a2_graph):
@@ -371,8 +416,10 @@ def test_splitting_poly_is_the_crt_idempotent():
     cp, roots = zmod._charpoly_factors(mat)
     assert cp == [0, 0, -2, -1, 1]
     assert roots == [(2, 1), (-1, 1), (0, 2)]
-    # e(2) = 1, e(-1) = e(0) = e'(0) = 0: e = (x^3 + x^2) / 12
-    assert zmod._splitting_poly(mat) == [0, 0, Fraction(1, 12), Fraction(1, 12)]
+    # the projection onto the eigenspace of 2 along the others
+    assert zmod._splitting_poly(mat) == [
+        [int(i == j == 3) for j in range(4)] for i in range(4)
+    ]
 
 
 def test_decompose_names_its_trial_bound(a2_graph, monkeypatch):
@@ -530,9 +577,10 @@ def test_integer_graded_pieces_match_the_poly_route(case):
 
 
 def test_structure_algebra_and_hom_form_no_poly_products(monkeypatch):
-    """Z and the degree-0 Homs of a Bott-Samelson lattice are computed on
-    integer graded pieces: no Poly product, no coefficient vector read back
-    from a Poly, no restriction through Poly.substitute."""
+    """Z, the degree-0 Homs and the decomposition of a Bott-Samelson lattice
+    are computed on integer graded pieces: no Poly product, no coefficient
+    vector read back from a Poly or turned into one by coeffs_to_poly, no
+    restriction through Poly.substitute."""
     graph = _graph(B2, 0, 0)
     M = bott_samelson(graph, (0, 1, 0))
     calls = {}
@@ -546,10 +594,11 @@ def test_structure_algebra_and_hom_form_no_poly_products(monkeypatch):
 
     monkeypatch.setattr(Poly, "__mul__", counting("Poly.__mul__", Poly.__mul__))
     monkeypatch.setattr(Poly, "__rmul__", counting("Poly.__mul__", Poly.__rmul__))
-    for name in ("poly_to_coeffs", "restrict_to_hyperplane"):
+    for name in ("poly_to_coeffs", "coeffs_to_poly", "restrict_to_hyperplane"):
         wrapped = counting(name, getattr(poly, name))
         monkeypatch.setattr(poly, name, wrapped)
         monkeypatch.setattr(zmod, name, wrapped, raising=False)
     structure_algebra(graph)
     assert hom_graded(M, M, 0)
+    assert len(decompose(M)) == 2
     assert calls == {}
