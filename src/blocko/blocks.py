@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from . import coxeter
-from .coxeter import INFINITY, CoxeterSystem
+from .coxeter import INFINITY, CoxeterSystem, word_str
 from .errors import CriticalityError, TruncationError, UnsupportedError
 from .rootdata import (
     CartanDatum,
@@ -43,9 +43,6 @@ class OrbitVertex:
     @property
     def length(self):
         return len(self.word)
-
-    def word_str(self):
-        return " ".join(str(i + 1) for i in self.word) if self.word else "e"
 
 
 @dataclass
@@ -153,49 +150,31 @@ def dot_action(block: BlockData, word, weight: Weight) -> Weight:
 
 
 def _stabilizer(cartan, weight, positive):
-    """Reflections fixing the weight under the dot action, with a
-    finiteness certificate (positive definiteness of their root Gram)."""
+    """Reflections fixing the weight under the dot action, whether the
+    group they generate is finite, and its order if it is."""
     shifted = weight + rho(cartan)
     fixed = [b for b in positive if form(shifted, b) == 0]
-    if not fixed:
-        return [], True, 1
-    simples = _integral_simples(fixed)
-    gram = [[form(a, b) for b in simples] for a in simples]
-    from .linalg import congruence_inertia
-
-    pos, zero, neg = congruence_inertia(gram)
-    finite = zero == 0 and neg == 0
-    order = None
-    if finite:
-        sub = CoxeterSystem(_coxeter_matrix(simples))
-        order = len(coxeter.all_elements(sub))
-    return fixed, finite, order
+    sub = CoxeterSystem(_coxeter_matrix(_integral_simples(fixed)))
+    if not coxeter.is_finite(sub):
+        return fixed, False, None
+    return fixed, True, len(coxeter.all_elements(sub))
 
 
 def _orbit(block: BlockData):
-    """BFS over S(Lambda) modulo Stab, keeping shortlex-minimal words."""
-    n = len(block.integral_simples)
-    start = OrbitVertex((), block.base_weight)
-    seen = {block.base_weight: start}
-    level = [start]
-    for _ in range(block.length_bound):
-        candidates = {}
-        for v in level:
-            for i in range(n):
-                w = dot_reflect(block.integral_simples[i], v.weight)
-                if w in seen:
-                    continue
-                word = (i,) + v.word
-                if w not in candidates or word < candidates[w]:
-                    candidates[w] = word
-        level = []
-        for w, word in sorted(candidates.items(), key=lambda kv: kv[1]):
-            vert = OrbitVertex(word, w)
-            seen[w] = vert
-            level.append(vert)
-        if not level:
-            break
-    return sorted(seen.values(), key=lambda v: (v.length, v.word))
+    """The dot orbit up to the length bound, one vertex per weight.  In id
+    order, w.lambda = s_i.((s_i w).lambda) for the first letter i of w, and
+    the first w to reach a weight is its shortlex-minimal coset word."""
+    system, simples = block.coxeter_system, block.integral_simples
+    weights, vertices = [], {}  # id -> w.lambda; weight -> its vertex
+    for w in coxeter.elements_up_to(system, block.length_bound):
+        if w.word:
+            i = w.word[0]
+            weight = dot_reflect(simples[i], weights[system.lmul[i][w.id]])
+        else:
+            weight = block.base_weight
+        weights.append(weight)
+        vertices.setdefault(weight, OrbitVertex(w.word, weight))
+    return list(vertices.values())
 
 
 def _classify_level(cartan, weight):
@@ -256,10 +235,6 @@ def block_data(
     return block
 
 
-def integral_simples(block: BlockData):
-    return list(block.integral_simples)
-
-
 def is_critical(block: BlockData) -> bool:
     """Does the class meet a critical hyperplane?  Finite type: never.
     Affine: iff (lambda+rho, delta) = 0."""
@@ -272,24 +247,6 @@ def is_critical(block: BlockData) -> bool:
         "criticality undecidable for indefinite type (imaginary root "
         "combinatorics out of scope)"
     )
-
-
-def stabilizer(block: BlockData):
-    """Generator description of Stab(lambda) plus a finiteness flag."""
-    return {
-        "reflection_roots": [list(b.simple_coords) for b in block.stab_reflections],
-        "simple_indices": list(block.stab_simple_indices),
-        "finite": block.stab_finite,
-        "order": block.stab_order,
-    }
-
-
-def orbit(block: BlockData):
-    return list(block.orbit)
-
-
-def classify_level(block: BlockData) -> str:
-    return block.level_class
 
 
 def tilt(block: BlockData) -> BlockData:
@@ -368,7 +325,7 @@ def block_to_json(block: BlockData):
         "has_dominant": block.has_dominant,
         "has_antidominant": block.has_antidominant,
         "orbit": [
-            {"word": v.word_str(), "weight": weight_to_json(v.weight)}
+            {"word": word_str(v.word), "weight": weight_to_json(v.weight)}
             for v in block.orbit
         ],
     }

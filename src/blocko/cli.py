@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import blocks, kl, rootdata, zmod
-from .coxeter import INFINITY, CoxeterSystem
+from .coxeter import INFINITY, CoxeterSystem, word_str
 from .errors import BlockoError, CartanError, CriticalityError
 
 
@@ -74,10 +74,6 @@ def parse_word(text) -> tuple:
     if any(i < 0 for i in letters):
         raise UsageError("word letters are 1-based")
     return letters
-
-
-def word_str(word) -> str:
-    return " ".join(str(i + 1) for i in word) if word else "e"
 
 
 def _positive(args, name):

@@ -14,19 +14,25 @@ injective on W, finite or affine.
 
 Elements are numbered in ShortLex order (by length, then by normal form, the
 lexicographically least reduced word), one length at a time from the orbit
-vectors: a finite group up to w0, an affine group only as far as the longest
-element asked for, and growing never changes an id.  Per id the system keeps
-the word, length, left and right descent bitmasks, left and right products
-with each generator, and inverse.  A Bruhat cone [e, w] is a bitset, a Python
-int with bit x set when x <= w, built on first use from [e, w] = [e, sw] u
-s[e, sw] for a left descent s; it lists its elements in ShortLex order.
+vectors: a finite group up to w0, an infinite one only as far as the longest
+element asked for, and growing never changes an id.  The group is finite
+exactly when the Cartan-style matrix is of finite type: symmetrizable, with
+a positive definite symmetrization (Kac, Ch. 4), so finiteness needs no
+walk.  Per id the
+system keeps the word, length, left and right descent bitmasks, left and
+right products with each generator, inverse, and the one `Element`, which
+carries its id.  A Bruhat cone [e, w] is a bitset, a Python int with bit x
+set when x <= w, built on first use from [e, w] = [e, sw] u s[e, sw] for a
+left descent s; it lists its elements in ShortLex order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
-from .errors import TruncationError, UnsupportedError
+from .errors import CartanError, TruncationError, UnsupportedError
+from .rootdata import FINITE, cartan_datum
 
 INFINITY = None  # Coxeter matrix entry for infinite order
 
@@ -39,13 +45,31 @@ def members(mask):
     return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
 
 
+def word_str(word):
+    """A word's 1-based letters joined by spaces, "e" for the empty word."""
+    return " ".join(str(i + 1) for i in word) if word else "e"
+
+
+def _finite_type(cartan):
+    """Is the Coxeter group of this Cartan-style matrix finite?  A matrix
+    with no symmetrizer has a cycle in its diagram, which no finite group
+    has."""
+    if not cartan:
+        return True
+    try:
+        return cartan_datum(cartan).kind == FINITE
+    except CartanError:
+        return False
+
+
 class CoxeterSystem:
     """A Coxeter system with its integral reflection representation, its
     ShortLex numbering and the tables over it.
 
-    Per id i of w: `words[i]` (`ids` maps it back), `elements[i]`,
-    `length[i]`, the descent bitmasks `ldesc[i]` and `rdesc[i]`, the ids
-    `lmul[k][i]` of s_k w, `rmul[k][i]` of w s_k and `inv[i]` of w^-1.
+    `finite` says whether the group is.  Per id i of w: `words[i]` (`ids`
+    maps it back), `elements[i]`, `length[i]`, the descent bitmasks
+    `ldesc[i]` and `rdesc[i]`, the ids `lmul[k][i]` of s_k w, `rmul[k][i]`
+    of w s_k and `inv[i]` of w^-1.
     Bitsets of ids: `descent_set[k]` with left descent s_k, `parity[p]` of
     length = p mod 2."""
 
@@ -83,18 +107,17 @@ class CoxeterSystem:
             tuple((j, a) for j, a in enumerate(row) if a and j != k)
             for k, row in enumerate(self.cartan)
         )
-        self._rho = (1,) * n
-        self._closure = {}  # safety bound -> l(w0), or None if not closed
+        self.finite = _finite_type(self.cartan)
         self.words, self.ids, self.length = [()], {(): 0}, [0]
         self.ldesc, self.rdesc, self.inv = [0], [0], [0]
         self.lmul = tuple([None] for _ in range(n))
         self.rmul = tuple([None] for _ in range(n))
         self.descent_set = [0] * n
         self.parity = [1, 0]
-        self.elements = [Element(self, ())]  # id -> Element
+        self.elements = [Element(self, (), 0)]  # id -> Element
         self._cones = [1]  # id -> bitset of [e, w], None until first use
         self._starts = [0]  # length -> its first id
-        self._frontier = {self._rho: 0}  # orbit vector -> id, longest length
+        self._frontier = {(1,) * n: 0}  # orbit vector -> id, longest length
         self._closed = False  # every element is numbered
 
     def __eq__(self, other):
@@ -114,8 +137,8 @@ class CoxeterSystem:
             out[j] -= a * ck
         return tuple(out)
 
-    def normal_form(self, word):
-        """ShortLex normal form of an arbitrary word (0-based indices)."""
+    def _product(self, word):
+        """The id of the product of an arbitrary word (0-based indices)."""
         n = self.generator_count
         w = 0
         for k in reversed(word):
@@ -124,7 +147,11 @@ class CoxeterSystem:
             if self.lmul[k][w] is None:
                 self._count(self.length[w] + 1)
             w = self.lmul[k][w]
-        return self.words[w]
+        return w
+
+    def normal_form(self, word):
+        """ShortLex normal form of an arbitrary word (0-based indices)."""
+        return self.words[self._product(word)]
 
     def _next_level(self):
         """Number the elements one length above the longest numbered ones.
@@ -152,8 +179,8 @@ class CoxeterSystem:
         self._frontier = new = {}
         for d, word in sorted(found.items(), key=lambda item: item[1]):
             new[d] = self.ids[word] = len(words)
+            self.elements.append(Element(self, word, len(words)))
             words.append(word)
-            self.elements.append(Element(self, word))
             self.ldesc.append(sum(1 << k for k in range(n) if d[k] < 0))
         self.length.extend([length] * len(found))
         self._cones.extend([None] * len(found))
@@ -176,7 +203,8 @@ class CoxeterSystem:
                     rmul[k][w], rmul[k][u] = u, w
 
     def _count(self, length):
-        """The number of elements of length <= `length`, numbering them."""
+        """The number of elements of length <= `length` (any, if inf),
+        numbering them."""
         while not self._closed and len(self._starts) <= length:
             self._next_level()
         starts = self._starts
@@ -210,25 +238,10 @@ class CoxeterSystem:
             self._cones[w] = cone
         return self._cones[w]
 
-    def longest_length(self, safety_bound):
-        """l(w0) if every element is shorter than safety_bound, else None.
-
-        Enumerates orbit vectors length by length, without words, once per
-        system and bound."""
-        if safety_bound not in self._closure:
-            level, length = {self._rho}, 0
-            while level and length < safety_bound:
-                level = {
-                    self._act(k, c) for c in level for k, ck in enumerate(c) if ck > 0
-                }
-                length += 1
-            self._closure[safety_bound] = None if level else length - 1
-        return self._closure[safety_bound]
-
     # -- elements -----------------------------------------------------------
 
     def element(self, word=()):
-        return Element(self, self.normal_form(tuple(word)))
+        return self.elements[self._product(tuple(word))]
 
     def generator(self, i):
         return self.element((i,))
@@ -238,6 +251,7 @@ class CoxeterSystem:
 class Element:
     system: CoxeterSystem
     word: tuple  # ShortLex normal form, 0-based generator indices
+    id: int  # its place in the ShortLex numbering
 
     @property
     def length(self):
@@ -247,44 +261,41 @@ class Element:
         system = self.system
         if system is not other.system and system != other.system:
             raise ValueError("elements of different Coxeter systems")
-        w = system.index(self.word)
+        w = self.id
         for k in other.word:
             w = system.right(w, k)
         return system.elements[w]
 
     def inverse(self):
-        return self.system.elements[self.system.inv[self.system.index(self.word)]]
+        return self.system.elements[self.system.inv[self.id]]
 
     def __str__(self):
-        return " ".join(str(i + 1) for i in self.word) if self.word else "e"
+        return word_str(self.word)
 
 
 def descents(w: Element):
     """Right descent set {i : l(w s_i) < l(w)}."""
-    mask = w.system.rdesc[w.system.index(w.word)]
+    mask = w.system.rdesc[w.id]
     return {i for i in range(w.system.generator_count) if mask >> i & 1}
 
 
 def bruhat_leq(x: Element, w: Element) -> bool:
     """Bruhat order: one bit of the cone of w."""
     if len(x.word) >= len(w.word):
-        return x.word == w.word
-    system = w.system
-    return bool(system.cone(system.index(w.word)) >> system.index(x.word) & 1)
+        return x.id == w.id
+    return bool(w.system.cone(w.id) >> x.id & 1)
 
 
 def lower_cone(w: Element):
     """All x <= w in Bruhat order, in ShortLex order."""
     system = w.system
-    return [system.elements[x] for x in members(system.cone(system.index(w.word)))]
+    return [system.elements[x] for x in members(system.cone(w.id))]
 
 
 def interval(x: Element, w: Element):
     """The Bruhat interval [x, w], in ShortLex order."""
     system, cone = w.system, w.system.cone
-    i = system.index(x.word)
-    below = members(cone(system.index(w.word)))
-    return [system.elements[z] for z in below if cone(z) >> i & 1]
+    return [system.elements[z] for z in members(cone(w.id)) if cone(z) >> x.id & 1]
 
 
 def elements_up_to(system: CoxeterSystem, length_bound: int):
@@ -292,21 +303,20 @@ def elements_up_to(system: CoxeterSystem, length_bound: int):
     return system.elements[: system._count(length_bound)]
 
 
-def all_elements(system: CoxeterSystem, safety_bound: int = 64):
-    """All elements of a finite Coxeter group; error if not closed within
-    the safety bound."""
-    longest = system.longest_length(safety_bound)
-    if longest is None:
-        raise TruncationError("group did not close; is it infinite?")
-    return system.elements[: system._count(longest)]
+def all_elements(system: CoxeterSystem):
+    """All elements of a finite Coxeter group, numbered up to w0; error if
+    the group is infinite."""
+    if not system.finite:
+        raise TruncationError("the group is infinite: its Cartan matrix is "
+                              "not of finite type")
+    return system.elements[: system._count(inf)]
 
 
 def upper_cone(w: Element, length_bound: int):
     """All y >= w with l(y) <= length_bound."""
     system, cone = w.system, w.system.cone
-    i = system.index(w.word)
     return [system.elements[y] for y in range(system._count(length_bound))
-            if cone(y) >> i & 1]
+            if cone(y) >> w.id & 1]
 
 
 def coset_min_reps(system: CoxeterSystem, stab_gens, length_bound: int):
@@ -317,5 +327,5 @@ def coset_min_reps(system: CoxeterSystem, stab_gens, length_bound: int):
             if not system.rdesc[y] & mask]
 
 
-def is_finite(system: CoxeterSystem, safety_bound: int = 64) -> bool:
-    return system.longest_length(safety_bound) is not None
+def is_finite(system: CoxeterSystem) -> bool:
+    return system.finite

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import coxeter
-from .coxeter import Element, bruhat_leq, lower_cone, members
+from .coxeter import Element, bruhat_leq, lower_cone, members, word_str
 from .errors import CriticalityError, UnsupportedError
 
 ONE = (1,)
@@ -91,8 +91,7 @@ class KLTable:
         """P_{x,w} as a dense coefficient tuple."""
         val = self.memo.get((x.word, w.word))
         if val is None:
-            index = self.system.index
-            val = self._p(index(x.word), index(w.word))
+            val = self._p(x.id, w.id)
         return val
 
     def _p(self, x, w):
@@ -148,8 +147,7 @@ class KLTable:
         Each entry only involves the finite Bruhat interval [w, y], so the
         result is exact.
         """
-        index = self.system.index
-        return self._q(index(w.word), index(y.word))
+        return self._q(w.id, y.id)
 
     def _q(self, w, y):
         key = (w, y)
@@ -195,11 +193,7 @@ class CharacterVector:
     truncated: bool = False
 
     def to_json(self):
-        out = {
-            (" ".join(str(i + 1) for i in word) if word else "e"): c
-            for word, c in sorted(self.coefficients.items())
-        }
-        return out
+        return {word_str(word): c for word, c in sorted(self.coefficients.items())}
 
 
 def _require_character_hypotheses(block):
@@ -355,7 +349,7 @@ def _min_coset_rep(w: Element, gens):
     descent in gens while there is one."""
     system = w.system
     mask = sum(1 << k for k in gens)
-    v = system.index(w.word)
+    v = w.id
     while down := system.rdesc[v] & mask:
         v = system.rmul[(down & -down).bit_length() - 1][v]
     return system.elements[v]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from . import linalg
@@ -208,7 +207,6 @@ def _same_cartan(x, y):
         raise ValueError("mixed Cartan data")
 
 
-@lru_cache(maxsize=None)
 def weight_gram(cartan: CartanDatum):
     """Gram matrix of the invariant form on the chosen weight basis.
 

@@ -25,6 +25,7 @@ from math import lcm, prod
 from operator import add, mul
 
 from .blocks import BlockData, dot_reflect
+from .coxeter import word_str
 from .errors import TruncationError, UnsupportedError
 from .linalg import (
     Echelon,
@@ -391,7 +392,7 @@ def theta_s(M: ZLattice, s: int) -> ZLattice:
         if w not in graph.weights:
             raise TruncationError(
                 "orbit truncation is not closed under the wall reflection: "
-                f"vertex {' '.join(str(i + 1) for i in w)} of length {len(w)} "
+                f"vertex {word_str(w)} of length {len(w)} "
                 f"lies outside length bound {graph.block.length_bound}"
             )
 
@@ -975,9 +976,7 @@ def singular_reduce(graph: MomentGraphBlock, M: ZLattice, stab_gens):
 
 def zlattice_to_json(M: ZLattice):
     return {
-        "slots": [
-            " ".join(str(i + 1) for i in w) if w else "e" for w in M.slots
-        ],
+        "slots": [word_str(w) for w in M.slots],
         "generators": [
             {"degree": d, "entries": [str(p) for p in g]}
             for g, d in zip(M.generators, M.degrees)

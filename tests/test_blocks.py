@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blocko import blocks, rootdata
+from blocko import blocks, coxeter, kl, rootdata
 from blocko.coxeter import INFINITY
 from blocko.errors import CriticalityError, UnsupportedError
 from blocko.rootdata import rho
 
-from conftest import A1, A1_AFFINE, A2, B2, B3, weight
+import orbit_walks
+from conftest import A1, A1_AFFINE, A2, A3, B2, B3, G2, weight
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +65,81 @@ def test_orbit_weights_consistent_with_dot_action(a2):
         assert blocks.dot_action(block, v.word, block.base_weight) == v.weight
 
 
+@pytest.mark.parametrize("matrix, coords", [(A2, ("1/2", "1/3")), (G2, ("1/2", "-1/3"))],
+                         ids=["A2", "G2"])
+def test_weight_without_integral_roots_has_trivial_weyl_group(matrix, coords):
+    cartan = rootdata.cartan_datum(matrix)
+    block = blocks.block_data(cartan, weight(cartan, *coords))
+    assert block.integral_simples == [] and block.coxeter_matrix == ()
+    system = block.coxeter_system
+    assert coxeter.is_finite(system)
+    assert [x.word for x in coxeter.all_elements(system)] == [()]
+    assert block.stab_finite and block.stab_order == 1
+    assert block.orbit == [blocks.OrbitVertex((), block.base_weight)]
+    assert blocks.block_to_json(block)["orbit"] == [
+        {"word": "e", "weight": rootdata.weight_to_json(block.base_weight)}
+    ]
+
+
+A2_AFFINE = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+ORBIT_TYPES = {  # name -> (Cartan matrix, height bound, length bound)
+    "A2": (A2, 20, 8), "B2": (B2, 20, 8), "G2": (G2, 20, 8), "A3": (A3, 20, 8),
+    "B3": (B3, 20, 8), "A1~": (A1_AFFINE, 12, 6), "A2~": (A2_AFFINE, 12, 4),
+}
+
+
+def _orbit_block(name, coords):
+    matrix, height_bound, length_bound = ORBIT_TYPES[name]
+    cartan = rootdata.cartan_datum(matrix)
+    return blocks.block_data(cartan, weight(cartan, *coords), height_bound, length_bound)
+
+
+@pytest.mark.parametrize("name, coords, stab_order, position", [
+    ("A2", (0, 0), 1, "dominant"),
+    ("A2", (-2, -2), 1, "antidominant"),
+    ("A2", (2, -3), 1, "interior"),
+    ("A2", (0, -1), 2, "dominant"),
+    ("A2", (-1, -1), 6, "dominant"),
+    ("B2", (0, 0), 1, "dominant"),
+    ("B2", (0, "1/2"), 1, "dominant"),
+    ("B2", (1, -3), 2, "interior"),
+    ("G2", ("1/3", 0), 1, "dominant"),
+    ("G2", (-2, -2), 1, "antidominant"),
+    ("G2", (-1, 0), 2, "dominant"),
+    ("A3", (0, 0, 0), 1, "dominant"),
+    ("A3", (-1, 0, -1), 4, "dominant"),
+    ("A3", (-1, -1, 0), 6, "dominant"),
+    ("A3", (1, -3, 1), 4, "interior"),
+    ("B3", (-2, -2, -2), 1, "antidominant"),
+    ("B3", (0, -1, 0), 2, "dominant"),
+    ("B3", (-1, 0, -1), 4, "dominant"),
+    ("B3", (-1, -1, 0), 6, "dominant"),
+    ("A1~", (0, 0), 1, "dominant"),
+    ("A1~", (-2, -2), 1, "antidominant"),
+    ("A1~", (-1, 0), 2, "dominant"),
+    ("A1~", (1, -4), 2, "interior"),
+    ("A2~", (0, 0, 0), 1, "dominant"),
+    ("A2~", (-2, -2, -2), 1, "antidominant"),
+    ("A2~", (-1, -1, 0), 6, "dominant"),
+    ("A2~", (2, -3, 0), 2, "interior"),
+])
+def test_orbit_matches_the_weight_bfs(name, coords, stab_order, position):
+    block = _orbit_block(name, coords)
+    assert (block.stab_order, kl.base_weight_position(block)) == (stab_order, position)
+    assert block.orbit == orbit_walks.weight_bfs(block)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_orbit_matches_the_weight_bfs_on_drawn_weights(data):
+    name = data.draw(st.sampled_from(sorted(ORBIT_TYPES)))
+    rank = len(ORBIT_TYPES[name][0])
+    coords = data.draw(st.tuples(*[st.sampled_from(
+        [-3, -2, -1, 0, 1, Fraction(1, 2), Fraction(-1, 3)])] * rank))
+    block = _orbit_block(name, coords)
+    assert block.orbit == orbit_walks.weight_bfs(block)
+
+
 def test_finite_type_never_critical(a2):
     block = blocks.block_data(a2, weight(a2, "-7/3", 5))
     assert not blocks.is_critical(block)
@@ -83,7 +159,7 @@ def test_affine_positive_level_class(a1_affine):
     block = blocks.block_data(
         a1_affine, weight(a1_affine, 0, 0), height_bound=6, length_bound=2
     )
-    assert blocks.classify_level(block) == "dominant-containing"
+    assert block.level_class == "dominant-containing"
     assert block.has_dominant and not block.has_antidominant
 
 

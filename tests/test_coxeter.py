@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blocko import coxeter
-from blocko.coxeter import INFINITY, CoxeterSystem, Element, bruhat_leq
+from blocko.coxeter import INFINITY, CoxeterSystem, bruhat_leq
 from blocko.errors import TruncationError
 
 import matrix_coxeter
+import orbit_walks
 
 A2_COX = ((1, 3), (3, 1))
 B2_COX = ((1, 4), (4, 1))
@@ -56,7 +57,7 @@ def test_all_elements_are_distinct_normal_forms():
 
 def test_infinite_group_refuses_enumeration():
     with pytest.raises(TruncationError):
-        coxeter.all_elements(CoxeterSystem(INF_COX), safety_bound=32)
+        coxeter.all_elements(CoxeterSystem(INF_COX))
 
 
 def test_is_finite():
@@ -65,15 +66,46 @@ def test_is_finite():
     assert not coxeter.is_finite(CoxeterSystem(A2_AFFINE_COX))
 
 
-def test_finiteness_needs_closure_within_the_bound():
-    # the longest element of B3 has length 9: the group closes within a
-    # bound of 10, not within 9
-    system = CoxeterSystem(B3_COX)
-    assert not coxeter.is_finite(system, safety_bound=9)
-    assert coxeter.is_finite(system, safety_bound=10)
-    assert not coxeter.is_finite(system, safety_bound=9)
+LABELS = (2, 3, 4, 6, INFINITY)
+
+
+def _coxeter_matrices(rank):
+    pairs = list(itertools.combinations(range(rank), 2))
+    for labels in itertools.product(LABELS, repeat=len(pairs)):
+        matrix = [[1] * rank for _ in range(rank)]
+        for (i, j), m in zip(pairs, labels):
+            matrix[i][j] = matrix[j][i] = m
+        yield matrix
+
+
+def test_finiteness_matches_a_capped_walk_on_every_matrix_of_rank_at_most_3():
+    # every finite crystallographic Coxeter group of rank <= 3 has a
+    # longest element of length <= 9 (B3), and an infinite group has
+    # elements of every length, so closing within 10 decides finiteness
+    count = 0
+    for rank in range(4):
+        for matrix in _coxeter_matrices(rank):
+            system = CoxeterSystem(matrix)
+            assert coxeter.is_finite(system) == orbit_walks.closes_within(system, 10)
+            count += 1
+    assert count == 1 + 1 + 5 + 125
+
+
+def test_hyperbolic_system_is_infinite_without_a_walk():
+    # labels 3, 3, inf: a hyperbolic triangle group, whose orbit vectors
+    # grow exponentially with the length
+    system = CoxeterSystem(((1, 3, 3), (3, 1, INFINITY), (3, INFINITY, 1)))
+    assert not coxeter.is_finite(system)
     with pytest.raises(TruncationError):
-        coxeter.all_elements(system, safety_bound=9)
+        coxeter.all_elements(system)
+    assert system.words == [()]
+
+
+def test_element_carries_its_id():
+    system = CoxeterSystem(B3_COX)
+    for i, x in enumerate(coxeter.all_elements(system)):
+        assert x.id == i and system.elements[i] is x
+        assert system.element(x.word[::-1]) is x.inverse()
 
 
 REFERENCE_SYSTEMS = {
@@ -99,7 +131,7 @@ def test_normal_form_matches_matrix_reference(case):
     system, word = case
     nf = system.normal_form(word)
     assert nf == matrix_coxeter.normal_form(system, word)
-    assert coxeter.descents(Element(system, nf)) == matrix_coxeter.right_descents(
+    assert coxeter.descents(system.element(nf)) == matrix_coxeter.right_descents(
         system, word
     )
 

@@ -1,6 +1,6 @@
 """Source hygiene of the package: every imported name is used, every
-private function is called, and every name the benchmark's tracer wraps
-exists."""
+private function is called, no function keeps a global cache, and every
+name the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
@@ -32,6 +32,27 @@ def _unused_imports(tree):
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+_CACHE_DECORATORS = {"cache", "cached_property", "lru_cache"}
+
+
+def _cache_decorators(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else target.id
+                if name in _CACHE_DECORATORS:
+                    yield node.lineno, node.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_functools_cache_decorator(path):
+    # caches belong to an explicit object (a CoxeterSystem, a KLTable, a
+    # moment graph's stores), not to a module-level decorator
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert list(_cache_decorators(tree)) == []
 
 
 def _referenced_names():
