@@ -113,9 +113,9 @@ def cache_root() -> Path:
     return Path.home() / ".cache" / "blocko"
 
 
-# the file layout and the word convention of its keys: a change to either
-# gets a new file name, so an old file is never read under new rules
-CACHE_FORMAT = "v2-shortlex"
+# the file layout, its ShortLex word keys and its pairs (x < w only): a change
+# to any gets a new file name, so an old file is never read under new rules
+CACHE_FORMAT = "v3-shortlex"
 
 
 def _coxeter_cache_path(system: CoxeterSystem) -> Path:
@@ -128,25 +128,23 @@ def _coxeter_cache_path(system: CoxeterSystem) -> Path:
 
 
 def _possible_p(system: CoxeterSystem, x, w, coeffs):
-    """Whether a cached polynomial can be P_{x,w} (x, w ids): 1 for x = w,
-    0 off the Bruhat cone, else P(0) = 1 with degree <= (l(w)-l(x)-1)/2."""
+    """Whether a cached polynomial can be P_{x,w} (x, w ids) for x < w, the
+    only pairs the store holds: P(0) = 1 with degree <= (l(w)-l(x)-1)/2."""
     if not isinstance(coeffs, list) or any(type(c) is not int for c in coeffs):
         return False
-    if coeffs and coeffs[-1] == 0:
+    if x == w or not system.cone(w) >> x & 1:
         return False
-    if x == w:
-        return coeffs == [1]
-    if not system.cone(w) >> x & 1:
-        return not coeffs
     bound = (system.length[w] - system.length[x] - 1) // 2
-    return bool(coeffs) and coeffs[0] == 1 and len(coeffs) - 1 <= bound
+    return (bool(coeffs) and coeffs[0] == 1 and coeffs[-1] != 0
+            and len(coeffs) - 1 <= bound)
 
 
 def _load_kl_cache(table: kl.KLTable):
-    """Fill the table's P store from the cache file.  Entries whose words
-    are not ShortLex normal forms, or that `_possible_p` rejects, are
-    dropped and recomputed when needed.  Each distinct word is looked up
-    once, numbering the group no further than the longest word read.
+    """Fill the table's P store from the cache file.  Its keys are words,
+    as a forged id could grow an affine group without bound.  Entries whose
+    words are not normal forms, or that `_possible_p` rejects, are dropped
+    and recomputed when needed.  Each distinct word is looked up once,
+    numbering the group no further than the longest word read.
 
     Returns what `_store_kl_cache` needs: the size of the P store after
     loading and the set of dropped keys."""
@@ -175,7 +173,7 @@ def _load_kl_cache(table: kl.KLTable):
         x, w = index(xs), index(ws)
         if (bar and x is not None and w is not None
                 and _possible_p(system, x, w, coeffs)):
-            table.memo[(system.words[x], system.words[w])] = tuple(coeffs)
+            table.memo[x, w] = tuple(coeffs)
         else:
             dropped.add(key)
     return len(table.memo), dropped
@@ -206,8 +204,9 @@ def _store_kl_cache(table: kl.KLTable, loaded):
             data = {}
         for key in dropped:
             data.pop(key, None)
-        for (xw, ww), val in table.memo.items():
-            data[f"{word_str(xw)}|{word_str(ww)}"] = list(val)
+        words = table.system.words
+        for (x, w), val in table.memo.items():
+            data[f"{word_str(words[x])}|{word_str(words[w])}"] = list(val)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             json.dump(data, fh, sort_keys=True)
@@ -238,7 +237,7 @@ def cmd_kl(args):
     table = kl.KLTable(system)
     loaded = _load_kl_cache(table)
     p = table.poly(x, w)
-    q = table.inverse_poly(x, w) if x.length <= w.length else kl.ZERO
+    q = table.inverse_poly(x, w)
     _store_kl_cache(table, loaded)
     return {
         "x": word_str(x.word),

@@ -7,7 +7,8 @@ reads the mu-list of v = sw, its z with mu(z, v) != 0 (du Cloux, Exp. Math.
 the two character formulas are mutually inverse by construction, and the
 decomposition numbers are read off in closed form: [M(y.l):L(w.l)] =
 P_{y,w}(1) for a dominant base weight and Q_{w,y}(1) for an antidominant
-one.  Polynomials in q are dense integer tuples, index = power.
+one.  Only pairs x < w are stored: x = w gives 1, and x not <= w, a cone
+bit, gives 0.  Polynomials in q are dense integer tuples, index = power.
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ def poly_str(a):
 class KLTable:
     """Memoized Kazhdan-Lusztig polynomials over one Coxeter system.
 
-    `memo`, the one P store, which the disk cache reads and fills, is keyed
-    by (x word, w word), `q_memo` by ids.  `mu_lists[v]` is (bitset of the z
-    whose mu(z, v) was read, the (z, mu) among them with mu != 0)."""
+    `memo` (P, which the disk cache reads and fills) and `q_memo` (Q) are
+    keyed by ids and hold pairs x < w only.  `mu_lists[v]` is (bitset of the
+    z whose mu(z, v) was read, the (z, mu) among them with mu != 0)."""
 
     def __init__(self, system):
         self.system = system
@@ -89,25 +90,21 @@ class KLTable:
 
     def poly(self, x: Element, w: Element):
         """P_{x,w} as a dense coefficient tuple."""
-        val = self.memo.get((x.word, w.word))
-        if val is None:
-            val = self._p(x.id, w.id)
-        return val
+        return self._p(x.id, w.id)
 
     def _p(self, x, w):
-        words = self.system.words
-        key = (words[x], words[w])
-        val = self.memo.get(key)
+        if x == w:
+            return ONE
+        if not self.system.cone(w) >> x & 1:
+            return ZERO
+        val = self.memo.get((x, w))
         if val is None:
-            val = self.memo[key] = self._compute(x, w)
+            val = self.memo[x, w] = self._compute(x, w)
         return val
 
     def _compute(self, x, w):
-        if x == w:
-            return ONE
+        """P_{x,w} for x < w."""
         system = self.system
-        if not system.cone(w) >> x & 1:
-            return ZERO
         s = system.words[w][0]  # left descent of w
         v, sx = system.lmul[s][w], system.lmul[s][x]  # l(v) = l(w) - 1
         length = system.length
@@ -150,11 +147,14 @@ class KLTable:
         return self._q(w.id, y.id)
 
     def _q(self, w, y):
-        key = (w, y)
-        if key not in self.q_memo:
-            cone, length = self.system.cone, self.system.length
-            # sum_{w <= z <= y} (-1)^{l(z)-l(w)} Q_{w,z} P_{z,y} = 0, and
-            # no z lies in between when w is not <= y
+        if w == y:
+            return ONE
+        cone, length = self.system.cone, self.system.length
+        if not cone(y) >> w & 1:
+            return ZERO
+        val = self.q_memo.get((w, y))
+        if val is None:
+            # sum_{w <= z <= y} (-1)^{l(z)-l(w)} Q_{w,z} P_{z,y} = 0
             acc = ZERO
             for z in members(cone(y)):
                 if z != y and cone(z) >> w & 1:
@@ -162,8 +162,8 @@ class KLTable:
                     term = poly_scale(_poly_mul(self._q(w, z), self._p(z, y)), sign)
                     acc = poly_add(acc, term)
             sign = -1 if (length[y] - length[w]) % 2 else 1
-            self.q_memo[key] = ONE if w == y else poly_scale(acc, -sign)
-        return self.q_memo[key]
+            val = self.q_memo[w, y] = poly_scale(acc, -sign)
+        return val
 
 
 def _poly_mul(a, b):

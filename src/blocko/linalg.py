@@ -43,6 +43,13 @@ def _scaled(v, den):
     return [x.numerator * (den // x.denominator) for x in v]
 
 
+def integral(v):
+    """A rational vector as (integers, denominator): v = integers / den with
+    den the least common denominator of its entries."""
+    den = lcm(*(x.denominator for x in v))
+    return _scaled(v, den), den
+
+
 def mat_mul(a, b):
     """Product of rational matrices, as one integer product over the common
     denominators."""
@@ -75,7 +82,7 @@ class Echelon:
     def reduce(self, v):
         """An integer multiple of v minus an element of the span, zero at
         every pivot: the zero vector exactly when v is in the span."""
-        w = _primitive(_scaled(v, lcm(*(x.denominator for x in v))))
+        w = _primitive(integral(v)[0])
         for row, p in zip(self.rows, self.pivots):
             b = w[p]
             if b:

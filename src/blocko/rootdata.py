@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .errors import CartanError
@@ -38,19 +37,26 @@ class CartanDatum:
 
 
 def _validate_gcm(matrix):
+    """The matrix as a tuple of int rows, if it is a generalized Cartan
+    matrix: an entry -1.5, 2.0 or True is not an integer."""
     n = len(matrix)
-    for i, row in enumerate(matrix):
-        if len(row) != n:
+    if not n:
+        raise CartanError("Cartan matrix must not be empty")
+    for row in matrix:
+        if not isinstance(row, (list, tuple)) or len(row) != n:
             raise CartanError("Cartan matrix must be square")
+        if any(type(a) is not int for a in row):
+            raise CartanError("Cartan matrix entries must be integers")
+    matrix = tuple(map(tuple, matrix))
+    for i, row in enumerate(matrix):
         for j, a in enumerate(row):
-            if not isinstance(a, int):
-                raise CartanError("Cartan matrix entries must be integers")
             if i == j and a != 2:
                 raise CartanError("Cartan matrix diagonal must be 2")
             if i != j and a > 0:
                 raise CartanError("off-diagonal Cartan entries must be <= 0")
             if i != j and (a == 0) != (matrix[j][i] == 0):
                 raise CartanError("a_ij = 0 must imply a_ji = 0")
+    return matrix
 
 
 def _find_symmetrizer(matrix):
@@ -81,8 +87,8 @@ def _kernel_marks(matrix):
     kern = linalg.kernel_basis(rows, n)
     if len(kern) != 1:
         return None
-    v = kern[0]
-    ints = linalg._primitive(linalg._scaled(v, lcm(*(x.denominator for x in v))))
+    # primitive already: the kernel vector has an entry 1
+    ints = linalg.integral(kern[0])[0]
     if all(x > 0 for x in ints):
         return tuple(ints)
     if all(x < 0 for x in ints):
@@ -92,12 +98,13 @@ def _kernel_marks(matrix):
 
 def cartan_datum(matrix, symmetrizer=None) -> CartanDatum:
     """Build a CartanDatum from a GCM, detecting finite/affine/indefinite."""
-    matrix = tuple(tuple(int(a) for a in row) for row in matrix)
-    _validate_gcm(matrix)
+    matrix = _validate_gcm(matrix)
     if symmetrizer is None:
         symmetrizer = _find_symmetrizer(matrix)
     else:
         symmetrizer = tuple(frac(d) for d in symmetrizer)
+        if len(symmetrizer) != len(matrix):
+            raise CartanError("symmetrizer must have one entry per row")
         if any(d <= 0 for d in symmetrizer):
             raise CartanError("symmetrizer entries must be positive")
         for i in range(len(matrix)):
@@ -422,11 +429,15 @@ def format_rational(x: Fraction) -> str:
 
 
 def cartan_from_json(obj) -> CartanDatum:
+    if not isinstance(obj, dict) or not isinstance(obj.get("matrix"), list):
+        raise CartanError('Cartan data must be a JSON object with a "matrix" list')
     matrix = obj["matrix"]
     if "rank" in obj and len(matrix) != obj["rank"]:
         raise CartanError("rank does not match matrix size")
     symmetrizer = obj.get("symmetrizer")
     if symmetrizer is not None:
+        if not isinstance(symmetrizer, list):
+            raise CartanError("symmetrizer must be a list")
         symmetrizer = [parse_rational(d) for d in symmetrizer]
     return cartan_datum(matrix, symmetrizer)
 

@@ -30,6 +30,7 @@ from .errors import TruncationError, UnsupportedError
 from .linalg import (
     Echelon,
     charpoly,
+    integral,
     invert,
     kernel_basis,
     kernel_incremental,
@@ -152,12 +153,6 @@ def _shifts(graph, e, d):
     return graph.shifts[e, d]
 
 
-def _integral(vec):
-    """A rational vector as (integers, denominator)."""
-    den = lcm(*(x.denominator for x in vec))
-    return [x.numerator * (den // x.denominator) for x in vec], den
-
-
 def _vector(graph, tup, d):
     """A degree-d slot tuple of Poly as (integers, denominator)."""
     index, width = _monomials(graph, d)[1], _width(graph, d)
@@ -165,7 +160,7 @@ def _vector(graph, tup, d):
     for s, p in enumerate(tup):
         for m, c in p.terms.items():
             flat[s * width + index[m]] = c
-    return _integral(flat)
+    return integral(flat)
 
 
 def _poly_tuple(graph, vec, den, d):
@@ -231,7 +226,7 @@ def _annihilator(graph, h, d):
         label = [_vector(graph, (h,), 1) + (1,)]
         multiples = [v for _, _, v in _multiples(graph, label, d)]
         rows = kernel_basis(multiples, _width(graph, d))
-        graph.annihilators[h, d] = [_integral(r)[0] for r in rows]
+        graph.annihilators[h, d] = [integral(r)[0] for r in rows]
     return graph.annihilators[h, d]
 
 
@@ -319,7 +314,7 @@ def _grown_algebra(graph, vertex_words, count, edge_count, what, equal_pairs=())
         rows = _congruence_rows(graph, vertex_words, d, equal_pairs)
         span = Echelon(v for _, _, v in _multiples(graph, chosen, d))
         for vec in kernel_basis(rows, len(vertex_words) * _width(graph, d)):
-            vec, den = _integral(vec)
+            vec, den = integral(vec)
             if span.add(vec):
                 chosen.append((vec, den, d))
                 if len(chosen) == count:
@@ -632,8 +627,8 @@ def _radical_dim(rep_basis):
     """dim of the radical of the span, via the trace form (char 0).  Scaling
     each matrix to integers scales rows and columns of the Gram matrix and
     keeps its rank."""
-    flat = [_integral([x for row in a for x in row])[0] for a in rep_basis]
-    flat_t = [_integral([x for col in zip(*a) for x in col])[0] for a in rep_basis]
+    flat = [integral([x for row in a for x in row])[0] for a in rep_basis]
+    flat_t = [integral([x for col in zip(*a) for x in col])[0] for a in rep_basis]
     return len(rep_basis) - rank([[sum(map(mul, a, b)) for b in flat_t] for a in flat])
 
 
@@ -763,7 +758,7 @@ def _project_summand(M: ZLattice, E):
         w = _width(graph, d)
         cut = [x for s in chosen_slots for x in img[s * w : (s + 1) * w]]
         if any(cut):
-            candidates.append(_integral(cut) + (d,))
+            candidates.append(integral(cut) + (d,))
     slots = [M.slots[s] for s in chosen_slots]
     n = len(slots)
     chosen = minimal_generators(graph, candidates)

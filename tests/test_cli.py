@@ -42,6 +42,28 @@ def test_bad_weight_is_usage_error(cartan_file, capsys):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize(
+    "data, problem",
+    [
+        ({"rank": 2, "matrix": [[2, -1.5], [-1, 2]]}, "entries must be integers"),
+        ({"rank": 2}, '"matrix"'),
+        ([[2, -1], [-1, 2]], "JSON object"),
+        ({"rank": 0, "matrix": []}, "Cartan matrix must not be empty"),
+        ({"rank": 2, "matrix": [2, 2]}, "Cartan matrix must be square"),
+        ({"rank": 2, "matrix": A2, "symmetrizer": [1]}, "one entry per row"),
+        ({"rank": 2, "matrix": A2, "symmetrizer": 1}, "symmetrizer must be a list"),
+    ],
+    ids=["fractional-entry", "no-matrix", "list", "empty", "flat-rows",
+         "short-symmetrizer", "scalar-symmetrizer"],
+)
+def test_bad_cartan_file_is_usage_error(data, problem, tmp_path, capsys):
+    path = tmp_path / "cartan.json"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, ["block", "--cartan", str(path), "--weight", "0,0"])
+    assert code == 1
+    assert problem in json.loads(out)["error"]
+
+
 def test_wrong_coordinate_count(cartan_file, capsys):
     path = cartan_file(A2)
     code, out = run(capsys, ["block", "--cartan", path, "--weight", "0"])
@@ -137,18 +159,22 @@ def test_kl_cache_load_keeps_only_possible_entries(cartan_file, tmp_path, monkey
     system = cli._integral_coxeter(cli.load_cartan(cartan_file(A3)))
     path = cli._coxeter_cache_path(system)
     path.parent.mkdir(parents=True)
-    path.write_text(json.dumps({
-        "2|2 1 3 2": [1, 1],  # a true entry
-        "e|2 1 2": [1],  # "2 1 2" is not a normal form
-        "1 2 1 3 2 1|e": [1],  # nonzero off the Bruhat cone
-        "2|2": [1, 1],  # P_{w,w} is 1
-        "e|1 4": [1],  # no generator 4
-        "e": [1],  # no separator
-        "x|e": [1],  # not a word
-    }))
-    table = kl.KLTable(system)
-    cli._load_kl_cache(table)
-    assert table.memo == {((1,), (1, 0, 2, 1)): (1, 1)}
+    # one key can appear once per file: the second file holds the pairs
+    # x = w and x not <= w with their true values, which are not stored
+    for rejected in ({"1 2 1 3 2 1|e": [1],  # nonzero off the Bruhat cone
+                      "2|2": [1, 1]},  # P_{w,w} is 1
+                     {"1 2 1 3 2 1|e": [], "2|2": [1]}):
+        path.write_text(json.dumps({
+            "2|2 1 3 2": [1, 1],  # a true entry
+            "e|2 1 2": [1],  # "2 1 2" is not a normal form
+            "e|1 4": [1],  # no generator 4
+            "e": [1],  # no separator
+            "x|e": [1],  # not a word
+            **rejected,
+        }))
+        table = kl.KLTable(system)
+        cli._load_kl_cache(table)
+        assert table.memo == {(system.ids[(1,)], system.ids[(1, 0, 2, 1)]): (1, 1)}
 
 
 def test_kl_cache_load_numbers_no_further_than_a_word_read(
@@ -166,7 +192,7 @@ def test_kl_cache_load_numbers_no_further_than_a_word_read(
     }))
     table = kl.KLTable(system)
     cli._load_kl_cache(table)
-    assert table.memo == {((), (0, 1)): (1,)}
+    assert table.memo == {(system.ids[()], system.ids[(0, 1)]): (1,)}
     assert max(system.length) == 2
 
 

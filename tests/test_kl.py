@@ -306,10 +306,23 @@ WORD_ROUTE_SYSTEMS = {
 }
 
 
+def _stored_words(store, system):
+    """An id-keyed store's pairs, as pairs of words."""
+    words = system.words
+    return {(words[x], words[w]) for x, w in store}
+
+
+def _nonzero_below(ref_store):
+    """The word route's stored pairs (x, w) with x != w and a nonzero value:
+    the pairs x < w, the only ones the id store keeps."""
+    return {(x, w) for (x, w), val in ref_store.items() if x != w and val}
+
+
 @pytest.mark.parametrize("name", sorted(WORD_ROUTE_SYSTEMS))
 def test_id_core_matches_the_word_route(name):
     """Every P and every Q of the id-indexed recursion equals the word-keyed
-    recursion's, and both store the same P pairs."""
+    recursion's, and the id stores hold exactly the word route's pairs
+    x < w, for P and for Q."""
     matrix, bound = WORD_ROUTE_SYSTEMS[name]
     system = CoxeterSystem(matrix)
     if bound is None:
@@ -323,7 +336,8 @@ def test_id_core_matches_the_word_route(name):
     for w in elems:
         for y in elems:
             assert table.inverse_poly(w, y) == ref.inverse_poly(w.word, y.word), (w, y)
-    assert table.memo.keys() == ref.memo.keys()
+    assert _stored_words(table.memo, system) == _nonzero_below(ref.memo)
+    assert _stored_words(table.q_memo, system) == _nonzero_below(ref.q_memo)
 
 
 @pytest.mark.parametrize("name", ["B3", "A4", "A2~"])
@@ -339,7 +353,8 @@ def test_single_queries_store_the_pairs_of_the_word_route(name):
         x, w = rng.choice(elems), rng.choice(elems)
         assert table.poly(x, w) == ref.poly(x.word, w.word)
         assert table.inverse_poly(x, w) == ref.inverse_poly(x.word, w.word)
-        assert table.memo.keys() == ref.memo.keys()
+        assert _stored_words(table.memo, system) == _nonzero_below(ref.memo)
+        assert _stored_words(table.q_memo, system) == _nonzero_below(ref.q_memo)
 
 
 def test_p_table_makes_no_normal_form_call(monkeypatch):
@@ -359,5 +374,38 @@ def test_p_table_makes_no_normal_form_call(monkeypatch):
     for w in elems:
         for x in elems:
             table.poly(x, w)
-    assert len(table.memo) >= len(elems) ** 2
+    assert len(table.memo) == 799  # the pairs x < w of B3, each P nonzero
     assert len(calls) == 0
+
+
+def _below(system, x, w):
+    return x != w and system.cone(w) >> x & 1
+
+
+def test_p_store_keeps_only_pairs_below():
+    """The full B4 P-table stores its 39,865 pairs x < w and nothing for
+    x = w or x not <= w."""
+    system = CoxeterSystem(((1, 3, 2, 2), (3, 1, 3, 2), (2, 3, 1, 4), (2, 2, 4, 1)))
+    elems = coxeter.all_elements(system)
+    table = KLTable(system)
+    for w in elems:
+        for x in elems:
+            table.poly(x, w)
+    assert len(elems) == 384
+    assert len(table.memo) == 39865
+    assert all(_below(system, x, w) and p for (x, w), p in table.memo.items())
+
+
+def test_q_store_keeps_only_pairs_below():
+    """After the full A3 Q-table, `q_memo` holds one nonzero Q_{w,y} per
+    pair w < y: no diagonal ONE and no ZERO off the cone."""
+    system = CoxeterSystem(S4_COX)
+    elems = coxeter.all_elements(system)
+    table = KLTable(system)
+    for w in elems:
+        for y in elems:
+            table.inverse_poly(w, y)
+    pairs = {(w.id, y.id) for w in elems for y in elems
+             if _below(system, w.id, y.id)}
+    assert table.q_memo.keys() == pairs
+    assert ZERO not in table.q_memo.values()
