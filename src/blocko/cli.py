@@ -278,10 +278,7 @@ def cmd_bs(args):
     lattice = zmod.bott_samelson(graph, word)
     summands = zmod.decompose(lattice)
     target = block.coxeter_system.normal_form(word)
-    if len(target) == len(word):
-        projective = zmod.projective_summand(summands, target)
-    else:
-        projective = zmod.identify_projective(graph, target)
+    projective = zmod.identify_projective(graph, target)
     return {
         "word": word_str(word),
         "rank": lattice.rank,

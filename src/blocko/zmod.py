@@ -21,11 +21,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import add, mul
 
 from .blocks import BlockData, dot_reflect
-from .coxeter import word_str
+from .coxeter import lower_cone, word_str
 from .errors import TruncationError, UnsupportedError
 from .linalg import (
     Echelon,
@@ -873,27 +873,209 @@ def isomorphic_up_to_shift(a: ZLattice, b: ZLattice) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# projectives
+# projectives: global sections of the Braden-MacPherson sheaf
+#
+# P(w) is built on the lower cone [e, w], walked from w down.  The sections
+# over the walked upper set U are kept as an S-basis: each section is a
+# polynomial degree and its slot vectors at the vertices of U.  A stalk
+# generator of degree k at x is the slot value x_1^k in one slot at x; that
+# embedding is injective, S-linear and commutes with Z, so the result is an
+# ordinary ZLattice.
 
 
-def projective_summand(summands, w):
-    """The one summand whose slots contain the vertex w.  Among the summands
-    of a Bott-Samelson lattice for a reduced word of w, which has rank 1 at
-    w, that is P(w)."""
-    word = tuple(w)
-    over = [S for S in summands if word in S.slots]
-    if len(over) != 1:
-        raise TruncationError(
-            f"{len(over)} summands have a slot at the vertex, expected 1"
+def _quotient_rows(graph, h, d, k):
+    """Sparse integer rows over a degree-d slot: the coordinates in S / h S
+    (the `_annihilator` rows) of c, for the slot value c * x_1^k."""
+    if d < k:
+        return []
+    lift = _shifts(graph, k, d - k)[0]  # positions of x_1^k * a
+    return [
+        [(lift[q], x) for q, x in enumerate(r) if x]
+        for r in _annihilator(graph, h, d - k)
+    ]
+
+
+def _section_vector(graph, values, vertices, stalks, d):
+    """A degree-d section's slot vector over the stalk slots of the
+    vertices, zero where it has no value."""
+    vec = []
+    for y in vertices:
+        vec.extend(values.get(y) or [0] * (len(stalks[y]) * _width(graph, d)))
+    return vec
+
+
+def _stalk_generators(graph, gens, images, image):
+    """Indices of the sections whose images are minimal homogeneous
+    generators of M_x: gens are the sections' slot vectors over the target
+    slots (integers, denominator, polynomial degree), images their images,
+    and image(vec, d) maps a degree-d slot vector.  In increasing degree, a
+    section is kept iff its image lies outside the span of the images of
+    monomial multiples of the sections kept so far."""
+    chosen = []
+    for d in sorted({dg for _, _, dg in gens}):
+        multiples = _multiples(graph, [gens[i] for i in chosen], d)
+        span = Echelon(image(v, d) for _, _, v in multiples)
+        chosen.extend(
+            i for i, (_, _, dg) in enumerate(gens) if dg == d and span.add(images[i])
         )
-    return over[0]
+    return chosen
 
 
-def identify_projective(graph: MomentGraphBlock, w):
-    """P(w), the summand over w of the Bott-Samelson lattice for the reduced
-    word w; its other summands are shifted P(y) with y < w (Fiebig, Adv.
-    Math. 217, 2008)."""
-    return projective_summand(decompose(bott_samelson(graph, w)), w)
+def _glue(graph, x, up, stalks, sections, bound):
+    """The sections over U and x, from those over U: B^x is free on the
+    minimal generators of M_x, and a section over U with image m glues to
+    the element of B^x with image m.  Sets stalks[x].
+
+    Certified within the polynomial degree bound: every section over U
+    glues, so B^x maps onto M_x; (a) on every edge E from x up to y,
+    B^x -> B^y / h_E B^y is onto in every degree; (b) the kernel K_x of
+    B^x -> M_x has exactly r_x = rank B^x minimal generators, generically
+    independent, with degrees adding up to the degrees of B^x plus the
+    ranks r_y over the edges.  Localised at h_E, (a) gives K_x index
+    h_E^(r_y) in B^x, so by (b) K_x is generated within the bound, and the
+    new sections are the old ones glued plus K_x at x."""
+    where = f"Braden-MacPherson stalk at {word_str(x)} (degree bound {bound})"
+    if not up:
+        raise TruncationError(
+            f"{where}: no edge of the moment graph leads up from x; its roots "
+            f"stop at height bound {graph.block.height_bound}"
+        )
+    targets = [(h, k) for y, h in up for k in stalks[y]]
+    quotients = {}  # degree -> per target slot, its `_quotient_rows`
+
+    def quotient(d):
+        if d not in quotients:
+            quotients[d] = [_quotient_rows(graph, h, d, k) for h, k in targets]
+        return quotients[d]
+
+    def image(vec, d):
+        """A degree-d slot vector over the target slots, mapped to the
+        product of the quotients B^y / h B^y."""
+        width = _width(graph, d)
+        return [
+            sum(c * vec[base + p] for p, c in row)
+            for base, block in zip(range(0, len(vec), width), quotient(d))
+            for row in block
+        ]
+
+    above = [y for y, _ in up]
+    gens = [(_section_vector(graph, v, above, stalks, d), 1, d) for d, v in sections]
+    images = [image(vec, d) for vec, _, d in gens]
+    chosen = _stalk_generators(graph, gens, images, image)
+    stalk = [gens[i] for i in chosen]
+    stalks[x] = [d for _, _, d in stalk]
+    r = len(stalk)
+    glued = {}
+    for t, i in enumerate(chosen):
+        width = _width(graph, stalks[x][t])
+        unit = [0] * (r * width)
+        unit[t * width] = 1  # x_1^(deg b_t) in slot t
+        glued[i] = {**sections[i][1], x: unit}
+    kernel = []
+    for d in range(bound + 1):
+        width = _width(graph, d)
+        basis = list(_multiples(graph, stalk, d))  # m_p * b_t
+        n = len(basis)
+        # rows [image | B^x coordinates | 0]: rows with their pivot past the
+        # image columns span K_x in degree d
+        aug = Echelon(
+            image(vec, d) + [int(j == c) for c in range(n + 1)]
+            for j, (_, _, vec) in enumerate(basis)
+        )
+        spans = [len(block) for block in quotient(d)]
+        nq = sum(spans)
+        start = 0
+        for y, _ in up:  # (a): each edge's columns have full rank
+            stop = start + sum(spans[: len(stalks[y])])
+            spans = spans[len(stalks[y]) :]
+            found = rank([row[start:stop] for row in aug.rows])
+            if found != stop - start:
+                raise TruncationError(
+                    f"{where}: B^x has rank {found} in B^y / h B^y for the edge "
+                    f"up to {word_str(y)} in degree {d}, expected {stop - start}"
+                )
+            start = stop
+
+        def in_slots(coeffs):
+            out = [0] * (r * width)
+            for (t, p, _), c in zip(basis, coeffs):
+                dt = stalks[x][t]
+                out[t * width + _shifts(graph, d - dt, dt)[p][0]] = c
+            return out
+
+        kernel += [
+            (in_slots(row[nq:-1]), 1, d)
+            for row, p in zip(aug.rows, aug.pivots)
+            if p >= nq
+        ]
+        for i, (deg, values) in enumerate(sections):
+            if deg == d and i not in glued:
+                # rest = c (image_i, 0, 1) minus rows: c * section i glues
+                # to minus rest's B^x coordinates
+                rest = aug.reduce(images[i] + [0] * n + [1])
+                if any(rest[:nq]):
+                    raise TruncationError(
+                        f"{where}: a section of degree {d} does not lift to B^x"
+                    )
+                lifted = {y: [rest[-1] * c for c in v] for y, v in values.items()}
+                lifted[x] = in_slots([-c for c in rest[nq:-1]])
+                g = gcd(*(c for v in lifted.values() for c in v))
+                glued[i] = {y: [c // g for c in v] for y, v in lifted.items()}
+    # (b): count, generic rank and degree sum of K_x's generators
+    kgens = minimal_generators(graph, kernel)
+    point = _generic_point(graph.nvars)
+    values = [[p.evaluate(point) for p in _poly_tuple(graph, *g)] for g in kgens]
+    found = (len(kgens), rank(values), sum(d for _, _, d in kgens))
+    expected = (r, r, sum(stalks[x]) + sum(len(stalks[y]) for y in above))
+    if found != expected:
+        raise TruncationError(
+            f"{where}: the kernel of B^x -> M_x has (generators, generic rank, "
+            f"degree sum) {found}, expected {expected}"
+        )
+    return [(d, glued[i]) for i, (d, _) in enumerate(sections)] + [
+        (d, {x: vec}) for vec, _, d in kgens
+    ]
+
+
+def identify_projective(graph: MomentGraphBlock, w) -> ZLattice:
+    """P(w), the global sections of the Braden-MacPherson sheaf on [e, w]
+    (Braden-MacPherson, Math. Ann. 321, 2001; Fiebig, Adv. Math. 217, 2008).
+
+    Walks the vertices from w down in reverse (length, ShortLex) order.  The
+    stalk at w is S; at x < w, M_x is the image of the sections over the
+    vertices walked so far in the quotients B^y / h_E B^y over the edges E
+    from x up to y, the stalk B^x is free on its minimal homogeneous
+    generators, and `_glue` adds x to the sections, certified within the
+    polynomial degree bound l(w).  The sections are an S-basis, hence
+    minimal; sorted by degree they are the generators, and the lattice is
+    certified free of rank sum_x rank B^x."""
+    block = graph.block
+    if block.stab_order != 1:
+        raise UnsupportedError("Braden-MacPherson sections need a regular block")
+    top = block.coxeter_system.element(w)
+    if top.word not in graph.weights:
+        raise TruncationError(
+            f"vertex {word_str(top.word)} of length {top.length} lies outside "
+            f"length bound {block.length_bound}; length bound {top.length} passes"
+        )
+    cone = sorted((x.word for x in lower_cone(top)), key=_vertex_key)
+    ups = {x: [] for x in cone}
+    for edge, h in graph.edges.items():
+        if edge <= ups.keys():
+            x, y = sorted(edge, key=_vertex_key)
+            ups[x].append((y, h))
+    stalks = {top.word: [0]}
+    sections = [(0, {top.word: [1]})]
+    for x in reversed(cone[:-1]):
+        up = sorted(ups[x], key=lambda yh: _vertex_key(yh[0]))
+        sections = _glue(graph, x, up, stalks, sections, top.length)
+    gens = sorted(
+        ((_section_vector(graph, v, cone, stalks, d), 1, d) for d, v in sections),
+        key=lambda g: g[2],
+    )
+    slots = [x for x in cone for _ in stalks[x]]
+    what = f"P({word_str(top.word)}) on {len(slots)} slots"
+    return _certified_lattice(graph, slots, gens, len(slots), what)
 
 
 def invariant_structure_algebra(

@@ -57,8 +57,7 @@ _CACHE = {}
 
 def _graph(key):
     if key not in _CACHE:
-        matrix = {"a1": [[2]], "a2": [[2, -1], [-1, 2]], "b2": [[2, -2], [-1, 2]],
-                  "g2": [[2, -1], [-3, 2]]}[key]
+        matrix = {"a1": [[2]], "a2": [[2, -1], [-1, 2]], "b2": [[2, -2], [-1, 2]]}[key]
         cartan = rootdata.cartan_datum(matrix)
         coords = (0,) * cartan.rank
         _CACHE[key] = moment_graph(
@@ -179,21 +178,51 @@ def test_acceptance_4():
             assert got == {w: n for w, n in want.items() if n}
 
 
+# (Cartan matrix, weight, length bound, words of length above max_length to
+# add, max_length); the non-integral weights have W(lambda) smaller than W
+_KL_GRADED_CASES = {
+    "A2": ([[2, -1], [-1, 2]], (0, 0), 8, (), 3),
+    "B2": ([[2, -2], [-1, 2]], (0, 0), 8, (), 4),
+    "G2": ([[2, -1], [-3, 2]], (0, 0), 8, (), 6),
+    "A3": ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], (0, 0, 0), 8, (), 6),
+    "A1~": ([[2, -2], [-2, 2]], (0, 0), 4, (), 4),
+    "A2~": (
+        [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], (0, 0, 0), 4,
+        ("1 2 3 1", "1 3 2 1", "2 1 3 2", "2 3 1 2", "3 1 2 3", "3 2 1 3"), 3,
+    ),
+    "G2 (1/3, 0)": ([[2, -1], [-3, 2]], ("1/3", 0), 8, (), 6),
+    "B2 (0, 1/2)": ([[2, -2], [-1, 2]], (0, "1/2"), 8, (), 4),
+    "B3 (1/2, 0, 0)": (
+        [[2, -1, 0], [-1, 2, -2], [0, -1, 2]], ("1/2", 0, 0), 8, (), 9,
+    ),
+}
+
+
 def test_graded_projectives_match_kl_polynomials():
-    """The graded rank of P(w) at y: 2 l(y) + 4 i, as often as q^i occurs
-    in P_{y,w} (every vertex of A2 and of B2, w0 included, and G2 up to
-    length 4; acceptance 4 checks only the ungraded counts)."""
-    for key, max_length in (("a2", 3), ("b2", 4), ("g2", 4)):
-        graph = _graph(key)
-        system = graph.block.coxeter_system
+    """The graded rank of P(w) at y: 2 l(y) + 2 i, as often as q^i occurs
+    in P_{y,w}, with P the KL polynomials of W(lambda), not of W (every
+    vertex of A2, B2, G2 and A3, w0 included; Ã1 up to length 4; Ã2 up to
+    length 3 and its six length-4 elements with P_{e,w} = 1 + q; the
+    non-integral blocks G2 (1/3, 0), B2 (0, 1/2) and B3 (1/2, 0, 0).
+    Acceptance 4 checks only the ungraded counts."""
+    for matrix, coords, length_bound, extra, max_length in _KL_GRADED_CASES.values():
+        cartan = rootdata.cartan_datum(matrix)
+        block = blocks.block_data(
+            cartan, weight(cartan, *coords), length_bound=length_bound
+        )
+        graph = moment_graph(block)
+        system = block.coxeter_system
         table = KLTable(system)
-        for w in graph.vertices:
-            if len(w) > max_length:
-                continue
+        words = [w for w in graph.vertices if len(w) <= max_length]
+        for text in extra:
+            w = tuple(int(c) - 1 for c in text.split())
+            assert table.poly(system.element(()), system.element(w)) == (1, 1)
+            words.append(w)
+        for w in words:
             got = graded_char(identify_projective(graph, w))
             for y in graph.vertices:
                 p = table.poly(system.element(y), system.element(w))
-                want = [2 * len(y) + 4 * i for i, c in enumerate(p) for _ in range(c)]
+                want = [2 * len(y) + 2 * i for i, c in enumerate(p) for _ in range(c)]
                 assert sorted(got.get(y, [])) == want
 
 

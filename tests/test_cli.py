@@ -305,7 +305,8 @@ def test_bs_names_the_length_bound_it_outgrows(cartan_file, capsys):
 
 
 def test_bs_builds_one_bott_samelson_lattice(cartan_file, capsys, monkeypatch):
-    # for a reduced word, P(w) is read off the decomposition already printed
+    # bs decomposes the one Bott-Samelson lattice it prints; P(w) comes from
+    # the Braden-MacPherson sections, which build no Bott-Samelson lattice
     calls = []
     original = zmod.bott_samelson
 

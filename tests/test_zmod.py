@@ -32,6 +32,7 @@ from blocko.zmod import (
     zlattice_to_json,
 )
 
+from bs_projectives import projective_summand, reference_projective
 from conftest import A1_AFFINE, A2, A3, B2, G2, weight
 
 
@@ -300,7 +301,7 @@ def test_projective_is_the_one_summand_new_in_its_length(matrix):
             for S in summands
             if not any(isomorphic_up_to_shift(S, P) for P in shorter)
         ]
-        found[w] = zmod.projective_summand(summands, w)
+        found[w] = projective_summand(summands, w)
         assert len(new) == 1 and new[0] is found[w]
 
 
@@ -311,7 +312,7 @@ def test_decompose_matches_the_kl_peel_of_the_bott_samelson_character(
     matrix, max_length
 ):
     """Every summand of BS(w) is a shifted P(y), whose graded character is
-    2 l(x) + 4 i + k at x for each q^i in P_{x,y}; and the (y, k) are the
+    2 l(x) + 2 i + k at x for each q^i in P_{x,y}; and the (y, k) are the
     ones that peel BS(w)'s graded character top-down by these KL columns."""
     graph = _graph(matrix, 0, 0)
     system = graph.block.coxeter_system
@@ -322,7 +323,7 @@ def test_decompose_matches_the_kl_peel_of_the_bott_samelson_character(
         for x in graph.vertices:
             p = table.poly(system.element(x), system.element(y))
             degrees = [
-                2 * len(x) + 4 * i + k for i, c in enumerate(p) for _ in range(c)
+                2 * len(x) + 2 * i + k for i, c in enumerate(p) for _ in range(c)
             ]
             if degrees:
                 char[x] = degrees
@@ -349,6 +350,112 @@ def test_decompose_matches_the_kl_peel_of_the_bott_samelson_character(
                         rest[x].remove(d)
         assert not any(rest.values())
         assert sorted(got) == sorted(peeled)
+
+
+def _invertible_at_the_generic_point(U, nvars):
+    point = [Fraction(p) for p in zmod._GENERIC_PRIMES[:nvars]]
+    return linalg.rank([[p.evaluate(point) for p in row] for row in U]) == len(U)
+
+
+@pytest.mark.parametrize("matrix", [A2, B2, G2], ids=["A2", "B2", "G2"])
+def test_projectives_match_the_bott_samelson_reference(matrix):
+    """Up to length 3, the Braden-MacPherson P(w) and the summand over w of
+    BS(w) have one graded character, and degree-0 Homs both ways compose to
+    an endomorphism of P(w) that is invertible at the generic point, so the
+    two are isomorphic (End^0 of an indecomposable is local)."""
+    graph = _graph(matrix, 0, 0)
+    for w in graph.vertices:
+        if len(w) > 3:
+            break
+        P, R = identify_projective(graph, w), reference_projective(graph, w)
+        assert graded_char(P) == graded_char(R)
+        there, back = hom_graded(P, R, 0), hom_graded(R, P, 0)
+        assert any(
+            _invertible_at_the_generic_point(compose(b, a, graph.nvars), graph.nvars)
+            for a in there
+            for b in back
+        )
+
+
+@pytest.mark.parametrize("matrix", [A2, B2, G2], ids=["A2", "B2", "G2"])
+def test_projective_of_w0_is_the_structure_algebra(matrix):
+    """On a finite group, w0 is smooth and [e, w0] is every vertex: P(w0)
+    and Z contain each other."""
+    graph = _graph(matrix, 0, 0)
+    P, Z = identify_projective(graph, graph.vertices[-1]), structure_algebra(graph)
+    assert P.slots == Z.slots
+    for M, N in ((P, Z), (Z, P)):
+        for gen, d in zip(M.generators, M.degrees):
+            assert lattice_contains(N, gen, d // 2)
+
+
+def test_identify_projective_builds_no_bott_samelson_lattice(monkeypatch):
+    calls = []
+    for name in ("bott_samelson", "decompose", "hom_graded"):
+        original = getattr(zmod, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(zmod, name, counted)
+    graph = _graph(A3, 0, 0, 0)
+    P = identify_projective(graph, (1, 0, 2, 1))
+    assert P.rank == 16
+    assert calls == []
+
+
+def test_identify_projective_names_a_length_bound_that_passes():
+    with pytest.raises(TruncationError) as err:
+        identify_projective(_graph(A2, 0, 0, length_bound=2), (0, 1, 0))
+    assert str(err.value) == (
+        "vertex 1 2 1 of length 3 lies outside length bound 2; "
+        "length bound 3 passes"
+    )
+    assert identify_projective(_graph(A2, 0, 0, length_bound=3), (0, 1, 0)).rank == 6
+
+
+def test_identify_projective_fails_on_a_graph_cut_by_the_height_bound():
+    # with roots up to height 1 only, the edge from s1 s2 up to s1 s2 s1 in
+    # the affine A1 graph is missing (its reflection has a higher root)
+    cartan = rootdata.cartan_datum(A1_AFFINE)
+    block = blocks.block_data(cartan, weight(cartan, 0, 0), height_bound=1)
+    with pytest.raises(TruncationError) as err:
+        identify_projective(moment_graph(block), (0, 1, 0))
+    assert str(err.value) == (
+        "Braden-MacPherson stalk at 1 2 (degree bound 3): no edge of the moment "
+        "graph leads up from x; its roots stop at height bound 1"
+    )
+
+
+@pytest.mark.parametrize(
+    "matrix, w, rank, error",
+    [
+        (A2, (0, 1, 0), 1, "B\\^x has rank 0 in B\\^y / h B\\^y for the edge up to "
+         "1 2 1 in degree 0, expected 1"),
+        (A3, (1, 0, 2, 1), 2, "a section of degree 1 does not lift to B\\^x"),
+    ],
+    ids=["A2 rank-1 stalk", "A3 rank-2 stalk"],
+)
+def test_stalk_certificate_fails_loudly(matrix, w, rank, error, monkeypatch):
+    """A stalk that misses a generator of M_x fails the vertex's certificate
+    instead of returning a lattice: here one generator is dropped at the
+    first vertex whose stalk has the given rank."""
+    stalk_generators = zmod._stalk_generators
+    dropped = []
+
+    def drop_one(*args):
+        chosen = stalk_generators(*args)
+        if len(chosen) == rank and not dropped:
+            dropped.append(chosen.pop())
+        return chosen
+
+    monkeypatch.setattr(zmod, "_stalk_generators", drop_one)
+    graph = _graph(matrix, *[0] * len(matrix))
+    result = None
+    with pytest.raises(TruncationError, match=f"degree bound {len(w)}\\): {error}"):
+        result = identify_projective(graph, w)
+    assert dropped and result is None
 
 
 def test_isomorphic_up_to_shift(a2_graph):
