@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm, prod
-from operator import add, mul
+from operator import add, mul, sub
 
 from .blocks import BlockData, dot_reflect
 from .coxeter import lower_cone, word_str
@@ -39,7 +39,7 @@ from .linalg import (
     solve_many,
 )
 from .poly import Poly, monomials_of_degree
-from .rootdata import Weight, form
+from .rootdata import Weight, form, reflect_root
 
 # endomorphisms `decompose` tries for a splitting idempotent
 _SPLIT_TRIALS = 60
@@ -320,6 +320,12 @@ def _grown_algebra(graph, vertex_words, count, edge_count, what, equal_pairs=())
                 if len(chosen) == count:
                     break
         d += 1
+    return _free_algebra(graph, vertex_words, chosen, count, edge_count, what)
+
+
+def _free_algebra(graph, vertex_words, chosen, count, edge_count, what):
+    """The certified lattice on the chosen generators of the congruence
+    algebra, whose polynomial degrees must add up to `edge_count`."""
     lattice = _certified_lattice(graph, vertex_words, chosen, count, what)
     total = sum(dg for _, _, dg in chosen)
     if total != edge_count:
@@ -330,12 +336,89 @@ def _grown_algebra(graph, vertex_words, count, edge_count, what, equal_pairs=())
     return lattice
 
 
+def _is_schubert_ideal(graph, vertex_words, edge_count):
+    """Do the equivariant Schubert classes span Z on the vertex subset: the
+    block is regular, the subset is a lower Bruhat ideal of W(lambda), and
+    no inversion root of a vertex is cut by the height bound?  Each w has
+    l(w) reflections t with tw < w, all inside a lower ideal, so the last
+    holds exactly when the subset has sum l(w) edges."""
+    block = graph.block
+    if block.stab_order != 1 or edge_count != sum(map(len, vertex_words)):
+        return False
+    system = block.coxeter_system
+    ids = [system.index(w) for w in vertex_words]
+    if None in ids:
+        return False
+    ideal = sum(1 << i for i in set(ids))
+    return all(not system.cone(i) & ~ideal for i in ids)
+
+
+def _schubert_algebra(graph, vertex_words, count, edge_count, what):
+    """The equivariant Schubert classes xi^v on a lower Bruhat ideal of a
+    regular block, in the (length, ShortLex) order of v (Billey, Duke Math.
+    J. 96, 1999; Kostant-Kumar, Adv. Math. 62, 1986).
+
+    For the ShortLex word a_1 ... a_l of w, with r_j = s_{a_1} ... s_{a_{j-1}}
+    (alpha_{a_j}), xi^v(w) is the sum of h_{r_{j_1}} ... h_{r_{j_k}} over the
+    reduced subwords a_{j_1} ... a_{j_k} of v.  The word of w extends the word
+    of its prefix u, so the sums for w are those for u plus, for every v
+    with v s_{a_l} > v, the sum for v times h_{r_l} at v s_{a_l}.
+
+    Certified by exact membership, every edge congruence on every generator
+    through the `_annihilator` rows, then by count, generic rank and degree
+    sum: generators of Z whose degrees add up to the edge count are all of Z
+    (see `_grown_algebra`)."""
+    block = graph.block
+    system, simples = block.coxeter_system, block.integral_simples
+    labels = {}  # w -> h_{r_l} for the last letter of w's word
+    for w in vertex_words[1:]:
+        root = simples[w[-1]]
+        for a in reversed(w[:-1]):
+            root = reflect_root(simples[a], root)
+        labels[w] = _vector(graph, (root_form(block.cartan, root),), 1)
+    den = lcm(*(d for _, d in labels.values()))  # common denominator
+    sums = {(): {0: [1]}}  # w -> {id of v: den^l(v) * xi^v(w)}
+    for w in vertex_words[1:]:
+        (label, d), a = labels[w], w[-1]
+        label = [x * (den // d) for x in label]
+        sums[w] = step = dict(sums[w[:-1]])
+        for v, vec in sums[w[:-1]].items():
+            if not system.rdesc[v] >> a & 1:
+                term = _slot_product(graph, label, 1, [0], vec, system.length[v], [0])
+                up = system.right(v, a)
+                step[up] = list(map(add, step[up], term)) if up in step else term
+    chosen = []
+    for v in vertex_words:
+        k, vid = len(v), system.index(v)
+        zero = [0] * _width(graph, k)
+        vec = [x for w in vertex_words for x in sums[w].get(vid, zero)]
+        g = gcd(*vec, den**k)
+        chosen.append(([x // g for x in vec], den**k // g, k))
+    index = {w: i for i, w in enumerate(vertex_words)}
+    edges = [(*sorted(e, key=_vertex_key), h) for e, h in graph.edges.items()
+             if e <= index.keys()]
+    for v, (vec, _, k) in zip(vertex_words, chosen):
+        width = _width(graph, k)
+        for a, b, h in edges:
+            ia, ib = index[a] * width, index[b] * width
+            diff = list(map(sub, vec[ia : ia + width], vec[ib : ib + width]))
+            if any(diff) and any(sum(map(mul, r, diff)) for r in _annihilator(graph, h, k)):
+                raise TruncationError(
+                    f"{what}: the Schubert class at {word_str(v)} breaks the "
+                    f"congruence on the edge {word_str(a)} - {word_str(b)}"
+                )
+    return _free_algebra(graph, vertex_words, chosen, count, edge_count, what)
+
+
 def structure_algebra(graph: MomentGraphBlock, vertex_words=None) -> ZLattice:
     """An S-basis of the congruence algebra on the vertex subset (every
-    vertex by default), computed once per graph and vertex subset.
+    vertex by default), computed once per graph and vertex subset: the
+    equivariant Schubert classes where `_is_schubert_ideal` holds, else
+    grown from the congruence kernel degree by degree.
 
-    Certified by the generator count, the generic rank and the degree sum;
-    fails loudly when the algebra is not free.
+    Certified by the generator count, the generic rank and the degree sum,
+    and the Schubert classes also by every edge congruence; fails loudly
+    when the algebra is not free.
     """
     if vertex_words is None:
         vertex_words = graph.vertices
@@ -345,9 +428,11 @@ def structure_algebra(graph: MomentGraphBlock, vertex_words=None) -> ZLattice:
         vset = set(vertex_words)
         edge_count = sum(1 for edge in graph.edges if edge <= vset)
         what = f"structure algebra on {len(key)} vertices"
-        graph.algebras[key] = _grown_algebra(
-            graph, vertex_words, len(key), edge_count, what
-        )
+        if _is_schubert_ideal(graph, vertex_words, edge_count):
+            build = _schubert_algebra
+        else:
+            build = _grown_algebra
+        graph.algebras[key] = build(graph, vertex_words, len(key), edge_count, what)
     return graph.algebras[key]
 
 
@@ -388,7 +473,8 @@ def theta_s(M: ZLattice, s: int) -> ZLattice:
             raise TruncationError(
                 "orbit truncation is not closed under the wall reflection: "
                 f"vertex {word_str(w)} of length {len(w)} "
-                f"lies outside length bound {graph.block.length_bound}"
+                f"lies outside length bound {graph.block.length_bound}; "
+                f"length bound {len(closure[-1])} passes"
             )
 
     # new slots: per vertex w, one per old slot at w, then one per old

@@ -12,6 +12,7 @@ B2 = [[2, -2], [-1, 2]]
 B3 = [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]
 G2 = [[2, -1], [-3, 2]]
 A1_AFFINE = [[2, -2], [-2, 2]]
+A2_AFFINE = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
 
 
 def weight(cartan, *coords, delta=0):

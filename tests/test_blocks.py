@@ -11,7 +11,7 @@ from blocko.errors import CriticalityError, UnsupportedError
 from blocko.rootdata import rho
 
 import orbit_walks
-from conftest import A1, A1_AFFINE, A2, A3, B2, B3, G2, weight
+from conftest import A1, A1_AFFINE, A2, A2_AFFINE, A3, B2, B3, G2, weight
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +81,6 @@ def test_weight_without_integral_roots_has_trivial_weyl_group(matrix, coords):
     ]
 
 
-A2_AFFINE = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
 ORBIT_TYPES = {  # name -> (Cartan matrix, height bound, length bound)
     "A2": (A2, 20, 8), "B2": (B2, 20, 8), "G2": (G2, 20, 8), "A3": (A3, 20, 8),
     "B3": (B3, 20, 8), "A1~": (A1_AFFINE, 12, 6), "A2~": (A2_AFFINE, 12, 4),

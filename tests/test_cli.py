@@ -11,7 +11,7 @@ import pytest
 from blocko import cli, kl, linalg, zmod
 from blocko.errors import TruncationError
 
-from conftest import A1, A1_AFFINE, A2, A3, G2
+from conftest import A1, A1_AFFINE, A2, A3, B3, G2
 
 
 def run(capsys, argv):
@@ -300,7 +300,8 @@ def test_bs_names_the_length_bound_it_outgrows(cartan_file, capsys):
     assert code == 2
     assert json.loads(out)["error"] == (
         "orbit truncation is not closed under the wall reflection: "
-        "vertex 1 2 1 of length 3 lies outside length bound 2"
+        "vertex 1 2 1 of length 3 lies outside length bound 2; "
+        "length bound 3 passes"
     )
 
 
@@ -347,6 +348,19 @@ def test_g2_center_needs_no_degree_bound(cartan_file, capsys):
     code, out = run(capsys, ["center", "--cartan", path, "--weight", "0,0"])
     assert code == 0
     assert out == golden["G2.center.degree12.stdout"]
+
+
+def test_b3_center_reaches_the_whole_group(cartan_file, capsys):
+    # 48 elements, each w with l(w) edges down to tw < w: 216 edges
+    path = cartan_file(B3)
+    code, out = run(
+        capsys,
+        ["center", "--cartan", path, "--weight", "0,0,0", "--length-bound", "9"],
+    )
+    assert code == 0
+    degrees = [g["degree"] for g in json.loads(out)["generators"]]
+    assert len(degrees) == 48
+    assert sum(degrees) == 2 * 216
 
 
 def test_g2_bs_needs_no_degree_bound(cartan_file, capsys):

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import poly_graded
-from blocko import blocks, kl, linalg, poly, rootdata, zmod
+from blocko import blocks, coxeter, kl, linalg, poly, rootdata, zmod
 from blocko.errors import TruncationError, UnsupportedError
 from blocko.poly import Poly, divisible_by_linear
 from blocko.zmod import (
@@ -33,7 +33,7 @@ from blocko.zmod import (
 )
 
 from bs_projectives import projective_summand, reference_projective
-from conftest import A1_AFFINE, A2, A3, B2, G2, weight
+from conftest import A1_AFFINE, A2, A2_AFFINE, A3, B2, B3, G2, weight
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +168,115 @@ def test_structure_algebra_is_stored_per_vertex_set(a2_graph):
     assert structure_algebra(a2_graph, reversed(a2_graph.vertices)) is z
     sub = structure_algebra(a2_graph, [(), (0,)])
     assert sub is not z and sub.slots == ((), (0,))
+
+
+# ---------------------------------------------------------------------------
+# Schubert classes against the kernel route (`zmod._grown_algebra`)
+
+SCHUBERT_GRAPHS = {
+    "A2": lambda: _graph(A2, 0, 0),
+    "B2": lambda: _graph(B2, 0, 0),
+    "G2": lambda: _graph(G2, 0, 0),
+    "A3": lambda: _graph(A3, 0, 0, 0),
+    "B3-length5": lambda: _graph(B3, 0, 0, 0, length_bound=5),
+    "A1~-length6": lambda: _graph(A1_AFFINE, 0, 0, length_bound=6),
+    "A2~-length4": lambda: _graph(A2_AFFINE, 0, 0, 0, length_bound=4),
+    "G2(1/3,0)": lambda: _graph(G2, Fraction(1, 3), 0),
+    "B2(0,1/2)": lambda: _graph(B2, 0, Fraction(1, 2)),
+}
+
+
+def _contains(M, N):
+    """Does the lattice M contain every generator of N?"""
+    by_degree = {}
+    for vec, _, d in zmod._gen_vectors(N):
+        by_degree.setdefault(d, []).append(vec)
+    for d, vecs in by_degree.items():
+        span = linalg.Echelon(
+            v for _, _, v in zmod._multiples(M.graph, zmod._gen_vectors(M), d)
+        )
+        if any(any(span.reduce(vec)) for vec in vecs):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("case", sorted(SCHUBERT_GRAPHS))
+def test_schubert_classes_and_the_kernel_route_contain_each_other(case):
+    graph = SCHUBERT_GRAPHS[case]()
+    z = structure_algebra(graph)
+    ref = zmod._grown_algebra(
+        graph, graph.vertices, len(graph.vertices), len(graph.edges), case
+    )
+    assert z.slots == ref.slots
+    assert _contains(z, ref) and _contains(ref, z)
+
+
+def _kernel_route_calls(monkeypatch):
+    calls = []
+    grown = zmod._grown_algebra
+
+    def counted(*args):
+        calls.append(args[1])
+        return grown(*args)
+
+    monkeypatch.setattr(zmod, "_grown_algebra", counted)
+    return calls
+
+
+def test_a_lower_ideal_takes_the_schubert_classes(monkeypatch):
+    calls = _kernel_route_calls(monkeypatch)
+    graph = _graph(G2, 0, 0)
+    system = graph.block.coxeter_system
+    cone = [x.word for x in coxeter.lower_cone(system.element((0, 1, 0)))]
+    for words in (None, cone):
+        z = structure_algebra(graph, words)
+        # xi^v in (length, ShortLex) order of v, of degree 2 l(v)
+        assert z.degrees == [2 * len(v) for v in z.slots]
+        assert [str(p) for p in z.generators[0]] == ["1"] * z.rank
+    assert calls == []
+
+
+def _other_subset(graph):
+    """A vertex subset that is not a lower Bruhat ideal."""
+    rng = random.Random(5)
+    system = graph.block.coxeter_system
+    while True:
+        words = rng.sample(graph.vertices, rng.randint(2, len(graph.vertices)))
+        ids = [system.index(w) for w in words]
+        ideal = sum(1 << i for i in ids)
+        if any(system.cone(i) & ~ideal for i in ids):
+            return words
+
+
+@pytest.mark.parametrize(
+    "case", ["A2-subset", "A2-singular(0,-2)", "A1~-height1"]
+)
+def test_other_vertex_sets_take_the_kernel_route(case, monkeypatch):
+    if case == "A2-subset":
+        graph = _graph(A2, 0, 0)
+        words = _other_subset(graph)
+    elif case == "A2-singular(0,-2)":
+        graph, words = _graph(A2, 0, -2), None
+    else:
+        cartan = rootdata.cartan_datum(A1_AFFINE)
+        block = blocks.block_data(cartan, weight(cartan, 0, 0), height_bound=1)
+        graph, words = moment_graph(block), None
+    calls = _kernel_route_calls(monkeypatch)
+    z = structure_algebra(graph, words)
+    assert len(calls) == 1
+    vertices = set(z.slots)
+    edges = [e for e in graph.edges if e <= vertices]
+    assert len(z.generators) == len(vertices) == _generic_rank(z)
+    assert sum(z.degrees) == 2 * len(edges)
+
+
+def test_simple_roots_in_place_of_the_inversion_roots_fail(monkeypatch):
+    """With r_j replaced by alpha_{a_j} the G2 tuples keep their count,
+    generic rank and degree sum; the edge congruences catch them."""
+    monkeypatch.setattr(zmod, "reflect_root", lambda beta, gamma: gamma)
+    with pytest.raises(TruncationError, match="Schubert class at 1 breaks the "
+                       "congruence on the edge e - 1 2 1"):
+        structure_algebra(_graph(G2, 0, 0))
 
 
 def test_verma_zmodule_is_rank_one(a2_graph):
@@ -624,6 +733,7 @@ def _positive_multiple(sparse, dense):
 @settings(
     max_examples=10,
     deadline=None,
+    derandomize=True,
     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
 )
 @given(_route_cases())
