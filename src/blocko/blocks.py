@@ -1,23 +1,24 @@
 """Block data of a weight: integral roots, the integral Coxeter system,
 stabilizer, criticality, level class, truncated orbit, tilting.
 
-Truncation discipline: `height_bound` caps root heights, `length_bound` caps
-orbit word lengths.  Anything that cannot be certified within the bounds
-fails loudly instead of silently truncating.
+Truncation discipline: `length_bound` caps orbit word lengths.  The simple
+roots of W(lambda) and of the stabilizer are found without a height cut, on
+finite and affine data alike; `height_bound` is certified against them and
+fails loudly, naming the bound that passes, when it lies below the largest
+of their heights.  No other module reads a height bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import islice, permutations
 
 from . import coxeter
 from .coxeter import INFINITY, CoxeterSystem, word_str
-from .errors import CriticalityError, TruncationError, UnsupportedError
+from .errors import CartanError, CriticalityError, TruncationError, UnsupportedError
 from .rootdata import (
     CartanDatum,
     Root,
-    RootSystem,
     Weight,
     build_root_system,
     cartan_to_json,
@@ -26,6 +27,7 @@ from .rootdata import (
     reflect,
     reflect_root,
     rho,
+    simple_root,
     weight_to_json,
 )
 
@@ -51,12 +53,9 @@ class BlockData:
     base_weight: Weight
     height_bound: int
     length_bound: int
-    root_system: RootSystem
-    integral_positive: list  # Roots
     integral_simples: list  # Roots
     coxeter_matrix: tuple  # entries int or INFINITY
     coxeter_system: CoxeterSystem
-    stab_reflections: list  # Roots beta with <lambda+rho, beta^vee> = 0
     stab_simple_indices: tuple  # indices into integral_simples fixing lambda
     stab_finite: bool
     stab_order: int | None
@@ -66,11 +65,10 @@ class BlockData:
     orbit: list = field(default_factory=list)  # OrbitVertex
 
 
-def integral_roots(cartan, weight, height_bound, root_system=None):
+def integral_roots(cartan, weight, height_bound):
     """All roots beta of height <= bound with 2(lambda+rho, beta) in
     Z*(beta,beta); closed under negation."""
-    if root_system is None:
-        root_system = build_root_system(cartan, height_bound)
+    root_system = build_root_system(cartan, height_bound)
     shifted = weight + rho(cartan)
     out = []
     for beta in root_system.positive_roots:
@@ -105,10 +103,7 @@ def _integral_simples(positive):
         for c in positive:
             sums.add(tuple(x + y for x, y in zip(b.simple_coords, c.simple_coords)))
     if any(b.simple_coords in sums for b in by_reflection):
-        raise TruncationError(
-            "simple-root criteria disagree on the truncated set; "
-            "increase height_bound"
-        )
+        raise TruncationError("the simple-root criteria disagree")
     # ties in height break toward lower simple index (alpha_1 first)
     return sorted(
         by_reflection,
@@ -149,15 +144,73 @@ def dot_action(block: BlockData, word, weight: Weight) -> Weight:
     return weight
 
 
-def _stabilizer(cartan, weight, positive):
-    """Reflections fixing the weight under the dot action, whether the
-    group they generate is finite, and its order if it is."""
+def _integral_candidates(cartan, weight, height_bound):
+    """Positive integral roots among which lie every simple root of
+    W(lambda) and every positive root fixing lambda; no height is cut.
+
+    Finite type: all positive integral roots, from a root system built once
+    if `height_bound` covers its highest root.  Affine type: over the
+    classes of `real_root_classes`, with c = (lambda + rho, delta), integrality
+    of beta + n g delta depends on n modulo the denominator q of
+    2 g c / (beta, beta), and for c != 0 one n at most gives a root fixing
+    lambda (for c = 0 a class fixes lambda whole or not at all).  A simple
+    root of W(lambda) is simple in the infinite dihedral group of its class
+    and the opposite one, so it is the least integral root of its class: the
+    candidates are, per class, that root (among the first q) and the root
+    fixing lambda."""
     shifted = weight + rho(cartan)
-    fixed = [b for b in positive if form(shifted, b) == 0]
-    sub = CoxeterSystem(_coxeter_matrix(_integral_simples(fixed)))
-    if not coxeter.is_finite(sub):
-        return fixed, False, None
-    return fixed, True, len(coxeter.all_elements(sub))
+    if cartan.kind == "finite":
+        bound = height_bound
+        while True:
+            roots = build_root_system(cartan, bound).positive_real
+            if all(
+                reflect_root(simple_root(cartan, i), r).height <= bound
+                for r in roots
+                for i in range(cartan.rank)
+            ):
+                break
+            bound *= 2
+        return [
+            r for r in roots if (2 * form(shifted, r) / form(r, r)).denominator == 1
+        ]
+    if cartan.kind != "affine":
+        raise CartanError("block data need finite or affine type")
+    c = form(shifted, Root(cartan, cartan.marks))
+    out = set()
+    for low, g in real_root_classes(cartan):
+        x, length = form(shifted, low), form(low, low)
+        period = (2 * g * c / length).denominator
+        integral = (
+            n for n in range(period) if (2 * (x + n * g * c) / length).denominator == 1
+        )
+        steps = list(islice(integral, 1))  # the least integral root
+        if c:
+            steps.append(-x / (g * c))  # the root fixing lambda
+        out.update(
+            shift_by_delta(low, n * g) for n in steps if n.denominator == 1 and n >= 0
+        )
+    return list(out)
+
+
+def shift_by_delta(root: Root, k) -> Root:
+    """root + k delta, in affine type."""
+    marks = root.cartan.marks
+    return Root(root.cartan, [m + k * d for m, d in zip(root.simple_coords, marks)])
+
+
+def real_root_classes(cartan):
+    """The classes beta + g Z delta of the real roots of affine type, as
+    (the least positive root of the class, g).  As g is 1, 2 or 3 (Kac,
+    Infinite-dimensional Lie algebras, Prop. 6.3), the two lowest positive
+    roots of a class lie below height 6 ht(delta)."""
+    delta, node = Root(cartan, cartan.marks), cartan.affine_node
+    classes = {}  # beta modulo delta -> its positive roots, height ascending
+    for r in build_root_system(cartan, 6 * delta.height).positive_real:
+        t = r.simple_coords[node] // cartan.marks[node]
+        key = tuple(m - t * d for m, d in zip(r.simple_coords, cartan.marks))
+        classes.setdefault(key, []).append(r)
+    return [(low, (high.height - low.height) // delta.height)
+            for low, high, *_ in classes.values()]
 
 
 def _orbit(block: BlockData):
@@ -197,18 +250,24 @@ def block_data(
     height_bound: int = DEFAULT_HEIGHT_BOUND,
     length_bound: int = DEFAULT_LENGTH_BOUND,
 ) -> BlockData:
-    """Assemble the block datum of a weight."""
-    root_system = build_root_system(cartan, height_bound)
-    all_integral = integral_roots(cartan, weight, height_bound, root_system)
-    positive = sorted(
-        (b for b in all_integral if b.sign > 0),
-        key=lambda r: (r.height, tuple(-c for c in r.simple_coords)),
-    )
+    """Assemble the block datum of a weight.  Raises TruncationError when
+    `height_bound` lies below the height of a simple root of W(lambda) or of
+    the stabilizer, the least bound that finds both."""
+    shifted = weight + rho(cartan)
+    positive = _integral_candidates(cartan, weight, height_bound)
     simples = _integral_simples(positive)
+    fixed_simples = _integral_simples([b for b in positive if form(shifted, b) == 0])
+    need = max((b.height for b in simples + fixed_simples), default=0)
+    if height_bound < need:
+        raise TruncationError(
+            f"the simple roots of W(lambda) and of its stabilizer reach height "
+            f"{need}, above height bound {height_bound}; height bound {need} passes"
+        )
     cox_matrix = _coxeter_matrix(simples)
     system = CoxeterSystem(cox_matrix)
-    stab_refl, stab_finite, stab_order = _stabilizer(cartan, weight, positive)
-    shifted = weight + rho(cartan)
+    stabilizer = CoxeterSystem(_coxeter_matrix(fixed_simples))
+    stab_finite = coxeter.is_finite(stabilizer)
+    stab_order = len(coxeter.all_elements(stabilizer)) if stab_finite else None
     stab_simple_idx = tuple(
         i for i, b in enumerate(simples) if form(shifted, b) == 0
     )
@@ -218,12 +277,9 @@ def block_data(
         base_weight=weight,
         height_bound=height_bound,
         length_bound=length_bound,
-        root_system=root_system,
-        integral_positive=positive,
         integral_simples=simples,
         coxeter_matrix=cox_matrix,
         coxeter_system=system,
-        stab_reflections=stab_refl,
         stab_simple_indices=stab_simple_idx,
         stab_finite=stab_finite,
         stab_order=stab_order,
@@ -257,20 +313,30 @@ def tilt(block: BlockData) -> BlockData:
     )
 
 
+def chamber_walk(block: BlockData, weight: Weight, dominant: bool):
+    """Walk weight + rho into the closed dominant (else antidominant) chamber
+    of W(lambda), reflecting each step in the first integral simple root on
+    the wrong side.  Returns the letters i_1 ... i_k, a reduced word with
+    weight = s_{i_1} ... s_{i_k} . (end - rho), and the end point.  The
+    walk ends on finite and non-critical affine data, on the side that
+    `has_dominant` (else `has_antidominant`) names."""
+    shifted = weight + rho(block.cartan)
+    sign = 1 if dominant else -1
+    letters = []
+    while True:
+        pairings = [sign * form(shifted, b) for b in block.integral_simples]
+        if min(pairings, default=0) >= 0:
+            return tuple(letters), shifted
+        letters.append(next(i for i, p in enumerate(pairings) if p < 0))
+        shifted = reflect(block.integral_simples[letters[-1]], shifted)
+
+
 def _chamber_stab_indices(block: BlockData, dominant: bool):
     """Indices of the integral simple roots fixing the base weight after
-    integral simple dot-reflections move it into the dominant (else the
-    antidominant) chamber of W(lambda), where its stabilizer is the standard
-    parabolic subgroup on those indices."""
-    shifted = block.base_weight + rho(block.cartan)
-    sign = 1 if dominant else -1
-    simples = block.integral_simples
-    while True:
-        pairings = [sign * form(shifted, b) for b in simples]
-        wrong = [b for b, p in zip(simples, pairings) if p < 0]
-        if not wrong:
-            return {i for i, p in enumerate(pairings) if p == 0}
-        shifted = reflect(wrong[0], shifted)
+    `chamber_walk` moves it into the chamber, where its stabilizer is the
+    standard parabolic subgroup on those indices."""
+    _, shifted = chamber_walk(block, block.base_weight, dominant)
+    return {i for i, b in enumerate(block.integral_simples) if form(shifted, b) == 0}
 
 
 def equivalence_check(block_a: BlockData, block_b: BlockData) -> str:

@@ -1,8 +1,9 @@
 """Graded structure algebra of a block and graded lattices over it.
 
-A block's orbit carries a moment graph: vertices are orbit elements, an edge
-joins w and s_beta.w whenever both lie in the truncation, labeled by the
-linear form h_beta = (beta, -).  The structure algebra Z is the set of
+A block's orbit carries a moment graph: vertices are orbit elements, and an
+edge joins w and s_beta.w for a positive integral root beta, found from
+Billey's roots of a word (so no root height is cut), labeled by the linear
+form h_beta = (beta, -).  The structure algebra Z is the set of
 vertex-tuples (z_w) with z_w congruent to z_{s_beta w} mod h_beta on every
 edge.  Modules over Z are presented as graded lattices: finitely many
 vertex-labeled slots plus homogeneous generator tuples of `Poly`.  The
@@ -24,7 +25,13 @@ from itertools import islice
 from math import gcd, lcm, prod
 from operator import add, mul, sub
 
-from .blocks import BlockData, dot_reflect
+from .blocks import (
+    BlockData,
+    chamber_walk,
+    dot_reflect,
+    real_root_classes,
+    shift_by_delta,
+)
 from .coxeter import lower_cone, word_str
 from .errors import TruncationError, UnsupportedError
 from .linalg import (
@@ -39,7 +46,7 @@ from .linalg import (
     solve_many,
 )
 from .poly import Poly, monomials_of_degree
-from .rootdata import Weight, form, reflect_root
+from .rootdata import Weight, coroot_pairing, form, reflect_root, rho
 
 # endomorphisms `decompose` tries for a splitting idempotent
 _SPLIT_TRIALS = 60
@@ -80,24 +87,87 @@ class MomentGraphBlock:
 
 
 def moment_graph(block: BlockData) -> MomentGraphBlock:
-    """Edges (w, s_beta.w) for every positive integral root beta with both
-    endpoints inside the truncated orbit."""
-    words = [v.word for v in block.orbit]
+    """The moment graph on the truncated orbit: an edge joins two vertices
+    when a positive integral root beta reflects one onto the other, labeled
+    h_beta.  Its edges are found without a height cut: `_billey_edges`, or
+    `_critical_edges` at the critical level, which has no chamber."""
     weights = {v.word: v.weight for v in block.orbit}
-    by_weight = {v.weight: v.word for v in block.orbit}
-    nv = _nvars(block.cartan)
+    if block.has_dominant or block.has_antidominant:
+        edges = _billey_edges(block, weights)
+    else:
+        edges = _critical_edges(block, weights)
+    return MomentGraphBlock(block, list(weights), weights, edges, _nvars(block.cartan))
+
+
+def _billey_edges(block: BlockData, weights):
+    """Billey's edges (Duke Math. J. 96, 1999): for a reduced word
+    a_1 ... a_l, the roots r_j = s_{a_1} ... s_{a_{j-1}}(alpha_{a_j}) over
+    the integral simple roots are the l positive roots its element makes
+    negative, and the edges down from a vertex y go to s_{r_j} . y.
+
+    Regular block: the word is y's own.  Certified: the l(y) endpoints are
+    distinct vertices shorter than y.
+
+    Singular block: the word is `chamber_walk`'s for y's weight, so the r_j
+    are the positive integral roots with y + rho on the far side of the
+    chamber.  The two ends of an edge lie on opposite sides of its root, so
+    this finds every edge once, also when the stabilizer is not a standard
+    parabolic subgroup.  Certified: the r_j are on the far side and their
+    endpoints distinct; an endpoint outside the truncated orbit has no edge.
+    """
+    simples = block.integral_simples
+    by_weight = {mu: y for y, mu in weights.items()}
+    regular = block.stab_order == 1
+    side = 1 if block.has_dominant else -1
+    roots, edges = {(): []}, {}  # word -> r_1, ..., r_l; edge -> label
+    for y, mu in weights.items():
+        word = y if regular else chamber_walk(block, mu, side > 0)[0]
+        for j in range(len(word)):
+            if word[: j + 1] not in roots:
+                root = simples[word[j]]
+                for a in reversed(word[:j]):
+                    root = reflect_root(simples[a], root)
+                roots[word[: j + 1]] = roots[word[:j]] + [root]
+        ends = [dot_reflect(r, mu) for r in roots[word]]
+        if regular:
+            ok = all(e in by_weight and len(by_weight[e]) < len(y) for e in ends)
+        else:
+            ok = all(side * form(mu + rho(block.cartan), r) < 0 for r in roots[word])
+        if not ok or len(set(ends)) < len(word):
+            raise TruncationError(
+                f"moment graph: Billey's roots of the word {word_str(word)} are "
+                f"not {len(word)} inversions of vertex {word_str(y)}"
+            )
+        for r, e in zip(roots[word], ends):
+            if e in by_weight:
+                edges[frozenset({by_weight[e], y})] = root_form(block.cartan, r)
+    return edges
+
+
+def _critical_edges(block: BlockData, weights):
+    """The edges of a critical block.  At level 0 every root
+    beta = low + n g delta of a class of `real_root_classes` pairs with
+    x = y + rho as low does, c = <x, low^vee>, so s_beta . y is s_low . y
+    moved by -c n g delta: it is a vertex with the weight coordinates of
+    s_low . y and the delta coefficient that fixes n.  The two ends of an
+    edge pair with its root to c and -c; it is found from the end with
+    c < 0."""
+    by_coords = {}  # weight coordinates -> the vertices with them
+    for y, mu in weights.items():
+        by_coords.setdefault(mu.coords, []).append(y)
+    classes = real_root_classes(block.cartan)
     edges = {}
-    for v in block.orbit:
-        for beta in block.integral_positive:
-            other = dot_reflect(beta, v.weight)
-            if other == v.weight or other not in by_weight:
-                continue
-            key = frozenset({v.word, by_weight[other]})
-            label = root_form(block.cartan, beta)
-            if label.is_zero():
-                raise ValueError("degenerate edge label")
-            edges[key] = label
-    return MomentGraphBlock(block, words, weights, edges, nv)
+    for y, mu in weights.items():
+        for low, g in classes:
+            c = coroot_pairing(mu + rho(block.cartan), low)
+            end = dot_reflect(low, mu)
+            for x in by_coords.get(end.coords, []) if c < 0 else []:
+                n = (end.delta - weights[x].delta) / (c * g)
+                if n.denominator == 1 and n >= 0:
+                    edges[frozenset({x, y})] = root_form(
+                        block.cartan, shift_by_delta(low, n * g)
+                    )
+    return edges
 
 
 def _vertex_key(word):
@@ -339,9 +409,9 @@ def _free_algebra(graph, vertex_words, chosen, count, edge_count, what):
 def _is_schubert_ideal(graph, vertex_words, edge_count):
     """Do the equivariant Schubert classes span Z on the vertex subset: the
     block is regular, the subset is a lower Bruhat ideal of W(lambda), and
-    no inversion root of a vertex is cut by the height bound?  Each w has
-    l(w) reflections t with tw < w, all inside a lower ideal, so the last
-    holds exactly when the subset has sum l(w) edges."""
+    it has sum l(w) edges?  Off the critical level the last always holds,
+    each w having l(w) edges down; at the critical level translations can
+    fix the weights, so elements share vertices and edges are added."""
     block = graph.block
     if block.stab_order != 1 or edge_count != sum(map(len, vertex_words)):
         return False
@@ -368,14 +438,10 @@ def _schubert_algebra(graph, vertex_words, count, edge_count, what):
     through the `_annihilator` rows, then by count, generic rank and degree
     sum: generators of Z whose degrees add up to the edge count are all of Z
     (see `_grown_algebra`)."""
-    block = graph.block
-    system, simples = block.coxeter_system, block.integral_simples
-    labels = {}  # w -> h_{r_l} for the last letter of w's word
-    for w in vertex_words[1:]:
-        root = simples[w[-1]]
-        for a in reversed(w[:-1]):
-            root = reflect_root(simples[a], root)
-        labels[w] = _vector(graph, (root_form(block.cartan, root),), 1)
+    system = graph.block.coxeter_system
+    # w -> h_{r_l} for the last letter of w's word, on the edge down to its prefix
+    labels = {w: _vector(graph, (graph.edges[frozenset({w, w[:-1]})],), 1)
+              for w in vertex_words[1:]}
     den = lcm(*(d for _, d in labels.values()))  # common denominator
     sums = {(): {0: [1]}}  # w -> {id of v: den^l(v) * xi^v(w)}
     for w in vertex_words[1:]:
@@ -455,6 +521,14 @@ def lattice_contains(M: ZLattice, tup, d) -> bool:
     return not any(span.reduce(_vector(M.graph, tup, d)[0]))
 
 
+def _outside_the_orbit(w, length_bound):
+    return TruncationError(
+        "orbit truncation is not closed under the wall reflection: "
+        f"vertex {word_str(w)} of length {len(w)} lies outside length bound "
+        f"{length_bound}; length bound {len(w)} passes"
+    )
+
+
 def theta_s(M: ZLattice, s: int) -> ZLattice:
     """Translation through the s-wall and back: the lattice generated by
     structure-algebra multiples of diagonally doubled generators.
@@ -470,12 +544,7 @@ def theta_s(M: ZLattice, s: int) -> ZLattice:
                      key=_vertex_key)
     for w in closure:
         if w not in graph.weights:
-            raise TruncationError(
-                "orbit truncation is not closed under the wall reflection: "
-                f"vertex {word_str(w)} of length {len(w)} "
-                f"lies outside length bound {graph.block.length_bound}; "
-                f"length bound {len(closure[-1])} passes"
-            )
+            raise _outside_the_orbit(w, graph.block.length_bound)
 
     # new slots: per vertex w, one per old slot at w, then one per old
     # slot at ws
@@ -504,7 +573,14 @@ def theta_s(M: ZLattice, s: int) -> ZLattice:
 
 def bott_samelson(graph: MomentGraphBlock, word) -> ZLattice:
     """theta_{s_n} ... theta_{s_1} applied to the lattice at the identity
-    vertex; rank 2^n."""
+    vertex; rank 2^n.  Its vertices lie below the Demazure product of the
+    word, whose length is the length bound that passes."""
+    block = graph.block
+    top = ()
+    for s in word:
+        top = max(top, block.coxeter_system.word_times(top, s), key=len)
+    if block.stab_order == 1 and len(top) > block.length_bound:
+        raise _outside_the_orbit(top, block.length_bound)
     M = verma_zmodule(graph, ())
     for s in word:
         M = theta_s(M, s)
@@ -1021,11 +1097,6 @@ def _glue(graph, x, up, stalks, sections, bound):
     h_E^(r_y) in B^x, so by (b) K_x is generated within the bound, and the
     new sections are the old ones glued plus K_x at x."""
     where = f"Braden-MacPherson stalk at {word_str(x)} (degree bound {bound})"
-    if not up:
-        raise TruncationError(
-            f"{where}: no edge of the moment graph leads up from x; its roots "
-            f"stop at height bound {graph.block.height_bound}"
-        )
     targets = [(h, k) for y, h in up for k in stalks[y]]
     quotients = {}  # degree -> per target slot, its `_quotient_rows`
 
@@ -1145,6 +1216,12 @@ def identify_projective(graph: MomentGraphBlock, w) -> ZLattice:
             f"length bound {block.length_bound}; length bound {top.length} passes"
         )
     cone = sorted((x.word for x in lower_cone(top)), key=_vertex_key)
+    shared = [x for x in cone if x not in graph.weights]
+    if shared:
+        raise UnsupportedError(
+            f"{word_str(shared[0])} <= {word_str(top.word)} shares its weight with "
+            "an earlier element: translations fix the weights of a critical block"
+        )
     ups = {x: [] for x in cone}
     for edge, h in graph.edges.items():
         if edge <= ups.keys():

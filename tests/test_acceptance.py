@@ -195,6 +195,7 @@ _KL_GRADED_CASES = {
     "B3 (1/2, 0, 0)": (
         [[2, -1, 0], [-1, 2, -2], [0, -1, 2]], ("1/2", 0, 0), 8, (), 9,
     ),
+    "A1~ (1/3, 0)": ([[2, -2], [-2, 2]], ("1/3", 0), 6, (), 6),
 }
 
 
@@ -203,7 +204,9 @@ def test_graded_projectives_match_kl_polynomials():
     in P_{y,w}, with P the KL polynomials of W(lambda), not of W (every
     vertex of A2, B2, G2 and A3, w0 included; Ã1 up to length 4; Ã2 up to
     length 3 and its six length-4 elements with P_{e,w} = 1 + q; the
-    non-integral blocks G2 (1/3, 0), B2 (0, 1/2) and B3 (1/2, 0, 0).
+    non-integral blocks G2 (1/3, 0), B2 (0, 1/2), B3 (1/2, 0, 0) and Ã1
+    (1/3, 0) to length 6, whose W(lambda) has the simple roots (0, 1) and
+    (3, 2).
     Acceptance 4 checks only the ungraded counts."""
     for matrix, coords, length_bound, extra, max_length in _KL_GRADED_CASES.values():
         cartan = rootdata.cartan_datum(matrix)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from blocko import blocks, coxeter, kl, rootdata
 from blocko.coxeter import INFINITY
-from blocko.errors import CriticalityError, UnsupportedError
+from blocko.errors import CriticalityError, TruncationError, UnsupportedError
 from blocko.rootdata import rho
 
 import orbit_walks
@@ -22,6 +22,73 @@ def a2():
 @pytest.fixture(scope="module")
 def a1_affine():
     return rootdata.cartan_datum(A1_AFFINE)
+
+
+@pytest.mark.parametrize("matrix, coords, passes, simples, stab_order", [
+    (A1_AFFINE, ("1/11", 0), 21, [(0, 1), (11, 10)], 1),
+    (A1_AFFINE, (-11, 10), 21, [(1, 0), (0, 1)], 2),  # fixed by (11, 10)
+    (G2, ("1/2", 0), 5, [(0, 1), (2, 3)], 1),
+], ids=["A1~(1/11,0)", "A1~(-11,10)", "G2(1/2,0)"])
+def test_a_height_bound_below_a_simple_root_names_one_that_passes(
+    matrix, coords, passes, simples, stab_order
+):
+    cartan = rootdata.cartan_datum(matrix)
+    lam = weight(cartan, *coords)
+    with pytest.raises(TruncationError) as err:
+        blocks.block_data(cartan, lam, height_bound=passes - 1, length_bound=1)
+    assert str(err.value) == (
+        f"the simple roots of W(lambda) and of its stabilizer reach height "
+        f"{passes}, above height bound {passes - 1}; height bound {passes} passes"
+    )
+    block = blocks.block_data(cartan, lam, height_bound=passes, length_bound=1)
+    assert [b.simple_coords for b in block.integral_simples] == simples
+    assert block.stab_order == stab_order
+
+
+# finite, untwisted affine and twisted affine (A2^(2), D3^(2)) Cartan data
+_HEIGHT_TYPES = {
+    "B2": B2, "G2": G2, "A3": A3, "A1~": A1_AFFINE, "A2~": A2_AFFINE,
+    "C2~": [[2, -1, 0], [-2, 2, -2], [0, -1, 2]],
+    "G2~": [[2, -1, 0], [-1, 2, -1], [0, -3, 2]],
+    "A2^(2)": [[2, -4], [-1, 2]],
+    "D3^(2)": [[2, -2, 0], [-1, 2, -1], [0, -2, 2]],
+}
+_HEIGHT_COORDS = st.sampled_from(
+    [-3, -2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4),
+     Fraction(-2, 3)]
+)
+
+
+def _height_cut_simples(cartan, lam, height_bound):
+    """The simple roots of W(lambda) and of the stabilizer found among the
+    positive integral roots of height <= height_bound."""
+    roots = blocks.integral_roots(cartan, lam, height_bound)
+    positive = [b for b in roots if b.sign > 0]
+    shifted = lam + rho(cartan)
+    fixed = [b for b in positive if rootdata.form(shifted, b) == 0]
+    return blocks._integral_simples(positive), blocks._integral_simples(fixed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_the_height_bound_named_is_the_least_that_finds_the_simple_roots(data):
+    name = data.draw(st.sampled_from(sorted(_HEIGHT_TYPES)))
+    cartan = rootdata.cartan_datum(_HEIGHT_TYPES[name])
+    lam = weight(cartan, *data.draw(st.tuples(*[_HEIGHT_COORDS] * cartan.rank)))
+    try:
+        blocks.block_data(cartan, lam, height_bound=1, length_bound=1)
+        need = 1
+    except TruncationError as err:
+        need = int(str(err).rsplit(" ", 2)[-2])
+    block = blocks.block_data(cartan, lam, height_bound=need, length_bound=1)
+    simples, fixed = _height_cut_simples(cartan, lam, max(need, 48))
+    assert block.integral_simples == simples
+    stabilizer = coxeter.CoxeterSystem(blocks._coxeter_matrix(fixed))
+    assert block.stab_finite == coxeter.is_finite(stabilizer)
+    if block.stab_finite:
+        assert block.stab_order == len(coxeter.all_elements(stabilizer))
+    if need > 1:
+        assert _height_cut_simples(cartan, lam, need - 1) != (simples, fixed)
 
 
 def test_regular_integral_block_has_full_weyl_group(a2):

@@ -11,7 +11,7 @@ import pytest
 from blocko import cli, kl, linalg, zmod
 from blocko.errors import TruncationError
 
-from conftest import A1, A1_AFFINE, A2, A3, B3, G2
+from conftest import A1, A1_AFFINE, A2, A3, B2, B3, G2
 
 
 def run(capsys, argv):
@@ -361,6 +361,51 @@ def test_b3_center_reaches_the_whole_group(cartan_file, capsys):
     degrees = [g["degree"] for g in json.loads(out)["generators"]]
     assert len(degrees) == 48
     assert sum(degrees) == 2 * 216
+
+
+def test_affine_a1_center_has_every_edge(cartan_file, capsys):
+    # W(lambda) has the simple roots (0, 1) and (3, 2); at the default height
+    # bound the height-cut graph lost 9 of the 42 edges, and Z had degrees
+    # [0, 2, 2, 4, 4, 6, 6, 6, 6, 6, 8, 8, 8]
+    path = cartan_file(A1_AFFINE)
+    code, out = run(
+        capsys,
+        ["center", "--cartan", path, "--weight", "1/3,0", "--length-bound", "6"],
+    )
+    assert code == 0
+    degrees = [g["degree"] for g in json.loads(out)["generators"]]
+    assert degrees == [0, 2, 2, 4, 4, 6, 6, 8, 8, 10, 10, 12, 12]
+
+
+def test_block_names_a_height_bound_that_passes(cartan_file, capsys):
+    # the simple root (2, 3) of W(lambda) has height 5
+    path = cartan_file(G2)
+    argv = ["block", "--cartan", path, "--weight", "1/2,0", "--height-bound"]
+    code, out = run(capsys, argv + ["3"])
+    assert code == 2
+    assert json.loads(out)["error"] == (
+        "the simple roots of W(lambda) and of its stabilizer reach height 5, "
+        "above height bound 3; height bound 5 passes"
+    )
+    code, out = run(capsys, argv + ["5"])
+    assert code == 0
+    assert json.loads(out)["integral_simples"] == [[0, 1], [2, 3]]
+
+
+def test_bs_names_the_length_bound_of_the_whole_word(cartan_file, capsys):
+    # the Demazure product of 1 2 1 2 in B2 has length 4
+    path = cartan_file(B2)
+    argv = ["bs", "--cartan", path, "--weight", "0,0", "--word", "1 2 1 2",
+            "--length-bound"]
+    code, out = run(capsys, argv + ["2"])
+    assert code == 2
+    assert json.loads(out)["error"].endswith(
+        "vertex 1 2 1 2 of length 4 lies outside length bound 2; "
+        "length bound 4 passes"
+    )
+    code, out = run(capsys, argv + ["4"])
+    assert code == 0
+    assert json.loads(out)["rank"] == 16
 
 
 def test_g2_bs_needs_no_degree_bound(cartan_file, capsys):

@@ -1,6 +1,7 @@
 """Source hygiene of the package: every imported name is used, every
-private function is called, no function keeps a global cache, and every
-name the benchmark's tracer wraps exists."""
+private function is called, no function keeps a global cache, only the
+block data read a height bound, and every name the benchmark's tracer wraps
+exists."""
 
 import ast
 import importlib
@@ -53,6 +54,28 @@ def test_no_functools_cache_decorator(path):
     # moment graph's stores), not to a module-level decorator
     tree = ast.parse(path.read_text(), filename=str(path))
     assert list(_cache_decorators(tree)) == []
+
+
+# the modules that may name a height bound: the option (cli), the root
+# systems it truncates (rootdata) and the block data that certify it (blocks)
+_HEIGHT_BOUND_READERS = {"blocks.py", "cli.py", "rootdata.py"}
+
+
+def _height_bound_names(tree):
+    for node in ast.walk(tree):
+        for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "arg", None)):
+            if isinstance(name, str) and "height_bound" in name.lower():
+                yield node.lineno, name
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in _HEIGHT_BOUND_READERS],
+    ids=lambda p: p.name,
+)
+def test_only_the_block_data_read_a_height_bound(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert list(_height_bound_names(tree)) == []
 
 
 def _referenced_names():

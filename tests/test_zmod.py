@@ -33,6 +33,7 @@ from blocko.zmod import (
 )
 
 from bs_projectives import projective_summand, reference_projective
+from height_cut_graph import height_cut_edges
 from conftest import A1_AFFINE, A2, A2_AFFINE, A3, B2, B3, G2, weight
 
 
@@ -98,6 +99,75 @@ def _graph(matrix, *coords, length_bound=blocks.DEFAULT_LENGTH_BOUND):
         cartan, weight(cartan, *coords), length_bound=length_bound
     )
     return moment_graph(block)
+
+
+# (Cartan matrix, weight, length bound) of blocks whose graphs the height-cut
+# reference finds whole at height bound 60, regular and singular
+REFERENCE_BLOCKS = {
+    "A2": (A2, (0, 0), 8),
+    "B2": (B2, (0, 0), 8),
+    "G2": (G2, (0, 0), 8),
+    "A3": (A3, (0, 0, 0), 8),
+    "B3": (B3, (0, 0, 0), 9),
+    "A1~": (A1_AFFINE, (0, 0), 8),
+    "A2~": (A2_AFFINE, (0, 0, 0), 6),
+    "G2(1/3,0)": (G2, ("1/3", 0), 8),
+    "A3(0,-1,0)": (A3, (0, -1, 0), 8),
+    "A3(-1,0,-1)": (A3, (-1, 0, -1), 8),
+    "A3(-1,-1,0)": (A3, (-1, -1, 0), 8),
+    "B2(-1,0)": (B2, (-1, 0), 8),
+    "G2(0,-1)": (G2, (0, -1), 8),
+    "B3(0,-1,0)": (B3, (0, -1, 0), 9),
+}
+# blocks without sum l(v) edges: singular blocks whose stabilizer is not a
+# standard parabolic subgroup of W(lambda) (A2 (0, -2) has the vertices e, 1
+# and 2, and an edge 1 - 2), and critical blocks, whose weights translations
+# can fix (A2~ (2, -3, -2) has 31 vertices and 144 edges)
+OTHER_BLOCKS = {
+    "A2(0,-2)": (A2, (0, -2), 8),
+    "B2(1,-3)": (B2, (1, -3), 8),
+    "G2(1,-3)": (G2, (1, -3), 8),
+    "A3(0,-2,1)": (A3, (0, -2, 1), 8),
+    "A1~(2,-3)": (A1_AFFINE, (2, -3), 8),
+    "A2~(1,-3,0)": (A2_AFFINE, (1, -3, 0), 6),
+    "A1~(-1,-1)": (A1_AFFINE, (-1, -1), 4),
+    "A1~(0,-2)": (A1_AFFINE, (0, -2), 5),
+    "A2~(0,-2,-1)": (A2_AFFINE, (0, -2, -1), 4),
+    "A2~(2,-3,-2)": (A2_AFFINE, (2, -3, -2), 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_BLOCKS) + sorted(OTHER_BLOCKS))
+def test_moment_graph_matches_the_height_cut_reference(case):
+    matrix, coords, length_bound = {**REFERENCE_BLOCKS, **OTHER_BLOCKS}[case]
+    cartan = rootdata.cartan_datum(matrix)
+    block = blocks.block_data(
+        cartan, weight(cartan, *coords), height_bound=60, length_bound=length_bound
+    )
+    graph = moment_graph(block)
+    assert graph.edges == height_cut_edges(block, 60)
+    if case in REFERENCE_BLOCKS:
+        # each vertex v has l(v) edges down
+        assert len(graph.edges) == sum(map(len, graph.vertices))
+
+
+@pytest.mark.parametrize(
+    "matrix, coords, length_bound, count",
+    [
+        (A1_AFFINE, ("1/3", 0), 6, 42),
+        (A1_AFFINE, ("1/2", 0), 8, 72),
+        (A2_AFFINE, ("1/2", 0, 0), 8, 612),
+    ],
+    ids=["A1~(1/3,0)", "A1~(1/2,0)", "A2~(1/2,0,0)"],
+)
+def test_moment_graph_keeps_the_edges_the_default_height_bound_cut(
+    matrix, coords, length_bound, count
+):
+    # the height-cut reference at the default bound finds 33, 60 and 593
+    graph = _graph(matrix, *coords, length_bound=length_bound)
+    cut = height_cut_edges(graph.block, blocks.DEFAULT_HEIGHT_BOUND)
+    assert len(graph.edges) == sum(map(len, graph.vertices)) == count > len(cut)
+    assert graph.edges.items() >= cut.items()
 
 
 def _random_subset(matrix, seed):
@@ -248,19 +318,13 @@ def _other_subset(graph):
             return words
 
 
-@pytest.mark.parametrize(
-    "case", ["A2-subset", "A2-singular(0,-2)", "A1~-height1"]
-)
+@pytest.mark.parametrize("case", ["A2-subset", "A2-singular(0,-2)"])
 def test_other_vertex_sets_take_the_kernel_route(case, monkeypatch):
     if case == "A2-subset":
         graph = _graph(A2, 0, 0)
         words = _other_subset(graph)
-    elif case == "A2-singular(0,-2)":
-        graph, words = _graph(A2, 0, -2), None
     else:
-        cartan = rootdata.cartan_datum(A1_AFFINE)
-        block = blocks.block_data(cartan, weight(cartan, 0, 0), height_bound=1)
-        graph, words = moment_graph(block), None
+        graph, words = _graph(A2, 0, -2), None
     calls = _kernel_route_calls(monkeypatch)
     z = structure_algebra(graph, words)
     assert len(calls) == 1
@@ -271,12 +335,33 @@ def test_other_vertex_sets_take_the_kernel_route(case, monkeypatch):
 
 
 def test_simple_roots_in_place_of_the_inversion_roots_fail(monkeypatch):
-    """With r_j replaced by alpha_{a_j} the G2 tuples keep their count,
-    generic rank and degree sum; the edge congruences catch them."""
+    """With r_j replaced by alpha_{a_j}, the G2 vertex s1 s2 would have an
+    edge up to s2 s1 s2 in place of its edge down to s1."""
     monkeypatch.setattr(zmod, "reflect_root", lambda beta, gamma: gamma)
-    with pytest.raises(TruncationError, match="Schubert class at 1 breaks the "
+    with pytest.raises(TruncationError, match="Billey's roots of the word 1 2 "
+                       "are not 2 inversions of vertex 1 2$"):
+        _graph(G2, 0, 0)
+
+
+def test_simple_roots_in_place_of_the_chamber_walk_roots_fail(monkeypatch):
+    """On A2 (0, -2) the chamber walk from the vertex 1 has the word 1 2;
+    alpha_2 in place of s_1(alpha_2) lies on the near side."""
+    monkeypatch.setattr(zmod, "reflect_root", lambda beta, gamma: gamma)
+    with pytest.raises(TruncationError, match="Billey's roots of the word 1 2 "
+                       "are not 2 inversions of vertex 1$"):
+        _graph(A2, 0, -2)
+
+
+def test_a_wrong_edge_label_breaks_a_schubert_congruence():
+    """The Schubert classes read h_{r_l} from the edge from w down to its
+    prefix; with h_{alpha_2} on the G2 edge s1 s2 - s1 in place of h_{r_2},
+    they keep their count, generic rank and degree sum, and the other edges'
+    congruences catch them."""
+    graph = _graph(G2, 0, 0)
+    graph.edges[frozenset({(0, 1), (0,)})] = graph.edges[frozenset({(1,), ()})]
+    with pytest.raises(TruncationError, match="Schubert class at 2 breaks the "
                        "congruence on the edge e - 1 2 1"):
-        structure_algebra(_graph(G2, 0, 0))
+        structure_algebra(graph)
 
 
 def test_verma_zmodule_is_rank_one(a2_graph):
@@ -524,17 +609,26 @@ def test_identify_projective_names_a_length_bound_that_passes():
     assert identify_projective(_graph(A2, 0, 0, length_bound=3), (0, 1, 0)).rank == 6
 
 
-def test_identify_projective_fails_on_a_graph_cut_by_the_height_bound():
-    # with roots up to height 1 only, the edge from s1 s2 up to s1 s2 s1 in
-    # the affine A1 graph is missing (its reflection has a higher root)
+def test_identify_projective_rejects_a_cone_with_shared_weights():
+    # at the critical level translations fix weights: in affine A2 at
+    # (2, -3, -2), the element 2 3 1 2 1 reaches the weight of an earlier one
+    cartan = rootdata.cartan_datum(A2_AFFINE)
+    block = blocks.block_data(cartan, weight(cartan, 2, -3, -2), length_bound=6)
+    with pytest.raises(UnsupportedError, match="^2 3 1 2 1 <= 2 3 1 2 3 1 shares"):
+        identify_projective(moment_graph(block), (1, 2, 0, 1, 2, 0))
+
+
+def test_identify_projective_does_not_depend_on_the_height_bound():
+    # the edge from s1 s2 up to s1 s2 s1 in the affine A1 graph has a root of
+    # height 3; the graph no longer loses it at height bound 1
     cartan = rootdata.cartan_datum(A1_AFFINE)
-    block = blocks.block_data(cartan, weight(cartan, 0, 0), height_bound=1)
-    with pytest.raises(TruncationError) as err:
-        identify_projective(moment_graph(block), (0, 1, 0))
-    assert str(err.value) == (
-        "Braden-MacPherson stalk at 1 2 (degree bound 3): no edge of the moment "
-        "graph leads up from x; its roots stop at height bound 1"
-    )
+    projectives = [
+        zlattice_to_json(identify_projective(moment_graph(blocks.block_data(
+            cartan, weight(cartan, 0, 0), height_bound=bound
+        )), (0, 1, 0)))
+        for bound in (1, 20)
+    ]
+    assert projectives[0] == projectives[1]
 
 
 @pytest.mark.parametrize(
