@@ -150,7 +150,7 @@ def test_weight_without_integral_roots_has_trivial_weyl_group(matrix, coords):
 
 ORBIT_TYPES = {  # name -> (Cartan matrix, height bound, length bound)
     "A2": (A2, 20, 8), "B2": (B2, 20, 8), "G2": (G2, 20, 8), "A3": (A3, 20, 8),
-    "B3": (B3, 20, 8), "A1~": (A1_AFFINE, 12, 6), "A2~": (A2_AFFINE, 12, 4),
+    "B3": (B3, 20, 8), "A1~": (A1_AFFINE, 12, 6), "A2~": (A2_AFFINE, 26, 4),
 }
 
 
