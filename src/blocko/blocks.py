@@ -1,15 +1,15 @@
 """Block data of a weight: integral roots, the integral Coxeter system,
 stabilizer, criticality, level class, truncated orbit, tilting.
 
-Truncation discipline: `length_bound` caps orbit word lengths.  The simple
-roots of W(lambda) and of the stabilizer are found without a height cut, on
-finite and affine data alike; `height_bound` is certified against them and
-fails loudly, naming the bound that passes, when it lies below the largest
-of their heights.  No other module reads a height bound.
+Truncation discipline: `length_bound` caps orbit word lengths, and nothing
+else is cut.  The simple roots of W(lambda) and of the stabilizer are found
+without a height bound, on finite and affine data alike; only
+`integral_roots` takes one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import islice, permutations
 
@@ -27,11 +27,9 @@ from .rootdata import (
     reflect,
     reflect_root,
     rho,
-    simple_root,
     weight_to_json,
 )
 
-DEFAULT_HEIGHT_BOUND = 20
 DEFAULT_LENGTH_BOUND = 8
 
 _ORDER_FROM_PRODUCT = {0: 2, 1: 3, 2: 4, 3: 6}
@@ -51,7 +49,6 @@ class OrbitVertex:
 class BlockData:
     cartan: CartanDatum
     base_weight: Weight
-    height_bound: int
     length_bound: int
     integral_simples: list  # Roots
     coxeter_matrix: tuple  # entries int or INFINITY
@@ -144,32 +141,22 @@ def dot_action(block: BlockData, word, weight: Weight) -> Weight:
     return weight
 
 
-def _integral_candidates(cartan, weight, height_bound):
+def _integral_candidates(cartan, weight):
     """Positive integral roots among which lie every simple root of
     W(lambda) and every positive root fixing lambda; no height is cut.
 
-    Finite type: all positive integral roots, from a root system built once
-    if `height_bound` covers its highest root.  Affine type: over the
-    classes of `real_root_classes`, with c = (lambda + rho, delta), integrality
-    of beta + n g delta depends on n modulo the denominator q of
-    2 g c / (beta, beta), and for c != 0 one n at most gives a root fixing
-    lambda (for c = 0 a class fixes lambda whole or not at all).  A simple
-    root of W(lambda) is simple in the infinite dihedral group of its class
-    and the opposite one, so it is the least integral root of its class: the
-    candidates are, per class, that root (among the first q) and the root
-    fixing lambda."""
+    Finite type: all positive integral roots of the (finite) root system.
+    Affine type: over the classes of `real_root_classes`, with
+    c = (lambda + rho, delta), integrality of beta + n g delta depends on n
+    modulo the denominator q of 2 g c / (beta, beta), and for c != 0 one n
+    at most gives a root fixing lambda (for c = 0 a class fixes lambda whole
+    or not at all).  A simple root of W(lambda) is simple in the infinite
+    dihedral group of its class and the opposite one, so it is the least
+    integral root of its class: the candidates are, per class, that root
+    (among the first q) and the root fixing lambda."""
     shifted = weight + rho(cartan)
     if cartan.kind == "finite":
-        bound = height_bound
-        while True:
-            roots = build_root_system(cartan, bound).positive_real
-            if all(
-                reflect_root(simple_root(cartan, i), r).height <= bound
-                for r in roots
-                for i in range(cartan.rank)
-            ):
-                break
-            bound *= 2
+        roots = build_root_system(cartan, math.inf).positive_real
         return [
             r for r in roots if (2 * form(shifted, r) / form(r, r)).denominator == 1
         ]
@@ -247,22 +234,13 @@ def _classify_level(cartan, weight):
 def block_data(
     cartan: CartanDatum,
     weight: Weight,
-    height_bound: int = DEFAULT_HEIGHT_BOUND,
     length_bound: int = DEFAULT_LENGTH_BOUND,
 ) -> BlockData:
-    """Assemble the block datum of a weight.  Raises TruncationError when
-    `height_bound` lies below the height of a simple root of W(lambda) or of
-    the stabilizer, the least bound that finds both."""
+    """Assemble the block datum of a weight, its orbit cut at `length_bound`."""
     shifted = weight + rho(cartan)
-    positive = _integral_candidates(cartan, weight, height_bound)
+    positive = _integral_candidates(cartan, weight)
     simples = _integral_simples(positive)
     fixed_simples = _integral_simples([b for b in positive if form(shifted, b) == 0])
-    need = max((b.height for b in simples + fixed_simples), default=0)
-    if height_bound < need:
-        raise TruncationError(
-            f"the simple roots of W(lambda) and of its stabilizer reach height "
-            f"{need}, above height bound {height_bound}; height bound {need} passes"
-        )
     cox_matrix = _coxeter_matrix(simples)
     system = CoxeterSystem(cox_matrix)
     stabilizer = CoxeterSystem(_coxeter_matrix(fixed_simples))
@@ -275,7 +253,6 @@ def block_data(
     block = BlockData(
         cartan=cartan,
         base_weight=weight,
-        height_bound=height_bound,
         length_bound=length_bound,
         integral_simples=simples,
         coxeter_matrix=cox_matrix,
@@ -308,9 +285,7 @@ def is_critical(block: BlockData) -> bool:
 def tilt(block: BlockData) -> BlockData:
     """The block of -2 rho - lambda; an involution on base weights."""
     tilted_weight = rho(block.cartan).scale(-2) - block.base_weight
-    return block_data(
-        block.cartan, tilted_weight, block.height_bound, block.length_bound
-    )
+    return block_data(block.cartan, tilted_weight, block.length_bound)
 
 
 def chamber_walk(block: BlockData, weight: Weight, dominant: bool):

@@ -91,12 +91,7 @@ def _single(values, flag):
 def _build_block(args):
     cartan = load_cartan(_single(args.cartan, "--cartan"))
     weight = parse_weight(cartan, _single(args.weight, "--weight"))
-    block = blocks.block_data(
-        cartan,
-        weight,
-        height_bound=args.height_bound,
-        length_bound=args.length_bound,
-    )
+    block = blocks.block_data(cartan, weight, args.length_bound)
     if args.require_noncritical and blocks.is_critical(block):
         raise CriticalityError("block is critical")
     return block
@@ -309,12 +304,7 @@ def cmd_equiv(args):
     for path, wtext in zip(args.cartan, args.weight):
         cartan = load_cartan(path)
         weight = parse_weight(cartan, wtext)
-        block = blocks.block_data(
-            cartan,
-            weight,
-            height_bound=args.height_bound,
-            length_bound=args.length_bound,
-        )
+        block = blocks.block_data(cartan, weight, args.length_bound)
         pair.append(block)
         reports.append(blocks.block_to_json(block))
     verdict = blocks.equivalence_check(pair[0], pair[1])
@@ -347,36 +337,39 @@ def emit(report, fmt, out=None):
 # entry point
 
 
+_BLOCK_OPTIONS = ("cartan", "weight", "length-bound", "require-noncritical")
+
+# the options each command reads, besides --format; --degree-bound is
+# accepted for old scripts and ignored, as structure algebras are certified
+# without a degree bound
+COMMAND_OPTIONS = {
+    "block": _BLOCK_OPTIONS,
+    "kl": ("cartan", "x", "w"),
+    "character": _BLOCK_OPTIONS + ("w",),
+    "bs": _BLOCK_OPTIONS + ("word",),
+    "center": _BLOCK_OPTIONS + ("degree-bound",),
+    "equiv": ("cartan", "weight", "length-bound"),
+}
+
+_OPTION_ARGUMENTS = {  # add_argument keywords beyond a plain string option
+    "cartan": {"action": "append", "metavar": "FILE"},
+    "weight": {"action": "append", "metavar": "STR"},
+    "length-bound": {"type": int, "default": blocks.DEFAULT_LENGTH_BOUND},
+    "degree-bound": {"type": int},
+    "require-noncritical": {"action": "store_true"},
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="blocko")
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "block": cmd_block,
-        "kl": cmd_kl,
-        "character": cmd_character,
-        "bs": cmd_bs,
-        "center": cmd_center,
-        "equiv": cmd_equiv,
-    }
-    for name, func in handlers.items():
+    for name, options in COMMAND_OPTIONS.items():
         p = sub.add_parser(name)
-        p.add_argument("--cartan", action="append", metavar="FILE")
-        p.add_argument("--weight", action="append", metavar="STR")
-        p.add_argument("--word")
-        p.add_argument("--x")
-        p.add_argument("--w")
-        p.add_argument(
-            "--height-bound", type=int, default=blocks.DEFAULT_HEIGHT_BOUND
-        )
-        p.add_argument(
-            "--length-bound", type=int, default=blocks.DEFAULT_LENGTH_BOUND
-        )
-        # accepted for old scripts and ignored: structure algebras are
-        # certified without a degree bound
-        p.add_argument("--degree-bound", type=int)
+        for option in options:
+            p.add_argument(f"--{option}", **_OPTION_ARGUMENTS.get(option, {}))
         p.add_argument("--format", choices=("json", "tsv"), default="json")
-        p.add_argument("--require-noncritical", action="store_true")
-        p.set_defaults(func=func)
+        # looked up per build, so that a replaced cmd_* function is run
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
@@ -384,7 +377,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for bound in ("height-bound", "length-bound", "degree-bound"):
+        for bound in ("length-bound", "degree-bound"):
             _positive(args, bound)
         report = args.func(args)
     except (ValueError, OSError, CartanError) as exc:

@@ -11,8 +11,7 @@ class CriticalityError(BlockoError):
 
 
 class TruncationError(BlockoError):
-    """A height or length bound was too small, or a lattice failed its
-    certificate."""
+    """A length bound was too small, or a lattice failed its certificate."""
 
 
 class UnsupportedError(BlockoError):

@@ -46,7 +46,7 @@ from .linalg import (
     solve_many,
 )
 from .poly import Poly, monomials_of_degree
-from .rootdata import Weight, coroot_pairing, form, reflect_root, rho
+from .rootdata import coroot_pairing, form, reflect_root, rho
 
 # endomorphisms `decompose` tries for a splitting idempotent
 _SPLIT_TRIALS = 60
@@ -60,15 +60,11 @@ def _nvars(cartan):
 
 
 def root_form(cartan, beta) -> Poly:
-    """The linear form h_beta(mu) = (beta, mu) in weight coordinates."""
-    n = cartan.rank
-    coeffs = []
-    for k in range(n):
-        unit = Weight(cartan, tuple(1 if j == k else 0 for j in range(n)))
-        coeffs.append(form(beta, unit))
-    if cartan.is_affine:
-        coeffs.append(form(beta, Weight(cartan, (0,) * n, 1)))
-    return Poly.linear(coeffs)
+    """The linear form h_beta(mu) = (beta, mu) in weight coordinates: for
+    beta = sum m_k alpha_k its coefficient at x_k is (beta, Lambda_k) =
+    d_k m_k, and at delta it is (beta, delta) = 0."""
+    coeffs = [d * m for d, m in zip(cartan.symmetrizer, beta.simple_coords)]
+    return Poly.linear(coeffs + [0] * (_nvars(cartan) - cartan.rank))
 
 
 @dataclass
@@ -886,34 +882,32 @@ def _project_summand(M: ZLattice, E):
     graph, gens = M.graph, _gen_vectors(M)
     D, index = _top_index(M)
     point = _generic_point(graph.nvars)
-    up = [[Fraction(0)] * len(gens) for _ in gens]  # e at the generic point
-    images = []
+    images, values = [], []  # values: per image, its slot values at the point
     for i, (_, _, di) in enumerate(gens):
         img = [Fraction(0)] * (M.rank * _width(graph, di))
         for l, t, vec in _multiples(graph, gens, di):
-            dt = di - gens[l][2]
-            c = E[index[l, _shifts(graph, dt, D - di)[t][0]]][index[i, 0]]
+            c = E[index[l, _shifts(graph, di - gens[l][2], D - di)[t][0]]][index[i, 0]]
             if c:
-                up[l][i] += c * prod(map(pow, point, _monomials(graph, dt)[0][t]))
                 c /= gens[l][1]
                 for k, x in enumerate(vec):
                     if x:
                         img[k] += c * x
         images.append(img)
-    # the vertex-block slot matrix of e at the generic point
-    gt = list(zip(*([p.evaluate(point) for p in g] for g in M.generators)))
-    a = mat_mul(mat_mul(gt, up), invert(gt))
+        at = [prod(map(pow, point, m)) for m in _monomials(graph, di)[0]]
+        values.append([sum(map(mul, img[s : s + len(at)], at))
+                       for s in range(0, len(img), len(at))])
     by_vertex = {}
     for i, w in enumerate(M.slots):
         by_vertex.setdefault(w, []).append(i)
     chosen_slots = []
     for w in sorted(by_vertex, key=_vertex_key):
-        idx = by_vertex[w]
-        # greedy independent rows: projection onto them stays injective on
-        # the image of the block
+        # greedy independent rows, so projection onto them stays injective
+        # on the image: e commutes with Z, whose values at the point split
+        # M's vertices, so e's slot matrix is block-diagonal by vertex and
+        # rows of one vertex are dependent as the images' values there are
         span = Echelon()
         chosen_slots.extend(
-            r for r in idx if span.add([a[r][c] for c in idx])
+            r for r in by_vertex[w] if span.add([v[r] for v in values])
         )
     candidates = []
     for img, (_, _, d) in zip(images, gens):

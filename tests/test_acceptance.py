@@ -299,7 +299,7 @@ def test_acceptance_7():
     delta = rootdata.Root(aff, aff.marks)
     for a in (-3, -2, -1, 0, 1):
         lam = weight(aff, a, a)
-        block = blocks.block_data(aff, lam, height_bound=6, length_bound=2)
+        block = blocks.block_data(aff, lam, length_bound=2)
         level = rootdata.form(lam, delta)
         assert blocks.is_critical(block) == (level == -2)
     a1 = rootdata.cartan_datum([[2]])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from blocko import blocks, coxeter, kl, rootdata
 from blocko.coxeter import INFINITY
-from blocko.errors import CriticalityError, TruncationError, UnsupportedError
+from blocko.errors import CriticalityError, UnsupportedError
 from blocko.rootdata import rho
 
 import orbit_walks
@@ -24,23 +24,17 @@ def a1_affine():
     return rootdata.cartan_datum(A1_AFFINE)
 
 
-@pytest.mark.parametrize("matrix, coords, passes, simples, stab_order", [
-    (A1_AFFINE, ("1/11", 0), 21, [(0, 1), (11, 10)], 1),
-    (A1_AFFINE, (-11, 10), 21, [(1, 0), (0, 1)], 2),  # fixed by (11, 10)
-    (G2, ("1/2", 0), 5, [(0, 1), (2, 3)], 1),
+@pytest.mark.parametrize("matrix, coords, simples, stab_order", [
+    (A1_AFFINE, ("1/11", 0), [(0, 1), (11, 10)], 1),
+    (A1_AFFINE, (-11, 10), [(1, 0), (0, 1)], 2),  # fixed by (11, 10)
+    (G2, ("1/2", 0), [(0, 1), (2, 3)], 1),
 ], ids=["A1~(1/11,0)", "A1~(-11,10)", "G2(1/2,0)"])
 def test_a_height_bound_below_a_simple_root_names_one_that_passes(
-    matrix, coords, passes, simples, stab_order
+    matrix, coords, simples, stab_order
 ):
+    # simple roots of height 21, 21 and 5, found with no height bound
     cartan = rootdata.cartan_datum(matrix)
-    lam = weight(cartan, *coords)
-    with pytest.raises(TruncationError) as err:
-        blocks.block_data(cartan, lam, height_bound=passes - 1, length_bound=1)
-    assert str(err.value) == (
-        f"the simple roots of W(lambda) and of its stabilizer reach height "
-        f"{passes}, above height bound {passes - 1}; height bound {passes} passes"
-    )
-    block = blocks.block_data(cartan, lam, height_bound=passes, length_bound=1)
+    block = blocks.block_data(cartan, weight(cartan, *coords), length_bound=1)
     assert [b.simple_coords for b in block.integral_simples] == simples
     assert block.stab_order == stab_order
 
@@ -75,12 +69,14 @@ def test_the_height_bound_named_is_the_least_that_finds_the_simple_roots(data):
     name = data.draw(st.sampled_from(sorted(_HEIGHT_TYPES)))
     cartan = rootdata.cartan_datum(_HEIGHT_TYPES[name])
     lam = weight(cartan, *data.draw(st.tuples(*[_HEIGHT_COORDS] * cartan.rank)))
-    try:
-        blocks.block_data(cartan, lam, height_bound=1, length_bound=1)
-        need = 1
-    except TruncationError as err:
-        need = int(str(err).rsplit(" ", 2)[-2])
-    block = blocks.block_data(cartan, lam, height_bound=need, length_bound=1)
+    block = blocks.block_data(cartan, lam, length_bound=1)
+    # the simple roots of the stabilizer, as block_data finds them
+    shifted = lam + rho(cartan)
+    stab_simples = blocks._integral_simples([
+        b for b in blocks._integral_candidates(cartan, lam)
+        if rootdata.form(shifted, b) == 0
+    ])
+    need = max((b.height for b in block.integral_simples + stab_simples), default=1)
     simples, fixed = _height_cut_simples(cartan, lam, max(need, 48))
     assert block.integral_simples == simples
     stabilizer = coxeter.CoxeterSystem(blocks._coxeter_matrix(fixed))
@@ -148,16 +144,16 @@ def test_weight_without_integral_roots_has_trivial_weyl_group(matrix, coords):
     ]
 
 
-ORBIT_TYPES = {  # name -> (Cartan matrix, height bound, length bound)
-    "A2": (A2, 20, 8), "B2": (B2, 20, 8), "G2": (G2, 20, 8), "A3": (A3, 20, 8),
-    "B3": (B3, 20, 8), "A1~": (A1_AFFINE, 12, 6), "A2~": (A2_AFFINE, 26, 4),
+ORBIT_TYPES = {  # name -> (Cartan matrix, length bound)
+    "A2": (A2, 8), "B2": (B2, 8), "G2": (G2, 8), "A3": (A3, 8),
+    "B3": (B3, 8), "A1~": (A1_AFFINE, 6), "A2~": (A2_AFFINE, 4),
 }
 
 
 def _orbit_block(name, coords):
-    matrix, height_bound, length_bound = ORBIT_TYPES[name]
+    matrix, length_bound = ORBIT_TYPES[name]
     cartan = rootdata.cartan_datum(matrix)
-    return blocks.block_data(cartan, weight(cartan, *coords), height_bound, length_bound)
+    return blocks.block_data(cartan, weight(cartan, *coords), length_bound)
 
 
 @pytest.mark.parametrize("name, coords, stab_order, position", [
@@ -215,7 +211,7 @@ def test_affine_criticality_exactly_at_minus_two(a1_affine):
     for a in (-4, -3, -2, -1, 0, 1):
         w = weight(a1_affine, a, a)
         block = blocks.block_data(
-            a1_affine, w, height_bound=6, length_bound=2
+            a1_affine, w, length_bound=2
         )
         # (lambda, delta) = 2a; critical iff (lambda + rho, delta) = 0
         assert blocks.is_critical(block) == (a == -1)
@@ -223,7 +219,7 @@ def test_affine_criticality_exactly_at_minus_two(a1_affine):
 
 def test_affine_positive_level_class(a1_affine):
     block = blocks.block_data(
-        a1_affine, weight(a1_affine, 0, 0), height_bound=6, length_bound=2
+        a1_affine, weight(a1_affine, 0, 0), length_bound=2
     )
     assert block.level_class == "dominant-containing"
     assert block.has_dominant and not block.has_antidominant
@@ -231,7 +227,7 @@ def test_affine_positive_level_class(a1_affine):
 
 def test_affine_integral_coxeter_is_infinite_dihedral(a1_affine):
     block = blocks.block_data(
-        a1_affine, weight(a1_affine, 0, 0), height_bound=8, length_bound=3
+        a1_affine, weight(a1_affine, 0, 0), length_bound=3
     )
     assert len(block.integral_simples) == 2
     assert block.coxeter_matrix[0][1] is INFINITY
@@ -244,7 +240,7 @@ def test_indefinite_type_rejected_at_construction():
     assert cartan.kind == "indefinite"
     with pytest.raises(CartanError):
         blocks.block_data(
-            cartan, weight(cartan, 0, 0), height_bound=4, length_bound=2
+            cartan, weight(cartan, 0, 0), length_bound=2
         )
 
 
@@ -310,7 +306,7 @@ def test_equivalence_verdict_is_a_class_invariant(data):
 
 def test_equivalence_rejects_critical(a1_affine):
     crit = blocks.block_data(
-        a1_affine, weight(a1_affine, -1, -1), height_bound=6, length_bound=2
+        a1_affine, weight(a1_affine, -1, -1), length_bound=2
     )
     with pytest.raises(CriticalityError):
         blocks.equivalence_check(crit, crit)

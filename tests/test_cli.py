@@ -1,5 +1,6 @@
 """Command-line interface: parsing, exit codes, determinism, KL cache."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -76,7 +77,7 @@ def test_weight_delta_suffix(cartan_file, capsys):
         capsys,
         [
             "block", "--cartan", path, "--weight=0,0;delta=1/3",
-            "--height-bound", "6", "--length-bound", "2",
+            "--length-bound", "2",
         ],
     )
     assert code == 0
@@ -89,7 +90,7 @@ def test_require_noncritical_rejects_critical(cartan_file, capsys):
         capsys,
         [
             "block", "--cartan", path, "--weight=-1,-1",
-            "--height-bound", "6", "--length-bound", "2",
+            "--length-bound", "2",
             "--require-noncritical",
         ],
     )
@@ -100,7 +101,7 @@ def test_require_noncritical_rejects_critical(cartan_file, capsys):
 def test_nonpositive_bound_is_usage_error(cartan_file, capsys):
     path = cartan_file(A1)
     code, _ = run(
-        capsys, ["block", "--cartan", path, "--weight", "0", "--height-bound", "0"]
+        capsys, ["block", "--cartan", path, "--weight", "0", "--length-bound", "0"]
     )
     assert code == 1
 
@@ -326,13 +327,11 @@ def test_bs_builds_one_bott_samelson_lattice(cartan_file, capsys, monkeypatch):
 
 
 def test_bs_decomposes_at_the_given_degree_bound(cartan_file, capsys):
-    # the G2 structure algebra needs degree 12 = 2 l(w0): the splitting of
-    # the Bott-Samelson lattice must use the bound given, not the default
+    # the G2 structure algebra needs degree 12 = 2 l(w0), which the
+    # splitting of the Bott-Samelson lattice reaches with no degree bound
     path = cartan_file(G2)
     code, out = run(
-        capsys,
-        ["bs", "--cartan", path, "--weight", "0,0", "--word", "1",
-         "--degree-bound", "12"],
+        capsys, ["bs", "--cartan", path, "--weight", "0,0", "--word", "1"]
     )
     assert code == 0
     report = json.loads(out)
@@ -364,8 +363,8 @@ def test_b3_center_reaches_the_whole_group(cartan_file, capsys):
 
 
 def test_affine_a1_center_has_every_edge(cartan_file, capsys):
-    # W(lambda) has the simple roots (0, 1) and (3, 2); at the default height
-    # bound the height-cut graph lost 9 of the 42 edges, and Z had degrees
+    # W(lambda) has the simple roots (0, 1) and (3, 2); at height bound 20
+    # the height-cut graph lost 9 of the 42 edges, and Z had degrees
     # [0, 2, 2, 4, 4, 6, 6, 6, 6, 6, 8, 8, 8]
     path = cartan_file(A1_AFFINE)
     code, out = run(
@@ -375,21 +374,6 @@ def test_affine_a1_center_has_every_edge(cartan_file, capsys):
     assert code == 0
     degrees = [g["degree"] for g in json.loads(out)["generators"]]
     assert degrees == [0, 2, 2, 4, 4, 6, 6, 8, 8, 10, 10, 12, 12]
-
-
-def test_block_names_a_height_bound_that_passes(cartan_file, capsys):
-    # the simple root (2, 3) of W(lambda) has height 5
-    path = cartan_file(G2)
-    argv = ["block", "--cartan", path, "--weight", "1/2,0", "--height-bound"]
-    code, out = run(capsys, argv + ["3"])
-    assert code == 2
-    assert json.loads(out)["error"] == (
-        "the simple roots of W(lambda) and of its stabilizer reach height 5, "
-        "above height bound 3; height bound 5 passes"
-    )
-    code, out = run(capsys, argv + ["5"])
-    assert code == 0
-    assert json.loads(out)["integral_simples"] == [[0, 1], [2, 3]]
 
 
 def test_bs_names_the_length_bound_of_the_whole_word(cartan_file, capsys):
@@ -497,3 +481,71 @@ def test_cli_import_does_not_load_sympy():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+# small runs of each command on A2 data, after `--cartan FILE`
+_SMALL_RUNS = {
+    "block": ["--weight", "0,0"],
+    "kl": ["--x", "e", "--w", "1 2"],
+    "character": ["--weight", "0,0", "--w", "1"],
+    "bs": ["--weight", "0,0", "--word", "1"],
+    "center": ["--weight", "0,0"],
+    "equiv": ["--cartan", "{path}", "--weight", "0,0", "--weight", "0,-1"],
+}
+
+
+def _small_run(command, path):
+    return [command, "--cartan", path] + [
+        a.format(path=path) for a in _SMALL_RUNS[command]
+    ]
+
+
+def _declared_dests(command):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMAND_OPTIONS))
+def test_each_command_reads_every_option_it_declares(
+    command, cartan_file, capsys, tmp_path, monkeypatch
+):
+    monkeypatch.setenv("BLOCKO_CACHE", str(tmp_path / "cache"))
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    parse_args = cli._Parser.parse_args
+
+    def recorded(self, args=None, namespace=None):
+        parsed = parse_args(self, args, Recording())
+        reads.clear()  # argparse's own reads while parsing
+        return parsed
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recorded)
+    assert run(capsys, _small_run(command, cartan_file(A2)))[0] == 0
+    assert _declared_dests(command) <= reads
+
+
+_UNREAD_OPTIONS = [("kl", ["--weight", "0,0"]), ("bs", ["--degree-bound", "12"])] + [
+    (command, ["--height-bound", "20"]) for command in sorted(_SMALL_RUNS)
+]
+
+
+@pytest.mark.parametrize("command, extra", _UNREAD_OPTIONS,
+                         ids=[f"{c} {e[0]}" for c, e in _UNREAD_OPTIONS])
+def test_an_option_the_command_does_not_read_is_a_usage_error(
+    command, extra, cartan_file, capsys
+):
+    with pytest.raises(SystemExit) as err:
+        cli.main(_small_run(command, cartan_file(A2)) + extra)
+    assert err.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_center_prints_the_same_with_a_degree_bound(cartan_file, capsys):
+    argv = _small_run("center", cartan_file(A2))
+    assert run(capsys, argv + ["--degree-bound", "12"]) == run(capsys, argv)

@@ -1,7 +1,7 @@
 """Source hygiene of the package: every imported name is used, every
 private function is called, no function keeps a global cache, only the
-block data read a height bound, and every name the benchmark's tracer wraps
-exists."""
+root systems and `blocks.integral_roots` name a height bound, and every
+name the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
@@ -56,9 +56,9 @@ def test_no_functools_cache_decorator(path):
     assert list(_cache_decorators(tree)) == []
 
 
-# the modules that may name a height bound: the option (cli), the root
-# systems it truncates (rootdata) and the block data that certify it (blocks)
-_HEIGHT_BOUND_READERS = {"blocks.py", "cli.py", "rootdata.py"}
+# the modules that may name a height bound: the root systems it truncates
+# (rootdata) and `blocks.integral_roots`, the height-cut reference of tests
+_HEIGHT_BOUND_READERS = {"blocks.py", "rootdata.py"}
 
 
 def _height_bound_names(tree):
@@ -76,6 +76,13 @@ def _height_bound_names(tree):
 def test_only_the_block_data_read_a_height_bound(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert list(_height_bound_names(tree)) == []
+
+
+def test_in_blocks_only_integral_roots_names_a_height_bound():
+    path = Path(blocko.__file__).with_name("blocks.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [name for node in tree.body if getattr(node, "name", None) != "integral_roots"
+            for name in _height_bound_names(node)] == []
 
 
 def _referenced_names():

@@ -219,7 +219,7 @@ def test_projective_multiplicities_need_dominant_side():
 
     cartan = rootdata.cartan_datum(A1_AFFINE)
     block = blocks.block_data(
-        cartan, weight(cartan, -2, -2), height_bound=6, length_bound=3
+        cartan, weight(cartan, -2, -2), length_bound=3
     )
     assert block.level_class == "antidominant-containing"
     with pytest.raises(UnsupportedError):

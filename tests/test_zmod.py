@@ -33,7 +33,7 @@ from blocko.zmod import (
 )
 
 from bs_projectives import projective_summand, reference_projective
-from height_cut_graph import height_cut_edges
+from height_cut_graph import form_root_form, height_cut_edges
 from conftest import A1_AFFINE, A2, A2_AFFINE, A3, B2, B3, G2, weight
 
 
@@ -141,14 +141,44 @@ OTHER_BLOCKS = {
 def test_moment_graph_matches_the_height_cut_reference(case):
     matrix, coords, length_bound = {**REFERENCE_BLOCKS, **OTHER_BLOCKS}[case]
     cartan = rootdata.cartan_datum(matrix)
-    block = blocks.block_data(
-        cartan, weight(cartan, *coords), height_bound=60, length_bound=length_bound
-    )
+    block = blocks.block_data(cartan, weight(cartan, *coords), length_bound=length_bound)
     graph = moment_graph(block)
     assert graph.edges == height_cut_edges(block, 60)
     if case in REFERENCE_BLOCKS:
         # each vertex v has l(v) edges down
         assert len(graph.edges) == sum(map(len, graph.vertices))
+
+
+@pytest.mark.parametrize("matrix", [
+    A2, B2, G2, B3, A1_AFFINE, A2_AFFINE,
+    [[2, -1, 0], [-2, 2, -2], [0, -1, 2]],  # C2~
+    [[2, -4], [-1, 2]],  # A2^(2)
+    [[2, -2, 0], [-1, 2, -1], [0, -2, 2]],  # D3^(2)
+], ids=["A2", "B2", "G2", "B3", "A1~", "A2~", "C2~", "A2^(2)", "D3^(2)"])
+def test_root_form_agrees_with_the_invariant_form(matrix):
+    cartan = rootdata.cartan_datum(matrix)
+    for beta in rootdata.build_root_system(cartan, 12).positive_roots:
+        assert zmod.root_form(cartan, beta) == form_root_form(cartan, beta)
+
+
+def _restriction_rows(graph, h, d):
+    """Per degree-d monomial m free of h's first variable, the coefficients
+    at m of `poly.restrict_to_hyperplane` of every degree-d monomial."""
+    monos = zmod._monomials(graph, d)[0]
+    images = [poly.restrict_to_hyperplane(Poly(graph.nvars, {m: Fraction(1)}), h)
+              for m in monos]
+    var = next(i for m in h.terms for i, e in enumerate(m) if e)
+    return [linalg.integral([p.terms.get(m, 0) for p in images])[0]
+            for m in monos if not m[var]]
+
+
+@pytest.mark.parametrize("case", ["A2", "B2", "G2", "A3", "B3", "A1~", "A2~"])
+def test_annihilator_rows_are_the_restriction_to_the_label(case):
+    matrix, coords, length_bound = REFERENCE_BLOCKS[case]
+    graph = _graph(matrix, *coords, length_bound=length_bound)
+    for h in set(graph.edges.values()):
+        for d in range(7):
+            assert zmod._annihilator(graph, h, d) == _restriction_rows(graph, h, d)
 
 
 @pytest.mark.parametrize(
@@ -163,9 +193,9 @@ def test_moment_graph_matches_the_height_cut_reference(case):
 def test_moment_graph_keeps_the_edges_the_default_height_bound_cut(
     matrix, coords, length_bound, count
 ):
-    # the height-cut reference at the default bound finds 33, 60 and 593
+    # the height-cut reference at height bound 20 finds 33, 60 and 593
     graph = _graph(matrix, *coords, length_bound=length_bound)
-    cut = height_cut_edges(graph.block, blocks.DEFAULT_HEIGHT_BOUND)
+    cut = height_cut_edges(graph.block, 20)
     assert len(graph.edges) == sum(map(len, graph.vertices)) == count > len(cut)
     assert graph.edges.items() >= cut.items()
 
@@ -616,19 +646,6 @@ def test_identify_projective_rejects_a_cone_with_shared_weights():
     block = blocks.block_data(cartan, weight(cartan, 2, -3, -2), length_bound=6)
     with pytest.raises(UnsupportedError, match="^2 3 1 2 1 <= 2 3 1 2 3 1 shares"):
         identify_projective(moment_graph(block), (1, 2, 0, 1, 2, 0))
-
-
-def test_identify_projective_does_not_depend_on_the_height_bound():
-    # the edge from s1 s2 up to s1 s2 s1 in the affine A1 graph has a root of
-    # height 3; the graph no longer loses it at height bound 1
-    cartan = rootdata.cartan_datum(A1_AFFINE)
-    projectives = [
-        zlattice_to_json(identify_projective(moment_graph(blocks.block_data(
-            cartan, weight(cartan, 0, 0), height_bound=bound
-        )), (0, 1, 0)))
-        for bound in (1, 20)
-    ]
-    assert projectives[0] == projectives[1]
 
 
 @pytest.mark.parametrize(
