@@ -376,6 +376,20 @@ def test_affine_a1_center_has_every_edge(cartan_file, capsys):
     assert degrees == [0, 2, 2, 4, 4, 6, 6, 8, 8, 10, 10, 12, 12]
 
 
+def test_block_names_a_height_bound_that_passes(cartan_file, capsys):
+    # the simple root (2, 3) of W(lambda) has height 5; block finds it with
+    # no height bound, and a bound below it is no longer an option at all
+    path = cartan_file(G2)
+    argv = ["block", "--cartan", path, "--weight", "1/2,0"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["integral_simples"] == [[0, 1], [2, 3]]
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + ["--height-bound", "3"])
+    assert err.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_bs_names_the_length_bound_of_the_whole_word(cartan_file, capsys):
     # the Demazure product of 1 2 1 2 in B2 has length 4
     path = cartan_file(B2)
