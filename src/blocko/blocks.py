@@ -10,15 +10,15 @@ without a height bound, on finite and affine data alike; only
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import islice, permutations
 
-from . import coxeter
+from . import coxeter, linalg
 from .coxeter import INFINITY, CoxeterSystem, word_str
 from .errors import CartanError, CriticalityError, TruncationError, UnsupportedError
 from .rootdata import (
     CartanDatum,
     Root,
+    Value,
     Weight,
     build_root_system,
     cartan_to_json,
@@ -35,31 +35,35 @@ DEFAULT_LENGTH_BOUND = 8
 _ORDER_FROM_PRODUCT = {0: 2, 1: 3, 2: 4, 3: 6}
 
 
-@dataclass(frozen=True)
-class OrbitVertex:
-    word: tuple  # indices into integral_simples; shortlex-minimal coset rep
-    weight: Weight
+class OrbitVertex(Value):
+    __slots__ = ("word", "weight")
+
+    def __init__(self, word, weight):
+        self.word = word  # indices into integral_simples; shortlex-minimal coset rep
+        self.weight = weight
 
     @property
     def length(self):
         return len(self.word)
 
 
-@dataclass
 class BlockData:
-    cartan: CartanDatum
-    base_weight: Weight
-    length_bound: int
-    integral_simples: list  # Roots
-    coxeter_matrix: tuple  # entries int or INFINITY
-    coxeter_system: CoxeterSystem
-    stab_simple_indices: tuple  # indices into integral_simples fixing lambda
-    stab_finite: bool
-    stab_order: int | None
-    level_class: str
-    has_dominant: bool
-    has_antidominant: bool
-    orbit: list = field(default_factory=list)  # OrbitVertex
+    def __init__(self, cartan, base_weight, length_bound, integral_simples,
+                 coxeter_matrix, coxeter_system, stab_simple_indices, stab_finite,
+                 stab_order, level_class, has_dominant, has_antidominant):
+        self.cartan = cartan
+        self.base_weight = base_weight
+        self.length_bound = length_bound
+        self.integral_simples = integral_simples  # Roots
+        self.coxeter_matrix = coxeter_matrix  # entries int or INFINITY
+        self.coxeter_system = coxeter_system
+        self.stab_simple_indices = stab_simple_indices  # those fixing lambda
+        self.stab_finite = stab_finite
+        self.stab_order = stab_order
+        self.level_class = level_class
+        self.has_dominant = has_dominant
+        self.has_antidominant = has_antidominant
+        self.orbit = []  # OrbitVertex
 
 
 def integral_roots(cartan, weight, height_bound):
@@ -250,6 +254,12 @@ def block_data(
         i for i, b in enumerate(simples) if form(shifted, b) == 0
     )
     level_class, has_dom, has_anti = _classify_level(cartan, weight)
+    # At the critical level the translations of W(lambda) orthogonal to
+    # lambda + rho fix it; when no reflection does, they are the stabilizer,
+    # infinite once their lattice (rank of the simples less 1) has rank 2.
+    if (cartan.is_affine and not has_dom and not has_anti and stab_order == 1
+            and linalg.rank([b.simple_coords for b in simples]) > 2):
+        stab_finite, stab_order = False, None
     block = BlockData(
         cartan=cartan,
         base_weight=weight,

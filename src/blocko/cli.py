@@ -10,15 +10,13 @@ identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from . import blocks, kl, rootdata, zmod
+from . import blocks, kl, rootdata
 from .coxeter import INFINITY, CoxeterSystem, word_str
 from .errors import BlockoError, CartanError, CriticalityError
 
@@ -114,6 +112,7 @@ CACHE_FORMAT = "v3-shortlex"
 
 
 def _coxeter_cache_path(system: CoxeterSystem) -> Path:
+    import hashlib  # loads OpenSSL: only the commands with a KL cache pay
     payload = json.dumps(
         [["inf" if m is INFINITY else m for m in row] for row in system.matrix],
         separators=(",", ":"),
@@ -189,6 +188,7 @@ def _store_kl_cache(table: kl.KLTable, loaded):
     path.parent.mkdir(parents=True, exist_ok=True)
     lock_path = path.with_suffix(".lock")
     import fcntl
+    import tempfile
 
     with open(lock_path, "w") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
@@ -269,6 +269,7 @@ def cmd_bs(args):
     if args.word is None:
         raise UsageError("bs requires --word")
     word = parse_word(args.word)
+    from . import zmod  # only bs and center need it
     graph = zmod.moment_graph(block)
     lattice = zmod.bott_samelson(graph, word)
     summands = zmod.decompose(lattice)
@@ -289,6 +290,7 @@ def cmd_bs(args):
 
 def cmd_center(args):
     block = _build_block(args)
+    from . import zmod
     graph = zmod.moment_graph(block)
     algebra = zmod.structure_algebra(graph)
     return zmod.zlattice_to_json(algebra)

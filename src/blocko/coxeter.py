@@ -28,11 +28,10 @@ left descent s; it lists its elements in ShortLex order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf
 
 from .errors import CartanError, TruncationError, UnsupportedError
-from .rootdata import FINITE, cartan_datum
+from .rootdata import FINITE, Value, cartan_datum
 
 INFINITY = None  # Coxeter matrix entry for infinite order
 
@@ -247,11 +246,13 @@ class CoxeterSystem:
         return self.element((i,))
 
 
-@dataclass(frozen=True)
-class Element:
-    system: CoxeterSystem
-    word: tuple  # ShortLex normal form, 0-based generator indices
-    id: int  # its place in the ShortLex numbering
+class Element(Value):
+    __slots__ = ("system", "word", "id")
+
+    def __init__(self, system, word, id):
+        self.system = system
+        self.word = word  # ShortLex normal form, 0-based generator indices
+        self.id = id  # its place in the ShortLex numbering
 
     @property
     def length(self):

@@ -13,8 +13,6 @@ bit, gives 0.  Polynomials in q are dense integer tuples, index = power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import coxeter
 from .coxeter import Element, bruhat_leq, lower_cone, members, word_str
 from .errors import CriticalityError, UnsupportedError
@@ -183,14 +181,14 @@ def _poly_mul(a, b):
 # character formulas on a block
 
 
-@dataclass
 class CharacterVector:
     """Finitely supported Z-combination of Verma characters ch M(y.lambda),
     keyed by orbit word (1-based string form)."""
 
-    block: object
-    coefficients: dict
-    truncated: bool = False
+    def __init__(self, block, coefficients, truncated=False):
+        self.block = block
+        self.coefficients = coefficients
+        self.truncated = truncated
 
     def to_json(self):
         return {word_str(word): c for word, c in sorted(self.coefficients.items())}

@@ -7,8 +7,8 @@ dual Cartan; no derivation coordinate is kept).  All arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from . import linalg
 from .errors import CartanError
@@ -19,13 +19,33 @@ AFFINE = "affine"
 INDEFINITE = "indefinite"
 
 
-@dataclass(frozen=True)
-class CartanDatum:
-    matrix: tuple  # generalized Cartan matrix, rows of ints
-    symmetrizer: tuple  # positive Fractions d_i with d_i a_ij = d_j a_ji
-    kind: str
-    marks: tuple | None = None  # affine only: primitive positive kernel of A
-    affine_node: int | None = None  # node deleted to get the finite subdiagram
+class Value:
+    """A value type: instances of one class are equal, and hash alike,
+    when the fields named in its `__slots__` are."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._fields(self) == self._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+
+class CartanDatum(Value):
+    __slots__ = ("matrix", "symmetrizer", "kind", "marks", "affine_node")
+
+    def __init__(self, matrix, symmetrizer, kind, marks=None, affine_node=None):
+        self.matrix = matrix  # generalized Cartan matrix, rows of ints
+        self.symmetrizer = symmetrizer  # positive Fractions, d_i a_ij = d_j a_ji
+        self.kind = kind
+        self.marks = marks  # affine only: primitive positive kernel of A
+        self.affine_node = affine_node  # node deleted to get the finite subdiagram
 
     @property
     def rank(self):
@@ -137,15 +157,13 @@ def _pick_affine_node(matrix, symmetrizer):
     raise CartanError("no affine node found")  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class Weight:
-    cartan: CartanDatum
-    coords: tuple  # Fractions, fundamental-weight coordinates
-    delta: Fraction = Fraction(0)
+class Weight(Value):
+    __slots__ = ("cartan", "coords", "delta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(frac(c) for c in self.coords))
-        object.__setattr__(self, "delta", frac(self.delta))
+    def __init__(self, cartan, coords, delta=0):
+        self.cartan = cartan
+        self.coords = tuple(map(frac, coords))  # fundamental-weight coordinates
+        self.delta = frac(delta)
 
     def __add__(self, other):
         _same_cartan(self, other)
@@ -173,15 +191,12 @@ class Weight:
         return list(self.coords)
 
 
-@dataclass(frozen=True)
-class Root:
-    cartan: CartanDatum
-    simple_coords: tuple  # integers
+class Root(Value):
+    __slots__ = ("cartan", "simple_coords")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "simple_coords", tuple(int(m) for m in self.simple_coords)
-        )
+    def __init__(self, cartan, simple_coords):
+        self.cartan = cartan
+        self.simple_coords = tuple(map(int, simple_coords))
 
     @property
     def height(self):
@@ -363,12 +378,12 @@ def leq(lhs: Weight, rhs: Weight) -> bool:
     return all(c.denominator == 1 and c >= 0 for c in coords)
 
 
-@dataclass(frozen=True)
 class RootSystem:
-    cartan: CartanDatum
-    height_bound: int
-    positive_real: tuple  # Roots, height ascending
-    positive_imaginary: tuple  # Roots (multiples of delta; affine only)
+    def __init__(self, cartan, height_bound, positive_real, positive_imaginary):
+        self.cartan = cartan
+        self.height_bound = height_bound
+        self.positive_real = positive_real  # Roots, height ascending
+        self.positive_imaginary = positive_imaginary  # delta multiples (affine)
 
     @property
     def positive_roots(self):

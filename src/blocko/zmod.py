@@ -19,7 +19,6 @@ in affine type), each of graded degree 2.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm, prod
@@ -67,19 +66,17 @@ def root_form(cartan, beta) -> Poly:
     return Poly.linear(coeffs + [0] * (_nvars(cartan) - cartan.rank))
 
 
-@dataclass
 class MomentGraphBlock:
-    block: BlockData
-    vertices: list  # orbit words (tuples), sorted by (length, word)
-    weights: dict  # word -> Weight
-    edges: dict  # frozenset({word, word}) -> Poly (h_beta)
-    nvars: int
-    # sorted vertex words -> structure algebra on them (structure_algebra)
-    algebras: dict = field(default_factory=dict, repr=False, compare=False)
-    # tables of _monomials, _shifts and _annihilator, built on demand
-    monomials: dict = field(default_factory=dict, repr=False, compare=False)
-    shifts: dict = field(default_factory=dict, repr=False, compare=False)
-    annihilators: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, block, vertices, weights, edges, nvars):
+        self.block = block
+        self.vertices = vertices  # orbit words (tuples), sorted by (length, word)
+        self.weights = weights  # word -> Weight
+        self.edges = edges  # frozenset({word, word}) -> Poly (h_beta)
+        self.nvars = nvars
+        # sorted vertex words -> structure algebra on them (structure_algebra)
+        self.algebras = {}
+        # tables of _monomials, _shifts and _annihilator, built on demand
+        self.monomials, self.shifts, self.annihilators = {}, {}, {}
 
 
 def moment_graph(block: BlockData) -> MomentGraphBlock:
@@ -170,14 +167,20 @@ def _vertex_key(word):
     return (len(word), word)
 
 
-@dataclass
 class ZLattice:
-    graph: MomentGraphBlock
-    slots: tuple  # vertex word per slot
-    generators: list  # tuples of Poly, homogeneous
-    degrees: list  # graded degree (= 2 * polynomial degree) per generator
-    # (integers, denominator, polynomial degree) per generator (_gen_vectors)
-    vectors: list = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, graph, slots, generators, degrees):
+        self.graph = graph
+        self.slots = slots  # vertex word per slot
+        self.generators = generators  # tuples of Poly, homogeneous
+        self.degrees = degrees  # graded degree (= 2 * polynomial degree) per generator
+        # (integers, denominator, polynomial degree) per generator (_gen_vectors)
+        self.vectors = None
+
+    def __eq__(self, other):
+        if other.__class__ is not ZLattice:
+            return NotImplemented
+        return ((self.graph, self.slots, self.generators, self.degrees)
+                == (other.graph, other.slots, other.generators, other.degrees))
 
     @property
     def rank(self):

@@ -80,11 +80,62 @@ def test_the_height_bound_named_is_the_least_that_finds_the_simple_roots(data):
     simples, fixed = _height_cut_simples(cartan, lam, max(need, 48))
     assert block.integral_simples == simples
     stabilizer = coxeter.CoxeterSystem(blocks._coxeter_matrix(fixed))
-    assert block.stab_finite == coxeter.is_finite(stabilizer)
+    finite = coxeter.is_finite(stabilizer)
+    if blocks.is_critical(block) and not fixed:
+        # the translations fixing lambda + rho: see the test below
+        finite = len(simples) - _components(block.coxeter_matrix) < 2
+    assert block.stab_finite == finite
     if block.stab_finite:
         assert block.stab_order == len(coxeter.all_elements(stabilizer))
     if need > 1:
         assert _height_cut_simples(cartan, lam, need - 1) != (simples, fixed)
+
+
+def _components(matrix):
+    """The number of connected components of a Coxeter graph."""
+    seen, count = set(), 0
+    for start in range(len(matrix)):
+        count += start not in seen
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            if i not in seen:
+                seen.add(i)
+                stack.extend(j for j, m in enumerate(matrix[i]) if m != 2)
+    return count
+
+
+@pytest.mark.parametrize("matrix, coords, length_bound, elements, weights", [
+    (A2_AFFINE, (2, -3, -2), 6, 64, 56),
+    (_HEIGHT_TYPES["C2~"], (1, 5, -9), 9, 121, 118),
+    (A1_AFFINE, (0, -2), 10, 21, 21),
+], ids=["A2~(2,-3,-2)", "C2~(1,5,-9)", "A1~(0,-2)"])
+def test_a_translation_fixing_a_critical_weight_makes_its_stabilizer_infinite(
+    matrix, coords, length_bound, elements, weights
+):
+    # At the critical level W(lambda) is a product of affine Weyl groups, and
+    # its translations orthogonal to lambda + rho fix it.  No reflection
+    # fixes these weights, so a repeated orbit weight is such a translation.
+    # The lattice of translations has rank (simples - components): when it is
+    # 2 or more, some fix lambda + rho, and the stabilizer is infinite at
+    # every length bound, also where the orbit is too short to show it.
+    cartan = rootdata.cartan_datum(matrix)
+    lam = weight(cartan, *coords)
+    shifted = lam + rho(cartan)
+    assert [b for b in blocks._integral_candidates(cartan, lam)
+            if rootdata.form(shifted, b) == 0] == []
+    block = blocks.block_data(cartan, lam, length_bound)
+    assert blocks.is_critical(block)
+    system = block.coxeter_system
+    assert len(coxeter.elements_up_to(system, length_bound)) == elements
+    assert len(block.orbit) == weights
+    infinite = weights < elements
+    rank = len(block.integral_simples) - _components(block.coxeter_matrix)
+    assert infinite == (rank >= 2)
+    for bound in (1, 2, length_bound):
+        short = blocks.block_data(cartan, lam, bound)
+        assert (short.stab_finite, short.stab_order) == (not infinite, None if infinite else 1)
+        assert blocks.block_to_json(short)["stabilizer_order"] == short.stab_order
 
 
 def test_regular_integral_block_has_full_weyl_group(a2):

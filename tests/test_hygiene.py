@@ -1,11 +1,16 @@
 """Source hygiene of the package: every imported name is used, every
 private function is called, no function keeps a global cache, only the
-root systems and `blocks.integral_roots` name a height bound, and every
-name the benchmark's tracer wraps exists."""
+root systems and `blocks.integral_roots` name a height bound, every name
+the benchmark's tracer wraps exists, and `import blocko.cli` loads no
+module that only some commands need."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -140,3 +145,41 @@ def test_traced_names_exist(module, parts):
     for part in parts:
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+# modules `import blocko.cli` must not load: dataclasses (and the inspect it
+# imports) is used nowhere, hashlib only by the KL disk cache, and zmod and
+# poly only by `center` and `bs`
+_DEFERRED = ("dataclasses", "inspect", "hashlib", "blocko.zmod", "blocko.poly")
+
+
+def test_cli_import_loads_no_deferred_module(tmp_path):
+    cartan = tmp_path / "a1.json"
+    cartan.write_text(json.dumps({"matrix": [[2]]}))
+    code = f"""
+import sys
+before = set(sys.modules)
+import blocko.cli
+print(sorted(m for m in {_DEFERRED!r} if m in set(sys.modules) - before))
+code = blocko.cli.main(["center", "--cartan", {str(cartan)!r}, "--weight", "0"])
+print(code, "blocko.zmod" in sys.modules)
+"""
+    src = str(Path(blocko.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert out[0] == "[]"
+    # `center` imports zmod when it runs, and prints its report
+    assert json.loads(out[1])["slots"] == ["e", "1"]
+    assert out[2] == "0 True"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    ] + [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "dataclasses" not in imported

@@ -207,3 +207,54 @@ def test_indefinite_form_on_roots_rejected():
         form(alpha, alpha)
     with pytest.raises(CartanError):
         form(alpha, Weight(cartan, (1, 0)))
+
+
+def test_value_types_built_separately_are_equal_and_hash_alike():
+    from blocko import blocks
+
+    a, b = cartan_datum(B2), cartan_datum([[2, -2], [-1, 2]])
+    assert a is not b
+    pairs = [
+        (a, b),
+        (Weight(a, (1, Fraction(-1, 2)), 3), Weight(b, [Fraction(1), "-1/2"], "3")),
+        (Root(a, (1, 2)), Root(b, [Fraction(1), 2.0])),
+        (blocks.OrbitVertex((0,), Weight(a, (0, 1))),
+         blocks.OrbitVertex((0,), Weight(b, (0, 1)))),
+    ]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert Weight(a, (0, 1)) != Weight(a, (0, 1), 1)
+    assert Root(a, (1, 0)) != Root(cartan_datum(A2), (1, 0))
+    assert blocks.OrbitVertex((), Weight(a, (0, 1))) != pairs[3][0]
+
+
+def test_weight_and_root_normalise_their_coordinates():
+    cartan = cartan_datum(A2)
+    lam = Weight(cartan, [1, 2])
+    assert lam.coords == (1, 2) and lam.delta == 0
+    assert all(type(c) is Fraction for c in lam.coords + (lam.delta,))
+    beta = Root(cartan, [Fraction(1), 1.0])
+    assert beta.simple_coords == (1, 1)
+    assert all(type(m) is int for m in beta.simple_coords)
+
+
+def test_a_weight_equals_no_root_or_tuple():
+    cartan = cartan_datum(A2)
+    lam, beta = Weight(cartan, (1, 0)), Root(cartan, (1, 0))
+    for other in (beta, (cartan, (1, 0), 0), (cartan, lam.coords, lam.delta), None):
+        assert lam != other and other != lam
+    assert beta != (cartan, (1, 0))
+
+
+def test_elements_of_two_coxeter_systems_are_never_equal():
+    from blocko.coxeter import CoxeterSystem
+
+    a2, b2 = CoxeterSystem([[1, 3], [3, 1]]), CoxeterSystem([[1, 4], [4, 1]])
+    again = CoxeterSystem([[1, 3], [3, 1]])  # equal to a2: the same matrix
+    for word in [(), (0,), (1, 0)]:
+        x, y, z = a2.element(word), b2.element(word), again.element(word)
+        assert (x.word, x.id) == (y.word, y.id) == (z.word, z.id)
+        assert x != y and y != x
+        assert x == z and hash(x) == hash(z)
+    with pytest.raises(ValueError):
+        a2.generator(0) * b2.generator(0)

@@ -644,8 +644,14 @@ def test_identify_projective_rejects_a_cone_with_shared_weights():
     # (2, -3, -2), the element 2 3 1 2 1 reaches the weight of an earlier one
     cartan = rootdata.cartan_datum(A2_AFFINE)
     block = blocks.block_data(cartan, weight(cartan, 2, -3, -2), length_bound=6)
+    graph = moment_graph(block)
+    # block_data reports that stabilizer infinite, so the block is not regular
+    with pytest.raises(UnsupportedError, match="need a regular block"):
+        identify_projective(graph, (1, 2, 0, 1, 2, 0))
+    # and were it reported trivial, the cone would still be rejected
+    block.stab_order = 1
     with pytest.raises(UnsupportedError, match="^2 3 1 2 1 <= 2 3 1 2 3 1 shares"):
-        identify_projective(moment_graph(block), (1, 2, 0, 1, 2, 0))
+        identify_projective(graph, (1, 2, 0, 1, 2, 0))
 
 
 @pytest.mark.parametrize(
