@@ -23,6 +23,7 @@ from .rootdata import (
     build_root_system,
     cartan_to_json,
     coroot_pairing,
+    dot_reflect,
     form,
     reflect,
     reflect_root,
@@ -50,7 +51,8 @@ class OrbitVertex(Value):
 class BlockData:
     def __init__(self, cartan, base_weight, length_bound, integral_simples,
                  coxeter_matrix, coxeter_system, stab_simple_indices, stab_finite,
-                 stab_order, level_class, has_dominant, has_antidominant):
+                 stab_order, level_class, has_dominant, has_antidominant,
+                 position, critical):
         self.cartan = cartan
         self.base_weight = base_weight
         self.length_bound = length_bound
@@ -63,6 +65,10 @@ class BlockData:
         self.level_class = level_class
         self.has_dominant = has_dominant
         self.has_antidominant = has_antidominant
+        # "dominant", "antidominant" or "interior": the signs of the base
+        # weight's pairings with the integral simple coroots
+        self.position = position
+        self.critical = critical  # affine with (lambda + rho, delta) = 0
         self.orbit = []  # OrbitVertex
 
 
@@ -73,12 +79,9 @@ def integral_roots(cartan, weight, height_bound):
     shifted = weight + rho(cartan)
     out = []
     for beta in root_system.positive_roots:
-        bb = form(beta, beta)
-        if bb == 0:
-            # imaginary root: integrality here means criticality, handled
-            # separately; delta pairs integrally iff (lambda+rho, delta) = 0
-            continue
-        if (2 * form(shifted, beta) / bb).denominator == 1:
+        # an imaginary root is left out: delta pairs integrally iff
+        # (lambda+rho, delta) = 0, which is criticality, handled separately
+        if beta.is_real and coroot_pairing(shifted, beta).denominator == 1:
             out.append(beta)
     return out + [-b for b in out]
 
@@ -131,12 +134,6 @@ def _coxeter_matrix(simples):
     return tuple(tuple(row) for row in mat)
 
 
-def dot_reflect(beta: Root, x: Weight) -> Weight:
-    """s_beta . x = s_beta(x + rho) - rho."""
-    r = rho(x.cartan)
-    return reflect(beta, x + r) - r
-
-
 def dot_action(block: BlockData, word, weight: Weight) -> Weight:
     """Apply a word in Pi(Lambda)-indices under the dot action
     (rightmost letter first)."""
@@ -161,9 +158,7 @@ def _integral_candidates(cartan, weight):
     shifted = weight + rho(cartan)
     if cartan.kind == "finite":
         roots = build_root_system(cartan, math.inf).positive_real
-        return [
-            r for r in roots if (2 * form(shifted, r) / form(r, r)).denominator == 1
-        ]
+        return [r for r in roots if coroot_pairing(shifted, r).denominator == 1]
     if cartan.kind != "affine":
         raise CartanError("block data need finite or affine type")
     c = form(shifted, Root(cartan, cartan.marks))
@@ -250,14 +245,20 @@ def block_data(
     stabilizer = CoxeterSystem(_coxeter_matrix(fixed_simples))
     stab_finite = coxeter.is_finite(stabilizer)
     stab_order = len(coxeter.all_elements(stabilizer)) if stab_finite else None
-    stab_simple_idx = tuple(
-        i for i, b in enumerate(simples) if form(shifted, b) == 0
-    )
+    pairings = [coroot_pairing(shifted, b) for b in simples]
+    stab_simple_idx = tuple(i for i, p in enumerate(pairings) if p == 0)
+    if all(p >= 0 for p in pairings):
+        position = "dominant"
+    elif all(p <= 0 for p in pairings):
+        position = "antidominant"
+    else:
+        position = "interior"
     level_class, has_dom, has_anti = _classify_level(cartan, weight)
+    critical = cartan.is_affine and not has_dom and not has_anti
     # At the critical level the translations of W(lambda) orthogonal to
     # lambda + rho fix it; when no reflection does, they are the stabilizer,
     # infinite once their lattice (rank of the simples less 1) has rank 2.
-    if (cartan.is_affine and not has_dom and not has_anti and stab_order == 1
+    if (critical and stab_order == 1
             and linalg.rank([b.simple_coords for b in simples]) > 2):
         stab_finite, stab_order = False, None
     block = BlockData(
@@ -273,6 +274,8 @@ def block_data(
         level_class=level_class,
         has_dominant=has_dom,
         has_antidominant=has_anti,
+        position=position,
+        critical=critical,
     )
     block.orbit = _orbit(block)
     return block
@@ -280,16 +283,8 @@ def block_data(
 
 def is_critical(block: BlockData) -> bool:
     """Does the class meet a critical hyperplane?  Finite type: never.
-    Affine: iff (lambda+rho, delta) = 0."""
-    if block.cartan.kind == "finite":
-        return False
-    if block.cartan.kind == "affine":
-        delta = Root(block.cartan, block.cartan.marks)
-        return form(block.base_weight + rho(block.cartan), delta) == 0
-    raise CriticalityError(
-        "criticality undecidable for indefinite type (imaginary root "
-        "combinatorics out of scope)"
-    )
+    Affine: iff (lambda+rho, delta) = 0, as `block_data` found."""
+    return block.critical
 
 
 def tilt(block: BlockData) -> BlockData:
@@ -365,7 +360,7 @@ def block_to_json(block: BlockData):
     return {
         "cartan": cartan_to_json(block.cartan),
         "base_weight": weight_to_json(block.base_weight),
-        "critical": is_critical(block) if block.cartan.kind != "indefinite" else None,
+        "critical": is_critical(block),
         "integral_simples": [list(b.simple_coords) for b in block.integral_simples],
         "coxeter_matrix": [
             ["inf" if m is INFINITY else m for m in row]

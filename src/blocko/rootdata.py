@@ -7,8 +7,9 @@ dual Cartan; no derivation coordinate is kept).  All arithmetic is exact.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, mul
 
 from . import linalg
 from .errors import CartanError
@@ -21,12 +22,13 @@ INDEFINITE = "indefinite"
 
 class Value:
     """A value type: instances of one class are equal, and hash alike,
-    when the fields named in its `__slots__` are."""
+    when the fields named in its `__slots__` are; a field named with a
+    leading "_" is derived from the others and not compared."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = attrgetter(*cls.__slots__)
+        cls._fields = attrgetter(*(f for f in cls.__slots__ if f[0] != "_"))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -38,7 +40,8 @@ class Value:
 
 
 class CartanDatum(Value):
-    __slots__ = ("matrix", "symmetrizer", "kind", "marks", "affine_node")
+    __slots__ = ("matrix", "symmetrizer", "kind", "marks", "affine_node",
+                 "_scale", "_int_symmetrizer", "_int_form")
 
     def __init__(self, matrix, symmetrizer, kind, marks=None, affine_node=None):
         self.matrix = matrix  # generalized Cartan matrix, rows of ints
@@ -46,6 +49,13 @@ class CartanDatum(Value):
         self.kind = kind
         self.marks = marks  # affine only: primitive positive kernel of A
         self.affine_node = affine_node  # node deleted to get the finite subdiagram
+        # the form on the root lattice times the lcm of the symmetrizer's
+        # denominators: integers D_i = scale d_i and (D A)_ij = scale (alpha_i, alpha_j)
+        self._scale = math.lcm(*(frac(d).denominator for d in symmetrizer))
+        self._int_symmetrizer = tuple(int(d * self._scale) for d in symmetrizer)
+        self._int_form = tuple(
+            tuple(d * a for a in row) for d, row in zip(self._int_symmetrizer, matrix)
+        )
 
     @property
     def rank(self):
@@ -212,7 +222,7 @@ class Root(Value):
 
     @property
     def is_real(self):
-        return form(self, self) > 0
+        return _scaled_form(self, self) > 0
 
     def __neg__(self):
         return Root(self.cartan, tuple(-m for m in self.simple_coords))
@@ -275,22 +285,26 @@ def _root_coords(root: Root):
     return tuple(sum(a_ij * m_j for a_ij, m_j in zip(row, m)) for row in a)
 
 
-def root_to_weight(root: Root) -> Weight:
-    """Express a root in the weight basis."""
-    cartan = root.cartan
-    delta = Fraction(0)
-    if cartan.is_affine:
-        jstar = cartan.affine_node
-        delta = Fraction(root.simple_coords[jstar], cartan.marks[jstar])
-    return Weight(cartan, _root_coords(root), delta)
+def _scaled_form(beta: Root, y):
+    """(beta, y) times the datum's scale, for a root beta and a root or a
+    weight y: an integer on two roots.  A root pairs through its simple
+    coordinates, (alpha_j, y) = d_j <y, alpha_j^vee>, which is d_j y_j for
+    a weight and d_j a_jk for y = alpha_k."""
+    cartan = beta.cartan
+    if cartan.kind not in (FINITE, AFFINE):
+        raise CartanError("invariant form on weights needs finite or affine type")
+    if isinstance(y, Root):
+        n = y.simple_coords
+        return sum(m * sum(map(mul, row, n))
+                   for m, row in zip(beta.simple_coords, cartan._int_form) if m)
+    return sum(d * m * c
+               for d, m, c in zip(cartan._int_symmetrizer, beta.simple_coords, y.coords)
+               if m and c)
 
 
 def form(x, y) -> Fraction:
     """The invariant symmetric bilinear form; arguments are Weights or Roots.
-
-    A root pairs through its simple coordinates without becoming a weight:
-    (alpha_j, x) = d_j <x, alpha_j^vee>, which is d_j x_j for a weight and
-    d_j a_jk for x = alpha_k."""
+    Two weights pair through `weight_gram`, a root through `_scaled_form`."""
     _same_cartan(x, y)
     if not isinstance(x, Root):
         x, y = y, x
@@ -303,26 +317,16 @@ def form(x, y) -> Fraction:
             for j in range(len(vy))
             if vx[i] and g[i][j] and vy[j]
         ) or Fraction(0)
-    cartan = x.cartan
-    if cartan.kind not in (FINITE, AFFINE):
-        raise CartanError("invariant form on weights needs finite or affine type")
-    coords = _root_coords(y) if isinstance(y, Root) else y.coords
-    return sum(
-        (
-            d * m * c
-            for d, m, c in zip(cartan.symmetrizer, x.simple_coords, coords)
-            if m and c
-        ),
-        Fraction(0),
-    )
+    return Fraction(_scaled_form(x, y), x.cartan._scale)
 
 
 def coroot_pairing(x, beta: Root) -> Fraction:
     """<x, beta^vee> = 2 (x, beta) / (beta, beta); beta must be real."""
-    bb = form(beta, beta)
+    bb = _scaled_form(beta, beta)
     if bb <= 0:
         raise ValueError("coroot pairing needs a real root")
-    return 2 * form(x, beta) / bb
+    _same_cartan(x, beta)
+    return Fraction(2 * _scaled_form(beta, x), bb)
 
 
 def rho(cartan: CartanDatum) -> Weight:
@@ -330,24 +334,51 @@ def rho(cartan: CartanDatum) -> Weight:
     return Weight(cartan, (Fraction(1),) * cartan.rank, Fraction(0))
 
 
+def _real_square(beta: Root):
+    bb = _scaled_form(beta, beta)
+    if bb <= 0:
+        raise ValueError("cannot reflect in an imaginary root")
+    return bb
+
+
+def _reflect(beta: Root, x: Weight, shift) -> Weight:
+    """x - <x + shift rho, beta^vee> beta, built as one Weight: beta has
+    weight coordinates <beta, alpha_i^vee> and, in affine type, the delta
+    coefficient m_j / a_j at the affine node j; and (rho, beta) = sum d_k m_k."""
+    bb = _real_square(beta)
+    _same_cartan(x, beta)
+    cartan, m = beta.cartan, beta.simple_coords
+    num = _scaled_form(beta, x)
+    if shift:
+        num += sum(map(mul, cartan._int_symmetrizer, m))
+    c = Fraction(2 * num, bb)
+    delta = x.delta
+    if cartan.is_affine:
+        j = cartan.affine_node
+        delta -= c * Fraction(m[j], cartan.marks[j])
+    return Weight(cartan, [a - c * b for a, b in zip(x.coords, _root_coords(beta))], delta)
+
+
 def reflect(beta: Root, x: Weight) -> Weight:
     """s_beta(x) = x - <x, beta^vee> beta."""
-    if not beta.is_real:
-        raise ValueError("cannot reflect in an imaginary root")
-    c = coroot_pairing(x, beta)
-    return x - root_to_weight(beta).scale(c)
+    return _reflect(beta, x, 0)
+
+
+def dot_reflect(beta: Root, x: Weight) -> Weight:
+    """s_beta . x = s_beta(x + rho) - rho."""
+    return _reflect(beta, x, 1)
 
 
 def reflect_root(beta: Root, gamma: Root) -> Root:
     """s_beta(gamma) in simple-root coordinates."""
-    if not beta.is_real:
-        raise ValueError("cannot reflect in an imaginary root")
-    c = coroot_pairing(gamma, beta)
-    if c.denominator != 1:
+    bb = _real_square(beta)
+    _same_cartan(gamma, beta)
+    c, r = divmod(2 * _scaled_form(beta, gamma), bb)
+    if r:
         raise ValueError("reflection of a root must stay in the root lattice")
     return Root(
         beta.cartan,
-        tuple(g - int(c) * b for g, b in zip(gamma.simple_coords, beta.simple_coords)),
+        tuple(g - c * b for g, b in zip(gamma.simple_coords, beta.simple_coords)),
     )
 
 

@@ -32,6 +32,7 @@ from blocko.zmod import (
     verma_zmodule,
 )
 
+import fraction_roots
 from conftest import weight
 
 
@@ -273,7 +274,7 @@ def test_acceptance_6():
     char = kl.simple_character(block, block.coxeter_system.element(()))
     assert char.coefficients == {(): 1, (0,): -1}
     s_weight = blocks.dot_action(block, (0,), block.base_weight)
-    alpha = rootdata.root_to_weight(block.integral_simples[0])
+    alpha = fraction_roots.root_to_weight(block.integral_simples[0])
     assert s_weight == block.base_weight - alpha
     dims = kl.character_weight_dimensions(block, char, 8)
     assert sum(dims.values()) == 1

@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blocko import blocks, coxeter, kl, rootdata
+from blocko import blocks, coxeter, kl, rootdata, zmod
 from blocko.coxeter import INFINITY
 from blocko.errors import CriticalityError, UnsupportedError
 from blocko.rootdata import rho
 
+import fraction_roots
 import orbit_walks
 from conftest import A1, A1_AFFINE, A2, A2_AFFINE, A3, B2, B3, G2, weight
 
@@ -386,3 +387,77 @@ def test_coxeter_matrix_rejects_a_non_coxeter_bond(pairings, a2, monkeypatch):
     )
     with pytest.raises(UnsupportedError, match="not a Coxeter bond"):
         blocks._coxeter_matrix(simples)
+
+
+@pytest.mark.parametrize("matrix, coords, position, critical", [
+    (A2, (0, 0), "dominant", False),
+    (A2, (-2, -2), "antidominant", False),
+    (A2, (1, -3), "interior", False),
+    (A2, (Fraction(1, 2), -1), "dominant", False),
+    (B2, (-1, -2), "antidominant", False),
+    (B2, (1, -3), "interior", False),
+    (G2, (-2, -2), "antidominant", False),
+    (G2, (Fraction(1, 3), 0), "dominant", False),
+    (A1_AFFINE, (0, 0), "dominant", False),
+    (A1_AFFINE, (-2, -2), "antidominant", False),
+    (A1_AFFINE, (1, -4), "interior", False),
+    (A1_AFFINE, (0, -2), "interior", True),
+    (A1_AFFINE, (-1, -1), "dominant", True),
+])
+def test_stored_position_and_criticality_match_a_recomputation(
+    matrix, coords, position, critical
+):
+    """`block_data` pairs lambda + rho with the integral simple roots once;
+    what it stores equals the Fraction route's pairings made afresh."""
+    cartan = rootdata.cartan_datum(matrix)
+    block = blocks.block_data(cartan, weight(cartan, *coords), length_bound=3)
+    assert (block.position, block.critical) == (position, critical)
+    assert block.position == fraction_roots.base_weight_position(block)
+    assert block.critical == fraction_roots.is_critical(block)
+    assert kl.base_weight_position(block) == position
+    assert blocks.is_critical(block) == critical
+
+
+def _count_root_pairings(monkeypatch):
+    """Route every module's `form` and `coroot_pairing` through a counter."""
+    calls = []
+    for name in ("form", "coroot_pairing"):
+        original = getattr(rootdata, name)
+
+        def counted(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        for module in (rootdata, blocks, kl, zmod):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("matrix, coords, bound", [
+    (A2, (0, 0), 8),
+    (A2, (-2, -2), 8),
+    (B2, (-2, -2), 8),
+    (G2, (0, 0), 8),
+    (A1_AFFINE, (0, 0), 4),
+    (A1_AFFINE, (-2, -2), 4),
+])
+def test_character_queries_make_no_root_pairing(matrix, coords, bound, monkeypatch):
+    """After `block_data`, characters, multiplicities and Verma Hom
+    dimensions read the stored position and criticality: no `form` or
+    `coroot_pairing` call."""
+    cartan = rootdata.cartan_datum(matrix)
+    block = blocks.block_data(cartan, weight(cartan, *coords), length_bound=bound)
+    calls = _count_root_pairings(monkeypatch)
+    elems = coxeter.elements_up_to(block.coxeter_system, 2)
+    for w in elems:
+        kl.simple_character(block, w)
+        if block.level_class == "dominant-containing":  # else tilt first
+            kl.projective_multiplicities(block, w)
+        for w2 in elems:
+            kl.verma_hom_dim(block, w, w2)
+    kl.decomposition_matrix(block, length_bound=3)
+    assert calls == []
+    # and the counter does count: a chamber walk pairs
+    blocks.chamber_walk(block, block.base_weight, block.has_dominant)
+    assert "form" in calls

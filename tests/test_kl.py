@@ -137,18 +137,44 @@ def test_decomposition_inverts_characters(a2_anti):
 
 @pytest.mark.parametrize("matrix", [A3, B3, G2, A4], ids=["A3", "B3", "G2", "A4"])
 def test_inverse_polynomials_by_kl_inversion(matrix):
-    """Q_{w,y} = P_{w0 y, w0 w} on every pair of a finite Weyl group
-    (Kazhdan-Lusztig, Invent. Math. 53, 1979), a second route to the
-    interval inversion behind `inverse_poly`."""
+    """On a finite Weyl group `inverse_poly` reads Q_{z,w} = P_{w0 w, w0 z}
+    off the P store (Kazhdan-Lusztig, Invent. Math. 53, 1979); checked by
+    the signed identity sum_z (-1)^{l(z)-l(x)} P_{x,z} Q_{z,w} =
+    delta_{x,w} on every pair, with P on the left, where `_q` inverts with
+    Q on the left."""
     cartan = rootdata.cartan_datum(matrix)
     block = blocks.block_data(cartan, weight(cartan, *(0,) * cartan.rank))
     system = block.coxeter_system
     elems = coxeter.all_elements(system)
-    w0 = max(elems, key=lambda x: x.length)
     table = KLTable(system)
     for w in elems:
-        for y in elems:
-            assert table.inverse_poly(w, y) == table.poly(w0 * y, w0 * w)
+        below = coxeter.lower_cone(w)
+        q = {z.id: table.inverse_poly(z, w) for z in below}
+        for x in elems:
+            acc = ZERO
+            for z in below:
+                if bruhat_leq(x, z):
+                    sign = -1 if (z.length - x.length) % 2 else 1
+                    term = kl._poly_mul(table.poly(x, z), q[z.id])
+                    acc = kl.poly_add(acc, kl.poly_scale(term, sign))
+            assert acc == (ONE if x == w else ZERO), (x, w)
+    assert table.q_memo == {}
+
+
+def test_a_warm_finite_kl_query_computes_no_q():
+    """With the P store filled as the disk cache fills it, a B3 Q query
+    computes nothing: no P, and no Q by the interval inversion."""
+    system = CoxeterSystem(((1, 3, 2), (3, 1, 4), (2, 4, 1)))
+    x, w = system.element(()), system.element((0, 1, 0, 2, 1, 0, 2, 1, 2))
+    cold = KLTable(system)
+    q = cold.inverse_poly(x, w), cold.inverse_poly(system.element((1,)), w)
+    warm = KLTable(system)
+    warm.memo.update(cold.memo)
+    assert (warm.inverse_poly(x, w), warm.inverse_poly(system.element((1,)), w)) == q
+    assert warm.memo == cold.memo
+    assert warm.q_memo == cold.q_memo == {}
+    assert q == tuple(WordKL(system).inverse_poly(v.word, w.word)
+                      for v in (x, system.element((1,))))
 
 
 @pytest.mark.parametrize("side, coords", [("antidominant", -2), ("dominant", 0)])
@@ -337,22 +363,31 @@ def test_id_core_matches_the_word_route(name):
         for y in elems:
             assert table.inverse_poly(w, y) == ref.inverse_poly(w.word, y.word), (w, y)
     assert _stored_words(table.memo, system) == _nonzero_below(ref.memo)
-    assert _stored_words(table.q_memo, system) == _nonzero_below(ref.q_memo)
+    # a finite group reads Q off the P store
+    want_q = set() if system.finite else _nonzero_below(ref.q_memo)
+    assert _stored_words(table.q_memo, system) == want_q
 
 
 @pytest.mark.parametrize("name", ["B3", "A4", "A2~"])
 def test_single_queries_store_the_pairs_of_the_word_route(name):
     """A lone query with x != e leaves the mu-lists partly read; the P store
-    (and so the disk cache) still gets exactly the word route's pairs."""
+    (and so the disk cache) still gets exactly the word route's pairs.  On a
+    finite group Q_{x,w} is the word route's P_{w0 w, w0 x}, checked against
+    a second word route that inverts."""
     matrix, bound = WORD_ROUTE_SYSTEMS[name]
     system = CoxeterSystem(matrix)
     elems = coxeter.elements_up_to(system, bound or 64)
+    w0 = elems[-1] if system.finite else None
     rng = random.Random(7)
-    table, ref = KLTable(system), WordKL(system)
+    table, ref, ref_q = KLTable(system), WordKL(system), WordKL(system)
     for _ in range(12):
         x, w = rng.choice(elems), rng.choice(elems)
         assert table.poly(x, w) == ref.poly(x.word, w.word)
-        assert table.inverse_poly(x, w) == ref.inverse_poly(x.word, w.word)
+        assert table.inverse_poly(x, w) == ref_q.inverse_poly(x.word, w.word)
+        if w0 is None:
+            ref.inverse_poly(x.word, w.word)
+        else:
+            ref.poly((w0 * w).word, (w0 * x).word)
         assert _stored_words(table.memo, system) == _nonzero_below(ref.memo)
         assert _stored_words(table.q_memo, system) == _nonzero_below(ref.q_memo)
 
@@ -397,10 +432,10 @@ def test_p_store_keeps_only_pairs_below():
 
 
 def test_q_store_keeps_only_pairs_below():
-    """After the full A3 Q-table, `q_memo` holds one nonzero Q_{w,y} per
-    pair w < y: no diagonal ONE and no ZERO off the cone."""
-    system = CoxeterSystem(S4_COX)
-    elems = coxeter.all_elements(system)
+    """After the affine A2 Q-table to length 4, `q_memo` holds one nonzero
+    Q_{w,y} per pair w < y: no diagonal ONE and no ZERO off the cone."""
+    system = CoxeterSystem(WORD_ROUTE_SYSTEMS["A2~"][0])
+    elems = coxeter.elements_up_to(system, 4)
     table = KLTable(system)
     for w in elems:
         for y in elems:

@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blocko import rootdata
+from blocko import blocks
 from blocko.errors import CartanError
 from blocko.rootdata import (
     Root,
@@ -26,6 +26,7 @@ from blocko.rootdata import (
     weight_to_json,
 )
 
+import fraction_roots
 from conftest import A1_AFFINE, A2, B2, weight
 
 rationals = st.fractions(
@@ -171,6 +172,7 @@ TYPES = {
     "A1~": A1_AFFINE,
     "A2~": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
     "C2~": [[2, -2, 0], [-1, 2, -1], [0, -2, 2]],
+    "A2(2)": [[2, -1], [-4, 2]],
 }
 
 
@@ -194,10 +196,86 @@ def test_root_pairing_matches_weight_gram(name, data):
         tuple(data.draw(rationals) for _ in range(cartan.rank)),
         data.draw(rationals) if cartan.is_affine else 0,
     )
-    as_weight = rootdata.root_to_weight
+    as_weight = fraction_roots.root_to_weight
     assert form(beta, lam) == form(lam, beta) == form(as_weight(beta), lam)
     assert form(beta, gamma) == form(as_weight(beta), as_weight(gamma))
     assert isinstance(form(beta, gamma), Fraction)
+
+
+@pytest.mark.parametrize("name", sorted(TYPES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_integer_root_arithmetic_matches_the_fraction_route(name, data):
+    """The form on roots, coroot pairings and reflections from the datum's
+    integer table equal the Fraction route's, on non-integral weights with
+    any delta coefficient; an imaginary root is refused alike."""
+    roots = _positive_roots(name)
+    cartan = roots[0].cartan
+    beta, gamma = (data.draw(st.sampled_from(roots)) for _ in range(2))
+    beta = beta if data.draw(st.booleans()) else -beta
+    lam = Weight(
+        cartan,
+        tuple(data.draw(rationals) for _ in range(cartan.rank)),
+        data.draw(rationals) if cartan.is_affine else 0,
+    )
+    for x in (gamma, lam):
+        assert form(beta, x) == form(x, beta) == fraction_roots.form(beta, x)
+    assert beta.is_real == fraction_roots.is_real(beta)
+    calls = [(coroot_pairing, (lam, beta)), (coroot_pairing, (gamma, beta)),
+             (reflect, (beta, lam)), (blocks.dot_reflect, (beta, lam)),
+             (reflect_root, (beta, gamma))]
+    for func, args in calls:
+        ref = getattr(fraction_roots, func.__name__)
+        if beta.is_real:
+            assert func(*args) == ref(*args)
+            continue
+        with pytest.raises(ValueError) as got:
+            func(*args)
+        with pytest.raises(ValueError, match=f"^{got.value}$"):
+            ref(*args)
+    if cartan.is_affine and beta.is_real:
+        # a delta shift pairs to 0 with every root and is fixed by s_beta
+        shift = Weight(cartan, (0,) * cartan.rank, data.draw(rationals))
+        assert coroot_pairing(lam + shift, beta) == coroot_pairing(lam, beta)
+        assert reflect(beta, lam + shift) == reflect(beta, lam) + shift
+
+
+@pytest.mark.parametrize("factor", ["2", "3/2"])
+@pytest.mark.parametrize("name", sorted(TYPES))
+def test_a_scaled_symmetrizer_scales_the_form_and_nothing_else(name, factor):
+    """A JSON symmetrizer scaled by 2 or 3/2 scales the form on roots, and
+    leaves pairings, reflections and the block report (bar the symmetrizer
+    it echoes) as they were."""
+    base = cartan_datum(TYPES[name])
+    k = Fraction(factor)
+    scaled = cartan_from_json(
+        {"matrix": TYPES[name], "symmetrizer": [str(k * d) for d in base.symmetrizer]}
+    )
+    coords = [r.simple_coords for r in _positive_roots(name)][:10]
+    lam = (Fraction(1, 2),) + (Fraction(-2, 3),) * (base.rank - 1)
+    for a in coords:
+        ra, sa = Root(base, a), Root(scaled, a)
+        la, ls = Weight(base, lam, 1), Weight(scaled, lam, 1)
+        assert form(sa, ls) == k * form(ra, la)
+        for b in coords:
+            rb, sb = Root(base, b), Root(scaled, b)
+            assert form(sa, sb) == k * form(ra, rb)
+            if ra.is_real:
+                assert coroot_pairing(sb, sa) == coroot_pairing(rb, ra)
+                assert reflect_root(sa, sb).simple_coords == reflect_root(ra, rb).simple_coords
+        if ra.is_real:
+            assert coroot_pairing(ls, sa) == coroot_pairing(la, ra)
+            assert reflect(sa, ls).full_coords() == reflect(ra, la).full_coords()
+    for coords in [(0,) * base.rank, (-1,) * base.rank, lam]:
+        reports = [
+            blocks.block_to_json(blocks.block_data(c, weight(c, *coords), length_bound=3))
+            for c in (base, scaled)
+        ]
+        assert reports[1]["cartan"].pop("symmetrizer") == [
+            str(k * d) for d in base.symmetrizer
+        ]
+        reports[0]["cartan"].pop("symmetrizer")
+        assert reports[0] == reports[1]
 
 
 def test_indefinite_form_on_roots_rejected():
