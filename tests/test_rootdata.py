@@ -292,6 +292,8 @@ def test_value_types_built_separately_are_equal_and_hash_alike():
 
     a, b = cartan_datum(B2), cartan_datum([[2, -2], [-1, 2]])
     assert a is not b
+    # the integer form table is derived, and left out of equality and hash
+    assert a._fields(a) == (a.matrix, a.symmetrizer, a.kind, a.marks, a.affine_node)
     pairs = [
         (a, b),
         (Weight(a, (1, Fraction(-1, 2)), 3), Weight(b, [Fraction(1), "-1/2"], "3")),
