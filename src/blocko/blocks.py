@@ -52,7 +52,7 @@ class BlockData:
     def __init__(self, cartan, base_weight, length_bound, integral_simples,
                  coxeter_matrix, coxeter_system, stab_simple_indices, stab_finite,
                  stab_order, level_class, has_dominant, has_antidominant,
-                 position, critical):
+                 position):
         self.cartan = cartan
         self.base_weight = base_weight
         self.length_bound = length_bound
@@ -68,7 +68,6 @@ class BlockData:
         # "dominant", "antidominant" or "interior": the signs of the base
         # weight's pairings with the integral simple coroots
         self.position = position
-        self.critical = critical  # affine with (lambda + rho, delta) = 0
         self.orbit = []  # OrbitVertex
 
 
@@ -254,11 +253,10 @@ def block_data(
     else:
         position = "interior"
     level_class, has_dom, has_anti = _classify_level(cartan, weight)
-    critical = cartan.is_affine and not has_dom and not has_anti
     # At the critical level the translations of W(lambda) orthogonal to
     # lambda + rho fix it; when no reflection does, they are the stabilizer,
     # infinite once their lattice (rank of the simples less 1) has rank 2.
-    if (critical and stab_order == 1
+    if (cartan.is_affine and not has_dom and not has_anti and stab_order == 1
             and linalg.rank([b.simple_coords for b in simples]) > 2):
         stab_finite, stab_order = False, None
     block = BlockData(
@@ -275,7 +273,6 @@ def block_data(
         has_dominant=has_dom,
         has_antidominant=has_anti,
         position=position,
-        critical=critical,
     )
     block.orbit = _orbit(block)
     return block
@@ -283,8 +280,9 @@ def block_data(
 
 def is_critical(block: BlockData) -> bool:
     """Does the class meet a critical hyperplane?  Finite type: never.
-    Affine: iff (lambda+rho, delta) = 0, as `block_data` found."""
-    return block.critical
+    Affine: iff (lambda+rho, delta) = 0, which is iff neither a dominant
+    nor an antidominant weight lies in the class."""
+    return block.cartan.is_affine and not (block.has_dominant or block.has_antidominant)
 
 
 def tilt(block: BlockData) -> BlockData:

@@ -3,9 +3,9 @@
 P_{x,w} comes from the classical recursion run on the Coxeter system's ids:
 s w, s x and s z are table lookups, x <= w is a cone bit, and the sum over z
 reads the mu-list of v = sw, its z with mu(z, v) != 0 (du Cloux, Exp. Math.
-11, 2002).  Q_{w,y} inverts the signed P-matrix over the interval [w, y]: on
-a finite group it is P_{w0 y, w0 w}, and on an infinite one the inversion
-is run.  So the two character formulas are mutually inverse, and the
+11, 2002).  Q_{w,y} inverts the signed P-matrix over the interval [w, y]: once
+a finite group is numbered up to w0 it is P_{w0 y, w0 w}, else the
+inversion is run.  So the two character formulas are mutually inverse, and the
 decomposition numbers are read off in closed form: [M(y.l):L(w.l)] =
 P_{y,w}(1) for a dominant base weight and Q_{w,y}(1) for an antidominant
 one.  Only pairs x < w are stored: x = w gives 1, and x not <= w, a cone
@@ -77,18 +77,16 @@ def poly_str(a):
 class KLTable:
     """Memoized Kazhdan-Lusztig polynomials over one Coxeter system.
 
-    `memo` (P, which the disk cache reads and fills) and `q_memo` (Q, on an
-    infinite group only) are keyed by ids and hold pairs x < w only.
+    `memo` (P, which the disk cache reads and fills) and `q_memo` (Q, while
+    w0 is not numbered) are keyed by ids and hold pairs x < w only.
     `mu_lists[v]` is (bitset of the z whose mu(z, v) was read, the (z, mu)
-    among them with mu != 0).  `w0` is the longest element of a finite
-    group, found by the first Q asked for."""
+    among them with mu != 0)."""
 
     def __init__(self, system):
         self.system = system
         self.memo = {}
         self.q_memo = {}
         self.mu_lists = {}
-        self.w0 = None
 
     def poly(self, x: Element, w: Element):
         """P_{x,w} as a dense coefficient tuple."""
@@ -143,16 +141,17 @@ class KLTable:
     def inverse_poly(self, w: Element, y: Element):
         """Q_{w,y}: unitriangular inversion of the signed P-matrix.
 
-        On a finite group Q_{w,y} = P_{w0 y, w0 w} (Kazhdan-Lusztig, Invent.
-        Math. 53, 1979, (3.1)), read off the P store.  On an infinite one
-        each entry only involves the finite Bruhat interval [w, y], so the
-        result of `_q` is exact.
+        Once the numbering has reached w0 (the last element, every generator
+        a left descent), Q_{w,y} = P_{w0 y, w0 w} (Kazhdan-Lusztig, Invent.
+        Math. 53, 1979, (3.1)), read off the P store.  Before that, and on an
+        infinite group, `_q` inverts over the finite Bruhat interval [w, y],
+        so a short query numbers no element longer than y.
         """
-        if not self.system.finite:
+        system = self.system
+        if system.ldesc[-1] != (1 << system.generator_count) - 1:
             return self._q(w.id, y.id)
-        if self.w0 is None:
-            self.w0 = coxeter.all_elements(self.system)[-1]
-        return self._p((self.w0 * y).id, (self.w0 * w).id)
+        w0 = system.elements[-1]
+        return self._p((w0 * y).id, (w0 * w).id)
 
     def _q(self, w, y):
         if w == y:
@@ -205,7 +204,9 @@ class CharacterVector:
 
 
 def _require_character_hypotheses(block):
-    if block.critical:
+    from .blocks import is_critical  # local import to avoid a cycle
+
+    if is_critical(block):
         raise CriticalityError("character formulas need a non-critical block")
     if block.stab_order != 1:
         raise UnsupportedError(
@@ -327,7 +328,9 @@ def verma_hom_dim(block, w: Element, w2: Element) -> int:
     stabilizer (BGG; Kac-Kazhdan): on minimal coset representatives,
     Hom != 0 iff w <= w2 for an antidominant base, iff w2 <= w for a
     dominant one."""
-    if block.critical:
+    from .blocks import is_critical
+
+    if is_critical(block):
         raise CriticalityError("Verma embeddings need a non-critical block")
     position = base_weight_position(block)
     if position == "interior":

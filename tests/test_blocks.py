@@ -408,14 +408,14 @@ def test_stored_position_and_criticality_match_a_recomputation(
     matrix, coords, position, critical
 ):
     """`block_data` pairs lambda + rho with the integral simple roots once;
-    what it stores equals the Fraction route's pairings made afresh."""
+    the position it stores, and the criticality `is_critical` reads off the
+    level class, equal the Fraction route's pairings made afresh."""
     cartan = rootdata.cartan_datum(matrix)
     block = blocks.block_data(cartan, weight(cartan, *coords), length_bound=3)
-    assert (block.position, block.critical) == (position, critical)
+    assert (block.position, blocks.is_critical(block)) == (position, critical)
     assert block.position == fraction_roots.base_weight_position(block)
-    assert block.critical == fraction_roots.is_critical(block)
+    assert fraction_roots.is_critical(block) == critical
     assert kl.base_weight_position(block) == position
-    assert blocks.is_critical(block) == critical
 
 
 def _count_root_pairings(monkeypatch):

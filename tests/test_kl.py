@@ -177,6 +177,28 @@ def test_a_warm_finite_kl_query_computes_no_q():
                       for v in (x, system.element((1,))))
 
 
+def _e6_coxeter():
+    """E6 (51,840 elements): the chain 0-2-3-4-5, with 1 on 3."""
+    m = [[1 if i == j else 2 for j in range(6)] for i in range(6)]
+    for i, j in ((0, 2), (2, 3), (3, 4), (4, 5), (1, 3)):
+        m[i][j] = m[j][i] = 3
+    return tuple(map(tuple, m))
+
+
+def test_a_short_finite_kl_query_numbers_no_element_longer_than_w():
+    """Before w0 is numbered, Q is inverted over [x, w]: a short query on
+    E6, as the `kl` command makes it, numbers nothing longer than w."""
+    system = CoxeterSystem(_e6_coxeter())
+    x, w = system.element(()), system.element((0, 2, 3, 1))
+    table = KLTable(system)
+    p, q = table.poly(x, w), table.inverse_poly(x, w)
+    assert system.length[-1] == w.length
+    assert table.q_memo
+    ref = WordKL(system)
+    assert (p, q) == (ref.poly(x.word, w.word), ref.inverse_poly(x.word, w.word))
+    assert system.length[-1] == w.length
+
+
 @pytest.mark.parametrize("side, coords", [("antidominant", -2), ("dominant", 0)])
 @pytest.mark.parametrize(
     "matrix, length_bound",
