@@ -295,9 +295,12 @@ def chamber_walk(block: BlockData, weight: Weight, dominant: bool):
     """Walk weight + rho into the closed dominant (else antidominant) chamber
     of W(lambda), reflecting each step in the first integral simple root on
     the wrong side.  Returns the letters i_1 ... i_k, a reduced word with
-    weight = s_{i_1} ... s_{i_k} . (end - rho), and the end point.  The
-    walk ends on finite and non-critical affine data, on the side that
-    `has_dominant` (else `has_antidominant`) names."""
+    weight = s_{i_1} ... s_{i_k} . (end - rho), and the end point.  Raises
+    UnsupportedError when the block has no such chamber (`has_dominant`,
+    else `has_antidominant`, is False), where the walk would not end."""
+    if not (block.has_dominant if dominant else block.has_antidominant):
+        side = "dominant" if dominant else "antidominant"
+        raise UnsupportedError(f"the block has no {side} chamber to walk into")
     shifted = weight + rho(block.cartan)
     sign = 1 if dominant else -1
     letters = []

@@ -89,10 +89,7 @@ def _single(values, flag):
 def _build_block(args):
     cartan = load_cartan(_single(args.cartan, "--cartan"))
     weight = parse_weight(cartan, _single(args.weight, "--weight"))
-    block = blocks.block_data(cartan, weight, args.length_bound)
-    if args.require_noncritical and blocks.is_critical(block):
-        raise CriticalityError("block is critical")
-    return block
+    return blocks.block_data(cartan, weight, args.length_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +211,9 @@ def _store_kl_cache(table: kl.KLTable, loaded):
 
 def cmd_block(args):
     block = _build_block(args)
+    # the one command that reports a critical block; the others refuse it
+    if args.require_noncritical and blocks.is_critical(block):
+        raise CriticalityError("block is critical")
     return blocks.block_to_json(block)
 
 
@@ -339,13 +339,13 @@ def emit(report, fmt, out=None):
 # entry point
 
 
-_BLOCK_OPTIONS = ("cartan", "weight", "length-bound", "require-noncritical")
+_BLOCK_OPTIONS = ("cartan", "weight", "length-bound")
 
 # the options each command reads, besides --format; --degree-bound is
 # accepted for old scripts and ignored, as structure algebras are certified
 # without a degree bound
 COMMAND_OPTIONS = {
-    "block": _BLOCK_OPTIONS,
+    "block": _BLOCK_OPTIONS + ("require-noncritical",),
     "kl": ("cartan", "x", "w"),
     "character": _BLOCK_OPTIONS + ("w",),
     "bs": _BLOCK_OPTIONS + ("word",),

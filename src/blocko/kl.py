@@ -14,9 +14,13 @@ bit, gives 0.  Polynomials in q are dense integer tuples, index = power.
 
 from __future__ import annotations
 
+from itertools import product
+
 from . import coxeter
+from .blocks import dot_action, is_critical
 from .coxeter import Element, bruhat_leq, lower_cone, members, word_str
 from .errors import CriticalityError, UnsupportedError
+from .rootdata import build_root_system, weight_root_coords
 
 ONE = (1,)
 ZERO = ()
@@ -204,8 +208,6 @@ class CharacterVector:
 
 
 def _require_character_hypotheses(block):
-    from .blocks import is_critical  # local import to avoid a cycle
-
     if is_critical(block):
         raise CriticalityError("character formulas need a non-critical block")
     if block.stab_order != 1:
@@ -328,8 +330,6 @@ def verma_hom_dim(block, w: Element, w2: Element) -> int:
     stabilizer (BGG; Kac-Kazhdan): on minimal coset representatives,
     Hom != 0 iff w <= w2 for an antidominant base, iff w2 <= w for a
     dominant one."""
-    from .blocks import is_critical
-
     if is_critical(block):
         raise CriticalityError("Verma embeddings need a non-critical block")
     position = base_weight_position(block)
@@ -367,8 +367,6 @@ def kostant_partition_count(cartan, root_coords) -> int:
     if any(c != int(c) or c < 0 for c in root_coords):
         return 0
     coords = tuple(int(c) for c in root_coords)
-    from .rootdata import build_root_system
-
     bound = max(1, sum(coords))
     positives = sorted(
         r.simple_coords for r in build_root_system(cartan, bound).positive_real
@@ -395,11 +393,6 @@ def character_weight_dimensions(block, char: CharacterVector, depth: int):
 
     Returns {nu: dim at lambda - nu} over all nonnegative simple-root
     vectors nu of height <= depth; zero entries are dropped."""
-    from itertools import product
-
-    from .blocks import dot_action
-    from .rootdata import weight_root_coords
-
     lam = block.base_weight
     n = block.cartan.rank
     offsets = {}

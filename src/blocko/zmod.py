@@ -1,11 +1,12 @@
 """Graded structure algebra of a block and graded lattices over it.
 
-A block's orbit carries a moment graph: vertices are orbit elements, and an
-edge joins w and s_beta.w for a positive integral root beta, found from
-Billey's roots of a word (so no root height is cut), labeled by the linear
-form h_beta = (beta, -).  The structure algebra Z is the set of
-vertex-tuples (z_w) with z_w congruent to z_{s_beta w} mod h_beta on every
-edge.  Modules over Z are presented as graded lattices: finitely many
+A non-critical block's orbit carries a moment graph: vertices are orbit
+elements, and an edge joins w and s_beta.w for a positive integral root
+beta, found from Billey's roots of a word (so no root height is cut),
+labeled by the linear form h_beta = (beta, -).  A critical block, which
+Fiebig's theorem leaves out, is refused.  The structure algebra Z is the set
+of vertex-tuples (z_w) with z_w congruent to z_{s_beta w} mod h_beta on
+every edge.  Modules over Z are presented as graded lattices: finitely many
 vertex-labeled slots plus homogeneous generator tuples of `Poly`.  The
 linear algebra runs on integer graded pieces: a degree-d slot tuple is a
 slot-major integer vector over one denominator, indexed by monomial tables
@@ -24,15 +25,9 @@ from itertools import islice
 from math import gcd, lcm, prod
 from operator import add, mul, sub
 
-from .blocks import (
-    BlockData,
-    chamber_walk,
-    dot_reflect,
-    real_root_classes,
-    shift_by_delta,
-)
+from .blocks import BlockData, chamber_walk, dot_reflect, is_critical
 from .coxeter import lower_cone, word_str
-from .errors import TruncationError, UnsupportedError
+from .errors import CriticalityError, TruncationError, UnsupportedError
 from .linalg import (
     Echelon,
     charpoly,
@@ -45,7 +40,7 @@ from .linalg import (
     solve_many,
 )
 from .poly import Poly, monomials_of_degree
-from .rootdata import coroot_pairing, form, reflect_root, rho
+from .rootdata import form, reflect_root, rho
 
 # endomorphisms `decompose` tries for a splitting idempotent
 _SPLIT_TRIALS = 60
@@ -82,13 +77,13 @@ class MomentGraphBlock:
 def moment_graph(block: BlockData) -> MomentGraphBlock:
     """The moment graph on the truncated orbit: an edge joins two vertices
     when a positive integral root beta reflects one onto the other, labeled
-    h_beta.  Its edges are found without a height cut: `_billey_edges`, or
-    `_critical_edges` at the critical level, which has no chamber."""
+    h_beta.  Its edges are `_billey_edges`, found without a height cut.
+    Refuses a critical block, which Fiebig's theorem leaves out: it has
+    no chamber, and translations can fix its weights."""
+    if is_critical(block):
+        raise CriticalityError("moment graphs need a non-critical block")
     weights = {v.word: v.weight for v in block.orbit}
-    if block.has_dominant or block.has_antidominant:
-        edges = _billey_edges(block, weights)
-    else:
-        edges = _critical_edges(block, weights)
+    edges = _billey_edges(block, weights)
     return MomentGraphBlock(block, list(weights), weights, edges, _nvars(block.cartan))
 
 
@@ -112,6 +107,7 @@ def _billey_edges(block: BlockData, weights):
     by_weight = {mu: y for y, mu in weights.items()}
     regular = block.stab_order == 1
     side = 1 if block.has_dominant else -1
+    shift = rho(block.cartan)
     roots, edges = {(): []}, {}  # word -> r_1, ..., r_l; edge -> label
     for y, mu in weights.items():
         word = y if regular else chamber_walk(block, mu, side > 0)[0]
@@ -125,7 +121,8 @@ def _billey_edges(block: BlockData, weights):
         if regular:
             ok = all(e in by_weight and len(by_weight[e]) < len(y) for e in ends)
         else:
-            ok = all(side * form(mu + rho(block.cartan), r) < 0 for r in roots[word])
+            shifted = mu + shift
+            ok = all(side * form(shifted, r) < 0 for r in roots[word])
         if not ok or len(set(ends)) < len(word):
             raise TruncationError(
                 f"moment graph: Billey's roots of the word {word_str(word)} are "
@@ -134,32 +131,6 @@ def _billey_edges(block: BlockData, weights):
         for r, e in zip(roots[word], ends):
             if e in by_weight:
                 edges[frozenset({by_weight[e], y})] = root_form(block.cartan, r)
-    return edges
-
-
-def _critical_edges(block: BlockData, weights):
-    """The edges of a critical block.  At level 0 every root
-    beta = low + n g delta of a class of `real_root_classes` pairs with
-    x = y + rho as low does, c = <x, low^vee>, so s_beta . y is s_low . y
-    moved by -c n g delta: it is a vertex with the weight coordinates of
-    s_low . y and the delta coefficient that fixes n.  The two ends of an
-    edge pair with its root to c and -c; it is found from the end with
-    c < 0."""
-    by_coords = {}  # weight coordinates -> the vertices with them
-    for y, mu in weights.items():
-        by_coords.setdefault(mu.coords, []).append(y)
-    classes = real_root_classes(block.cartan)
-    edges = {}
-    for y, mu in weights.items():
-        for low, g in classes:
-            c = coroot_pairing(mu + rho(block.cartan), low)
-            end = dot_reflect(low, mu)
-            for x in by_coords.get(end.coords, []) if c < 0 else []:
-                n = (end.delta - weights[x].delta) / (c * g)
-                if n.denominator == 1 and n >= 0:
-                    edges[frozenset({x, y})] = root_form(
-                        block.cartan, shift_by_delta(low, n * g)
-                    )
     return edges
 
 
@@ -405,14 +376,11 @@ def _free_algebra(graph, vertex_words, chosen, count, edge_count, what):
     return lattice
 
 
-def _is_schubert_ideal(graph, vertex_words, edge_count):
+def _is_schubert_ideal(graph, vertex_words):
     """Do the equivariant Schubert classes span Z on the vertex subset: the
-    block is regular, the subset is a lower Bruhat ideal of W(lambda), and
-    it has sum l(w) edges?  Off the critical level the last always holds,
-    each w having l(w) edges down; at the critical level translations can
-    fix the weights, so elements share vertices and edges are added."""
+    block is regular and the subset is a lower Bruhat ideal of W(lambda)?"""
     block = graph.block
-    if block.stab_order != 1 or edge_count != sum(map(len, vertex_words)):
+    if block.stab_order != 1:
         return False
     system = block.coxeter_system
     ids = [system.index(w) for w in vertex_words]
@@ -493,7 +461,7 @@ def structure_algebra(graph: MomentGraphBlock, vertex_words=None) -> ZLattice:
         vset = set(vertex_words)
         edge_count = sum(1 for edge in graph.edges if edge <= vset)
         what = f"structure algebra on {len(key)} vertices"
-        if _is_schubert_ideal(graph, vertex_words, edge_count):
+        if _is_schubert_ideal(graph, vertex_words):
             build = _schubert_algebra
         else:
             build = _grown_algebra
@@ -734,19 +702,6 @@ def compose(U2, U1, nvars):
         return sum((a * b for a, b in zip(row, col) if a.terms and b.terms), zero)
 
     return [[entry(row, col) for col in zip(*U1)] for row in U2]
-
-
-def identity_hom(M: ZLattice):
-    return scalar_hom(M, Poly.const(M.graph.nvars, 1))
-
-
-def scalar_hom(M: ZLattice, p: Poly):
-    n = len(M.generators)
-    return [[p if i == j else Poly.zero(p.nvars) for j in range(n)] for i in range(n)]
-
-
-def homs_equal(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 # faithful finite-dimensional representation of degree-0 endomorphisms:
@@ -1011,10 +966,6 @@ def ungraded_char(M: ZLattice):
     return {w: len(ds) for w, ds in graded_char(M).items()}
 
 
-def chars_equal(a: ZLattice, b: ZLattice) -> bool:
-    return graded_char(a) == graded_char(b)
-
-
 def _shift_normalized(char):
     if not char:
         return {}
@@ -1213,12 +1164,6 @@ def identify_projective(graph: MomentGraphBlock, w) -> ZLattice:
             f"length bound {block.length_bound}; length bound {top.length} passes"
         )
     cone = sorted((x.word for x in lower_cone(top)), key=_vertex_key)
-    shared = [x for x in cone if x not in graph.weights]
-    if shared:
-        raise UnsupportedError(
-            f"{word_str(shared[0])} <= {word_str(top.word)} shares its weight with "
-            "an earlier element: translations fix the weights of a critical block"
-        )
     ups = {x: [] for x in cone}
     for edge, h in graph.edges.items():
         if edge <= ups.keys():

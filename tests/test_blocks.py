@@ -461,3 +461,29 @@ def test_character_queries_make_no_root_pairing(matrix, coords, bound, monkeypat
     # and the counter does count: a chamber walk pairs
     blocks.chamber_walk(block, block.base_weight, block.has_dominant)
     assert "form" in calls
+
+
+@pytest.mark.parametrize("coords, dominant", [
+    ((-2, -2), True),  # negative level: only the antidominant chamber
+    ((0, -2), True),  # critical: neither chamber
+    ((0, -2), False),
+], ids=["A1~(-2,-2) dominant", "A1~(0,-2) dominant", "A1~(0,-2) antidominant"])
+def test_chamber_walk_refuses_a_chamber_the_block_lacks(coords, dominant, monkeypatch):
+    cartan = rootdata.cartan_datum(A1_AFFINE)
+    block = blocks.block_data(cartan, weight(cartan, *coords), length_bound=3)
+    # a walk toward a missing chamber never ends: fail after 100 steps
+    steps, reflect = [], blocks.reflect
+
+    def bounded(*args):
+        steps.append(args)
+        assert len(steps) < 100, "the chamber walk does not end"
+        return reflect(*args)
+
+    monkeypatch.setattr(blocks, "reflect", bounded)
+    side = "dominant" if dominant else "antidominant"
+    with pytest.raises(UnsupportedError, match=f"^the block has no {side} chamber"):
+        blocks.chamber_walk(block, block.base_weight, dominant)
+    assert steps == []
+    if not blocks.is_critical(block):  # the chamber the block has is walked into
+        shifted = block.base_weight + rho(cartan)
+        assert blocks.chamber_walk(block, block.base_weight, not dominant) == ((), shifted)

@@ -12,7 +12,7 @@ import pytest
 from blocko import cli, kl, linalg, zmod
 from blocko.errors import TruncationError
 
-from conftest import A1, A1_AFFINE, A2, A3, B2, B3, G2
+from conftest import A1, A1_AFFINE, A2, A2_AFFINE, A3, B2, B3, G2
 
 
 def run(capsys, argv):
@@ -96,6 +96,27 @@ def test_require_noncritical_rejects_critical(cartan_file, capsys):
     )
     assert code == 2
     assert json.loads(out) == {"error": "block is critical"}
+
+
+_CRITICAL_WEIGHTS = [(A1_AFFINE, "-1,-1"), (A1_AFFINE, "0,-2"),
+                     (A2_AFFINE, "0,-2,-1"), (A2_AFFINE, "2,-3,-2")]
+
+
+@pytest.mark.parametrize("matrix, coords", _CRITICAL_WEIGHTS,
+                         ids=[f"A{len(m) - 1}~({c})" for m, c in _CRITICAL_WEIGHTS])
+def test_center_and_bs_refuse_a_critical_block(matrix, coords, cartan_file, capsys):
+    block = ["--cartan", cartan_file(matrix), f"--weight={coords}", "--length-bound", "3"]
+    code, out = run(capsys, ["block"] + block)
+    assert code == 0
+    assert json.loads(out)["critical"] is True
+    for argv in (["center"] + block, ["bs"] + block + ["--word", "1"]):
+        code, out = run(capsys, argv)
+        assert code == 2
+        assert json.loads(out) == {"error": "moment graphs need a non-critical block"}
+    # the refusal needs no flag, and `center` takes none
+    with pytest.raises(SystemExit) as err:
+        cli.main(["center"] + block + ["--require-noncritical"])
+    assert err.value.code == 1
 
 
 def test_nonpositive_bound_is_usage_error(cartan_file, capsys):
@@ -546,7 +567,7 @@ def test_each_command_reads_every_option_it_declares(
 
 _UNREAD_OPTIONS = [("kl", ["--weight", "0,0"]), ("bs", ["--degree-bound", "12"])] + [
     (command, ["--height-bound", "20"]) for command in sorted(_SMALL_RUNS)
-]
+] + [(command, ["--require-noncritical"]) for command in ("bs", "center", "character")]
 
 
 @pytest.mark.parametrize("command, extra", _UNREAD_OPTIONS,

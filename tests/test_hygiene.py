@@ -1,8 +1,8 @@
 """Source hygiene of the package: every imported name is used, every
 private function is called, no function keeps a global cache, only the
 root systems and `blocks.integral_roots` name a height bound, every name
-the benchmark's tracer wraps exists, and `import blocko.cli` loads no
-module that only some commands need."""
+the benchmark's tracer wraps exists, `import blocko.cli` loads no module
+that only some commands need, and package imports sit at module level."""
 
 import ast
 import importlib
@@ -173,6 +173,27 @@ print(code, "blocko.zmod" in sys.modules)
     # `center` imports zmod when it runs, and prints its report
     assert json.loads(out[1])["slots"] == ["e", "1"]
     assert out[2] == "0 True"
+
+
+# the package imports a function may make: `cli` defers zmod to the commands
+# that need it (see above); any other sits at module level, where a cycle
+# between modules shows at once
+_LOCAL_PACKAGE_IMPORTS = {"cli.py": {(None, "zmod")}}
+
+
+def _local_package_imports(tree):
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    yield from ((node.module, alias.name) for alias in node.names)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_package_imports_are_at_module_level(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set(_local_package_imports(tree))
+    assert found == _LOCAL_PACKAGE_IMPORTS.get(path.name, set())
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import poly_graded
 from blocko import blocks, coxeter, kl, linalg, poly, rootdata, zmod
-from blocko.errors import TruncationError, UnsupportedError
+from blocko.errors import CriticalityError, TruncationError, UnsupportedError
 from blocko.poly import Poly, divisible_by_linear
 from blocko.zmod import (
     ZLattice,
@@ -19,7 +19,6 @@ from blocko.zmod import (
     graded_char,
     hom_graded,
     identify_projective,
-    identity_hom,
     invariant_structure_algebra,
     isomorphic_up_to_shift,
     lattice_contains,
@@ -33,6 +32,7 @@ from blocko.zmod import (
 )
 
 from bs_projectives import projective_summand, reference_projective
+from lattice_homs import chars_equal, homs_equal, identity_hom
 from height_cut_graph import form_root_form, height_cut_edges
 from conftest import A1_AFFINE, A2, A2_AFFINE, A3, B2, B3, G2, weight
 
@@ -121,8 +121,7 @@ REFERENCE_BLOCKS = {
 }
 # blocks without sum l(v) edges: singular blocks whose stabilizer is not a
 # standard parabolic subgroup of W(lambda) (A2 (0, -2) has the vertices e, 1
-# and 2, and an edge 1 - 2), and critical blocks, whose weights translations
-# can fix (A2~ (2, -3, -2) has 31 vertices and 144 edges)
+# and 2, and an edge 1 - 2)
 OTHER_BLOCKS = {
     "A2(0,-2)": (A2, (0, -2), 8),
     "B2(1,-3)": (B2, (1, -3), 8),
@@ -130,6 +129,11 @@ OTHER_BLOCKS = {
     "A3(0,-2,1)": (A3, (0, -2, 1), 8),
     "A1~(2,-3)": (A1_AFFINE, (2, -3), 8),
     "A2~(1,-3,0)": (A2_AFFINE, (1, -3, 0), 6),
+}
+# critical blocks, which Fiebig's theorem leaves out: no chamber, and
+# translations can fix their weights (A2~ (2, -3, -2) has an infinite
+# stabilizer, and 64 elements of length 6 or less reach 56 weights)
+CRITICAL_BLOCKS = {
     "A1~(-1,-1)": (A1_AFFINE, (-1, -1), 4),
     "A1~(0,-2)": (A1_AFFINE, (0, -2), 5),
     "A2~(0,-2,-1)": (A2_AFFINE, (0, -2, -1), 4),
@@ -147,6 +151,18 @@ def test_moment_graph_matches_the_height_cut_reference(case):
     if case in REFERENCE_BLOCKS:
         # each vertex v has l(v) edges down
         assert len(graph.edges) == sum(map(len, graph.vertices))
+
+
+@pytest.mark.parametrize("case", sorted(CRITICAL_BLOCKS))
+def test_moment_graph_refuses_a_critical_block(case):
+    matrix, coords, length_bound = CRITICAL_BLOCKS[case]
+    cartan = rootdata.cartan_datum(matrix)
+    block = blocks.block_data(cartan, weight(cartan, *coords), length_bound=length_bound)
+    # the block itself is still reported, as critical
+    assert blocks.is_critical(block)
+    assert blocks.block_to_json(block)["critical"] is True
+    with pytest.raises(CriticalityError, match="^moment graphs need a non-critical"):
+        moment_graph(block)
 
 
 @pytest.mark.parametrize("matrix", [
@@ -452,7 +468,7 @@ def test_hom_identity_and_composition(a2_graph):
     assert len(endos) == 1  # BS(st) is indecomposable
     ident = identity_hom(b)
     u = endos[0]
-    assert zmod.homs_equal(
+    assert homs_equal(
         compose(u, ident, a2_graph.nvars), u
     )
 
@@ -639,19 +655,22 @@ def test_identify_projective_names_a_length_bound_that_passes():
     assert identify_projective(_graph(A2, 0, 0, length_bound=3), (0, 1, 0)).rank == 6
 
 
-def test_identify_projective_rejects_a_cone_with_shared_weights():
+def test_identify_projective_gets_no_graph_of_a_critical_block():
     # at the critical level translations fix weights: in affine A2 at
-    # (2, -3, -2), the element 2 3 1 2 1 reaches the weight of an earlier one
+    # (2, -3, -2), the element 2 3 1 2 1 reaches the weight of an earlier one,
+    # so the cone of 2 3 1 2 3 1 has no vertex of its own for it
     cartan = rootdata.cartan_datum(A2_AFFINE)
     block = blocks.block_data(cartan, weight(cartan, 2, -3, -2), length_bound=6)
-    graph = moment_graph(block)
-    # block_data reports that stabilizer infinite, so the block is not regular
-    with pytest.raises(UnsupportedError, match="need a regular block"):
-        identify_projective(graph, (1, 2, 0, 1, 2, 0))
-    # and were it reported trivial, the cone would still be rejected
+    top = block.coxeter_system.element((1, 2, 0, 1, 2, 0))
+    words = {v.word for v in block.orbit}
+    assert [x.word for x in coxeter.lower_cone(top) if x.word not in words] == [
+        (1, 2, 0, 1, 0)
+    ]
+    # block_data reports that stabilizer infinite; were it reported trivial,
+    # the block would still be refused, before any cone is walked
     block.stab_order = 1
-    with pytest.raises(UnsupportedError, match="^2 3 1 2 1 <= 2 3 1 2 3 1 shares"):
-        identify_projective(graph, (1, 2, 0, 1, 2, 0))
+    with pytest.raises(CriticalityError, match="need a non-critical block"):
+        identify_projective(moment_graph(block), top.word)
 
 
 @pytest.mark.parametrize(
@@ -688,7 +707,7 @@ def test_isomorphic_up_to_shift(a2_graph):
     m = verma_zmodule(a2_graph, ())
     shifted = ZLattice(a2_graph, m.slots, m.generators, [d + 4 for d in m.degrees])
     assert isomorphic_up_to_shift(m, shifted)
-    assert not zmod.chars_equal(m, shifted)
+    assert not chars_equal(m, shifted)
 
 
 def test_invariant_subalgebra_generator_count(a2_graph):
