@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import blocks, kl, rootdata
-from .coxeter import INFINITY, CoxeterSystem, word_str
+from .coxeter import INFINITY, CoxeterSystem, demazure_product, word_str
 from .errors import BlockoError, CartanError, CriticalityError
 
 
@@ -273,7 +273,7 @@ def cmd_bs(args):
     graph = zmod.moment_graph(block)
     lattice = zmod.bott_samelson(graph, word)
     summands = zmod.decompose(lattice)
-    target = block.coxeter_system.normal_form(word)
+    target = demazure_product(block.coxeter_system, word)
     projective = zmod.identify_projective(graph, target)
     return {
         "word": word_str(word),

@@ -320,6 +320,15 @@ def upper_cone(w: Element, length_bound: int):
             if cone(y) >> w.id & 1]
 
 
+def demazure_product(system: CoxeterSystem, word):
+    """The normal form of the Demazure product of a word: each letter s
+    takes w to ws when that is longer, and keeps w otherwise."""
+    top = ()
+    for s in word:
+        top = max(top, system.word_times(top, s), key=len)
+    return top
+
+
 def coset_min_reps(system: CoxeterSystem, stab_gens, length_bound: int):
     """Minimal-length representatives of W / <stab_gens> for a standard
     parabolic subgroup, up to the length bound."""

@@ -129,9 +129,7 @@ def rref(rows, ncols=None):
     ], pivots
 
 
-def rank(rows, ncols=None):
-    if ncols is not None:
-        rows = [r[:ncols] for r in rows]
+def rank(rows):
     return len(Echelon(rows).rows)
 
 

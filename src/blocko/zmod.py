@@ -26,7 +26,7 @@ from math import gcd, lcm, prod
 from operator import add, mul, sub
 
 from .blocks import BlockData, chamber_walk, dot_reflect, is_critical
-from .coxeter import lower_cone, word_str
+from .coxeter import demazure_product, lower_cone, word_str
 from .errors import CriticalityError, TruncationError, UnsupportedError
 from .linalg import (
     Echelon,
@@ -147,12 +147,6 @@ class ZLattice:
         # (integers, denominator, polynomial degree) per generator (_gen_vectors)
         self.vectors = None
 
-    def __eq__(self, other):
-        if other.__class__ is not ZLattice:
-            return NotImplemented
-        return ((self.graph, self.slots, self.generators, self.degrees)
-                == (other.graph, other.slots, other.generators, other.degrees))
-
     @property
     def rank(self):
         return len(self.slots)
@@ -170,11 +164,19 @@ class ZLattice:
 
 
 def _monomials(graph, d):
-    """(degree-d monomials, monomial -> position), built once per graph."""
+    """(degree-d monomials, monomial -> position, their integer values at
+    the generic point), built once per graph."""
     if d not in graph.monomials:
         monos = monomials_of_degree(graph.nvars, d)
-        graph.monomials[d] = (monos, {m: i for i, m in enumerate(monos)})
+        values = [prod(map(pow, _GENERIC_PRIMES, m)) for m in monos]
+        graph.monomials[d] = (monos, {m: i for i, m in enumerate(monos)}, values)
     return graph.monomials[d]
+
+
+def _generic_values(graph, vec, d):
+    """The values at the generic point of a degree-d slot vector's slots."""
+    at = _monomials(graph, d)[2]
+    return [sum(map(mul, vec[s : s + len(at)], at)) for s in range(0, len(vec), len(at))]
 
 
 def _width(graph, d):
@@ -205,9 +207,10 @@ def _vector(graph, tup, d):
 
 def _poly_tuple(graph, vec, den, d):
     """The slot tuple of Poly with slot-major coefficients vec / den."""
-    monos, coeffs = _monomials(graph, d)[0], [Fraction(x, den) for x in vec]
+    monos = _monomials(graph, d)[0]
     return tuple(
-        Poly(graph.nvars, dict(zip(monos, coeffs[s : s + len(monos)])))
+        Poly(graph.nvars, {m: Fraction(x, den)
+                           for m, x in zip(monos, vec[s : s + len(monos)]) if x})
         for s in range(0, len(vec), len(monos))
     )
 
@@ -292,10 +295,6 @@ def _congruence_rows(graph, vertex_words, d, equal_pairs=()):
     return rows
 
 
-def _generic_point(nvars):
-    return [Fraction(p) for p in _GENERIC_PRIMES[:nvars]]
-
-
 def minimal_generators(graph, candidates):
     """Minimal homogeneous generating set of the S-span of the candidates.
 
@@ -320,10 +319,9 @@ def _certified_lattice(graph, slots, chosen, count, what):
     names the lattice in the TruncationError raised otherwise."""
     if len(chosen) != count:
         raise TruncationError(f"{what} produced {len(chosen)} generators, not {count}")
-    gens = [_poly_tuple(graph, vec, den, d) for vec, den, d in chosen]
-    point = _generic_point(graph.nvars)
-    if rank([[p.evaluate(point) for p in g] for g in gens]) != count:
+    if rank([_generic_values(graph, vec, d) for vec, _, d in chosen]) != count:
         raise TruncationError(f"{what} failed its rank certificate")
+    gens = [_poly_tuple(graph, *g) for g in chosen]
     lattice = ZLattice(graph, tuple(slots), gens, [2 * d for _, _, d in chosen])
     lattice.vectors = chosen
     return lattice
@@ -543,9 +541,7 @@ def bott_samelson(graph: MomentGraphBlock, word) -> ZLattice:
     vertex; rank 2^n.  Its vertices lie below the Demazure product of the
     word, whose length is the length bound that passes."""
     block = graph.block
-    top = ()
-    for s in word:
-        top = max(top, block.coxeter_system.word_times(top, s), key=len)
+    top = demazure_product(block.coxeter_system, word)
     if block.stab_order == 1 and len(top) > block.length_bound:
         raise _outside_the_orbit(top, block.length_bound)
     M = verma_zmodule(graph, ())
@@ -839,7 +835,6 @@ def _project_summand(M: ZLattice, E):
     E[(l, t * m_0), (i, m_0)]."""
     graph, gens = M.graph, _gen_vectors(M)
     D, index = _top_index(M)
-    point = _generic_point(graph.nvars)
     images, values = [], []  # values: per image, its slot values at the point
     for i, (_, _, di) in enumerate(gens):
         img = [Fraction(0)] * (M.rank * _width(graph, di))
@@ -851,9 +846,7 @@ def _project_summand(M: ZLattice, E):
                     if x:
                         img[k] += c * x
         images.append(img)
-        at = [prod(map(pow, point, m)) for m in _monomials(graph, di)[0]]
-        values.append([sum(map(mul, img[s : s + len(at)], at))
-                       for s in range(0, len(img), len(at))])
+        values.append(_generic_values(graph, img, di))
     by_vertex = {}
     for i, w in enumerate(M.slots):
         by_vertex.setdefault(w, []).append(i)
@@ -942,8 +935,7 @@ def graded_char(M: ZLattice):
     """Vertex -> list of graded degrees, one per generator, assigning each
     generator a pivot slot by Gaussian elimination at a generic point
     (generators in increasing degree, slots in vertex order)."""
-    nv = M.graph.nvars
-    point = _generic_point(nv)
+    point = _GENERIC_PRIMES[: M.graph.nvars]
     order = sorted(
         range(len(M.generators)), key=lambda i: (M.degrees[i], i)
     )
@@ -1128,9 +1120,8 @@ def _glue(graph, x, up, stalks, sections, bound):
                 glued[i] = {y: [c // g for c in v] for y, v in lifted.items()}
     # (b): count, generic rank and degree sum of K_x's generators
     kgens = minimal_generators(graph, kernel)
-    point = _generic_point(graph.nvars)
-    values = [[p.evaluate(point) for p in _poly_tuple(graph, *g)] for g in kgens]
-    found = (len(kgens), rank(values), sum(d for _, _, d in kgens))
+    generic_rank = rank([_generic_values(graph, vec, d) for vec, _, d in kgens])
+    found = (len(kgens), generic_rank, sum(d for _, _, d in kgens))
     expected = (r, r, sum(stalks[x]) + sum(len(stalks[y]) for y in above))
     if found != expected:
         raise TruncationError(

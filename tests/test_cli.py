@@ -312,6 +312,20 @@ def test_bs_command(cartan_file, capsys):
     assert len(report["projective"]["graded_character"]) == 6
 
 
+@pytest.mark.parametrize("word, top", [("1 1", "1"), ("1 2 2", "1 2"),
+                                       ("1 2 1 1", "1 2 1")])
+def test_bs_names_the_projective_of_the_demazure_product(word, top, cartan_file,
+                                                         capsys):
+    # the top summand of BS(word) is P of the word's Demazure product, not
+    # of its normal form (e, 1 and 1 2 for these words)
+    path = cartan_file(A2)
+    code, out = run(capsys, ["bs", "--cartan", path, "--weight", "0,0", "--word", word])
+    assert code == 0
+    report = json.loads(out)
+    assert report["projective"]["word"] == top
+    assert report["projective"]["graded_character"] in report["summands"]
+
+
 def test_bs_names_the_length_bound_it_outgrows(cartan_file, capsys):
     path = cartan_file(A2)
     code, out = run(

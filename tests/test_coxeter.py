@@ -115,14 +115,16 @@ REFERENCE_SYSTEMS = {
     "A1~": CoxeterSystem(INF_COX),
     "A2~": CoxeterSystem(A2_AFFINE_COX),
 }
+# the property tests also draw B2
+PROPERTY_SYSTEMS = {**REFERENCE_SYSTEMS, "B2": CoxeterSystem(B2_COX)}
 
 
 @st.composite
-def system_words(draw):
-    name = draw(st.sampled_from(sorted(REFERENCE_SYSTEMS)))
-    system = REFERENCE_SYSTEMS[name]
+def system_words(draw, count=1, systems=REFERENCE_SYSTEMS):
+    """A system and `count` words in its generators."""
+    system = systems[draw(st.sampled_from(sorted(systems)))]
     letters = st.integers(min_value=0, max_value=system.generator_count - 1)
-    return system, tuple(draw(st.lists(letters, max_size=14)))
+    return (system, *(tuple(draw(st.lists(letters, max_size=14))) for _ in range(count)))
 
 
 @settings(max_examples=200)
@@ -136,36 +138,33 @@ def test_normal_form_matches_matrix_reference(case):
     )
 
 
-words = st.lists(st.integers(min_value=0, max_value=1), max_size=8).map(tuple)
-
-
-@given(words)
-def test_normal_form_idempotent(word):
-    system = CoxeterSystem(B2_COX)
+@given(system_words(systems=PROPERTY_SYSTEMS))
+def test_normal_form_idempotent(case):
+    system, word = case
     nf = system.normal_form(word)
     assert system.normal_form(nf) == nf
 
 
-@given(words, st.integers(min_value=0, max_value=1),
-       st.integers(min_value=0, max_value=8))
-def test_normal_form_absorbs_double_letters(word, letter, pos):
-    system = CoxeterSystem(B2_COX)
-    pos = min(pos, len(word))
+@given(system_words(systems=PROPERTY_SYSTEMS), st.data())
+def test_normal_form_absorbs_double_letters(case, data):
+    system, word = case
+    letter = data.draw(st.integers(min_value=0, max_value=system.generator_count - 1))
+    pos = data.draw(st.integers(min_value=0, max_value=len(word)))
     padded = word[:pos] + (letter, letter) + word[pos:]
     assert system.normal_form(padded) == system.normal_form(word)
 
 
-@given(words)
-def test_element_inverse(word):
-    system = CoxeterSystem(B2_COX)
+@given(system_words(systems=PROPERTY_SYSTEMS))
+def test_element_inverse(case):
+    system, word = case
     x = system.element(word)
     assert (x * x.inverse()).word == ()
     assert x.inverse().length == x.length
 
 
-@given(words, words)
-def test_length_subadditive(u, v):
-    system = CoxeterSystem(B2_COX)
+@given(system_words(2, PROPERTY_SYSTEMS))
+def test_length_subadditive(case):
+    system, u, v = case
     x, y = system.element(u), system.element(v)
     assert (x * y).length <= x.length + y.length
     assert ((x * y).length - x.length - y.length) % 2 == 0

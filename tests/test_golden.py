@@ -73,6 +73,28 @@ CASES = {
 }
 
 
+def _lattices():
+    """The lattices behind CASES: the A2 and B2 projectives, and Z of A1~
+    at length 3 and of G2."""
+    for matrix, max_length in ((A2, 3), (B2, 2)):
+        graph = _graph(matrix)
+        for w in graph.vertices:
+            if len(w) <= max_length:
+                yield zmod.identify_projective(graph, w)
+    yield zmod.structure_algebra(_graph(A1_AFFINE, length_bound=3))
+    yield zmod.structure_algebra(_graph(G2))
+
+
+def test_generic_values_match_poly_evaluation():
+    # the certificates evaluate integer slot vectors; the generators handed
+    # out, evaluated as Poly at the same point, give the same values
+    for lattice in _lattices():
+        point = zmod._GENERIC_PRIMES[: lattice.graph.nvars]
+        for gen, (vec, den, d) in zip(lattice.generators, zmod._gen_vectors(lattice)):
+            assert (zmod._generic_values(lattice.graph, vec, d)
+                    == [den * p.evaluate(point) for p in gen])
+
+
 def _dump(value):
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 

@@ -1,6 +1,7 @@
 """Source hygiene of the package: every imported name is used, every
 private function is called, no function keeps a global cache, only the
-root systems and `blocks.integral_roots` name a height bound, every name
+root systems and `blocks.integral_roots` name a height bound, `zmod`
+builds and evaluates `Poly` only at its boundary, every name
 the benchmark's tracer wraps exists, `import blocko.cli` loads no module
 that only some commands need, and package imports sit at module level."""
 
@@ -88,6 +89,34 @@ def test_in_blocks_only_integral_roots_names_a_height_bound():
     tree = ast.parse(path.read_text(), filename=str(path))
     assert [name for node in tree.body if getattr(node, "name", None) != "integral_roots"
             for name in _height_bound_names(node)] == []
+
+
+# the zmod functions that may build a Poly or call .evaluate: edge labels,
+# the generators of the lattices handed out, the generator-basis Hom
+# matrices and graded_char; everything else runs on integer slot vectors
+_POLY_BOUNDARY = {"root_form", "_poly_tuple", "verma_zmodule", "hom_graded", "apply_hom",
+                  "compose", "graded_char"}
+
+
+def _poly_calls(tree):
+    """(line, enclosing top-level name) of each `Poly(...)`, `Poly.x(...)`
+    or `.evaluate(...)` call outside the functions of _POLY_BOUNDARY."""
+    for top in tree.body:
+        if getattr(top, "name", None) in _POLY_BOUNDARY:
+            continue
+        for node in ast.walk(top):
+            func = getattr(node, "func", None)
+            owner = getattr(func, "value", func)
+            if (isinstance(node, ast.Call)
+                    and (getattr(owner, "id", None) == "Poly"
+                         or getattr(func, "attr", None) == "evaluate")):
+                yield node.lineno, getattr(top, "name", None)
+
+
+def test_zmod_builds_poly_only_at_its_boundary():
+    path = Path(blocko.__file__).with_name("zmod.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert list(_poly_calls(tree)) == []
 
 
 def _referenced_names():

@@ -27,16 +27,11 @@ from blocko.rootdata import (
 )
 
 import fraction_roots
-from conftest import A1_AFFINE, A2, B2, weight
+from conftest import A1_AFFINE, A2, A2_AFFINE, A3, B2, B3, G2, weight
 
 rationals = st.fractions(
     max_denominator=6, min_value=Fraction(-5), max_value=Fraction(5)
 )
-
-
-def a2_weights(draw_coords):
-    cartan = cartan_datum(A2)
-    return Weight(cartan, tuple(draw_coords))
 
 
 def test_kind_detection():
@@ -64,20 +59,33 @@ def test_b2_symmetrizer():
             assert d[i] * cartan.matrix[i][j] == d[j] * cartan.matrix[j][i]
 
 
-@given(st.lists(rationals, min_size=2, max_size=2),
-       st.lists(rationals, min_size=2, max_size=2))
-def test_form_symmetric(xs, ys):
-    cartan = cartan_datum(A2)
-    x = Weight(cartan, tuple(xs))
-    y = Weight(cartan, tuple(ys))
+PROPERTY_CARTANS = {
+    name: cartan_datum(matrix)
+    for name, matrix in (("A2", A2), ("B2", B2), ("A3", A3), ("B3", B3), ("G2", G2),
+                         ("A1~", A1_AFFINE), ("A2~", A2_AFFINE))
+}
+
+
+@st.composite
+def cartan_weights(draw, count):
+    """A Cartan datum of PROPERTY_CARTANS and `count` weights of it, with a
+    delta coefficient on the affine ones."""
+    cartan = PROPERTY_CARTANS[draw(st.sampled_from(sorted(PROPERTY_CARTANS)))]
+    coords = st.lists(rationals, min_size=cartan.rank, max_size=cartan.rank)
+    deltas = rationals if cartan.is_affine else st.just(0)
+    return cartan, [Weight(cartan, tuple(draw(coords)), draw(deltas)) for _ in range(count)]
+
+
+@given(cartan_weights(2))
+def test_form_symmetric(case):
+    _, (x, y) = case
     assert form(x, y) == form(y, x)
 
 
-@given(st.lists(rationals, min_size=2, max_size=2))
-def test_reflect_involution(xs):
-    cartan = cartan_datum(B2)
-    x = Weight(cartan, tuple(xs))
-    for i in range(2):
+@given(cartan_weights(1))
+def test_reflect_involution(case):
+    cartan, (x,) = case
+    for i in range(cartan.rank):
         beta = simple_root(cartan, i)
         assert reflect(beta, reflect(beta, x)) == x
 

@@ -933,7 +933,8 @@ def test_structure_algebra_and_hom_form_no_poly_products(monkeypatch):
     """Z, the degree-0 Homs and the decomposition of a Bott-Samelson lattice
     are computed on integer graded pieces: no Poly product, no coefficient
     vector read back from a Poly or turned into one by coeffs_to_poly, no
-    restriction through Poly.substitute."""
+    restriction through Poly.substitute.  Z and a projective evaluate no
+    Poly, and build one Poly tuple per generator they keep."""
     graph = _graph(B2, 0, 0)
     M = bott_samelson(graph, (0, 1, 0))
     calls = {}
@@ -951,7 +952,14 @@ def test_structure_algebra_and_hom_form_no_poly_products(monkeypatch):
         wrapped = counting(name, getattr(poly, name))
         monkeypatch.setattr(poly, name, wrapped)
         monkeypatch.setattr(zmod, name, wrapped, raising=False)
-    structure_algebra(graph)
+    monkeypatch.setattr(Poly, "evaluate", counting("Poly.evaluate", Poly.evaluate))
+    monkeypatch.setattr(zmod, "_poly_tuple", counting("_poly_tuple", zmod._poly_tuple))
+    z = structure_algebra(graph)
+    assert calls == {"_poly_tuple": len(z.generators)}
+    calls.clear()
+    p = identify_projective(graph, (0, 1, 0, 1))
+    assert calls == {"_poly_tuple": len(p.generators)}
+    calls.clear()
     assert hom_graded(M, M, 0)
     assert len(decompose(M)) == 2
-    assert calls == {}
+    assert calls.keys() <= {"_poly_tuple"}
