@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import blocks, kl, rootdata
 from .coxeter import INFINITY, CoxeterSystem, demazure_product, word_str
-from .errors import BlockoError, CartanError, CriticalityError
+from .errors import BlockoError, CartanError, CriticalityError, UnsupportedError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -264,6 +264,12 @@ def _char_report(char):
     return {word_str(w): degs for w, degs in sorted(char.items())}
 
 
+# what the Braden-MacPherson sheaf on [e, w] is, by the base weight's
+# position: P(w.lambda) off a dominant base, T(w.lambda) off an antidominant
+# one (Soergel, Represent. Theory 2, 1998)
+_SHEAF_NAMES = {"dominant": "projective", "antidominant": "tilting"}
+
+
 def cmd_bs(args):
     block = _build_block(args)
     if args.word is None:
@@ -271,19 +277,21 @@ def cmd_bs(args):
     word = parse_word(args.word)
     from . import zmod  # only bs and center need it
     graph = zmod.moment_graph(block)
+    if block.position not in _SHEAF_NAMES:
+        raise UnsupportedError(kl.INTERIOR_BASE)
     lattice = zmod.bott_samelson(graph, word)
     summands = zmod.decompose(lattice)
     target = demazure_product(block.coxeter_system, word)
-    projective = zmod.identify_projective(graph, target)
+    sheaf = zmod.identify_projective(graph, target)
     return {
         "word": word_str(word),
         "rank": lattice.rank,
         "summands": [
             _char_report(zmod.graded_char(s)) for s in summands
         ],
-        "projective": {
+        _SHEAF_NAMES[block.position]: {
             "word": word_str(target),
-            "graded_character": _char_report(zmod.graded_char(projective)),
+            "graded_character": _char_report(zmod.graded_char(sheaf)),
         },
     }
 

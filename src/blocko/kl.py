@@ -224,15 +224,18 @@ def base_weight_position(block):
     return block.position
 
 
+# the refusal of a base weight inside its class, by the character formulas
+# and by `bs`
+INTERIOR_BASE = "base weight is neither dominant nor antidominant in its class"
+
+
 def _extremal_position(block):
     """The base weight's position for the character formulas, which hold on
     a regular, non-critical block with a dominant or antidominant base."""
     _require_character_hypotheses(block)
     position = base_weight_position(block)
     if position == "interior":
-        raise UnsupportedError(
-            "base weight is neither dominant nor antidominant in its class"
-        )
+        raise UnsupportedError(INTERIOR_BASE)
     return position
 
 

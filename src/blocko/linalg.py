@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Vectors are lists of Fraction (ints are accepted), matrices are lists of
-rows.  Every elimination goes through one fraction-free kernel, `Echelon`:
-a row enters as a primitive integer vector (denominators cleared, content
+rows.  Every elimination goes through one fraction-free kernel, `Echelon`.
+It takes integer rows: a row enters as a primitive integer vector (content
 divided out), is reduced against the rows before it by integer
-cross-multiplication, and stays primitive.  Fractions appear only in the
-results, by one division per pivot.  Reduced row echelon forms, kernel
+cross-multiplication, and stays primitive.  The rational entry points
+(`rref`, `rank`, `kernel_basis`, `solve_many`, `in_span`, `extend_basis`)
+clear each row's denominators on the way in, so Fractions appear only in
+their results, by one division per pivot.  Reduced row echelon forms, kernel
 bases, free-variables-zero solutions and span membership are canonical, so
 they do not depend on how the elimination is carried out.
 
@@ -66,8 +68,13 @@ def _primitive(w):
     return [x // g for x in w] if g > 1 else w
 
 
+def _integer_rows(rows):
+    """Rational rows with their denominators cleared, for `Echelon`."""
+    return (integral(v)[0] for v in rows)
+
+
 class Echelon:
-    """The row span of rational vectors, held as primitive integer rows.
+    """The row span of integer vectors, held as primitive integer rows.
 
     Each row has a pivot, its first nonzero column, that no other row
     shares, and is zero at the pivots of the rows added before it.
@@ -80,9 +87,10 @@ class Echelon:
             self.add(v)
 
     def reduce(self, v):
-        """An integer multiple of v minus an element of the span, zero at
-        every pivot: the zero vector exactly when v is in the span."""
-        w = _primitive(integral(v)[0])
+        """An integer multiple of the integer vector v minus an element of
+        the span, zero at every pivot: the zero vector exactly when v is in
+        the span."""
+        w = _primitive(v)
         for row, p in zip(self.rows, self.pivots):
             b = w[p]
             if b:
@@ -119,7 +127,7 @@ class Echelon:
 def rref(rows, ncols=None):
     """Reduced row echelon form.  Returns (rows, pivot_columns); pivots are
     sought in the first ncols columns only."""
-    red, pivots = Echelon(rows).reduced()
+    red, pivots = Echelon(_integer_rows(rows)).reduced()
     if ncols is not None:
         keep = [i for i, p in enumerate(pivots) if p < ncols]
         red, pivots = [red[i] for i in keep], [pivots[i] for i in keep]
@@ -130,7 +138,7 @@ def rref(rows, ncols=None):
 
 
 def rank(rows):
-    return len(Echelon(rows).rows)
+    return len(Echelon(_integer_rows(rows)).rows)
 
 
 def kernel_basis(rows, ncols):
@@ -182,7 +190,7 @@ def solve_many(rows, rhs_cols):
     whose free variables are zero, or None if the system is inconsistent."""
     ncols = len(rows[0]) if rows else 0
     aug = [list(r) + [col[i] for col in rhs_cols] for i, r in enumerate(rows)]
-    red, pivots = Echelon(aug).reduced()
+    red, pivots = Echelon(_integer_rows(aug)).reduced()
     solved = [(row, p) for row, p in zip(red, pivots) if p < ncols]
     residues = [row for row, p in zip(red, pivots) if p >= ncols]
     out = []
@@ -213,7 +221,7 @@ def invert(mat):
 
 def in_span(basis_rows, v):
     """Is v in the row span of basis_rows?"""
-    return not any(Echelon(basis_rows).reduce(v))
+    return not any(Echelon(_integer_rows(basis_rows)).reduce(integral(v)[0]))
 
 
 def extend_basis(rref_rows, candidates):
@@ -221,8 +229,8 @@ def extend_basis(rref_rows, candidates):
 
     Returns (new_rref_rows, chosen_indices).
     """
-    span = Echelon(rref_rows)
-    chosen = [idx for idx, v in enumerate(candidates) if span.add(v)]
+    span = Echelon(_integer_rows(rref_rows))
+    chosen = [idx for idx, v in enumerate(candidates) if span.add(integral(v)[0])]
     return rref(span.rows)[0], chosen
 
 

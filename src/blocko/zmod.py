@@ -36,7 +36,6 @@ from .linalg import (
     kernel_basis,
     kernel_incremental,
     mat_mul,
-    rank,
     solve_many,
 )
 from .poly import Poly, monomials_of_degree
@@ -62,6 +61,10 @@ def root_form(cartan, beta) -> Poly:
 
 
 class MomentGraphBlock:
+    # a cache on a graph is one of the stores declared here
+    __slots__ = ("block", "vertices", "weights", "edges", "nvars", "algebras",
+                 "monomials", "shifts", "annihilators", "quotients")
+
     def __init__(self, block, vertices, weights, edges, nvars):
         self.block = block
         self.vertices = vertices  # orbit words (tuples), sorted by (length, word)
@@ -70,8 +73,11 @@ class MomentGraphBlock:
         self.nvars = nvars
         # sorted vertex words -> structure algebra on them (structure_algebra)
         self.algebras = {}
-        # tables of _monomials, _shifts and _annihilator, built on demand
-        self.monomials, self.shifts, self.annihilators = {}, {}, {}
+        # tables of _monomials and _shifts, and of _restriction_rows and
+        # _quotient_rows keyed by the integer `_label` of an edge label;
+        # each is filled on first use
+        self.monomials, self.shifts = {}, {}
+        self.annihilators, self.quotients = {}, {}
 
 
 def moment_graph(block: BlockData) -> MomentGraphBlock:
@@ -261,16 +267,57 @@ def _multiples(graph, gens, d):
 # structure algebra
 
 
+def _label(graph, h):
+    """The integer key of an edge label h: its coefficient per variable,
+    denominators cleared.  The tables of a label are keyed by it."""
+    return tuple(_vector(graph, (h,), 1)[0])
+
+
 def _annihilator(graph, h, d):
     """Integer rows over the degree-d monomials whose common kernel is h
     times the degree-(d - 1) polynomials (the row space of restriction to
-    h = 0), built once per edge label and degree."""
-    if (h, d) not in graph.annihilators:
-        label = [_vector(graph, (h,), 1) + (1,)]
-        multiples = [v for _, _, v in _multiples(graph, label, d)]
-        rows = kernel_basis(multiples, _width(graph, d))
-        graph.annihilators[h, d] = [integral(r)[0] for r in rows]
-    return graph.annihilators[h, d]
+    h = 0): the `_restriction_rows` of the label h."""
+    return _restriction_rows(graph, _label(graph, h), d)
+
+
+def _restriction_rows(graph, label, d):
+    """Per degree-d monomial f free of x, the label's first variable with a
+    nonzero coefficient, in monomial order: the coefficients at f of the
+    restrictions to h = 0 of the degree-d monomials, as a primitive integer
+    row positive at f.  Built once per label key and degree.
+
+    For h = c x + r, restricting sets x = -r / c, so c^d times the
+    restriction of x^e m, m free of x, is c^(d - e) m (-r)^e.  The row of f
+    takes these integers' coefficients at f, whose entry at f itself is
+    c^d, and divides them by their gcd times the sign of c^d."""
+    if (label, d) not in graph.annihilators:
+        var = next(i for i, c in enumerate(label) if c)
+        c = label[var]
+        monos = _monomials(graph, d)[0]
+        rows = {f: [0] * len(monos) for f in monos if not f[var]}
+        powers = [{(0,) * len(label): 1}]  # (-r)^e, monomial -> integer
+        for _ in range(d):
+            power = {}
+            for m, a in powers[-1].items():
+                for i, b in enumerate(label):
+                    if b and i != var:
+                        t = m[:i] + (m[i] + 1,) + m[i + 1 :]
+                        power[t] = power.get(t, 0) - a * b
+            powers.append(power)
+        for j, m in enumerate(monos):
+            e = m[var]
+            rest = m[:var] + (0,) + m[var + 1 :]
+            scale = c ** (d - e)
+            for t, a in powers[e].items():
+                if a:
+                    rows[tuple(map(add, rest, t))][j] = scale * a
+        sign = -1 if c ** d < 0 else 1
+        table = []
+        for row in rows.values():
+            g = sign * gcd(*row)
+            table.append([x // g for x in row])
+        graph.annihilators[label, d] = table
+    return graph.annihilators[label, d]
 
 
 def _congruence_rows(graph, vertex_words, d, equal_pairs=()):
@@ -319,7 +366,7 @@ def _certified_lattice(graph, slots, chosen, count, what):
     names the lattice in the TruncationError raised otherwise."""
     if len(chosen) != count:
         raise TruncationError(f"{what} produced {len(chosen)} generators, not {count}")
-    if rank([_generic_values(graph, vec, d) for vec, _, d in chosen]) != count:
+    if len(Echelon(_generic_values(graph, vec, d) for vec, _, d in chosen).rows) != count:
         raise TruncationError(f"{what} failed its rank certificate")
     gens = [_poly_tuple(graph, *g) for g in chosen]
     lattice = ZLattice(graph, tuple(slots), gens, [2 * d for _, _, d in chosen])
@@ -426,14 +473,15 @@ def _schubert_algebra(graph, vertex_words, count, edge_count, what):
         g = gcd(*vec, den**k)
         chosen.append(([x // g for x in vec], den**k // g, k))
     index = {w: i for i, w in enumerate(vertex_words)}
-    edges = [(*sorted(e, key=_vertex_key), h) for e, h in graph.edges.items()
+    edges = [(*sorted(e, key=_vertex_key), _label(graph, h)) for e, h in graph.edges.items()
              if e <= index.keys()]
     for v, (vec, _, k) in zip(vertex_words, chosen):
         width = _width(graph, k)
-        for a, b, h in edges:
+        for a, b, label in edges:
             ia, ib = index[a] * width, index[b] * width
             diff = list(map(sub, vec[ia : ia + width], vec[ib : ib + width]))
-            if any(diff) and any(sum(map(mul, r, diff)) for r in _annihilator(graph, h, k)):
+            if any(diff) and any(sum(map(mul, r, diff))
+                                 for r in _restriction_rows(graph, label, k)):
                 raise TruncationError(
                     f"{what}: the Schubert class at {word_str(v)} breaks the "
                     f"congruence on the edge {word_str(a)} - {word_str(b)}"
@@ -741,7 +789,8 @@ def _radical_dim(rep_basis):
     keeps its rank."""
     flat = [integral([x for row in a for x in row])[0] for a in rep_basis]
     flat_t = [integral([x for col in zip(*a) for x in col])[0] for a in rep_basis]
-    return len(rep_basis) - rank([[sum(map(mul, a, b)) for b in flat_t] for a in flat])
+    return len(rep_basis) - len(Echelon([sum(map(mul, a, b)) for b in flat_t]
+                                        for a in flat).rows)
 
 
 def _iroot_ceil(c, k):
@@ -822,7 +871,7 @@ def _splitting_poly(mat):
         power = mat_mul(power, shifted)
         kernel = kernel_basis(power, len(mat))
     # columns: a kernel basis (m vectors), then an image basis
-    columns = kernel + Echelon(zip(*power)).rows
+    columns = kernel + Echelon(integral(col)[0] for col in zip(*power)).rows
     basis = [list(r) for r in zip(*columns)]
     return mat_mul([r[:mult] for r in basis], invert(basis)[:mult])
 
@@ -858,7 +907,7 @@ def _project_summand(M: ZLattice, E):
         # rows of one vertex are dependent as the images' values there are
         span = Echelon()
         chosen_slots.extend(
-            r for r in by_vertex[w] if span.add([v[r] for v in values])
+            r for r in by_vertex[w] if span.add(integral([v[r] for v in values])[0])
         )
     candidates = []
     for img, (_, _, d) in zip(images, gens):
@@ -947,7 +996,7 @@ def graded_char(M: ZLattice):
     out = {}
     for gi in order:
         gen = M.generators[gi]
-        if not span.add([gen[s].evaluate(point) for s in slot_order]):
+        if not span.add(integral([gen[s].evaluate(point) for s in slot_order])[0]):
             raise TruncationError("generator set is generically dependent")
         slot = slot_order[span.pivots[-1]]
         out.setdefault(M.slots[slot], []).append(M.degrees[gi])
@@ -985,16 +1034,20 @@ def isomorphic_up_to_shift(a: ZLattice, b: ZLattice) -> bool:
 # ordinary ZLattice.
 
 
-def _quotient_rows(graph, h, d, k):
-    """Sparse integer rows over a degree-d slot: the coordinates in S / h S
-    (the `_annihilator` rows) of c, for the slot value c * x_1^k."""
+def _quotient_rows(graph, label, d, k):
+    """Sparse integer rows over a degree-d slot, as (positions, integers):
+    the coordinates in S / h S (the `_restriction_rows` of the label key)
+    of c, for the slot value c * x_1^k.  Built once per label key and
+    degrees."""
     if d < k:
         return []
-    lift = _shifts(graph, k, d - k)[0]  # positions of x_1^k * a
-    return [
-        [(lift[q], x) for q, x in enumerate(r) if x]
-        for r in _annihilator(graph, h, d - k)
-    ]
+    if (label, d, k) not in graph.quotients:
+        lift = _shifts(graph, k, d - k)[0]  # positions of x_1^k * a
+        graph.quotients[label, d, k] = [
+            (tuple(lift[q] for q, x in enumerate(r) if x), tuple(x for x in r if x))
+            for r in _restriction_rows(graph, label, d - k)
+        ]
+    return graph.quotients[label, d, k]
 
 
 def _section_vector(graph, values, vertices, stalks, d):
@@ -1026,7 +1079,8 @@ def _stalk_generators(graph, gens, images, image):
 def _glue(graph, x, up, stalks, sections, bound):
     """The sections over U and x, from those over U: B^x is free on the
     minimal generators of M_x, and a section over U with image m glues to
-    the element of B^x with image m.  Sets stalks[x].
+    the element of B^x with image m.  `up` holds, per edge E from x up to
+    y, the pair of y and the `_label` of h_E.  Sets stalks[x].
 
     Certified within the polynomial degree bound: every section over U
     glues, so B^x maps onto M_x; (a) on every edge E from x up to y,
@@ -1037,23 +1091,23 @@ def _glue(graph, x, up, stalks, sections, bound):
     h_E^(r_y) in B^x, so by (b) K_x is generated within the bound, and the
     new sections are the old ones glued plus K_x at x."""
     where = f"Braden-MacPherson stalk at {word_str(x)} (degree bound {bound})"
-    targets = [(h, k) for y, h in up for k in stalks[y]]
+    targets = [(label, k) for y, label in up for k in stalks[y]]
     quotients = {}  # degree -> per target slot, its `_quotient_rows`
 
     def quotient(d):
         if d not in quotients:
-            quotients[d] = [_quotient_rows(graph, h, d, k) for h, k in targets]
+            quotients[d] = [_quotient_rows(graph, label, d, k) for label, k in targets]
         return quotients[d]
 
     def image(vec, d):
         """A degree-d slot vector over the target slots, mapped to the
         product of the quotients B^y / h B^y."""
         width = _width(graph, d)
-        return [
-            sum(c * vec[base + p] for p, c in row)
-            for base, block in zip(range(0, len(vec), width), quotient(d))
-            for row in block
-        ]
+        out = []
+        for base, block in zip(range(0, len(vec), width), quotient(d)):
+            at = vec[base : base + width].__getitem__
+            out.extend(sum(map(mul, xs, map(at, ps))) for ps, xs in block)
+        return out
 
     above = [y for y, _ in up]
     gens = [(_section_vector(graph, v, above, stalks, d), 1, d) for d, v in sections]
@@ -1085,7 +1139,7 @@ def _glue(graph, x, up, stalks, sections, bound):
         for y, _ in up:  # (a): each edge's columns have full rank
             stop = start + sum(spans[: len(stalks[y])])
             spans = spans[len(stalks[y]) :]
-            found = rank([row[start:stop] for row in aug.rows])
+            found = len(Echelon(row[start:stop] for row in aug.rows).rows)
             if found != stop - start:
                 raise TruncationError(
                     f"{where}: B^x has rank {found} in B^y / h B^y for the edge "
@@ -1120,7 +1174,7 @@ def _glue(graph, x, up, stalks, sections, bound):
                 glued[i] = {y: [c // g for c in v] for y, v in lifted.items()}
     # (b): count, generic rank and degree sum of K_x's generators
     kgens = minimal_generators(graph, kernel)
-    generic_rank = rank([_generic_values(graph, vec, d) for vec, _, d in kgens])
+    generic_rank = len(Echelon(_generic_values(graph, vec, d) for vec, _, d in kgens).rows)
     found = (len(kgens), generic_rank, sum(d for _, _, d in kgens))
     expected = (r, r, sum(stalks[x]) + sum(len(stalks[y]) for y in above))
     if found != expected:
@@ -1159,7 +1213,7 @@ def identify_projective(graph: MomentGraphBlock, w) -> ZLattice:
     for edge, h in graph.edges.items():
         if edge <= ups.keys():
             x, y = sorted(edge, key=_vertex_key)
-            ups[x].append((y, h))
+            ups[x].append((y, _label(graph, h)))
     stalks = {top.word: [0]}
     sections = [(0, {top.word: [1]})]
     for x in reversed(cone[:-1]):

@@ -361,6 +361,30 @@ def test_bs_builds_one_bott_samelson_lattice(cartan_file, capsys, monkeypatch):
     assert calls == [(0, 1, 0)]
 
 
+@pytest.mark.parametrize("coords, name", [("0,0", "projective"), ("-2,-2", "tilting")])
+def test_bs_names_the_sheaf_by_the_position_of_the_base(coords, name, cartan_file, capsys):
+    # off a dominant base the sheaf on [e, 1] is P(s1.lambda), off an
+    # antidominant one T(s1.lambda) (Soergel, Represent. Theory 2, 1998)
+    path = cartan_file(A2)
+    code, out = run(capsys, ["bs", "--cartan", path, f"--weight={coords}", "--word", "1"])
+    assert code == 0
+    report = json.loads(out)
+    assert sorted(report) == sorted(["word", "rank", "summands", name])
+    assert report[name] == {"word": "1", "graded_character": {"e": [0], "1": [2]}}
+
+
+def test_bs_refuses_an_interior_base_as_character_does(cartan_file, capsys):
+    # lambda = (2, -2) is regular and neither dominant nor antidominant
+    path = cartan_file(A2)
+    block = ["--cartan", path, "--weight=2,-2"]
+    code, out = run(capsys, ["bs"] + block + ["--word", "1"])
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "base weight is neither dominant nor antidominant in its class"
+    }
+    assert run(capsys, ["character"] + block + ["--w", "1"]) == (code, out)
+
+
 def test_bs_decomposes_at_the_given_degree_bound(cartan_file, capsys):
     # the G2 structure algebra needs degree 12 = 2 l(w0), which the
     # splitting of the Bott-Samelson lattice reaches with no degree bound

@@ -119,7 +119,8 @@ def test_echelon_add_matches_span_membership(m):
     for i, v in enumerate(rows):
         outside = not ref.in_span(ref.rref(rows[:i], ncols)[0], v)
         assert linalg.in_span(rows[:i], v) is not outside
-        assert span.add(v) is outside
+        # Echelon takes integer rows: clear the denominators on the way in
+        assert span.add(linalg.integral(v)[0]) is outside
     # rows are primitive integers with distinct leading pivots
     assert len(set(span.pivots)) == len(span.pivots) == len(ref.rref(rows)[0])
     for row, p in zip(span.rows, span.pivots):

@@ -188,12 +188,21 @@ def _restriction_rows(graph, h, d):
             for m in monos if not m[var]]
 
 
-@pytest.mark.parametrize("case", ["A2", "B2", "G2", "A3", "B3", "A1~", "A2~"])
+# the reference blocks and non-integral blocks, whose labels are other roots
+LABEL_BLOCKS = {
+    **REFERENCE_BLOCKS,
+    "B2(0,1/2)": (B2, (0, "1/2"), 8),
+    "A1~(1/3,0)": (A1_AFFINE, ("1/3", 0), 8),
+}
+
+
+@pytest.mark.parametrize("case", ["A2", "B2", "G2", "A3", "B3", "A1~", "A2~", "G2(1/3,0)",
+                                  "B2(0,1/2)", "A1~(1/3,0)"])
 def test_annihilator_rows_are_the_restriction_to_the_label(case):
-    matrix, coords, length_bound = REFERENCE_BLOCKS[case]
+    matrix, coords, length_bound = LABEL_BLOCKS[case]
     graph = _graph(matrix, *coords, length_bound=length_bound)
     for h in set(graph.edges.values()):
-        for d in range(7):
+        for d in range(9):
             assert zmod._annihilator(graph, h, d) == _restriction_rows(graph, h, d)
 
 
@@ -617,16 +626,76 @@ def test_projectives_match_the_bott_samelson_reference(matrix):
         )
 
 
-@pytest.mark.parametrize("matrix", [A2, B2, G2], ids=["A2", "B2", "G2"])
+@pytest.mark.parametrize("matrix", [A2, B2, G2, A3], ids=["A2", "B2", "G2", "A3"])
 def test_projective_of_w0_is_the_structure_algebra(matrix):
     """On a finite group, w0 is smooth and [e, w0] is every vertex: P(w0)
     and Z contain each other."""
-    graph = _graph(matrix, 0, 0)
+    graph = _graph(matrix, *[0] * len(matrix))
     P, Z = identify_projective(graph, graph.vertices[-1]), structure_algebra(graph)
     assert P.slots == Z.slots
     for M, N in ((P, Z), (Z, P)):
         for gen, d in zip(M.generators, M.degrees):
             assert lattice_contains(N, gen, d // 2)
+
+
+@pytest.mark.parametrize("matrix", [A2, B2, G2], ids=["A2", "B2", "G2"])
+def test_sheaf_off_an_antidominant_base_is_the_tilting_module(matrix):
+    """Off an antidominant base the Braden-MacPherson sheaf on [e, w] is
+    T(w.lambda), and (T(w.lambda) : M(y.lambda)) = P_{y,w}(1) (Soergel,
+    Represent. Theory 2, 1998): the BGG multiplicities of P(w.0) in the
+    dominant block of the same W."""
+    graph = _graph(matrix, *[-2] * len(matrix))
+    assert graph.block.position == "antidominant"
+    dominant = _graph(matrix, *[0] * len(matrix)).block
+    system = dominant.coxeter_system
+    for w in graph.vertices:
+        assert ungraded_char(identify_projective(graph, w)) == (
+            kl.projective_multiplicities(dominant, system.element(w))
+        )
+
+
+def _integer_route_calls(monkeypatch):
+    """Count kernel_basis calls and record the entry types of every row
+    Echelon.reduce receives."""
+    calls, types = [], set()
+    original_kernel, original_reduce = linalg.kernel_basis, linalg.Echelon.reduce
+
+    def kernel_basis(*args):
+        calls.append(args)
+        return original_kernel(*args)
+
+    def reduce(self, v):
+        v = list(v)
+        types.update(type(x) for x in v)
+        return original_reduce(self, v)
+
+    monkeypatch.setattr(linalg, "kernel_basis", kernel_basis)
+    monkeypatch.setattr(zmod, "kernel_basis", kernel_basis)
+    monkeypatch.setattr(linalg.Echelon, "reduce", reduce)
+    return calls, types
+
+
+@pytest.mark.parametrize("case", ["B2 P(w0)", "A1~ Z to length 3"])
+def test_stalks_and_schubert_classes_run_on_integer_rows(case, monkeypatch):
+    # fresh graphs: the restriction rows are built on first use
+    if case == "B2 P(w0)":
+        graph = _graph(B2, 0, 0)
+        calls, types = _integer_route_calls(monkeypatch)
+        assert identify_projective(graph, graph.vertices[-1]).rank == 8
+    else:
+        graph = _graph(A1_AFFINE, 0, 0, length_bound=3)
+        calls, types = _integer_route_calls(monkeypatch)
+        assert structure_algebra(graph).rank == 7
+    assert graph.annihilators
+    assert calls == []
+    assert types == {int}
+
+
+def test_a_moment_graph_holds_only_its_declared_stores():
+    graph = _graph(A2, 0, 0)
+    with pytest.raises(AttributeError):
+        graph.restrictions = {}
+    assert not hasattr(graph, "__dict__")
 
 
 def test_identify_projective_builds_no_bott_samelson_lattice(monkeypatch):
