@@ -1,14 +1,17 @@
 """Golden outputs of the structure-algebra layer.
 
-`golden_zmod.json` holds the canonical JSON of a few `zmod` results,
+`golden_zmod.json` holds the canonical JSON of a few `zmod` results, and
+`golden_bott_samelson.json` the `zlattice_to_json` of the Bott-Samelson
+lattices of every word of length at most 4 over six blocks; both are
 written by `PYTHONPATH=src python tests/test_golden.py --write`.  Any
-change to the exact linear algebra underneath must leave them
-byte-identical: reduced echelon forms, kernel bases, free-variables-zero
-solutions and span membership are all canonical, so a correct kernel
-cannot change them.
+change to the exact linear algebra underneath, or to the structure algebra
+that translation multiplies by, must leave them byte-identical: reduced
+echelon forms, kernel bases, free-variables-zero solutions and span
+membership are all canonical, so a correct kernel cannot change them.
 """
 
 import io
+import itertools
 import json
 import sys
 import tempfile
@@ -19,10 +22,11 @@ import pytest
 
 from blocko import blocks, cli, rootdata, zmod
 
-from conftest import A1_AFFINE, A2, B2, weight
+from conftest import A1_AFFINE, A2, A3, B2, weight
 
 G2 = [[2, -1], [-3, 2]]
 GOLDEN = Path(__file__).with_name("golden_zmod.json")
+BS_GOLDEN = Path(__file__).with_name("golden_bott_samelson.json")
 
 
 def _canon(lattice):
@@ -95,6 +99,35 @@ def test_generic_values_match_poly_evaluation():
                     == [den * p.evaluate(point) for p in gen])
 
 
+# (Cartan matrix, weight, length bound) of the Bott-Samelson golden blocks
+BS_BLOCKS = {
+    "A2": (A2, (0, 0), blocks.DEFAULT_LENGTH_BOUND),
+    "B2": (B2, (0, 0), blocks.DEFAULT_LENGTH_BOUND),
+    "G2": (G2, (0, 0), blocks.DEFAULT_LENGTH_BOUND),
+    "A3": (A3, (0, 0, 0), blocks.DEFAULT_LENGTH_BOUND),
+    "A1~": (A1_AFFINE, (0, 0), 5),
+    "G2(1/3,0)": (G2, ("1/3", 0), blocks.DEFAULT_LENGTH_BOUND),
+}
+
+
+def _bott_samelson_lattices(name):
+    """word -> zlattice_to_json of its Bott-Samelson lattice, for every word
+    of length at most 4 in W(lambda)'s generators.  Each lattice is theta_s
+    of the lattice of its prefix, as in `zmod.bott_samelson`, so the prefixes
+    are computed once."""
+    matrix, coords, length_bound = BS_BLOCKS[name]
+    cartan = rootdata.cartan_datum(matrix)
+    block = blocks.block_data(cartan, weight(cartan, *coords), length_bound=length_bound)
+    graph = zmod.moment_graph(block)
+    lattices = {(): zmod.verma_zmodule(graph, ())}
+    out = {"e": zmod.zlattice_to_json(lattices[()])}
+    for k in range(1, 5):
+        for word in itertools.product(range(len(block.integral_simples)), repeat=k):
+            lattices[word] = zmod.theta_s(lattices[word[:-1]], word[-1])
+            out[cli.word_str(word)] = zmod.zlattice_to_json(lattices[word])
+    return out
+
+
 def _dump(value):
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
@@ -105,6 +138,19 @@ def test_golden(name):
     assert _dump(CASES[name]()) == _dump(golden[name])
 
 
+@pytest.mark.parametrize("name", sorted(BS_BLOCKS))
+def test_bott_samelson_golden(name):
+    golden = json.loads(BS_GOLDEN.read_text())
+    assert _dump(_bott_samelson_lattices(name)) == _dump(golden[name])
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     data = {name: case() for name, case in sorted(CASES.items())}
     GOLDEN.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
+    # one line per lattice
+    blocks_json = []
+    for name in sorted(BS_BLOCKS):
+        lattices = _bott_samelson_lattices(name)
+        lines = [f"{json.dumps(w)}:{_dump(lattices[w])}" for w in sorted(lattices)]
+        blocks_json.append(f"{json.dumps(name)}:{{\n" + ",\n".join(lines) + "\n}")
+    BS_GOLDEN.write_text("{\n" + ",\n".join(blocks_json) + "\n}\n")
