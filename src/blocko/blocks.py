@@ -114,7 +114,8 @@ def _integral_simples(positive):
     )
 
 
-def _coxeter_matrix(simples):
+def coxeter_matrix(simples):
+    """The Coxeter matrix of the reflections in the given simple roots."""
     n = len(simples)
     mat = [[1] * n for _ in range(n)]
     for i in range(n):
@@ -239,9 +240,9 @@ def block_data(
     positive = _integral_candidates(cartan, weight)
     simples = _integral_simples(positive)
     fixed_simples = _integral_simples([b for b in positive if form(shifted, b) == 0])
-    cox_matrix = _coxeter_matrix(simples)
+    cox_matrix = coxeter_matrix(simples)
     system = CoxeterSystem(cox_matrix)
-    stabilizer = CoxeterSystem(_coxeter_matrix(fixed_simples))
+    stabilizer = CoxeterSystem(coxeter_matrix(fixed_simples))
     stab_finite = coxeter.is_finite(stabilizer)
     stab_order = len(coxeter.all_elements(stabilizer)) if stab_finite else None
     pairings = [coroot_pairing(shifted, b) for b in simples]
@@ -276,6 +277,12 @@ def block_data(
     )
     block.orbit = _orbit(block)
     return block
+
+
+def outside_the_length_bound(block: BlockData, word) -> str:
+    """Names the bound a vertex word outgrows and the bound that passes."""
+    return (f"vertex {word_str(word)} of length {len(word)} lies outside length "
+            f"bound {block.length_bound}; length bound {len(word)} passes")
 
 
 def is_critical(block: BlockData) -> bool:

@@ -219,7 +219,7 @@ def cmd_block(args):
 
 def _integral_coxeter(cartan) -> CoxeterSystem:
     simples = [rootdata.simple_root(cartan, i) for i in range(cartan.rank)]
-    return CoxeterSystem(blocks._coxeter_matrix(simples))
+    return CoxeterSystem(blocks.coxeter_matrix(simples))
 
 
 def cmd_kl(args):
@@ -275,6 +275,7 @@ def cmd_bs(args):
     if args.word is None:
         raise UsageError("bs requires --word")
     word = parse_word(args.word)
+    block.coxeter_system.element(word)  # a letter outside W(lambda)'s is bad input
     from . import zmod  # only bs and center need it
     graph = zmod.moment_graph(block)
     if block.position not in _SHEAF_NAMES:

@@ -17,9 +17,9 @@ from __future__ import annotations
 from itertools import product
 
 from . import coxeter
-from .blocks import dot_action, is_critical
+from .blocks import dot_action, is_critical, outside_the_length_bound
 from .coxeter import Element, bruhat_leq, lower_cone, members, word_str
-from .errors import CriticalityError, UnsupportedError
+from .errors import CriticalityError, TruncationError, UnsupportedError
 from .rootdata import build_root_system, weight_root_coords
 
 ONE = (1,)
@@ -248,6 +248,13 @@ def _elements(block, length_bound):
     return coxeter.elements_up_to(system, length_bound), True
 
 
+def _require_within_the_bound(block, w: Element):
+    """Refuse w longer than the length bound of an infinite W(lambda): the
+    dominant-base formulas would sum over a truncation without w."""
+    if w.length > block.length_bound and not coxeter.is_finite(block.coxeter_system):
+        raise TruncationError(outside_the_length_bound(block, w.word))
+
+
 def simple_character(block, w: Element, table: KLTable = None) -> CharacterVector:
     """ch L(w.lambda) as a combination of Verma characters.
 
@@ -266,6 +273,7 @@ def simple_character(block, w: Element, table: KLTable = None) -> CharacterVecto
             if c:
                 coeffs[y.word] = c
     else:
+        _require_within_the_bound(block, w)
         elems, truncated = _elements(block, block.length_bound)
         for y in elems:
             if not bruhat_leq(w, y):
@@ -315,6 +323,8 @@ def projective_multiplicities(block, w: Element, table: KLTable = None):
             "projectives need a dominant-containing block; apply tilt first"
         )
     position = _extremal_position(block)
+    if position == "dominant":
+        _require_within_the_bound(block, w)
     if table is None:
         table = KLTable(block.coxeter_system)
     elems, _ = _elements(block, block.length_bound)

@@ -25,7 +25,7 @@ from itertools import islice
 from math import gcd, lcm, prod
 from operator import add, mul, sub
 
-from .blocks import BlockData, chamber_walk, dot_reflect, is_critical
+from .blocks import BlockData, chamber_walk, dot_reflect, is_critical, outside_the_length_bound
 from .coxeter import demazure_product, lower_cone, word_str
 from .errors import CriticalityError, TruncationError, UnsupportedError
 from .linalg import (
@@ -62,7 +62,7 @@ def root_form(cartan, beta) -> Poly:
 
 class MomentGraphBlock:
     # a cache on a graph is one of the stores declared here
-    __slots__ = ("block", "vertices", "weights", "edges", "nvars", "algebras",
+    __slots__ = ("block", "vertices", "weights", "edges", "nvars", "algebra",
                  "monomials", "shifts", "annihilators", "quotients")
 
     def __init__(self, block, vertices, weights, edges, nvars):
@@ -71,8 +71,7 @@ class MomentGraphBlock:
         self.weights = weights  # word -> Weight
         self.edges = edges  # frozenset({word, word}) -> Poly (h_beta)
         self.nvars = nvars
-        # sorted vertex words -> structure algebra on them (structure_algebra)
-        self.algebras = {}
+        self.algebra = None  # its structure algebra (structure_algebra)
         # tables of _monomials and _shifts, and of _restriction_rows and
         # _quotient_rows keyed by the integer `_label` of an edge label;
         # each is filled on first use
@@ -273,18 +272,12 @@ def _label(graph, h):
     return tuple(_vector(graph, (h,), 1)[0])
 
 
-def _annihilator(graph, h, d):
-    """Integer rows over the degree-d monomials whose common kernel is h
-    times the degree-(d - 1) polynomials (the row space of restriction to
-    h = 0): the `_restriction_rows` of the label h."""
-    return _restriction_rows(graph, _label(graph, h), d)
-
-
 def _restriction_rows(graph, label, d):
     """Per degree-d monomial f free of x, the label's first variable with a
     nonzero coefficient, in monomial order: the coefficients at f of the
     restrictions to h = 0 of the degree-d monomials, as a primitive integer
-    row positive at f.  Built once per label key and degree.
+    row positive at f.  Their common kernel is h times the degree-(d - 1)
+    polynomials.  Built once per label key and degree.
 
     For h = c x + r, restricting sets x = -r / c, so c^d times the
     restriction of x^e m, m free of x, is c^(d - e) m (-r)^e.  The row of f
@@ -320,21 +313,17 @@ def _restriction_rows(graph, label, d):
     return graph.annihilators[label, d]
 
 
-def _congruence_rows(graph, vertex_words, d, equal_pairs=()):
+def _congruence_rows(graph, vertex_words, d):
     """Integer constraint rows (slot-major, degree-d coefficients) imposing
-    every edge congruence z_a = z_b mod h inside the vertex subset, and
-    z_a = z_b on the slot pairs a, b in `equal_pairs`."""
+    every edge congruence z_a = z_b mod h inside the vertex subset."""
     width = _width(graph, d)
     index = {w: i for i, w in enumerate(vertex_words)}
-    unit = [[int(i == j) for j in range(width)] for i in range(width)]
-    constraints = [
-        (index[a], index[b], _annihilator(graph, h, d))
-        for a, b, h in ((*key, h) for key, h in graph.edges.items())
-        if a in index and b in index
-    ] + [(a, b, unit) for a, b in equal_pairs]
     rows = []
-    for a, b, block in constraints:
-        for r in block:
+    for edge, h in graph.edges.items():
+        if not edge <= index.keys():
+            continue
+        a, b = (index[w] for w in edge)
+        for r in _restriction_rows(graph, _label(graph, h), d):
             row = [0] * (len(vertex_words) * width)
             row[a * width : (a + 1) * width] = r
             row[b * width : (b + 1) * width] = [-x for x in r]
@@ -374,10 +363,10 @@ def _certified_lattice(graph, slots, chosen, count, what):
     return lattice
 
 
-def _grown_algebra(graph, vertex_words, count, edge_count, what, equal_pairs=()):
+def _grown_algebra(graph, vertex_words, count, edge_count, what):
     """The tuples on the sorted vertex subset that satisfy every edge
-    congruence and agree on the slots a, b of each pair in `equal_pairs`,
-    certified free of rank `count`.
+    congruence, certified free of rank `count`: Z of a singular block, and
+    the tests' reference on any vertex subset.
 
     Degree by degree, each vector of the congruence kernel outside the
     S-span of the generators kept so far is kept, until there are `count`.
@@ -396,7 +385,7 @@ def _grown_algebra(graph, vertex_words, count, edge_count, what, equal_pairs=())
                 f"{what} is not free: {missing} generators of degree {d} or "
                 f"more do not fit under {edge_count} edges"
             )
-        rows = _congruence_rows(graph, vertex_words, d, equal_pairs)
+        rows = _congruence_rows(graph, vertex_words, d)
         span = Echelon(v for _, _, v in _multiples(graph, chosen, d))
         for vec in kernel_basis(rows, len(vertex_words) * _width(graph, d)):
             vec, den = integral(vec)
@@ -421,24 +410,11 @@ def _free_algebra(graph, vertex_words, chosen, count, edge_count, what):
     return lattice
 
 
-def _is_schubert_ideal(graph, vertex_words):
-    """Do the equivariant Schubert classes span Z on the vertex subset: the
-    block is regular and the subset is a lower Bruhat ideal of W(lambda)?"""
-    block = graph.block
-    if block.stab_order != 1:
-        return False
-    system = block.coxeter_system
-    ids = [system.index(w) for w in vertex_words]
-    if None in ids:
-        return False
-    ideal = sum(1 << i for i in set(ids))
-    return all(not system.cone(i) & ~ideal for i in ids)
-
-
-def _schubert_algebra(graph, vertex_words, count, edge_count, what):
-    """The equivariant Schubert classes xi^v on a lower Bruhat ideal of a
-    regular block, in the (length, ShortLex) order of v (Billey, Duke Math.
-    J. 96, 1999; Kostant-Kumar, Adv. Math. 62, 1986).
+def _schubert_algebra(graph, what):
+    """The equivariant Schubert classes xi^v on the orbit of a regular
+    block, a lower Bruhat ideal of W(lambda), in the (length, ShortLex)
+    order of v (Billey, Duke Math. J. 96, 1999; Kostant-Kumar, Adv. Math.
+    62, 1986).
 
     For the ShortLex word a_1 ... a_l of w, with r_j = s_{a_1} ... s_{a_{j-1}}
     (alpha_{a_j}), xi^v(w) is the sum of h_{r_{j_1}} ... h_{r_{j_k}} over the
@@ -447,16 +423,17 @@ def _schubert_algebra(graph, vertex_words, count, edge_count, what):
     with v s_{a_l} > v, the sum for v times h_{r_l} at v s_{a_l}.
 
     Certified by exact membership, every edge congruence on every generator
-    through the `_annihilator` rows, then by count, generic rank and degree
-    sum: generators of Z whose degrees add up to the edge count are all of Z
-    (see `_grown_algebra`)."""
+    through the `_restriction_rows` of its label, then by count, generic
+    rank and degree sum: generators of Z whose degrees add up to the edge
+    count are all of Z (see `_grown_algebra`)."""
+    vertices = graph.vertices
     system = graph.block.coxeter_system
     # w -> h_{r_l} for the last letter of w's word, on the edge down to its prefix
     labels = {w: _vector(graph, (graph.edges[frozenset({w, w[:-1]})],), 1)
-              for w in vertex_words[1:]}
+              for w in vertices[1:]}
     den = lcm(*(d for _, d in labels.values()))  # common denominator
     sums = {(): {0: [1]}}  # w -> {id of v: den^l(v) * xi^v(w)}
-    for w in vertex_words[1:]:
+    for w in vertices[1:]:
         (label, d), a = labels[w], w[-1]
         label = [x * (den // d) for x in label]
         sums[w] = step = dict(sums[w[:-1]])
@@ -466,16 +443,15 @@ def _schubert_algebra(graph, vertex_words, count, edge_count, what):
                 up = system.right(v, a)
                 step[up] = list(map(add, step[up], term)) if up in step else term
     chosen = []
-    for v in vertex_words:
+    for v in vertices:
         k, vid = len(v), system.index(v)
         zero = [0] * _width(graph, k)
-        vec = [x for w in vertex_words for x in sums[w].get(vid, zero)]
+        vec = [x for w in vertices for x in sums[w].get(vid, zero)]
         g = gcd(*vec, den**k)
         chosen.append(([x // g for x in vec], den**k // g, k))
-    index = {w: i for i, w in enumerate(vertex_words)}
-    edges = [(*sorted(e, key=_vertex_key), _label(graph, h)) for e, h in graph.edges.items()
-             if e <= index.keys()]
-    for v, (vec, _, k) in zip(vertex_words, chosen):
+    index = {w: i for i, w in enumerate(vertices)}
+    edges = [(*sorted(e, key=_vertex_key), _label(graph, h)) for e, h in graph.edges.items()]
+    for v, (vec, _, k) in zip(vertices, chosen):
         width = _width(graph, k)
         for a, b, label in edges:
             ia, ib = index[a] * width, index[b] * width
@@ -486,33 +462,32 @@ def _schubert_algebra(graph, vertex_words, count, edge_count, what):
                     f"{what}: the Schubert class at {word_str(v)} breaks the "
                     f"congruence on the edge {word_str(a)} - {word_str(b)}"
                 )
-    return _free_algebra(graph, vertex_words, chosen, count, edge_count, what)
+    return _free_algebra(graph, vertices, chosen, len(vertices), len(graph.edges), what)
 
 
-def structure_algebra(graph: MomentGraphBlock, vertex_words=None) -> ZLattice:
-    """An S-basis of the congruence algebra on the vertex subset (every
-    vertex by default), computed once per graph and vertex subset: the
-    equivariant Schubert classes where `_is_schubert_ideal` holds, else
-    grown from the congruence kernel degree by degree.
+def structure_algebra(graph: MomentGraphBlock) -> ZLattice:
+    """An S-basis of the structure algebra Z of the moment graph, computed
+    once per graph: the equivariant Schubert classes on a regular block,
+    else grown from the congruence kernel degree by degree.
 
     Certified by the generator count, the generic rank and the degree sum,
     and the Schubert classes also by every edge congruence; fails loudly
     when the algebra is not free.
     """
-    if vertex_words is None:
-        vertex_words = graph.vertices
-    vertex_words = sorted(vertex_words, key=_vertex_key)
-    key = tuple(vertex_words)
-    if key not in graph.algebras:
-        vset = set(vertex_words)
-        edge_count = sum(1 for edge in graph.edges if edge <= vset)
-        what = f"structure algebra on {len(key)} vertices"
-        if _is_schubert_ideal(graph, vertex_words):
-            build = _schubert_algebra
+    if graph.algebra is None:
+        n = len(graph.vertices)
+        what = f"structure algebra on {n} vertices"
+        if graph.block.stab_order == 1:
+            graph.algebra = _schubert_algebra(graph, what)
         else:
-            build = _grown_algebra
-        graph.algebras[key] = build(graph, vertex_words, len(key), edge_count, what)
-    return graph.algebras[key]
+            graph.algebra = _grown_algebra(graph, graph.vertices, n, len(graph.edges), what)
+    return graph.algebra
+
+
+def _restrict(graph, vec, d, slots):
+    """The listed slots, in that order, of a degree-d slot vector."""
+    width = _width(graph, d)
+    return [x for i in slots for x in vec[i * width : (i + 1) * width]]
 
 
 # ---------------------------------------------------------------------------
@@ -534,17 +509,16 @@ def lattice_contains(M: ZLattice, tup, d) -> bool:
     return not any(span.reduce(_vector(M.graph, tup, d)[0]))
 
 
-def _outside_the_orbit(w, length_bound):
-    return TruncationError(
-        "orbit truncation is not closed under the wall reflection: "
-        f"vertex {word_str(w)} of length {len(w)} lies outside length bound "
-        f"{length_bound}; length bound {len(w)} passes"
-    )
+def _outside_the_orbit(block, w):
+    return TruncationError("orbit truncation is not closed under the wall "
+                           f"reflection: {outside_the_length_bound(block, w)}")
 
 
 def theta_s(M: ZLattice, s: int) -> ZLattice:
-    """Translation through the s-wall and back: the lattice generated by
-    structure-algebra multiples of diagonally doubled generators.
+    """Translation through the s-wall and back, Z (x)_{Z^s} M: the lattice
+    generated by the diagonally doubled generators times the classes of Z
+    (`structure_algebra`) that do not vanish on the wall closure of M's
+    vertices.
 
     New slot count at vertex w is n_w + n_{ws}; total rank doubles.
     """
@@ -557,7 +531,7 @@ def theta_s(M: ZLattice, s: int) -> ZLattice:
                      key=_vertex_key)
     for w in closure:
         if w not in graph.weights:
-            raise _outside_the_orbit(w, graph.block.length_bound)
+            raise _outside_the_orbit(graph.block, w)
 
     # new slots: per vertex w, one per old slot at w, then one per old
     # slot at ws
@@ -570,13 +544,14 @@ def theta_s(M: ZLattice, s: int) -> ZLattice:
                     new_slots.append(w)
                     sources.append(j)
 
-    z_alg = structure_algebra(graph, closure)
-    z_index = {w: i for i, w in enumerate(z_alg.slots)}
-    z_slots = [z_index[w] for w in new_slots]
+    algebra = structure_algebra(graph)
+    index = {w: i for i, w in enumerate(algebra.slots)}
+    z_slots = [index[w] for w in new_slots]  # every vertex of the closure
+    classes = [z for z in _gen_vectors(algebra) if any(_restrict(graph, z[0], z[2], z_slots))]
     candidates = [
         (_slot_product(graph, z, zd, z_slots, g, gd, sources), gden * zden, gd + zd)
         for g, gden, gd in _gen_vectors(M)
-        for z, zden, zd in _gen_vectors(z_alg)
+        for z, zden, zd in classes
     ]
     n = len(new_slots)
     chosen = minimal_generators(graph, candidates)
@@ -591,7 +566,7 @@ def bott_samelson(graph: MomentGraphBlock, word) -> ZLattice:
     block = graph.block
     top = demazure_product(block.coxeter_system, word)
     if block.stab_order == 1 and len(top) > block.length_bound:
-        raise _outside_the_orbit(top, block.length_bound)
+        raise _outside_the_orbit(block, top)
     M = verma_zmodule(graph, ())
     for s in word:
         M = theta_s(M, s)
@@ -1204,10 +1179,7 @@ def identify_projective(graph: MomentGraphBlock, w) -> ZLattice:
         raise UnsupportedError("Braden-MacPherson sections need a regular block")
     top = block.coxeter_system.element(w)
     if top.word not in graph.weights:
-        raise TruncationError(
-            f"vertex {word_str(top.word)} of length {top.length} lies outside "
-            f"length bound {block.length_bound}; length bound {top.length} passes"
-        )
+        raise TruncationError(outside_the_length_bound(block, top.word))
     cone = sorted((x.word for x in lower_cone(top)), key=_vertex_key)
     ups = {x: [] for x in cone}
     for edge, h in graph.edges.items():
@@ -1231,29 +1203,38 @@ def identify_projective(graph: MomentGraphBlock, w) -> ZLattice:
 def invariant_structure_algebra(
     graph: MomentGraphBlock, vertex_words, s: int
 ) -> ZLattice:
-    """Generators of the coset-invariant subalgebra Z^s on an s-closed
-    vertex set: congruence tuples constant on right cosets {w, ws}.  It is
-    the structure algebra of the graph on the cosets, whose edges are the
-    edges joining different cosets, paired up by w - x <-> ws - xs."""
+    """The coset-invariant subalgebra Z^s on an s-closed vertex set: the
+    classes of Z (`structure_algebra`) that are nonzero and constant on
+    every right coset {w, ws} there, restricted to it.  On a lower Bruhat
+    ideal of a regular block these are the Schubert classes xi^v with
+    vs > v, pulled back from G/P_s.
+
+    Z^s is the structure algebra of the graph on the cosets, whose edges
+    are the edges joining different cosets, paired up by w - x <-> ws - xs.
+    The classes' minimal generators are certified by count, generic rank
+    and degree sum (see `_grown_algebra`), so a vertex set on which they do
+    not span Z^s fails loudly."""
     system = graph.block.coxeter_system
     vertex_words = sorted(vertex_words, key=_vertex_key)
-    index = {w: i for i, w in enumerate(vertex_words)}
-    pairs = []  # (w, ws) slot indices, one per coset
-    coset = {}
-    for w in vertex_words:
-        ws = system.word_times(w, s)
-        if ws not in index:
-            raise TruncationError("vertex set is not closed under the wall")
-        coset[w] = min(w, ws, key=_vertex_key)
-        if coset[w] == w:
-            pairs.append((index[w], index[ws]))
-    cross = sum(
-        1 for a, b in map(tuple, graph.edges)
-        if a in coset and b in coset and coset[a] != coset[b]
-    )
-    n = len(pairs)
+    coset = {w: frozenset({w, system.word_times(w, s)}) for w in vertex_words}
+    if not all(c <= coset.keys() for c in coset.values()):
+        raise TruncationError("vertex set is not closed under the wall")
+    cosets = set(coset.values())
+    cross = sum(1 for edge in graph.edges
+                if edge <= coset.keys() and len({coset[w] for w in edge}) == 2)
+    algebra = structure_algebra(graph)
+    index = {w: i for i, w in enumerate(algebra.slots)}
+    kept = []
+    for vec, den, k in _gen_vectors(algebra):
+        values = {w: _restrict(graph, vec, k, [index[w]]) for w in vertex_words}
+        if any(map(any, values.values())) and all(
+            values[a] == values[b] for a, b in map(tuple, cosets)
+        ):
+            kept.append(([x for w in vertex_words for x in values[w]], den, k))
+    n = len(cosets)
     what = f"invariant subalgebra on {n} cosets"
-    return _grown_algebra(graph, vertex_words, n, cross // 2, what, pairs)
+    return _free_algebra(graph, vertex_words, minimal_generators(graph, kept), n,
+                         cross // 2, what)
 
 
 def singular_reduce(graph: MomentGraphBlock, M: ZLattice, stab_gens):

@@ -156,7 +156,7 @@ def test_acceptance_3():
                 assert n_new.get(w, 0) == n_old.get(w, 0) + n_old.get(ws, 0)
     # theta_s applied to the smallest Verma recovers the interval algebra
     t = theta_s(verma_zmodule(graph, ()), 0)
-    z = structure_algebra(graph, [(), (0,)])
+    z = zmod._grown_algebra(graph, [(), (0,)], 2, 1, "the interval [e, s]")
     assert sorted(t.slots) == sorted(z.slots)
     for gen, d in zip(t.generators, t.degrees):
         assert lattice_contains(z, gen, d // 2)

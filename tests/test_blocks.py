@@ -80,7 +80,7 @@ def test_the_height_bound_named_is_the_least_that_finds_the_simple_roots(data):
     need = max((b.height for b in block.integral_simples + stab_simples), default=1)
     simples, fixed = _height_cut_simples(cartan, lam, max(need, 48))
     assert block.integral_simples == simples
-    stabilizer = coxeter.CoxeterSystem(blocks._coxeter_matrix(fixed))
+    stabilizer = coxeter.CoxeterSystem(blocks.coxeter_matrix(fixed))
     finite = coxeter.is_finite(stabilizer)
     if blocks.is_critical(block) and not fixed:
         # the translations fixing lambda + rho: see the test below
@@ -386,7 +386,7 @@ def test_coxeter_matrix_rejects_a_non_coxeter_bond(pairings, a2, monkeypatch):
         blocks, "coroot_pairing", lambda x, beta: pairings[simples.index(x)]
     )
     with pytest.raises(UnsupportedError, match="not a Coxeter bond"):
-        blocks._coxeter_matrix(simples)
+        blocks.coxeter_matrix(simples)
 
 
 @pytest.mark.parametrize("matrix, coords, position, critical", [

@@ -326,6 +326,38 @@ def test_bs_names_the_projective_of_the_demazure_product(word, top, cartan_file,
     assert report["projective"]["graded_character"] in report["summands"]
 
 
+def test_bs_refuses_a_letter_outside_the_generators_as_kl_does(
+    cartan_file, capsys, tmp_path, monkeypatch
+):
+    # A2 has the generators 1 and 2; a letter 3 is bad input, not a fault
+    monkeypatch.setenv("BLOCKO_CACHE", str(tmp_path / "cache"))
+    path = cartan_file(A2)
+    block = ["--cartan", path, "--weight", "0,0"]
+    code, out = run(capsys, ["bs"] + block + ["--word", "1 3"])
+    assert code == 1
+    assert json.loads(out) == {"error": "generator index 2 out of range"}
+    assert run(capsys, ["character"] + block + ["--w", "3"]) == (code, out)
+    assert run(capsys, ["kl", "--cartan", path, "--x", "e", "--w", "3"]) == (code, out)
+
+
+def test_character_names_the_length_bound_beyond_w(
+    cartan_file, capsys, tmp_path, monkeypatch
+):
+    # affine A1 at lambda = 0 has an infinite W(lambda); with length bound
+    # 4 the dominant formula would sum over no y >= w
+    monkeypatch.setenv("BLOCKO_CACHE", str(tmp_path / "cache"))
+    path = cartan_file(A1_AFFINE)
+    argv = ["character", "--cartan", path, "--weight", "0,0", "--w", "1 2 1 2 1",
+            "--length-bound"]
+    code, out = run(capsys, argv + ["4"])
+    assert code == 2
+    assert json.loads(out) == {"error": "vertex 1 2 1 2 1 of length 5 lies outside "
+                               "length bound 4; length bound 5 passes"}
+    code, out = run(capsys, argv + ["5"])
+    assert code == 0
+    assert json.loads(out)["coefficients"] == {"1 2 1 2 1": 1}
+
+
 def test_bs_names_the_length_bound_it_outgrows(cartan_file, capsys):
     path = cartan_file(A2)
     code, out = run(

@@ -3,7 +3,8 @@ private function is called, no function keeps a global cache, only the
 root systems and `blocks.integral_roots` name a height bound, `zmod`
 builds and evaluates `Poly` only at its boundary, every name
 the benchmark's tracer wraps exists, `import blocko.cli` loads no module
-that only some commands need, and package imports sit at module level."""
+that only some commands need, package imports sit at module level, and no
+module reads another module's private names."""
 
 import ast
 import importlib
@@ -233,3 +234,33 @@ def test_no_module_imports_dataclasses(path):
         for alias in node.names
     ] + [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert "dataclasses" not in imported
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_names_of_other_modules(tree):
+    """(line, name) of each underscore name the module takes from another
+    blocko module: imported by `from .x import _y`, or read as `x._y` off a
+    module bound by `from . import x`."""
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+                elif _is_private(alias.name):
+                    found.append((node.lineno, f"{node.module}.{alias.name}"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _is_private(node.attr)):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_another_modules_private_name(path):
+    # what one module needs of another is public there
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _private_names_of_other_modules(tree) == []

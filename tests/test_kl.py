@@ -6,7 +6,7 @@ import pytest
 
 from blocko import blocks, coxeter, kl
 from blocko.coxeter import INFINITY, CoxeterSystem, bruhat_leq
-from blocko.errors import UnsupportedError
+from blocko.errors import TruncationError, UnsupportedError
 from blocko.kl import KLTable, ONE, ZERO, poly_eval_one, poly_str
 
 from conftest import A1_AFFINE, A2, A3, B3, G2, weight
@@ -259,6 +259,26 @@ def test_projective_multiplicities_bgg(a2_dom):
     assert mult == {y.word: 1 for y in coxeter.all_elements(system)}
     e = system.element(())
     assert kl.projective_multiplicities(a2_dom, e) == {(): 1}
+
+
+def test_dominant_formulas_refuse_w_beyond_the_length_bound():
+    # on an infinite W(lambda) the dominant-base sums run over the elements
+    # up to the length bound: for w beyond it L(w) would get no term and
+    # P(w) would lose its M(w), so both name the bound that passes
+    cartan = rootdata.cartan_datum(A1_AFFINE)
+    block = blocks.block_data(cartan, weight(cartan, 0, 0), length_bound=4)
+    assert kl.base_weight_position(block) == "dominant"
+    message = ("^vertex 1 2 1 2 1 of length 5 lies outside length bound 4; "
+               "length bound 5 passes$")
+    w = block.coxeter_system.element((0, 1, 0, 1, 0))
+    with pytest.raises(TruncationError, match=message):
+        kl.simple_character(block, w)
+    with pytest.raises(TruncationError, match=message):
+        kl.projective_multiplicities(block, w)
+    within = blocks.block_data(cartan, weight(cartan, 0, 0), length_bound=5)
+    assert kl.projective_multiplicities(within, w)[w.word] == 1
+    char = kl.simple_character(within, w)
+    assert char.coefficients == {w.word: 1} and char.truncated
 
 
 def test_projective_multiplicities_need_dominant_side():
