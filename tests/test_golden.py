@@ -1,9 +1,11 @@
 """Golden outputs of the structure-algebra layer.
 
-`golden_zmod.json` holds the canonical JSON of a few `zmod` results, and
+`golden_zmod.json` holds the canonical JSON of a few `zmod` results,
 `golden_bott_samelson.json` the `zlattice_to_json` of the Bott-Samelson
-lattices of every word of length at most 4 over six blocks; both are
-written by `PYTHONPATH=src python tests/test_golden.py --write`.  Any
+lattices of every word of length at most 4 over six blocks, and
+`golden_projectives.json` the `zlattice_to_json` and `graded_char` of every
+projective of four of those blocks; all three are written by
+`PYTHONPATH=src python tests/test_golden.py --write`.  Any
 change to the exact linear algebra underneath, or to the structure algebra
 that translation multiplies by, must leave them byte-identical: reduced
 echelon forms, kernel bases, free-variables-zero solutions and span
@@ -27,6 +29,7 @@ from conftest import A1_AFFINE, A2, A3, B2, weight
 G2 = [[2, -1], [-3, 2]]
 GOLDEN = Path(__file__).with_name("golden_zmod.json")
 BS_GOLDEN = Path(__file__).with_name("golden_bott_samelson.json")
+PROJECTIVE_GOLDEN = Path(__file__).with_name("golden_projectives.json")
 
 
 def _canon(lattice):
@@ -110,22 +113,37 @@ BS_BLOCKS = {
 }
 
 
+# the blocks of BS_BLOCKS whose every projective is in the projective golden
+PROJECTIVE_BLOCKS = ("A1~", "A3", "B2", "G2(1/3,0)")
+
+
+def _block_graph(name):
+    matrix, coords, length_bound = BS_BLOCKS[name]
+    cartan = rootdata.cartan_datum(matrix)
+    block = blocks.block_data(cartan, weight(cartan, *coords), length_bound=length_bound)
+    return zmod.moment_graph(block)
+
+
 def _bott_samelson_lattices(name):
     """word -> zlattice_to_json of its Bott-Samelson lattice, for every word
     of length at most 4 in W(lambda)'s generators.  Each lattice is theta_s
     of the lattice of its prefix, as in `zmod.bott_samelson`, so the prefixes
     are computed once."""
-    matrix, coords, length_bound = BS_BLOCKS[name]
-    cartan = rootdata.cartan_datum(matrix)
-    block = blocks.block_data(cartan, weight(cartan, *coords), length_bound=length_bound)
-    graph = zmod.moment_graph(block)
+    graph = _block_graph(name)
     lattices = {(): zmod.verma_zmodule(graph, ())}
     out = {"e": zmod.zlattice_to_json(lattices[()])}
     for k in range(1, 5):
-        for word in itertools.product(range(len(block.integral_simples)), repeat=k):
+        for word in itertools.product(range(len(graph.block.integral_simples)), repeat=k):
             lattices[word] = zmod.theta_s(lattices[word[:-1]], word[-1])
             out[cli.word_str(word)] = zmod.zlattice_to_json(lattices[word])
     return out
+
+
+def _block_projectives(name):
+    """word -> canonical JSON of P(word), for every vertex of the block."""
+    graph = _block_graph(name)
+    return {cli.word_str(w): _canon(zmod.identify_projective(graph, w))
+            for w in graph.vertices}
 
 
 def _dump(value):
@@ -144,13 +162,24 @@ def test_bott_samelson_golden(name):
     assert _dump(_bott_samelson_lattices(name)) == _dump(golden[name])
 
 
+@pytest.mark.parametrize("name", PROJECTIVE_BLOCKS)
+def test_projective_golden(name):
+    golden = json.loads(PROJECTIVE_GOLDEN.read_text())
+    assert _dump(_block_projectives(name)) == _dump(golden[name])
+
+
+def _write_per_lattice(path, names, lattices_of):
+    """Write {name: {word: value}} with one line per lattice."""
+    blocks_json = []
+    for name in names:
+        lattices = lattices_of(name)
+        lines = [f"{json.dumps(w)}:{_dump(lattices[w])}" for w in sorted(lattices)]
+        blocks_json.append(f"{json.dumps(name)}:{{\n" + ",\n".join(lines) + "\n}")
+    path.write_text("{\n" + ",\n".join(blocks_json) + "\n}\n")
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     data = {name: case() for name, case in sorted(CASES.items())}
     GOLDEN.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
-    # one line per lattice
-    blocks_json = []
-    for name in sorted(BS_BLOCKS):
-        lattices = _bott_samelson_lattices(name)
-        lines = [f"{json.dumps(w)}:{_dump(lattices[w])}" for w in sorted(lattices)]
-        blocks_json.append(f"{json.dumps(name)}:{{\n" + ",\n".join(lines) + "\n}")
-    BS_GOLDEN.write_text("{\n" + ",\n".join(blocks_json) + "\n}\n")
+    _write_per_lattice(BS_GOLDEN, sorted(BS_BLOCKS), _bott_samelson_lattices)
+    _write_per_lattice(PROJECTIVE_GOLDEN, PROJECTIVE_BLOCKS, _block_projectives)
