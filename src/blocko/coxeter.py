@@ -225,6 +225,8 @@ class CoxeterSystem:
 
     def word_times(self, word, k):
         """The normal form of w s_k, for w given by its normal form."""
+        if not 0 <= k < self.generator_count:
+            raise ValueError(f"generator index {k} out of range")
         return self.words[self.right(self.index(word), k)]
 
     def cone(self, w):

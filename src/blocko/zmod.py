@@ -1064,7 +1064,18 @@ def _glue(graph, x, up, stalks, sections, bound):
     independent, with degrees adding up to the degrees of B^x plus the
     ranks r_y over the edges.  Localised at h_E, (a) gives K_x index
     h_E^(r_y) in B^x, so by (b) K_x is generated within the bound, and the
-    new sections are the old ones glued plus K_x at x."""
+    new sections are the old ones glued plus K_x at x.
+
+    (a) is checked in the degrees of B^y's generators only: the image of
+    B^x in B^y / h_E B^y is an S-submodule, so once it holds the classes of
+    B^y's generators it is onto in every degree.  K_x's minimal generators
+    are found degree by degree, and the degrees stop at the first D that is
+    at least every section degree and every stalk degree of the y above x
+    and at which the generators found so far pass (b).  The localisation
+    argument holds for any submodule N of K_x that passes (b): its
+    determinant, nonzero of degree sum_E r_y, is a multiple of K_x's, which
+    prod_E h_E^(r_y) divides, so the two differ by a unit, N = K_x and no
+    later degree adds a generator."""
     where = f"Braden-MacPherson stalk at {word_str(x)} (degree bound {bound})"
     targets = [(label, k) for y, label in up for k in stalks[y]]
     quotients = {}  # degree -> per target slot, its `_quotient_rows`
@@ -1097,7 +1108,17 @@ def _glue(graph, x, up, stalks, sections, bound):
         unit = [0] * (r * width)
         unit[t * width] = 1  # x_1^(deg b_t) in slot t
         glued[i] = {**sections[i][1], x: unit}
-    kernel = []
+    last = max([d for d, _ in sections] + [k for y in above for k in stalks[y]])
+    expected = (r, r, sum(stalks[x]) + sum(len(stalks[y]) for y in above))
+    kgens = []  # K_x's minimal generators, in increasing degree
+
+    def certificate():
+        """(generators, generic rank, degree sum) of K_x's generators."""
+        generic_rank = len(
+            Echelon(_generic_values(graph, vec, d) for vec, _, d in kgens).rows
+        )
+        return len(kgens), generic_rank, sum(d for _, _, d in kgens)
+
     for d in range(bound + 1):
         width = _width(graph, d)
         basis = list(_multiples(graph, stalk, d))  # m_p * b_t
@@ -1114,12 +1135,13 @@ def _glue(graph, x, up, stalks, sections, bound):
         for y, _ in up:  # (a): each edge's columns have full rank
             stop = start + sum(spans[: len(stalks[y])])
             spans = spans[len(stalks[y]) :]
-            found = len(Echelon(row[start:stop] for row in aug.rows).rows)
-            if found != stop - start:
-                raise TruncationError(
-                    f"{where}: B^x has rank {found} in B^y / h B^y for the edge "
-                    f"up to {word_str(y)} in degree {d}, expected {stop - start}"
-                )
+            if d in stalks[y]:
+                found = len(Echelon(row[start:stop] for row in aug.rows).rows)
+                if found != stop - start:
+                    raise TruncationError(
+                        f"{where}: B^x has rank {found} in B^y / h B^y for the edge "
+                        f"up to {word_str(y)} in degree {d}, expected {stop - start}"
+                    )
             start = stop
 
         def in_slots(coeffs):
@@ -1129,11 +1151,10 @@ def _glue(graph, x, up, stalks, sections, bound):
                 out[t * width + _shifts(graph, d - dt, dt)[p][0]] = c
             return out
 
-        kernel += [
-            (in_slots(row[nq:-1]), 1, d)
-            for row, p in zip(aug.rows, aug.pivots)
-            if p >= nq
-        ]
+        kernel = [in_slots(row[nq:-1]) for row, p in zip(aug.rows, aug.pivots) if p >= nq]
+        if kernel:  # kept iff outside the span of the multiples kept so far
+            span = Echelon(v for _, _, v in _multiples(graph, kgens, d))
+            kgens += [(vec, 1, d) for vec in kernel if span.add(vec)]
         for i, (deg, values) in enumerate(sections):
             if deg == d and i not in glued:
                 # rest = c (image_i, 0, 1) minus rows: c * section i glues
@@ -1147,15 +1168,12 @@ def _glue(graph, x, up, stalks, sections, bound):
                 lifted[x] = in_slots([-c for c in rest[nq:-1]])
                 g = gcd(*(c for v in lifted.values() for c in v))
                 glued[i] = {y: [c // g for c in v] for y, v in lifted.items()}
-    # (b): count, generic rank and degree sum of K_x's generators
-    kgens = minimal_generators(graph, kernel)
-    generic_rank = len(Echelon(_generic_values(graph, vec, d) for vec, _, d in kgens).rows)
-    found = (len(kgens), generic_rank, sum(d for _, _, d in kgens))
-    expected = (r, r, sum(stalks[x]) + sum(len(stalks[y]) for y in above))
-    if found != expected:
+        if d >= last and len(kgens) == r and certificate() == expected:
+            break
+    else:  # (b) never closed
         raise TruncationError(
             f"{where}: the kernel of B^x -> M_x has (generators, generic rank, "
-            f"degree sum) {found}, expected {expected}"
+            f"degree sum) {certificate()}, expected {expected}"
         )
     return [(d, glued[i]) for i, (d, _) in enumerate(sections)] + [
         (d, {x: vec}) for vec, _, d in kgens

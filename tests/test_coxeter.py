@@ -108,6 +108,17 @@ def test_element_carries_its_id():
         assert system.element(x.word[::-1]) is x.inverse()
 
 
+@pytest.mark.parametrize("k", [-1, 2])
+def test_a_letter_outside_the_generators_is_refused(k):
+    # a negative letter must not wrap round to the last generator
+    system = CoxeterSystem(A2_COX)
+    message = f"generator index {k} out of range"
+    with pytest.raises(ValueError, match=message):
+        system.word_times((), k)
+    with pytest.raises(ValueError, match=message):
+        coxeter.demazure_product(system, (0, k))
+
+
 REFERENCE_SYSTEMS = {
     "A3": CoxeterSystem(S4_COX),
     "B3": CoxeterSystem(B3_COX),

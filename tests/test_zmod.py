@@ -547,6 +547,12 @@ def test_bott_samelson_ranks(a2_graph):
     assert bott_samelson(a2_graph, (0, 1, 0)).rank == 8
 
 
+@pytest.mark.parametrize("k", [-1, 2])
+def test_bott_samelson_refuses_a_letter_outside_the_generators(a2_graph, k):
+    with pytest.raises(ValueError, match=f"generator index {k} out of range"):
+        bott_samelson(a2_graph, (0, k))
+
+
 def test_graded_char_of_interval_algebra(a1_graph):
     z = structure_algebra(a1_graph)
     assert graded_char(z) == {(): [0], (0,): [2]}
@@ -824,18 +830,47 @@ def test_identify_projective_gets_no_graph_of_a_critical_block():
 
 
 @pytest.mark.parametrize(
-    "matrix, w, rank, error",
+    "matrix, w, length_bound",
     [
-        (A2, (0, 1, 0), 1, "B\\^x has rank 0 in B\\^y / h B\\^y for the edge up to "
-         "1 2 1 in degree 0, expected 1"),
-        (A3, (1, 0, 2, 1), 2, "a section of degree 1 does not lift to B\\^x"),
+        (B2, (0, 1, 0, 1), blocks.DEFAULT_LENGTH_BOUND),
+        (A3, (0, 1, 0, 2, 1, 0), blocks.DEFAULT_LENGTH_BOUND),
+        (A1_AFFINE, (0, 1, 0, 1), 4),
     ],
-    ids=["A2 rank-1 stalk", "A3 rank-2 stalk"],
+    ids=["B2 w0", "A3 w0", "A1~ 1 2 1 2"],
 )
-def test_stalk_certificate_fails_loudly(matrix, w, rank, error, monkeypatch):
-    """A stalk that misses a generator of M_x fails the vertex's certificate
-    instead of returning a lattice: here one generator is dropped at the
-    first vertex whose stalk has the given rank."""
+def test_stalk_degrees_stop_once_the_certificate_closes(matrix, w, length_bound,
+                                                        monkeypatch):
+    """At every vertex x, the degree loop eliminates no degree above the
+    sections' degrees, the stalk degrees of the vertices above x and the
+    degrees of K_x's generators: the loop stops once (b) holds."""
+    glue, multiples = zmod._glue, zmod._multiples
+    degrees, limits = [], {}
+
+    def counted(graph, gens, d):
+        degrees.append(d)
+        return multiples(graph, gens, d)
+
+    def glue_at(graph, x, up, stalks, sections, bound):
+        degrees.clear()
+        out = glue(graph, x, up, stalks, sections, bound)
+        kernel = [d for d, _ in out[len(sections):]]
+        limits[x] = max([d for d, _ in sections] + kernel
+                        + [k for y, _ in up for k in stalks[y]])
+        assert max(degrees) <= limits[x], x
+        return out
+
+    monkeypatch.setattr(zmod, "_multiples", counted)
+    monkeypatch.setattr(zmod, "_glue", glue_at)
+    graph = _graph(matrix, *[0] * len(matrix), length_bound=length_bound)
+    identify_projective(graph, w)
+    top = graph.block.coxeter_system.element(w)
+    assert len(limits) == len(coxeter.lower_cone(top)) - 1
+    assert min(limits.values()) < len(w)  # some vertex stops below the bound
+
+
+def _drop_a_stalk_generator(rank, monkeypatch):
+    """At the first vertex whose stalk has the given rank, drop one of the
+    stalk's generators.  Returns the list of what was dropped."""
     stalk_generators = zmod._stalk_generators
     dropped = []
 
@@ -846,11 +881,63 @@ def test_stalk_certificate_fails_loudly(matrix, w, rank, error, monkeypatch):
         return chosen
 
     monkeypatch.setattr(zmod, "_stalk_generators", drop_one)
+    return dropped
+
+
+def _zero_a_generic_value(rank, monkeypatch):
+    """At the first vertex whose stalk has the given rank, zero the first
+    slot of the generic values of K_x's generators, so that their generic
+    rank falls short.  Returns the list of the vertices hit."""
+    glue, generic_values = zmod._glue, zmod._generic_values
+    hit, gluing = [], []
+
+    def glue_at(graph, x, up, stalks, sections, bound):
+        gluing.append((x, stalks))
+        try:
+            return glue(graph, x, up, stalks, sections, bound)
+        finally:
+            gluing.pop()
+
+    def short(graph, vec, d):
+        values = generic_values(graph, vec, d)
+        if gluing:
+            x, stalks = gluing[-1]
+            if not hit and len(stalks[x]) == rank:
+                hit.append(x)
+            if hit == [x]:
+                values[0] = 0
+        return values
+
+    monkeypatch.setattr(zmod, "_glue", glue_at)
+    monkeypatch.setattr(zmod, "_generic_values", short)
+    return hit
+
+
+@pytest.mark.parametrize(
+    "matrix, w, rank, error, sabotage",
+    [
+        (A2, (0, 1, 0), 1, "B\\^x has rank 0 in B\\^y / h B\\^y for the edge up to "
+         "1 2 1 in degree 0, expected 1", _drop_a_stalk_generator),
+        (A3, (1, 0, 2, 1), 2, "a section of degree 1 does not lift to B\\^x",
+         _drop_a_stalk_generator),
+        (A3, (1, 0, 2, 1), 2, "the kernel of B\\^x -> M_x has \\(generators, generic "
+         "rank, degree sum\\) \\(2, 1, 5\\), expected \\(2, 2, 5\\)",
+         _zero_a_generic_value),
+    ],
+    ids=["A2 rank-1 stalk", "A3 rank-2 stalk", "A3 short generic rank"],
+)
+def test_stalk_certificate_fails_loudly(matrix, w, rank, error, sabotage, monkeypatch):
+    """A stalk that misses a generator of M_x, or a kernel K_x whose
+    generators fall short of generic rank, fails the vertex's certificate
+    instead of returning a lattice: here the sabotage strikes the first
+    vertex whose stalk has the given rank.  The stalk's degree loop may stop
+    early only once (b) holds, so a short generic rank still raises."""
+    struck = sabotage(rank, monkeypatch)
     graph = _graph(matrix, *[0] * len(matrix))
     result = None
     with pytest.raises(TruncationError, match=f"degree bound {len(w)}\\): {error}"):
         result = identify_projective(graph, w)
-    assert dropped and result is None
+    assert struck and result is None
 
 
 def test_isomorphic_up_to_shift(a2_graph):
