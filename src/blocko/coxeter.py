@@ -9,8 +9,8 @@ An element w is handled through its orbit vector c(w) = (<alpha_j,
 w(rho^vee)>)_j: c(e) = (1, ..., 1), a left s_k acts by c_j <- c_j - a_kj c_k,
 and s_k w < w exactly when c_k(w) < 0, since c_k(w) is the height of the root
 w^-1(alpha_k) (Kac, Lemma 3.11; Casselman, Machine calculations in Weyl
-groups, 1994).  rho^vee is interior to the fundamental chamber, so c is
-injective on W, finite or affine.
+groups, 1994).  rho^vee is interior to the fundamental chamber of any
+Kac-Moody root datum (Kac, Prop. 3.12), so c is injective on W in general.
 
 Elements are numbered in ShortLex order (by length, then by normal form, the
 lexicographically least reduced word), one length at a time from the orbit

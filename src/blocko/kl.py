@@ -14,13 +14,10 @@ bit, gives 0.  Polynomials in q are dense integer tuples, index = power.
 
 from __future__ import annotations
 
-from itertools import product
-
 from . import coxeter
-from .blocks import dot_action, is_critical, outside_the_length_bound
+from .blocks import is_critical, outside_the_length_bound
 from .coxeter import Element, bruhat_leq, lower_cone, members, word_str
 from .errors import CriticalityError, TruncationError, UnsupportedError
-from .rootdata import build_root_system, weight_root_coords
 
 ONE = (1,)
 ZERO = ()
@@ -366,61 +363,3 @@ def _min_coset_rep(w: Element, gens):
     while down := system.rdesc[v] & mask:
         v = system.rmul[(down & -down).bit_length() - 1][v]
     return system.elements[v]
-
-
-# ---------------------------------------------------------------------------
-# weight multiplicities
-
-
-def kostant_partition_count(cartan, root_coords) -> int:
-    """Number of multisets of positive roots summing to the given
-    simple-root coordinate vector (finite type only)."""
-    if cartan.kind != "finite":
-        raise UnsupportedError("partition counts implemented for finite type")
-    if any(c != int(c) or c < 0 for c in root_coords):
-        return 0
-    coords = tuple(int(c) for c in root_coords)
-    bound = max(1, sum(coords))
-    positives = sorted(
-        r.simple_coords for r in build_root_system(cartan, bound).positive_real
-    )
-
-    def count(idx, rest):
-        if not any(rest):
-            return 1
-        if idx == len(positives):
-            return 0
-        root = positives[idx]
-        total = 0
-        cur = rest
-        while all(c >= 0 for c in cur):
-            total += count(idx + 1, tuple(cur))
-            cur = tuple(a - b for a, b in zip(cur, root))
-        return total
-
-    return count(0, coords)
-
-
-def character_weight_dimensions(block, char: CharacterVector, depth: int):
-    """Weight multiplicities of a Verma-character combination.
-
-    Returns {nu: dim at lambda - nu} over all nonnegative simple-root
-    vectors nu of height <= depth; zero entries are dropped."""
-    lam = block.base_weight
-    n = block.cartan.rank
-    offsets = {}
-    for word in char.coefficients:
-        off = weight_root_coords(lam - dot_action(block, word, lam))
-        offsets[word] = tuple(off)
-    out = {}
-    for nu in product(range(depth + 1), repeat=n):
-        if sum(nu) > depth:
-            continue
-        total = 0
-        for word, c in char.coefficients.items():
-            diff = tuple(a - b for a, b in zip(nu, offsets[word]))
-            if all(d.denominator == 1 and d >= 0 for d in diff):
-                total += c * kostant_partition_count(block.cartan, diff)
-        if total:
-            out[nu] = total
-    return out

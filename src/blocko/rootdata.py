@@ -382,33 +382,6 @@ def reflect_root(beta: Root, gamma: Root) -> Root:
     )
 
 
-def weight_root_coords(w: Weight):
-    """Coordinates of w in the simple-root basis, or None if w is not in
-    the root lattice's rational span."""
-    cartan = w.cartan
-    if cartan.kind not in (FINITE, AFFINE):
-        raise CartanError("root coordinates need finite or affine type")
-    a = [[Fraction(x) for x in row] for row in cartan.matrix]
-    sol = linalg.solve(a, list(w.coords))
-    if sol is None or cartan.kind == FINITE:
-        return sol
-    jstar = cartan.affine_node
-    astar = Fraction(cartan.marks[jstar])
-    # general solution sol + t * marks; pin t by the delta coefficient
-    t = w.delta - sol[jstar] / astar
-    return [s + t * m for s, m in zip(sol, cartan.marks)]
-
-
-def leq(lhs: Weight, rhs: Weight) -> bool:
-    """Standard partial order: rhs - lhs a nonnegative-integer combination
-    of simple roots."""
-    _same_cartan(lhs, rhs)
-    coords = weight_root_coords(rhs - lhs)
-    if coords is None:
-        return False
-    return all(c.denominator == 1 and c >= 0 for c in coords)
-
-
 class RootSystem:
     def __init__(self, cartan, height_bound, positive_real, positive_imaginary):
         self.cartan = cartan
@@ -467,7 +440,10 @@ def build_root_system(cartan: CartanDatum, height_bound: int) -> RootSystem:
 def parse_rational(s) -> Fraction:
     if isinstance(s, (int, Fraction)):
         return frac(s)
-    return Fraction(str(s))
+    try:
+        return Fraction(str(s))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def format_rational(x: Fraction) -> str:

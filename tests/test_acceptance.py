@@ -33,6 +33,7 @@ from blocko.zmod import (
 import fraction_roots
 from conftest import weight
 from lattice_homs import homs_equal, scalar_hom
+from shapovalov import WordBasis, character_dimensions
 
 
 def verdict(number, description):
@@ -196,6 +197,13 @@ _KL_GRADED_CASES = {
         [[2, -1, 0], [-1, 2, -2], [0, -1, 2]], ("1/2", 0, 0), 8, (), 9,
     ),
     "A1~ (1/3, 0)": ([[2, -2], [-2, 2]], ("1/3", 0), 6, (), 6),
+    "A2^(2)": ([[2, -4], [-1, 2]], (0, 0), 5, (), 5),
+    "A2^(2) (1/2, 0)": ([[2, -4], [-1, 2]], ("1/2", 0), 5, (), 5),
+    "A2^(2) (0, 1/3)": ([[2, -4], [-1, 2]], (0, "1/3"), 5, (), 5),
+    "D4^(3)": ([[2, -1, 0], [-1, 2, -3], [0, -1, 2]], (0, 0, 0), 4, (), 4),
+    "C2~ (1/2, 0, 0)": ([[2, -1, 0], [-2, 2, -2], [0, -1, 2]], ("1/2", 0, 0), 4, (), 4),
+    # W(lambda) has four simple roots: it is A1~ x A1~
+    "G2~ (0, 1/2, 0)": ([[2, -1, 0], [-1, 2, -1], [0, -3, 2]], (0, "1/2", 0), 4, (), 4),
 }
 
 
@@ -206,7 +214,9 @@ def test_graded_projectives_match_kl_polynomials():
     length 3 and its six length-4 elements with P_{e,w} = 1 + q; the
     non-integral blocks G2 (1/3, 0), B2 (0, 1/2), B3 (1/2, 0, 0) and Ã1
     (1/3, 0) to length 6, whose W(lambda) has the simple roots (0, 1) and
-    (3, 2).
+    (3, 2); the twisted affine A2^(2) at 0, (1/2, 0) and (0, 1/3) to length
+    5; and to length 4 the twisted affine D4^(3) at 0 and the affine C̃2
+    (1/2, 0, 0) and G̃2 (0, 1/2, 0).
     Acceptance 4 checks only the ungraded counts."""
     for matrix, coords, length_bound, extra, max_length in _KL_GRADED_CASES.values():
         cartan = rootdata.cartan_datum(matrix)
@@ -275,7 +285,7 @@ def test_acceptance_6():
     s_weight = blocks.dot_action(block, (0,), block.base_weight)
     alpha = fraction_roots.root_to_weight(block.integral_simples[0])
     assert s_weight == block.base_weight - alpha
-    dims = kl.character_weight_dimensions(block, char, 8)
+    dims = character_dimensions(block, char.coefficients, (), WordBasis(cartan, 8))
     assert sum(dims.values()) == 1
     # A2 antidominant: ch L(w0) has six coefficients, all +-1
     a2 = rootdata.cartan_datum([[2, -1], [-1, 2]])

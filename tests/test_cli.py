@@ -65,6 +65,22 @@ def test_bad_cartan_file_is_usage_error(data, problem, tmp_path, capsys):
     assert problem in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("text", ["1/0,0", "0,0;delta=1/0"], ids=["coordinate", "delta"])
+def test_zero_denominator_in_a_weight_is_usage_error(text, cartan_file, capsys):
+    path = cartan_file(A1_AFFINE)
+    code, out = run(capsys, ["block", "--cartan", path, "--weight", text])
+    assert code == 1
+    assert "'1/0'" in json.loads(out)["error"]
+
+
+def test_zero_denominator_in_a_symmetrizer_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "cartan.json"
+    path.write_text(json.dumps({"matrix": A2, "symmetrizer": ["1/0", 1]}))
+    code, out = run(capsys, ["block", "--cartan", str(path), "--weight", "0,0"])
+    assert code == 1
+    assert "'1/0'" in json.loads(out)["error"]
+
+
 def test_wrong_coordinate_count(cartan_file, capsys):
     path = cartan_file(A2)
     code, out = run(capsys, ["block", "--cartan", path, "--weight", "0"])

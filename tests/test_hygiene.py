@@ -1,7 +1,8 @@
 """Source hygiene of the package: every imported name is used, every
-private function is called, no function keeps a global cache, only the
-root systems and `blocks.integral_roots` name a height bound, `zmod`
-builds and evaluates `Poly` only at its boundary, every name
+private function is called, every public one has a caller or is named as
+API, no function keeps a global cache, only the root systems and
+`blocks.integral_roots` name a height bound, `zmod` builds and evaluates
+`Poly` only at its boundary, every name
 the benchmark's tracer wraps exists, `import blocko.cli` loads no module
 that only some commands need, package imports sit at module level, and no
 module reads another module's private names."""
@@ -11,6 +12,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -134,24 +136,47 @@ def _referenced_names():
     return refs
 
 
-def _private_functions():
+def _top_functions(private):
+    """(module file, top-level index, name) of each private, else public,
+    top-level function; a dunder name is neither."""
     for path in MODULES:
         tree = ast.parse(path.read_text(), filename=str(path))
         for i, top in enumerate(tree.body):
-            if isinstance(top, ast.FunctionDef) and top.name.startswith("_"):
-                if not top.name.startswith("__"):
-                    yield pytest.param(path.name, i, top.name,
-                                       id=f"{path.stem}.{top.name}")
+            if (isinstance(top, ast.FunctionDef) and not top.name.startswith("__")
+                    and top.name.startswith("_") == private):
+                yield pytest.param(path.name, i, top.name, id=f"{path.stem}.{top.name}")
 
 
 REFERENCES = _referenced_names()
 
 
-@pytest.mark.parametrize("module, index, name", list(_private_functions()))
+@pytest.mark.parametrize("module, index, name", list(_top_functions(private=True)))
 def test_every_private_function_is_called(module, index, name):
     # a use anywhere in the package other than the function's own body
     assert any(
         name in used for key, used in REFERENCES.items() if key != (module, index)
+    )
+
+
+# public functions no code in the package or the benchmark calls, kept as
+# the library's API: Verma embedding dimensions (acceptance 8) and reading
+# a weight from its JSON form, the inverse of `weight_to_json`
+_API = {"verma_hom_dim", "weight_from_json"}
+
+# every name the benchmark's scripts mention
+PERFBENCH_NAMES = set(re.findall(r"\w+", "\n".join(
+    p.read_text() for p in (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))))
+
+
+@pytest.mark.parametrize("module, index, name", list(_top_functions(private=False)))
+def test_every_public_function_has_a_caller(module, index, name):
+    # a use elsewhere in the package, a name the benchmark reads, a command,
+    # or the short API list above: no dead function stays in src/
+    assert (
+        any(name in used for key, used in REFERENCES.items() if key != (module, index))
+        or name in PERFBENCH_NAMES
+        or name.startswith("cmd_")
+        or name in _API
     )
 
 

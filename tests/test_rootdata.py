@@ -1,4 +1,4 @@
-"""Cartan data, the invariant form, roots and the weight order."""
+"""Cartan data, the invariant form, roots and weights."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -17,7 +17,6 @@ from blocko.rootdata import (
     cartan_to_json,
     coroot_pairing,
     form,
-    leq,
     reflect,
     reflect_root,
     rho,
@@ -139,24 +138,6 @@ def test_reflect_root_permutes_positives_minus_alpha():
         ]
         images = [reflect_root(alpha, r) for r in others]
         assert all(r.sign > 0 for r in images)
-
-
-def test_leq_is_a_partial_order_on_samples():
-    cartan = cartan_datum(A2)
-    pts = [weight(cartan, a, b) for a in (-2, 0, 1) for b in (-1, 0, 2)]
-    for x in pts:
-        assert leq(x, x)
-        for y in pts:
-            if leq(x, y) and leq(y, x):
-                assert x == y
-            for z in pts:
-                if leq(x, y) and leq(y, z):
-                    assert leq(x, z)
-
-
-def test_leq_requires_integral_difference():
-    cartan = cartan_datum(A2)
-    assert not leq(weight(cartan, 0, 0), weight(cartan, "1/2", 0))
 
 
 def test_weight_json_round_trip():
