@@ -42,13 +42,15 @@ def load_cartan(path) -> rootdata.CartanDatum:
 
 def parse_weight(cartan, text) -> rootdata.Weight:
     """Comma-separated rationals in fundamental-weight coordinates with an
-    optional ";delta=p/q" suffix."""
+    optional ";delta=p/q" suffix on affine data."""
     delta = Fraction(0)
     if ";" in text:
         text, tail = text.split(";", 1)
         tail = tail.strip()
         if not tail.startswith("delta="):
             raise UsageError(f"unrecognized weight suffix {tail!r}")
+        if not cartan.is_affine:
+            raise UsageError("a delta coordinate needs affine Cartan data")
         delta = rootdata.parse_rational(tail[len("delta=") :])
     coords = tuple(
         rootdata.parse_rational(c.strip()) for c in text.split(",")

@@ -257,6 +257,12 @@ def simple_character(block, w: Element, table: KLTable = None) -> CharacterVecto
 
     Dominant base weight: ch L(w.l) = sum_{y>=w} (-1)^{l(y)-l(w)} Q_{w,y}(1) ch M(y.l).
     Antidominant:         ch L(w.l) = sum_{y<=w} (-1)^{l(w)-l(y)} P_{y,w}(1) ch M(y.l).
+
+    On an infinite W(lambda) over a dominant base the sum stops at the
+    length bound and the result is marked truncated.  Each length step
+    lowers the weight by a positive root, so a truncated character is exact
+    only down to depth (length bound - l(w)) below w.l: in the weight spaces
+    w.l - nu with ht(nu) <= length bound - l(w).
     """
     position = _extremal_position(block)
     if table is None:

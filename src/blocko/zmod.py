@@ -62,14 +62,16 @@ def root_form(cartan, beta) -> Poly:
 
 class MomentGraphBlock:
     # a cache on a graph is one of the stores declared here
-    __slots__ = ("block", "vertices", "weights", "edges", "nvars", "algebra",
+    __slots__ = ("block", "vertices", "weights", "edges", "billey", "nvars", "algebra",
                  "monomials", "shifts", "annihilators", "quotients")
 
-    def __init__(self, block, vertices, weights, edges, nvars):
+    def __init__(self, block, vertices, weights, edges, billey, nvars):
         self.block = block
         self.vertices = vertices  # orbit words (tuples), sorted by (length, word)
         self.weights = weights  # word -> Weight
         self.edges = edges  # frozenset({word, word}) -> Poly (h_beta)
+        # word -> (its Billey word a_1 ... a_l, the roots r_1, ..., r_l)
+        self.billey = billey
         self.nvars = nvars
         self.algebra = None  # its structure algebra (structure_algebra)
         # tables of _monomials and _shifts, and of _restriction_rows and
@@ -88,8 +90,9 @@ def moment_graph(block: BlockData) -> MomentGraphBlock:
     if is_critical(block):
         raise CriticalityError("moment graphs need a non-critical block")
     weights = {v.word: v.weight for v in block.orbit}
-    edges = _billey_edges(block, weights)
-    return MomentGraphBlock(block, list(weights), weights, edges, _nvars(block.cartan))
+    edges, billey = _billey_edges(block, weights)
+    return MomentGraphBlock(block, list(weights), weights, edges, billey,
+                            _nvars(block.cartan))
 
 
 def _billey_edges(block: BlockData, weights):
@@ -97,25 +100,31 @@ def _billey_edges(block: BlockData, weights):
     a_1 ... a_l, the roots r_j = s_{a_1} ... s_{a_{j-1}}(alpha_{a_j}) over
     the integral simple roots are the l positive roots its element makes
     negative, and the edges down from a vertex y go to s_{r_j} . y.
+    Returns the edges and, per vertex, its Billey word and roots.
 
-    Regular block: the word is y's own.  Certified: the l(y) endpoints are
-    distinct vertices shorter than y.
+    The Billey word of y is chosen here, once, by the base weight's side:
 
-    Singular block: the word is `chamber_walk`'s for y's weight, so the r_j
-    are the positive integral roots with y + rho on the far side of the
-    chamber.  The two ends of an edge lie on opposite sides of its root, so
-    this finds every edge once, also when the stabilizer is not a standard
-    parabolic subgroup.  Certified: the r_j are on the far side and their
-    endpoints distinct; an endpoint outside the truncated orbit has no edge.
+    - On a regular block, or with the base in a closed chamber (dominant or
+      antidominant, regular or singular), it is y's own ShortLex word.  It
+      spells the minimal coset representative, whose inversions lie on
+      that chamber's side.  Certified: the l(y) endpoints are distinct
+      vertices shorter than y.
+    - With a singular base interior to its orbit, it is `chamber_walk`'s
+      for y's weight, so the r_j are the positive integral roots with
+      y + rho on the far side of the chamber.  The two ends of an edge lie
+      on opposite sides of its root, so this finds every edge once, also
+      when the stabilizer is not a standard parabolic subgroup.  Certified:
+      the r_j are on the far side and their endpoints distinct; an endpoint
+      outside the truncated orbit has no edge.
     """
     simples = block.integral_simples
     by_weight = {mu: y for y, mu in weights.items()}
-    regular = block.stab_order == 1
+    own = block.stab_order == 1 or block.position != "interior"
     side = 1 if block.has_dominant else -1
     shift = rho(block.cartan)
-    roots, edges = {(): []}, {}  # word -> r_1, ..., r_l; edge -> label
+    roots, edges, billey = {(): []}, {}, {}  # word -> r_1, ..., r_l; edge -> label
     for y, mu in weights.items():
-        word = y if regular else chamber_walk(block, mu, side > 0)[0]
+        word = y if own else chamber_walk(block, mu, side > 0)[0]
         for j in range(len(word)):
             if word[: j + 1] not in roots:
                 root = simples[word[j]]
@@ -123,7 +132,7 @@ def _billey_edges(block: BlockData, weights):
                     root = reflect_root(simples[a], root)
                 roots[word[: j + 1]] = roots[word[:j]] + [root]
         ends = [dot_reflect(r, mu) for r in roots[word]]
-        if regular:
+        if own:
             ok = all(e in by_weight and len(by_weight[e]) < len(y) for e in ends)
         else:
             shifted = mu + shift
@@ -133,10 +142,11 @@ def _billey_edges(block: BlockData, weights):
                 f"moment graph: Billey's roots of the word {word_str(word)} are "
                 f"not {len(word)} inversions of vertex {word_str(y)}"
             )
+        billey[y] = (word, roots[word])
         for r, e in zip(roots[word], ends):
             if e in by_weight:
                 edges[frozenset({by_weight[e], y})] = root_form(block.cartan, r)
-    return edges
+    return edges, billey
 
 
 def _vertex_key(word):
@@ -313,24 +323,6 @@ def _restriction_rows(graph, label, d):
     return graph.annihilators[label, d]
 
 
-def _congruence_rows(graph, vertex_words, d):
-    """Integer constraint rows (slot-major, degree-d coefficients) imposing
-    every edge congruence z_a = z_b mod h inside the vertex subset."""
-    width = _width(graph, d)
-    index = {w: i for i, w in enumerate(vertex_words)}
-    rows = []
-    for edge, h in graph.edges.items():
-        if not edge <= index.keys():
-            continue
-        a, b = (index[w] for w in edge)
-        for r in _restriction_rows(graph, _label(graph, h), d):
-            row = [0] * (len(vertex_words) * width)
-            row[a * width : (a + 1) * width] = r
-            row[b * width : (b + 1) * width] = [-x for x in r]
-            rows.append(row)
-    return rows
-
-
 def minimal_generators(graph, candidates):
     """Minimal homogeneous generating set of the S-span of the candidates.
 
@@ -363,43 +355,15 @@ def _certified_lattice(graph, slots, chosen, count, what):
     return lattice
 
 
-def _grown_algebra(graph, vertex_words, count, edge_count, what):
-    """The tuples on the sorted vertex subset that satisfy every edge
-    congruence, certified free of rank `count`: Z of a singular block, and
-    the tests' reference on any vertex subset.
-
-    Degree by degree, each vector of the congruence kernel outside the
-    S-span of the generators kept so far is kept, until there are `count`.
-    Their polynomial degrees must then add up to `edge_count`.  The edges
-    with one label h form a matching, so localising at h shows that every
-    full-rank sublattice has h^(number of h-edges) dividing its determinant;
-    a full-rank sublattice of degree sum `edge_count` has determinant
-    c * prod_e h_e, and is the whole algebra.  Raises UnsupportedError once
-    the generators still missing cannot fit under `edge_count`."""
-    chosen = []
-    d = 0
-    while len(chosen) < count:
-        missing = count - len(chosen)
-        if sum(dg for _, _, dg in chosen) + missing * d > edge_count:
-            raise UnsupportedError(
-                f"{what} is not free: {missing} generators of degree {d} or "
-                f"more do not fit under {edge_count} edges"
-            )
-        rows = _congruence_rows(graph, vertex_words, d)
-        span = Echelon(v for _, _, v in _multiples(graph, chosen, d))
-        for vec in kernel_basis(rows, len(vertex_words) * _width(graph, d)):
-            vec, den = integral(vec)
-            if span.add(vec):
-                chosen.append((vec, den, d))
-                if len(chosen) == count:
-                    break
-        d += 1
-    return _free_algebra(graph, vertex_words, chosen, count, edge_count, what)
-
-
 def _free_algebra(graph, vertex_words, chosen, count, edge_count, what):
     """The certified lattice on the chosen generators of the congruence
-    algebra, whose polynomial degrees must add up to `edge_count`."""
+    algebra on the sorted vertex subset, whose polynomial degrees must add
+    up to `edge_count`.
+
+    The edges with one label h form a matching, so localising at h shows
+    that every full-rank sublattice has h^(number of h-edges) dividing its
+    determinant; a full-rank sublattice of degree sum `edge_count` has
+    determinant c * prod_e h_e, and is the whole algebra."""
     lattice = _certified_lattice(graph, vertex_words, chosen, count, what)
     total = sum(dg for _, _, dg in chosen)
     if total != edge_count:
@@ -410,43 +374,69 @@ def _free_algebra(graph, vertex_words, chosen, count, edge_count, what):
     return lattice
 
 
+def _not_a_lower_set(graph, what):
+    """The refusal of a truncated orbit whose Billey endpoints leave it,
+    naming the first vertex that has one outside and the chamber base
+    weight of the orbit, whose truncations are lower sets."""
+    block = graph.block
+    inside = set(graph.weights.values())
+    y = next(y for y, (_, roots) in graph.billey.items()
+             if any(dot_reflect(r, graph.weights[y]) not in inside for r in roots))
+    base = chamber_walk(block, block.base_weight, block.has_dominant)[1] - rho(block.cartan)
+    text = ",".join(map(str, base.coords)) + (f";delta={base.delta}" if base.delta else "")
+    return UnsupportedError(
+        f"{what}: the orbit cut at length bound {block.length_bound} is not a lower "
+        f"set, as vertex {word_str(y)} has an edge out of it; the chamber base "
+        f"weight {text} of the same orbit passes"
+    )
+
+
 def _schubert_algebra(graph, what):
-    """The equivariant Schubert classes xi^v on the orbit of a regular
-    block, a lower Bruhat ideal of W(lambda), in the (length, ShortLex)
-    order of v (Billey, Duke Math. J. 96, 1999; Kostant-Kumar, Adv. Math.
-    62, 1986).
+    """The equivariant Schubert classes xi^v restricted to the vertices
+    (Billey, Duke Math. J. 96, 1999; Kostant-Kumar, Adv. Math. 62, 1986),
+    one per vertex, in vertex order: on a singular block Z is their
+    pullback along G/B -> G/P, spanned by the classes of the minimal coset
+    representatives.
 
-    For the ShortLex word a_1 ... a_l of w, with r_j = s_{a_1} ... s_{a_{j-1}}
-    (alpha_{a_j}), xi^v(w) is the sum of h_{r_{j_1}} ... h_{r_{j_k}} over the
-    reduced subwords a_{j_1} ... a_{j_k} of v.  The word of w extends the word
-    of its prefix u, so the sums for w are those for u plus, for every v
-    with v s_{a_l} > v, the sum for v times h_{r_l} at v s_{a_l}.
+    Each vertex y has its Billey word a_1 ... a_l (`_billey_edges`), with
+    roots r_j = s_{a_1} ... s_{a_{j-1}}(alpha_{a_j}); m(y) is the element
+    it spells.  xi^v(m(y)) is the sum of h_{r_{j_1}} ... h_{r_{j_k}} over
+    the reduced subwords a_{j_1} ... a_{j_k} of v.  Along the prefixes of
+    the word, the sums for a prefix are those for the one a letter shorter,
+    u, plus, for every v with v s_{a_l} > v, the sum for v times h_{r_l}
+    at v s_{a_l}.  The class of the vertex v is xi^{m(v)}, of degree
+    2 l(m(v)).
 
-    Certified by exact membership, every edge congruence on every generator
-    through the `_restriction_rows` of its label, then by count, generic
-    rank and degree sum: generators of Z whose degrees add up to the edge
-    count are all of Z (see `_grown_algebra`)."""
-    vertices = graph.vertices
-    system = graph.block.coxeter_system
-    # w -> h_{r_l} for the last letter of w's word, on the edge down to its prefix
-    labels = {w: _vector(graph, (graph.edges[frozenset({w, w[:-1]})],), 1)
-              for w in vertices[1:]}
+    Refuses, with UnsupportedError, a truncated orbit whose Billey
+    endpoints leave it (sum_v l(m(v)) is not the edge count), where the
+    classes do not span Z.  Certified by exact membership, every edge
+    congruence on every generator through the `_restriction_rows` of its
+    label, then by count, generic rank and degree sum (`_free_algebra`)."""
+    vertices, system = graph.vertices, graph.block.coxeter_system
+    if sum(len(word) for word, _ in graph.billey.values()) != len(graph.edges):
+        raise _not_a_lower_set(graph, what)
+    # prefix -> h_{r_l} for its last letter, parents before children
+    labels = {}
+    for word, roots in graph.billey.values():
+        for j, r in enumerate(roots):
+            if word[: j + 1] not in labels:
+                labels[word[: j + 1]] = _vector(graph, (root_form(graph.block.cartan, r),), 1)
     den = lcm(*(d for _, d in labels.values()))  # common denominator
-    sums = {(): {0: [1]}}  # w -> {id of v: den^l(v) * xi^v(w)}
-    for w in vertices[1:]:
-        (label, d), a = labels[w], w[-1]
-        label = [x * (den // d) for x in label]
-        sums[w] = step = dict(sums[w[:-1]])
-        for v, vec in sums[w[:-1]].items():
+    sums = {(): {0: [1]}}  # prefix u -> {id of v: den^l(v) * xi^v(u)}
+    for u, (label, d) in labels.items():
+        label, a = [x * (den // d) for x in label], u[-1]
+        sums[u] = step = dict(sums[u[:-1]])
+        for v, vec in sums[u[:-1]].items():
             if not system.rdesc[v] >> a & 1:
                 term = _slot_product(graph, label, 1, [0], vec, system.length[v], [0])
                 up = system.right(v, a)
                 step[up] = list(map(add, step[up], term)) if up in step else term
     chosen = []
     for v in vertices:
-        k, vid = len(v), system.index(v)
+        word = graph.billey[v][0]
+        k, vid = len(word), system.element(word).id
         zero = [0] * _width(graph, k)
-        vec = [x for w in vertices for x in sums[w].get(vid, zero)]
+        vec = [x for w in vertices for x in sums[graph.billey[w][0]].get(vid, zero)]
         g = gcd(*vec, den**k)
         chosen.append(([x // g for x in vec], den**k // g, k))
     index = {w: i for i, w in enumerate(vertices)}
@@ -467,20 +457,13 @@ def _schubert_algebra(graph, what):
 
 def structure_algebra(graph: MomentGraphBlock) -> ZLattice:
     """An S-basis of the structure algebra Z of the moment graph, computed
-    once per graph: the equivariant Schubert classes on a regular block,
-    else grown from the congruence kernel degree by degree.
-
-    Certified by the generator count, the generic rank and the degree sum,
-    and the Schubert classes also by every edge congruence; fails loudly
-    when the algebra is not free.
+    once per graph: the equivariant Schubert classes (`_schubert_algebra`),
+    certified by every edge congruence, the generator count, the generic
+    rank and the degree sum; fails loudly when they do not span Z.
     """
     if graph.algebra is None:
-        n = len(graph.vertices)
-        what = f"structure algebra on {n} vertices"
-        if graph.block.stab_order == 1:
-            graph.algebra = _schubert_algebra(graph, what)
-        else:
-            graph.algebra = _grown_algebra(graph, graph.vertices, n, len(graph.edges), what)
+        what = f"structure algebra on {len(graph.vertices)} vertices"
+        graph.algebra = _schubert_algebra(graph, what)
     return graph.algebra
 
 
@@ -1230,7 +1213,7 @@ def invariant_structure_algebra(
     Z^s is the structure algebra of the graph on the cosets, whose edges
     are the edges joining different cosets, paired up by w - x <-> ws - xs.
     The classes' minimal generators are certified by count, generic rank
-    and degree sum (see `_grown_algebra`), so a vertex set on which they do
+    and degree sum (see `_free_algebra`), so a vertex set on which they do
     not span Z^s fails loudly."""
     system = graph.block.coxeter_system
     vertex_words = sorted(vertex_words, key=_vertex_key)

@@ -31,6 +31,7 @@ from blocko.zmod import (
 )
 
 import fraction_roots
+from congruence_algebra import grown_algebra
 from conftest import weight
 from lattice_homs import homs_equal, scalar_hom
 from shapovalov import WordBasis, character_dimensions
@@ -157,7 +158,7 @@ def test_acceptance_3():
                 assert n_new.get(w, 0) == n_old.get(w, 0) + n_old.get(ws, 0)
     # theta_s applied to the smallest Verma recovers the interval algebra
     t = theta_s(verma_zmodule(graph, ()), 0)
-    z = zmod._grown_algebra(graph, [(), (0,)], 2, 1, "the interval [e, s]")
+    z = grown_algebra(graph, [(), (0,)], 2, 1, "the interval [e, s]")
     assert sorted(t.slots) == sorted(z.slots)
     for gen, d in zip(t.generators, t.degrees):
         assert lattice_contains(z, gen, d // 2)

@@ -100,6 +100,13 @@ def test_weight_delta_suffix(cartan_file, capsys):
     assert json.loads(out)["base_weight"]["delta"] == "1/3"
 
 
+def test_a_delta_suffix_on_finite_data_is_usage_error(cartan_file, capsys):
+    path = cartan_file(A2)
+    code, out = run(capsys, ["block", "--cartan", path, "--weight", "0,0;delta=1/3"])
+    assert code == 1
+    assert json.loads(out)["error"] == "a delta coordinate needs affine Cartan data"
+
+
 def test_require_noncritical_rejects_critical(cartan_file, capsys):
     path = cartan_file(A1_AFFINE)
     code, out = run(
@@ -481,6 +488,32 @@ def test_affine_a1_center_has_every_edge(cartan_file, capsys):
     assert code == 0
     degrees = [g["degree"] for g in json.loads(out)["generators"]]
     assert degrees == [0, 2, 2, 4, 4, 6, 6, 8, 8, 10, 10, 12, 12]
+
+
+def test_singular_center_prints_the_schubert_basis(cartan_file, capsys):
+    # A2 (0, -1) is dominant with stabilizer {e, s2}: one class per minimal
+    # coset representative, of degree 2 l(v)
+    path = cartan_file(A2)
+    code, out = run(capsys, ["center", "--cartan", path, "--weight", "0,-1"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["slots"] == ["e", "1", "2 1"]
+    assert [g["degree"] for g in report["generators"]] == [0, 2, 4]
+
+
+def test_singular_center_refuses_a_cut_that_is_not_a_lower_set(cartan_file, capsys):
+    # A3 (0, -2, 1) is interior to its orbit; cut at length 2, a vertex has
+    # an edge out of the cut, and the chamber base (-1, 0, 0) is named
+    path = cartan_file(A3)
+    block = ["--cartan", path, "--weight", "0,-2,1"]
+    code, out = run(capsys, ["center"] + block + ["--length-bound", "2"])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert "length bound 2 is not a lower set" in error
+    assert "chamber base weight -1,0,0 of the same orbit passes" in error
+    code, out = run(capsys, ["center"] + block)  # the whole orbit
+    assert code == 0
+    assert len(json.loads(out)["slots"]) == 12
 
 
 def test_block_names_a_height_bound_that_passes(cartan_file, capsys):

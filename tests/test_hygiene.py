@@ -5,7 +5,8 @@ API, no function keeps a global cache, only the root systems and
 `Poly` only at its boundary, every name
 the benchmark's tracer wraps exists, `import blocko.cli` loads no module
 that only some commands need, package imports sit at module level, and no
-module reads another module's private names."""
+module reads another module's private names; README states the line count
+of the package."""
 
 import ast
 import importlib
@@ -289,3 +290,14 @@ def test_no_module_reads_another_modules_private_name(path):
     # what one module needs of another is public there
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _private_names_of_other_modules(tree) == []
+
+
+def test_readme_states_the_src_line_count():
+    # README gives the size of the package under test; `wc -l` counts
+    # newlines over src/blocko/*.py
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    stated = re.search(r"`src/blocko`,\s+is\s+([\d,]+)\s+lines\s+by\s+`wc\s+-l`", readme)
+    assert stated, "README names no line count of `src/blocko`"
+    assert int(stated.group(1).replace(",", "")) == sum(
+        path.read_bytes().count(b"\n") for path in MODULES
+    )

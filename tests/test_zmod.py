@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import poly_graded
+from congruence_algebra import congruence_rows, grown_algebra
 from blocko import blocks, coxeter, kl, linalg, poly, rootdata, zmod
 from blocko.errors import CriticalityError, TruncationError, UnsupportedError
 from blocko.poly import Poly, divisible_by_linear
@@ -262,7 +263,7 @@ def _subset_algebra(graph, words):
     """The kernel route's congruence algebra on a vertex subset."""
     words = sorted(words, key=lambda w: (len(w), w))
     edges = sum(1 for e in graph.edges if e <= set(words))
-    return zmod._grown_algebra(graph, words, len(words), edges, "subset")
+    return grown_algebra(graph, words, len(words), edges, "subset")
 
 
 @pytest.mark.parametrize("case", sorted(CERTIFIED))
@@ -325,9 +326,10 @@ def test_invariant_subalgebra_fails_loudly_where_the_classes_do_not_span():
 @pytest.mark.parametrize("off", [-1, 1])
 def test_an_edge_count_off_by_one_is_not_certified(a2_graph, off):
     words = a2_graph.vertices
+    gens = zmod._gen_vectors(structure_algebra(a2_graph))
     edges = len(a2_graph.edges)
     with pytest.raises(UnsupportedError, match="not free"):
-        zmod._grown_algebra(a2_graph, words, len(words), edges + off, "A2")
+        zmod._free_algebra(a2_graph, words, gens, len(words), edges + off, "A2")
 
 
 def test_structure_algebra_is_stored_on_the_graph(a2_graph):
@@ -337,7 +339,7 @@ def test_structure_algebra_is_stored_on_the_graph(a2_graph):
 
 
 # ---------------------------------------------------------------------------
-# Schubert classes against the kernel route (`zmod._grown_algebra`)
+# Schubert classes against the kernel route (tests/congruence_algebra.py)
 
 SCHUBERT_GRAPHS = {
     "A2": lambda: _graph(A2, 0, 0),
@@ -349,6 +351,23 @@ SCHUBERT_GRAPHS = {
     "A2~-length4": lambda: _graph(A2_AFFINE, 0, 0, 0, length_bound=4),
     "G2(1/3,0)": lambda: _graph(G2, Fraction(1, 3), 0),
     "B2(0,1/2)": lambda: _graph(B2, 0, Fraction(1, 2)),
+    # singular: dominant, antidominant and interior bases, whole or cut
+    "A2(0,-1)": lambda: _graph(A2, 0, -1),
+    "A2(0,-2)": lambda: _graph(A2, 0, -2),
+    "A2(-2,-1)": lambda: _graph(A2, -2, -1),
+    "B2(-1,0)": lambda: _graph(B2, -1, 0),
+    "G2(0,-1)": lambda: _graph(G2, 0, -1),
+    "G2(1,-3)": lambda: _graph(G2, 1, -3),
+    "A3(0,-1,0)": lambda: _graph(A3, 0, -1, 0),
+    "A3(-1,0,-1)": lambda: _graph(A3, -1, 0, -1),
+    "A3(0,-2,1)": lambda: _graph(A3, 0, -2, 1),
+    "A1~(2,-3)-length6": lambda: _graph(A1_AFFINE, 2, -3, length_bound=6),
+    "A1~(-2,-1)-length6": lambda: _graph(A1_AFFINE, -2, -1, length_bound=6),
+    "A2~(0,-1,0)-length4": lambda: _graph(A2_AFFINE, 0, -1, 0, length_bound=4),
+    # stabilizer order 6
+    "A2~(-2,-1,-1)-length4": lambda: _graph(A2_AFFINE, -2, -1, -1, length_bound=4),
+    "A3(-2,-1,-2)-length3": lambda: _graph(A3, -2, -1, -2, length_bound=3),
+    "B2(-3,-1)-length2": lambda: _graph(B2, -3, -1, length_bound=2),
 }
 
 
@@ -370,44 +389,44 @@ def _contains(M, N):
 def test_schubert_classes_and_the_kernel_route_contain_each_other(case):
     graph = SCHUBERT_GRAPHS[case]()
     z = structure_algebra(graph)
-    ref = zmod._grown_algebra(
-        graph, graph.vertices, len(graph.vertices), len(graph.edges), case
-    )
+    ref = grown_algebra(graph, graph.vertices, len(graph.vertices), len(graph.edges), case)
     assert z.slots == ref.slots
     assert _contains(z, ref) and _contains(ref, z)
 
 
-def _kernel_route_calls(monkeypatch):
+def _schubert_route_calls(monkeypatch):
     calls = []
-    grown = zmod._grown_algebra
+    schubert = zmod._schubert_algebra
 
-    def counted(*args):
-        calls.append(args[1])
-        return grown(*args)
+    def counted(graph, what):
+        calls.append(graph)
+        return schubert(graph, what)
 
-    monkeypatch.setattr(zmod, "_grown_algebra", counted)
+    monkeypatch.setattr(zmod, "_schubert_algebra", counted)
     return calls
 
 
 def test_a_lower_ideal_takes_the_schubert_classes(monkeypatch):
-    calls = _kernel_route_calls(monkeypatch)
+    calls = _schubert_route_calls(monkeypatch)
     z = structure_algebra(_graph(G2, 0, 0))
     # xi^v in (length, ShortLex) order of v, of degree 2 l(v)
     assert z.degrees == [2 * len(v) for v in z.slots]
     assert [str(p) for p in z.generators[0]] == ["1"] * z.rank
-    assert calls == []
-
-
-@pytest.mark.parametrize("case", ["A2-singular(0,-2)"])
-def test_other_vertex_sets_take_the_kernel_route(case, monkeypatch):
-    graph = _graph(A2, 0, -2)
-    calls = _kernel_route_calls(monkeypatch)
-    z = structure_algebra(graph)
     assert len(calls) == 1
-    vertices = set(z.slots)
-    edges = [e for e in graph.edges if e <= vertices]
-    assert len(z.generators) == len(vertices) == _generic_rank(z)
-    assert sum(z.degrees) == 2 * len(edges)
+
+
+def test_an_interior_singular_graph_takes_the_schubert_classes(monkeypatch):
+    """A2 (0, -2) is interior to its orbit: the vertices e, 1 and 2 have
+    the chamber-walk words 2, 1 2 and e, and each class xi^{m(v)} has
+    degree 2 l(m(v))."""
+    graph = _graph(A2, 0, -2)
+    calls = _schubert_route_calls(monkeypatch)
+    z = structure_algebra(graph)
+    assert calls == [graph]
+    assert [graph.billey[v][0] for v in z.slots] == [(1,), (0, 1), ()]
+    assert z.degrees == [2, 4, 0]
+    assert len(z.generators) == z.rank == _generic_rank(z)
+    assert sum(z.degrees) == 2 * len(graph.edges)
 
 
 def test_simple_roots_in_place_of_the_inversion_roots_fail(monkeypatch):
@@ -429,14 +448,21 @@ def test_simple_roots_in_place_of_the_chamber_walk_roots_fail(monkeypatch):
 
 
 def test_a_wrong_edge_label_breaks_a_schubert_congruence():
-    """The Schubert classes read h_{r_l} from the edge from w down to its
-    prefix; with h_{alpha_2} on the G2 edge s1 s2 - s1 in place of h_{r_2},
-    they keep their count, generic rank and degree sum, and the other edges'
-    congruences catch them."""
+    """The Schubert classes read h_{r_l} from the Billey roots of each word;
+    with alpha_2 in place of r_2 for the G2 word 1 2, they keep their count,
+    generic rank and degree sum, and the edge congruences catch them.  The
+    congruences read the labels of the graph's edges: h_{alpha_2} on the
+    edge 1 2 - 1 breaks them too."""
+    graph = _graph(G2, 0, 0)
+    word, roots = graph.billey[(0, 1)]
+    graph.billey[(0, 1)] = (word, [roots[0], graph.block.integral_simples[1]])
+    with pytest.raises(TruncationError, match="Schubert class at 2 breaks the "
+                       "congruence on the edge 1 - 1 2$"):
+        structure_algebra(graph)
     graph = _graph(G2, 0, 0)
     graph.edges[frozenset({(0, 1), (0,)})] = graph.edges[frozenset({(1,), ()})]
     with pytest.raises(TruncationError, match="Schubert class at 2 breaks the "
-                       "congruence on the edge e - 1 2 1"):
+                       "congruence on the edge 1 - 1 2$"):
         structure_algebra(graph)
 
 
@@ -1128,7 +1154,7 @@ def test_integer_graded_pieces_match_the_poly_route(case):
     # congruence rows on the lattice's vertices, up to a factor per row
     words = sorted(set(M.slots), key=lambda w: (len(w), w))
     for d in range(4):
-        assert _normalized_rows(zmod._congruence_rows(graph, words, d)) == (
+        assert _normalized_rows(congruence_rows(graph, words, d)) == (
             _normalized_rows(poly_graded.congruence_rows(graph, words, d))
         )
     # expand_many on the products z * g, and on x1^d at the first slot
