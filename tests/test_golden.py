@@ -4,7 +4,7 @@
 `golden_bott_samelson.json` the `zlattice_to_json` of the Bott-Samelson
 lattices of every word of length at most 4 over six blocks, and
 `golden_projectives.json` the `zlattice_to_json` and `graded_char` of every
-projective of four of those blocks; all three are written by
+projective of four of those blocks and of five more; all three are written by
 `PYTHONPATH=src python tests/test_golden.py --write`.  Any
 change to the exact linear algebra underneath, or to the structure algebra
 that translation multiplies by, must leave them byte-identical: reduced
@@ -24,7 +24,7 @@ import pytest
 
 from blocko import blocks, cli, rootdata, zmod
 
-from conftest import A1_AFFINE, A2, A3, B2, weight
+from conftest import A1_AFFINE, A2, A2_AFFINE, A3, B2, weight
 
 G2 = [[2, -1], [-3, 2]]
 GOLDEN = Path(__file__).with_name("golden_zmod.json")
@@ -116,9 +116,21 @@ BS_BLOCKS = {
 # the blocks of BS_BLOCKS whose every projective is in the projective golden
 PROJECTIVE_BLOCKS = ("A1~", "A3", "B2", "G2(1/3,0)")
 
+# (Cartan matrix, weight, length bound) of the further blocks whose every
+# projective is in the projective golden: antidominant bases (where the
+# projectives are the tilting sheaves), a regular interior base, affine A2
+# and a block whose W(lambda) is not W
+PROJECTIVE_ONLY_BLOCKS = {
+    "A2(-2,-2)": (A2, (-2, -2), blocks.DEFAULT_LENGTH_BOUND),
+    "A1~(-2,-2)": (A1_AFFINE, (-2, -2), 5),
+    "A2(2,-2)": (A2, (2, -2), blocks.DEFAULT_LENGTH_BOUND),
+    "A2~": (A2_AFFINE, (0, 0, 0), 4),
+    "B2(0,1/2)": (B2, (0, "1/2"), blocks.DEFAULT_LENGTH_BOUND),
+}
+
 
 def _block_graph(name):
-    matrix, coords, length_bound = BS_BLOCKS[name]
+    matrix, coords, length_bound = {**BS_BLOCKS, **PROJECTIVE_ONLY_BLOCKS}[name]
     cartan = rootdata.cartan_datum(matrix)
     block = blocks.block_data(cartan, weight(cartan, *coords), length_bound=length_bound)
     return zmod.moment_graph(block)
@@ -162,7 +174,7 @@ def test_bott_samelson_golden(name):
     assert _dump(_bott_samelson_lattices(name)) == _dump(golden[name])
 
 
-@pytest.mark.parametrize("name", PROJECTIVE_BLOCKS)
+@pytest.mark.parametrize("name", PROJECTIVE_BLOCKS + tuple(PROJECTIVE_ONLY_BLOCKS))
 def test_projective_golden(name):
     golden = json.loads(PROJECTIVE_GOLDEN.read_text())
     assert _dump(_block_projectives(name)) == _dump(golden[name])
@@ -182,4 +194,5 @@ if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     data = {name: case() for name, case in sorted(CASES.items())}
     GOLDEN.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
     _write_per_lattice(BS_GOLDEN, sorted(BS_BLOCKS), _bott_samelson_lattices)
-    _write_per_lattice(PROJECTIVE_GOLDEN, PROJECTIVE_BLOCKS, _block_projectives)
+    _write_per_lattice(PROJECTIVE_GOLDEN, PROJECTIVE_BLOCKS + tuple(PROJECTIVE_ONLY_BLOCKS),
+                       _block_projectives)
