@@ -35,9 +35,20 @@ class UsageError(ValueError):
 # input parsing
 
 
+def _read(parse, text):
+    """parse(text), where a ValueError means the text is bad input."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def load_cartan(path) -> rootdata.CartanDatum:
     with open(path) as fh:
-        return rootdata.cartan_from_json(json.load(fh))
+        obj = _read(json.load, fh)
+    if isinstance(obj, dict) and isinstance(obj.get("symmetrizer"), list):
+        obj["symmetrizer"] = [_read(rootdata.parse_rational, d) for d in obj["symmetrizer"]]
+    return rootdata.cartan_from_json(obj)
 
 
 def parse_weight(cartan, text) -> rootdata.Weight:
@@ -51,10 +62,8 @@ def parse_weight(cartan, text) -> rootdata.Weight:
             raise UsageError(f"unrecognized weight suffix {tail!r}")
         if not cartan.is_affine:
             raise UsageError("a delta coordinate needs affine Cartan data")
-        delta = rootdata.parse_rational(tail[len("delta=") :])
-    coords = tuple(
-        rootdata.parse_rational(c.strip()) for c in text.split(",")
-    )
+        delta = _read(rootdata.parse_rational, tail[len("delta=") :])
+    coords = tuple(_read(rootdata.parse_rational, c.strip()) for c in text.split(","))
     if len(coords) != cartan.rank:
         raise UsageError(
             f"weight has {len(coords)} coordinates, Cartan rank is {cartan.rank}"
@@ -229,8 +238,9 @@ def cmd_kl(args):
     if args.x is None or args.w is None:
         raise UsageError("kl requires --x and --w")
     system = _integral_coxeter(cartan)
-    x = system.element(parse_word(args.x))
-    w = system.element(parse_word(args.w))
+    # a letter outside the generators is bad input
+    x = _read(system.element, parse_word(args.x))
+    w = _read(system.element, parse_word(args.w))
     table = kl.KLTable(system)
     loaded = _load_kl_cache(table)
     p = table.poly(x, w)
@@ -250,7 +260,7 @@ def cmd_character(args):
     block = _build_block(args)
     if args.w is None:
         raise UsageError("character requires --w")
-    w = block.coxeter_system.element(parse_word(args.w))
+    w = _read(block.coxeter_system.element, parse_word(args.w))
     table = kl.KLTable(block.coxeter_system)
     loaded = _load_kl_cache(table)
     char = kl.simple_character(block, w, table)
@@ -277,7 +287,7 @@ def cmd_bs(args):
     if args.word is None:
         raise UsageError("bs requires --word")
     word = parse_word(args.word)
-    block.coxeter_system.element(word)  # a letter outside W(lambda)'s is bad input
+    _read(block.coxeter_system.element, word)  # a letter outside W(lambda)'s is bad input
     from . import zmod  # only bs and center need it
     graph = zmod.moment_graph(block)
     if block.position not in _SHEAF_NAMES:
@@ -393,8 +403,9 @@ def main(argv=None) -> int:
         for bound in ("length-bound", "degree-bound"):
             _positive(args, bound)
         report = args.func(args)
-    except (ValueError, OSError, CartanError) as exc:
-        # malformed input of any kind, including bad Cartan data
+    except (UsageError, OSError, CartanError) as exc:
+        # malformed input of any kind, including bad Cartan data; any other
+        # ValueError is a fault of the program
         emit({"error": str(exc)}, "json")
         return 1
     except BlockoError as exc:

@@ -236,13 +236,14 @@ def _extremal_position(block):
     return position
 
 
-def _elements(block, length_bound):
-    """The whole integral Weyl group, or its elements up to the length bound
-    when it is infinite; the flag says whether the list is truncated."""
+def _elements(block):
+    """The whole integral Weyl group, or its elements up to the block's
+    length bound when it is infinite; the flag says whether the list is
+    truncated."""
     system = block.coxeter_system
     if coxeter.is_finite(system):
         return coxeter.all_elements(system), False
-    return coxeter.elements_up_to(system, length_bound), True
+    return coxeter.elements_up_to(system, block.length_bound), True
 
 
 def _require_within_the_bound(block, w: Element):
@@ -277,7 +278,7 @@ def simple_character(block, w: Element, table: KLTable = None) -> CharacterVecto
                 coeffs[y.word] = c
     else:
         _require_within_the_bound(block, w)
-        elems, truncated = _elements(block, block.length_bound)
+        elems, truncated = _elements(block)
         for y in elems:
             if not bruhat_leq(w, y):
                 continue
@@ -297,7 +298,7 @@ def _multiplicity(table, position, y, w):
     return poly_eval_one(table.inverse_poly(w, y))
 
 
-def decomposition_matrix(block, length_bound=None, table: KLTable = None):
+def decomposition_matrix(block, table: KLTable = None):
     """[M(y.lambda) : L(w.lambda)] for orbit words y, w related in the Bruhat
     order: P_{y,w}(1) for y <= w over a dominant base, Q_{w,y}(1) for w <= y
     over an antidominant one.  Every entry only needs the Bruhat interval
@@ -306,9 +307,7 @@ def decomposition_matrix(block, length_bound=None, table: KLTable = None):
     position = _extremal_position(block)
     if table is None:
         table = KLTable(block.coxeter_system)
-    if length_bound is None:
-        length_bound = block.length_bound
-    elems, _ = _elements(block, length_bound)
+    elems, _ = _elements(block)
     out = {}
     for y in elems:
         for w in elems:
@@ -330,7 +329,7 @@ def projective_multiplicities(block, w: Element, table: KLTable = None):
         _require_within_the_bound(block, w)
     if table is None:
         table = KLTable(block.coxeter_system)
-    elems, _ = _elements(block, block.length_bound)
+    elems, _ = _elements(block)
     out = {}
     for y in elems:
         mult = _multiplicity(table, position, y, w)

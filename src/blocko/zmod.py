@@ -166,12 +166,6 @@ class ZLattice:
     def rank(self):
         return len(self.slots)
 
-    def vertex_multiset(self):
-        out = {}
-        for w in self.slots:
-            out[w] = out.get(w, 0) + 1
-        return out
-
 
 # ---------------------------------------------------------------------------
 # integer graded pieces: a degree-d slot tuple is a slot-major vector of
@@ -1017,37 +1011,29 @@ def _section_vector(graph, values, vertices, stalks, d):
     return vec
 
 
-def _stalk_generators(graph, gens, images, image):
-    """Indices of the sections whose images are minimal homogeneous
-    generators of M_x: gens are the sections' slot vectors over the target
-    slots (integers, denominator, polynomial degree), images their images,
-    and image(vec, d) maps a degree-d slot vector.  In increasing degree, a
-    section is kept iff its image lies outside the span of the images of
-    monomial multiples of the sections kept so far."""
-    chosen = []
-    for d in sorted({dg for _, _, dg in gens}):
-        multiples = _multiples(graph, [gens[i] for i in chosen], d)
-        span = Echelon(image(v, d) for _, _, v in multiples)
-        chosen.extend(
-            i for i, (_, _, dg) in enumerate(gens) if dg == d and span.add(images[i])
-        )
-    return chosen
-
-
 def _glue(graph, x, up, stalks, sections, bound):
     """The sections over U and x, from those over U: B^x is free on the
     minimal generators of M_x, and a section over U with image m glues to
     the element of B^x with image m.  `up` holds, per edge E from x up to
     y, the pair of y and the `_label` of h_E.  Sets stalks[x].
 
-    Certified within the polynomial degree bound: every section over U
-    glues, so B^x maps onto M_x; (a) on every edge E from x up to y,
-    B^x -> B^y / h_E B^y is onto in every degree; (b) the kernel K_x of
-    B^x -> M_x has exactly r_x = rank B^x minimal generators, generically
-    independent, with degrees adding up to the degrees of B^x plus the
-    ranks r_y over the edges.  Localised at h_E, (a) gives K_x index
-    h_E^(r_y) in B^x, so by (b) K_x is generated within the bound, and the
-    new sections are the old ones glued plus K_x at x.
+    One elimination per degree d, of the rows [image | B^x coordinates] of
+    the multiples m_p * b_t of the generators found in lower degrees.  Each
+    section of degree d, with a coordinate column of its own, is reduced
+    against them once: an image left nonzero makes it the next generator
+    b_t (its row is added, stalks[x] grows, and the slot vectors at x made
+    before get b_t's zero slots), otherwise c times the section glues to
+    minus the B^x coordinates of its reduced row.  So every section over U
+    glues, and B^x maps onto M_x, by construction.
+
+    Certified within the polynomial degree bound: (a) on every edge E from
+    x up to y, B^x -> B^y / h_E B^y is onto in every degree; (b) the kernel
+    K_x of B^x -> M_x (the rows with a zero image) has exactly r_x = rank
+    B^x minimal generators, generically independent, with degrees adding up
+    to the degrees of B^x plus the ranks r_y over the edges.  Localised at
+    h_E, (a) gives K_x index h_E^(r_y) in B^x, so by (b) K_x is generated
+    within the bound, and the new sections are the old ones glued plus K_x
+    at x.
 
     (a) is checked in the degrees of B^y's generators only: the image of
     B^x in B^y / h_E B^y is an S-submodule, so once it holds the classes of
@@ -1078,21 +1064,13 @@ def _glue(graph, x, up, stalks, sections, bound):
             out.extend(sum(map(mul, xs, map(at, ps))) for ps, xs in block)
         return out
 
+    def padded(vec, d):  # slot-major: later generators' slots come last
+        return vec + [0] * (len(stalk) * _width(graph, d) - len(vec))
+
     above = [y for y, _ in up]
-    gens = [(_section_vector(graph, v, above, stalks, d), 1, d) for d, v in sections]
-    images = [image(vec, d) for vec, _, d in gens]
-    chosen = _stalk_generators(graph, gens, images, image)
-    stalk = [gens[i] for i in chosen]
-    stalks[x] = [d for _, _, d in stalk]
-    r = len(stalk)
+    stalk, stalks[x] = [], []  # B^x's generators, over the target slots
     glued = {}
-    for t, i in enumerate(chosen):
-        width = _width(graph, stalks[x][t])
-        unit = [0] * (r * width)
-        unit[t * width] = 1  # x_1^(deg b_t) in slot t
-        glued[i] = {**sections[i][1], x: unit}
     last = max([d for d, _ in sections] + [k for y in above for k in stalks[y]])
-    expected = (r, r, sum(stalks[x]) + sum(len(stalks[y]) for y in above))
     kgens = []  # K_x's minimal generators, in increasing degree
 
     def certificate():
@@ -1104,16 +1082,45 @@ def _glue(graph, x, up, stalks, sections, bound):
 
     for d in range(bound + 1):
         width = _width(graph, d)
+        nq = sum(map(len, quotient(d)))
         basis = list(_multiples(graph, stalk, d))  # m_p * b_t
-        n = len(basis)
-        # rows [image | B^x coordinates | 0]: rows with their pivot past the
-        # image columns span K_x in degree d
+        own = [i for i, (dg, _) in enumerate(sections) if dg == d]
+        # coordinate columns: (t, p) per m_p * b_t, then one per section of
+        # degree d, (t, 0) once it is the generator b_t
+        cols = [(t, p) for t, p, _ in basis] + [None] * len(own)
         aug = Echelon(
-            image(vec, d) + [int(j == c) for c in range(n + 1)]
+            image(vec, d) + [int(j == c) for c in range(len(cols))]
             for j, (_, _, vec) in enumerate(basis)
         )
+
+        def in_slots(coeffs):
+            out = [0] * (len(stalk) * width)
+            for col, c in zip(cols, coeffs):
+                if col and c:
+                    t, p = col
+                    dt = stalks[x][t]
+                    out[t * width + _shifts(graph, d - dt, dt)[p][0]] = c
+            return out
+
+        for j, i in enumerate(own, len(basis)):
+            values = sections[i][1]
+            vec = _section_vector(graph, values, above, stalks, d)
+            row = image(vec, d) + [int(j == c) for c in range(len(cols))]
+            rest = aug.reduce(row)
+            if any(rest[:nq]):  # the next generator b_t glues to b_t
+                aug.add(rest)
+                cols[j] = (len(stalk), 0)
+                stalk.append((vec, 1, d))
+                stalks[x].append(d)
+                c, coords = 1, row[nq:]
+            else:  # c * section i glues to minus rest's coordinates
+                c, coords = rest[nq + j], [-a for a in rest[nq:]]
+            lifted = {y: [c * a for a in v] for y, v in values.items()}
+            lifted[x] = in_slots(coords)
+            g = gcd(*(a for v in lifted.values() for a in v))
+            glued[i] = {y: [a // g for a in v] for y, v in lifted.items()}
+
         spans = [len(block) for block in quotient(d)]
-        nq = sum(spans)
         start = 0
         for y, _ in up:  # (a): each edge's columns have full rank
             stop = start + sum(spans[: len(stalks[y])])
@@ -1127,30 +1134,13 @@ def _glue(graph, x, up, stalks, sections, bound):
                     )
             start = stop
 
-        def in_slots(coeffs):
-            out = [0] * (r * width)
-            for (t, p, _), c in zip(basis, coeffs):
-                dt = stalks[x][t]
-                out[t * width + _shifts(graph, d - dt, dt)[p][0]] = c
-            return out
-
-        kernel = [in_slots(row[nq:-1]) for row, p in zip(aug.rows, aug.pivots) if p >= nq]
+        kgens = [(padded(vec, dg), 1, dg) for vec, _, dg in kgens]
+        kernel = [in_slots(row[nq:]) for row, p in zip(aug.rows, aug.pivots) if p >= nq]
         if kernel:  # kept iff outside the span of the multiples kept so far
             span = Echelon(v for _, _, v in _multiples(graph, kgens, d))
             kgens += [(vec, 1, d) for vec in kernel if span.add(vec)]
-        for i, (deg, values) in enumerate(sections):
-            if deg == d and i not in glued:
-                # rest = c (image_i, 0, 1) minus rows: c * section i glues
-                # to minus rest's B^x coordinates
-                rest = aug.reduce(images[i] + [0] * n + [1])
-                if any(rest[:nq]):
-                    raise TruncationError(
-                        f"{where}: a section of degree {d} does not lift to B^x"
-                    )
-                lifted = {y: [rest[-1] * c for c in v] for y, v in values.items()}
-                lifted[x] = in_slots([-c for c in rest[nq:-1]])
-                g = gcd(*(c for v in lifted.values() for c in v))
-                glued[i] = {y: [c // g for c in v] for y, v in lifted.items()}
+        r = len(stalk)
+        expected = (r, r, sum(stalks[x]) + sum(len(stalks[y]) for y in above))
         if d >= last and len(kgens) == r and certificate() == expected:
             break
     else:  # (b) never closed
@@ -1158,9 +1148,8 @@ def _glue(graph, x, up, stalks, sections, bound):
             f"{where}: the kernel of B^x -> M_x has (generators, generic rank, "
             f"degree sum) {certificate()}, expected {expected}"
         )
-    return [(d, glued[i]) for i, (d, _) in enumerate(sections)] + [
-        (d, {x: vec}) for vec, _, d in kgens
-    ]
+    out = [(d, {**glued[i], x: padded(glued[i][x], d)}) for i, (d, _) in enumerate(sections)]
+    return out + [(d, {x: vec}) for vec, _, d in kgens]
 
 
 def identify_projective(graph: MomentGraphBlock, w) -> ZLattice:

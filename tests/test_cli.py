@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from blocko import cli, kl, linalg, zmod
+from blocko import cli, kl, linalg, rootdata, zmod
 from blocko.errors import TruncationError
 
 from conftest import A1, A1_AFFINE, A2, A2_AFFINE, A3, B2, B3, G2
@@ -274,6 +274,12 @@ def _singular_invert(args):
     return linalg.invert([[1, 2], [2, 4]])
 
 
+def _mixed_cartan(args):
+    # a fault of the program that the library reports as a ValueError
+    a1, a2 = rootdata.cartan_datum(A1), rootdata.cartan_datum(A2)
+    return rootdata.Weight(a1, (0,)) + rootdata.Weight(a2, (0, 0))
+
+
 def _raiser(exc):
     def command(args):
         raise exc
@@ -287,10 +293,12 @@ def _raiser(exc):
         (_raiser(cli.UsageError("bad flag")), 1),
         (_raiser(TruncationError("bound too small")), 2),
         (_singular_invert, 3),
+        (_mixed_cartan, 3),
         (_raiser(KeyError("slot")), 3),
         (_raiser(RuntimeError("bug")), 3),
     ],
-    ids=["usage", "rejection", "singular-invert", "key-error", "runtime-error"],
+    ids=["usage", "rejection", "singular-invert", "library-value-error", "key-error",
+         "runtime-error"],
 )
 def test_exit_code_separates_faults_from_input(command, code, cartan_file, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_block", command)

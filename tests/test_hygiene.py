@@ -1,6 +1,6 @@
 """Source hygiene of the package: every imported name is used, every
-private function is called, every public one has a caller or is named as
-API, no function keeps a global cache, only the root systems and
+private function is called, every public function and every method has a
+caller or is named as API, no function keeps a global cache, only the root systems and
 `blocks.integral_roots` name a height bound, `zmod` builds and evaluates
 `Poly` only at its boundary, every name
 the benchmark's tracer wraps exists, `import blocko.cli` loads no module
@@ -159,10 +159,11 @@ def test_every_private_function_is_called(module, index, name):
     )
 
 
-# public functions no code in the package or the benchmark calls, kept as
-# the library's API: Verma embedding dimensions (acceptance 8) and reading
-# a weight from its JSON form, the inverse of `weight_to_json`
-_API = {"verma_hom_dim", "weight_from_json"}
+# public functions and methods no code in the package or the benchmark
+# calls, kept as the library's API: Verma embedding dimensions (acceptance
+# 8), reading a weight from its JSON form, the inverse of `weight_to_json`,
+# and the inverse of a Weyl group element, read off its system's table
+_API = {"verma_hom_dim", "weight_from_json", "Element.inverse"}
 
 # every name the benchmark's scripts mention
 PERFBENCH_NAMES = set(re.findall(r"\w+", "\n".join(
@@ -179,6 +180,42 @@ def test_every_public_function_has_a_caller(module, index, name):
         or name.startswith("cmd_")
         or name in _API
     )
+
+
+def _methods():
+    """(module file, class, method) of each method of a class in the
+    package, dunders aside."""
+    for path in MODULES:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(top, ast.ClassDef):
+                for node in top.body:
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                        yield pytest.param(path.name, top.name, node.name,
+                                           id=f"{path.stem}.{top.name}.{node.name}")
+
+
+def _used_outside(module, cls, name):
+    """Whether the package uses the name anywhere but in the body of the
+    method cls.name of the module."""
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        own = set()
+        if path.name == module:
+            klass = next(n for n in tree.body if getattr(n, "name", None) == cls)
+            own = set(ast.walk(next(n for n in klass.body if getattr(n, "name", None) == name)))
+        if any(getattr(node, "id", getattr(node, "attr", None)) == name
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.Name, ast.Attribute)) and node not in own):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("module, cls, name", list(_methods()))
+def test_every_method_has_a_caller(module, cls, name):
+    # as for functions: a use in the package outside its own body, a name
+    # the benchmark reads, or the API list above
+    assert (_used_outside(module, cls, name) or name in PERFBENCH_NAMES
+            or f"{cls}.{name}" in _API)
 
 
 def _wrapped_paths():
