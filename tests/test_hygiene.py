@@ -202,7 +202,8 @@ def _used_outside(module, cls, name):
         own = set()
         if path.name == module:
             klass = next(n for n in tree.body if getattr(n, "name", None) == cls)
-            own = set(ast.walk(next(n for n in klass.body if getattr(n, "name", None) == name)))
+            method = next(n for n in klass.body if getattr(n, "name", None) == name)
+            own = set(ast.walk(method))
         if any(getattr(node, "id", getattr(node, "attr", None)) == name
                for node in ast.walk(tree)
                if isinstance(node, (ast.Name, ast.Attribute)) and node not in own):
