@@ -244,9 +244,6 @@ class CoxeterSystem:
     def element(self, word=()):
         return self.elements[self._product(tuple(word))]
 
-    def generator(self, i):
-        return self.element((i,))
-
 
 class Element(Value):
     __slots__ = ("system", "word", "id")

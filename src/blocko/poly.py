@@ -49,12 +49,6 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
-    def degree(self):
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
 

@@ -438,6 +438,9 @@ def build_root_system(cartan: CartanDatum, height_bound: int) -> RootSystem:
 # serialization helpers
 
 def parse_rational(s) -> Fraction:
+    """A rational from an int, a Fraction or its text; not from a bool."""
+    if isinstance(s, bool):
+        raise ValueError(f"{str(s).lower()} is a boolean, not a number")
     if isinstance(s, (int, Fraction)):
         return frac(s)
     try:
@@ -454,6 +457,8 @@ def cartan_from_json(obj) -> CartanDatum:
     if not isinstance(obj, dict) or not isinstance(obj.get("matrix"), list):
         raise CartanError('Cartan data must be a JSON object with a "matrix" list')
     matrix = obj["matrix"]
+    if "rank" in obj and type(obj["rank"]) is not int:
+        raise CartanError("rank must be an integer")
     if "rank" in obj and len(matrix) != obj["rank"]:
         raise CartanError("rank does not match matrix size")
     symmetrizer = obj.get("symmetrizer")

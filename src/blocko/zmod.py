@@ -7,11 +7,11 @@ labeled by the linear form h_beta = (beta, -).  A critical block, which
 Fiebig's theorem leaves out, is refused.  The structure algebra Z is the set
 of vertex-tuples (z_w) with z_w congruent to z_{s_beta w} mod h_beta on
 every edge.  Modules over Z are presented as graded lattices: finitely many
-vertex-labeled slots plus homogeneous generator tuples of `Poly`.  The
-linear algebra runs on integer graded pieces: a degree-d slot tuple is a
-slot-major integer vector over one denominator, indexed by monomial tables
-the moment graph builds on demand, so that multiplying by a monomial is an
-index map.
+vertex-labeled slots plus homogeneous generators.  A generator, like any
+degree-d slot tuple, is a slot-major integer vector over one denominator,
+indexed by monomial tables the moment graph builds on demand, so that
+multiplying by a monomial is an index map; `Poly` tuples are built only
+when a lattice's generators are read.
 
 Degrees: one polynomial variable per fundamental weight (plus one for delta
 in affine type), each of graded degree 2.
@@ -154,17 +154,38 @@ def _vertex_key(word):
 
 
 class ZLattice:
+    """Slots labeled by vertices, and generators held as (integers,
+    denominator, polynomial degree).  Built from slot tuples of Poly of the
+    given graded degrees, which `generators` rebuilds on first read."""
+
+    _generators = None  # the Poly tuples, once read
+
     def __init__(self, graph, slots, generators, degrees):
         self.graph = graph
         self.slots = slots  # vertex word per slot
-        self.generators = generators  # tuples of Poly, homogeneous
-        self.degrees = degrees  # graded degree (= 2 * polynomial degree) per generator
-        # (integers, denominator, polynomial degree) per generator (_gen_vectors)
-        self.vectors = None
+        self.vectors = [_vector(graph, g, d // 2) + (d // 2,)
+                        for g, d in zip(generators, degrees)]
+
+    @classmethod
+    def from_vectors(cls, graph, slots, vectors):
+        """The lattice on the slots generated by the given vectors."""
+        lattice = cls.__new__(cls)
+        lattice.graph, lattice.slots, lattice.vectors = graph, slots, vectors
+        return lattice
 
     @property
     def rank(self):
         return len(self.slots)
+
+    @property
+    def degrees(self):
+        return [2 * d for _, _, d in self.vectors]
+
+    @property
+    def generators(self):
+        if self._generators is None:
+            self._generators = [_poly_tuple(self.graph, *v) for v in self.vectors]
+        return self._generators
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +243,6 @@ def _poly_tuple(graph, vec, den, d):
                            for m, x in zip(monos, vec[s : s + len(monos)]) if x})
         for s in range(0, len(vec), len(monos))
     )
-
-
-def _gen_vectors(M):
-    """M's generators as (integers, denominator, polynomial degree)."""
-    if M.vectors is None:
-        M.vectors = [
-            _vector(M.graph, g, gd // 2) + (gd // 2,)
-            for g, gd in zip(M.generators, M.degrees)
-        ]
-    return M.vectors
 
 
 def _slot_product(graph, a, da, amap, b, db, bmap):
@@ -329,43 +340,47 @@ def minimal_generators(graph, candidates):
         by_degree.setdefault(cand[2], []).append(cand)
     chosen = []
     for d in sorted(by_degree):
-        span = Echelon(v for _, _, v in _multiples(graph, chosen, d))
-        chosen.extend(c for c in by_degree[d] if span.add(c[0]))
+        chosen += _kept(graph, chosen, by_degree[d], d)
     return chosen
 
 
-def _certified_lattice(graph, slots, chosen, count, what):
+def _kept(graph, chosen, candidates, d):
+    """The degree-d candidates outside the S-span of the chosen generators
+    of lower degree and of the candidates kept before them."""
+    span = Echelon(v for _, _, v in _multiples(graph, chosen, d))
+    return [c for c in candidates if span.add(c[0])]
+
+
+def _certificate(graph, chosen):
+    """(count, generic rank, polynomial degree sum) of the generators
+    (integers, denominator, polynomial degree)."""
+    rank = len(Echelon(_generic_values(graph, vec, d) for vec, _, d in chosen).rows)
+    return len(chosen), rank, sum(d for _, _, d in chosen)
+
+
+def _certified_lattice(graph, slots, chosen, count, what, edge_count=None):
     """The lattice on the slots with the chosen minimal generators
     (integers, denominator, polynomial degree), certified free of rank
     `count`: exactly `count` generators, generically independent.  `what`
-    names the lattice in the TruncationError raised otherwise."""
-    if len(chosen) != count:
-        raise TruncationError(f"{what} produced {len(chosen)} generators, not {count}")
-    if len(Echelon(_generic_values(graph, vec, d) for vec, _, d in chosen).rows) != count:
-        raise TruncationError(f"{what} failed its rank certificate")
-    gens = [_poly_tuple(graph, *g) for g in chosen]
-    lattice = ZLattice(graph, tuple(slots), gens, [2 * d for _, _, d in chosen])
-    lattice.vectors = chosen
-    return lattice
+    names the lattice in the TruncationError raised otherwise.
 
-
-def _free_algebra(graph, vertex_words, chosen, count, edge_count, what):
-    """The certified lattice on the chosen generators of the congruence
-    algebra on the sorted vertex subset, whose polynomial degrees must add
-    up to `edge_count`.
-
+    With `edge_count`, the lattice is a congruence algebra on the sorted
+    vertex slots, and its polynomial degrees must add up to `edge_count`.
     The edges with one label h form a matching, so localising at h shows
     that every full-rank sublattice has h^(number of h-edges) dividing its
     determinant; a full-rank sublattice of degree sum `edge_count` has
     determinant c * prod_e h_e, and is the whole algebra."""
-    lattice = _certified_lattice(graph, vertex_words, chosen, count, what)
-    total = sum(dg for _, _, dg in chosen)
-    if total != edge_count:
+    found, rank, total = _certificate(graph, chosen)
+    if found != count:
+        raise TruncationError(f"{what} produced {found} generators, not {count}")
+    if rank != count:
+        raise TruncationError(f"{what} failed its rank certificate")
+    if edge_count is not None and total != edge_count:
         raise UnsupportedError(
             f"{what} is not free: its generator degrees add up to {total}, "
             f"not {edge_count} edges"
         )
-    return lattice
+    return ZLattice.from_vectors(graph, tuple(slots), chosen)
 
 
 def _not_a_lower_set(graph, what):
@@ -405,7 +420,7 @@ def _schubert_algebra(graph, what):
     endpoints leave it (sum_v l(m(v)) is not the edge count), where the
     classes do not span Z.  Certified by exact membership, every edge
     congruence on every generator through the `_restriction_rows` of its
-    label, then by count, generic rank and degree sum (`_free_algebra`)."""
+    label, then by count, generic rank and degree sum (`_certified_lattice`)."""
     vertices, system = graph.vertices, graph.block.coxeter_system
     if sum(len(word) for word, _ in graph.billey.values()) != len(graph.edges):
         raise _not_a_lower_set(graph, what)
@@ -446,7 +461,7 @@ def _schubert_algebra(graph, what):
                     f"{what}: the Schubert class at {word_str(v)} breaks the "
                     f"congruence on the edge {word_str(a)} - {word_str(b)}"
                 )
-    return _free_algebra(graph, vertices, chosen, len(vertices), len(graph.edges), what)
+    return _certified_lattice(graph, vertices, chosen, len(vertices), what, len(graph.edges))
 
 
 def structure_algebra(graph: MomentGraphBlock) -> ZLattice:
@@ -482,7 +497,7 @@ def verma_zmodule(graph: MomentGraphBlock, w) -> ZLattice:
 
 def lattice_contains(M: ZLattice, tup, d) -> bool:
     """Is the degree-d homogeneous tuple in the S-span of M's generators?"""
-    span = Echelon(v for _, _, v in _multiples(M.graph, _gen_vectors(M), d))
+    span = Echelon(v for _, _, v in _multiples(M.graph, M.vectors, d))
     return not any(span.reduce(_vector(M.graph, tup, d)[0]))
 
 
@@ -524,10 +539,10 @@ def theta_s(M: ZLattice, s: int) -> ZLattice:
     algebra = structure_algebra(graph)
     index = {w: i for i, w in enumerate(algebra.slots)}
     z_slots = [index[w] for w in new_slots]  # every vertex of the closure
-    classes = [z for z in _gen_vectors(algebra) if any(_restrict(graph, z[0], z[2], z_slots))]
+    classes = [z for z in algebra.vectors if any(_restrict(graph, z[0], z[2], z_slots))]
     candidates = [
         (_slot_product(graph, z, zd, z_slots, g, gd, sources), gden * zden, gd + zd)
-        for g, gden, gd in _gen_vectors(M)
+        for g, gden, gd in M.vectors
         for z, zden, zd in classes
     ]
     n = len(new_slots)
@@ -565,7 +580,7 @@ def expand_many(M: ZLattice, vectors, pd):
     """Coefficients in M's generator basis of degree-pd slot vectors, given
     as (integers, denominator): per vector None when it lies outside the
     lattice, else per generator {monomial position: Fraction}."""
-    gens = _gen_vectors(M)
+    gens = M.vectors
     # one unknown per multiple m * g_j; its vector is scaled by den_j, so a
     # solution x gives the coefficient x * den_j / den
     multiples = list(_multiples(M.graph, gens, pd))
@@ -588,13 +603,13 @@ def _action_matrices(M: ZLattice, algebra: ZLattice):
     per target degree covers the products of every generator."""
     index = {w: i for i, w in enumerate(algebra.slots)}
     z_slots = [index[w] for w in M.slots]
-    n = len(M.generators)
+    n = len(M.vectors)
     by_pd = {}
-    for t, (z, zden, zd) in enumerate(_gen_vectors(algebra)):
-        for i, (g, gden, gd) in enumerate(_gen_vectors(M)):
+    for t, (z, zden, zd) in enumerate(algebra.vectors):
+        for i, (g, gden, gd) in enumerate(M.vectors):
             vec = _slot_product(M.graph, z, zd, z_slots, g, gd, range(M.rank))
             by_pd.setdefault(zd + gd, []).append((t, i, (vec, zden * gden)))
-    cols = [[None] * n for _ in algebra.generators]
+    cols = [[None] * n for _ in algebra.vectors]
     for pd, items in by_pd.items():
         expanded = expand_many(M, [vec for _, _, vec in items], pd)
         for (t, i, _), coeffs in zip(items, expanded):
@@ -608,10 +623,11 @@ def _action_matrices(M: ZLattice, algebra: ZLattice):
 
 def hom_graded(M: ZLattice, N: ZLattice, d: int, algebra: ZLattice = None):
     """Basis of degree-d maps M -> N commuting with the structure-algebra
-    action, as generator-basis matrices (rows: N generators, cols: M)."""
+    action, as generator-basis matrices (rows: N generators, cols: M).  Any
+    even degree is computed, negative ones too; an odd degree has none."""
     if M.graph is not N.graph:
         raise ValueError("lattices over different graphs")
-    if d < 0 or d % 2:
+    if d % 2:
         return []
     k = d // 2
     graph = M.graph
@@ -619,8 +635,8 @@ def hom_graded(M: ZLattice, N: ZLattice, d: int, algebra: ZLattice = None):
         algebra = structure_algebra(graph)
     fm = _action_matrices(M, algebra)
     fn = fm if N is M else _action_matrices(N, algebra)
-    m_deg = [gd // 2 for gd in M.degrees]
-    n_deg = [gd // 2 for gd in N.degrees]
+    m_deg = [gd for _, _, gd in M.vectors]
+    n_deg = [gd for _, _, gd in N.vectors]
     nm, nn = len(m_deg), len(n_deg)
     # unknowns: entries U[l][j] of degree k + m_deg[j] - n_deg[l]
     offsets = {}
@@ -641,7 +657,7 @@ def hom_graded(M: ZLattice, N: ZLattice, d: int, algebra: ZLattice = None):
         for t, (FM, FN) in enumerate(zip(fm, fn)):
             entries = [c for F in (FM, FN) for r in F for p in r for c in p.values()]
             den = lcm(*(c.denominator for c in entries))
-            zp = algebra.degrees[t] // 2
+            zp = algebra.vectors[t][2]
             for l in range(nn):
                 for i in range(nm):
                     td = k + zp + m_deg[i] - n_deg[l]
@@ -677,7 +693,7 @@ def apply_hom(U, M: ZLattice, N: ZLattice):
     """Slot tuples of the images of M's generators under U."""
     nv = M.graph.nvars
     out = []
-    for i in range(len(M.generators)):
+    for i in range(len(M.vectors)):
         img = [Poly.zero(nv) for _ in range(N.rank)]
         for l, h in enumerate(N.generators):
             c = U[l][i]
@@ -707,7 +723,7 @@ def compose(U2, U1, nvars):
 def _top_index(M: ZLattice):
     """The top degree D of M's generators and {(i, p): position} of the
     multiples m_p * g_i of degree D, in the order `_multiples` yields them."""
-    gens = _gen_vectors(M)
+    gens = M.vectors
     D = max(dg for _, _, dg in gens)
     pairs = [(i, p) for i, (_, _, dg) in enumerate(gens)
              for p in range(_width(M.graph, D - dg))]
@@ -719,7 +735,7 @@ def _rep_matrices(M: ZLattice, endos):
     the basis of multiples m_p * g_i ordered by `_top_index`.  Every lattice
     is certified free on its generators when it is built, so these multiples
     are a basis, and a term t of U[l][i] sends m_p * g_i to t * m_p * g_l."""
-    graph, gens = M.graph, _gen_vectors(M)
+    graph, gens = M.graph, M.vectors
     D, index = _top_index(M)
     reps = []
     for U in endos:
@@ -834,7 +850,7 @@ def _project_summand(M: ZLattice, E):
     generic rank.  e maps m_0 * g_i to m_0 * e(g_i), so for m_0 the first
     monomial of degree D - deg g_i the coefficient of t * g_l in e(g_i) is
     E[(l, t * m_0), (i, m_0)]."""
-    graph, gens = M.graph, _gen_vectors(M)
+    graph, gens = M.graph, M.vectors
     D, index = _top_index(M)
     images, values = [], []  # values: per image, its slot values at the point
     for i, (_, _, di) in enumerate(gens):
@@ -936,22 +952,18 @@ def graded_char(M: ZLattice):
     """Vertex -> list of graded degrees, one per generator, assigning each
     generator a pivot slot by Gaussian elimination at a generic point
     (generators in increasing degree, slots in vertex order)."""
-    point = _GENERIC_PRIMES[: M.graph.nvars]
-    order = sorted(
-        range(len(M.generators)), key=lambda i: (M.degrees[i], i)
-    )
     slot_order = sorted(
         range(M.rank), key=lambda i: (_vertex_key(M.slots[i]), i)
     )
     # coordinates in slot order, so that a pivot is the first such slot
     span = Echelon()
     out = {}
-    for gi in order:
-        gen = M.generators[gi]
-        if not span.add(integral([gen[s].evaluate(point) for s in slot_order])[0]):
+    for vec, _, d in sorted(M.vectors, key=lambda g: g[2]):
+        values = _generic_values(M.graph, vec, d)
+        if not span.add([values[s] for s in slot_order]):
             raise TruncationError("generator set is generically dependent")
         slot = slot_order[span.pivots[-1]]
-        out.setdefault(M.slots[slot], []).append(M.degrees[gi])
+        out.setdefault(M.slots[slot], []).append(2 * d)
     return {w: sorted(ds) for w, ds in out.items()}
 
 
@@ -1073,13 +1085,6 @@ def _glue(graph, x, up, stalks, sections, bound):
     last = max([d for d, _ in sections] + [k for y in above for k in stalks[y]])
     kgens = []  # K_x's minimal generators, in increasing degree
 
-    def certificate():
-        """(generators, generic rank, degree sum) of K_x's generators."""
-        generic_rank = len(
-            Echelon(_generic_values(graph, vec, d) for vec, _, d in kgens).rows
-        )
-        return len(kgens), generic_rank, sum(d for _, _, d in kgens)
-
     for d in range(bound + 1):
         width = _width(graph, d)
         nq = sum(map(len, quotient(d)))
@@ -1136,17 +1141,16 @@ def _glue(graph, x, up, stalks, sections, bound):
 
         kgens = [(padded(vec, dg), 1, dg) for vec, _, dg in kgens]
         kernel = [in_slots(row[nq:]) for row, p in zip(aug.rows, aug.pivots) if p >= nq]
-        if kernel:  # kept iff outside the span of the multiples kept so far
-            span = Echelon(v for _, _, v in _multiples(graph, kgens, d))
-            kgens += [(vec, 1, d) for vec in kernel if span.add(vec)]
+        if kernel:
+            kgens += _kept(graph, kgens, [(vec, 1, d) for vec in kernel], d)
         r = len(stalk)
         expected = (r, r, sum(stalks[x]) + sum(len(stalks[y]) for y in above))
-        if d >= last and len(kgens) == r and certificate() == expected:
+        if d >= last and len(kgens) == r and _certificate(graph, kgens) == expected:
             break
     else:  # (b) never closed
         raise TruncationError(
             f"{where}: the kernel of B^x -> M_x has (generators, generic rank, "
-            f"degree sum) {certificate()}, expected {expected}"
+            f"degree sum) {_certificate(graph, kgens)}, expected {expected}"
         )
     out = [(d, {**glued[i], x: padded(glued[i][x], d)}) for i, (d, _) in enumerate(sections)]
     return out + [(d, {x: vec}) for vec, _, d in kgens]
@@ -1202,7 +1206,7 @@ def invariant_structure_algebra(
     Z^s is the structure algebra of the graph on the cosets, whose edges
     are the edges joining different cosets, paired up by w - x <-> ws - xs.
     The classes' minimal generators are certified by count, generic rank
-    and degree sum (see `_free_algebra`), so a vertex set on which they do
+    and degree sum (see `_certified_lattice`), so a vertex set on which they do
     not span Z^s fails loudly."""
     system = graph.block.coxeter_system
     vertex_words = sorted(vertex_words, key=_vertex_key)
@@ -1215,7 +1219,7 @@ def invariant_structure_algebra(
     algebra = structure_algebra(graph)
     index = {w: i for i, w in enumerate(algebra.slots)}
     kept = []
-    for vec, den, k in _gen_vectors(algebra):
+    for vec, den, k in algebra.vectors:
         values = {w: _restrict(graph, vec, k, [index[w]]) for w in vertex_words}
         if any(map(any, values.values())) and all(
             values[a] == values[b] for a, b in map(tuple, cosets)
@@ -1223,8 +1227,8 @@ def invariant_structure_algebra(
             kept.append(([x for w in vertex_words for x in values[w]], den, k))
     n = len(cosets)
     what = f"invariant subalgebra on {n} cosets"
-    return _free_algebra(graph, vertex_words, minimal_generators(graph, kept), n,
-                         cross // 2, what)
+    return _certified_lattice(graph, vertex_words, minimal_generators(graph, kept), n,
+                              what, cross // 2)
 
 
 def singular_reduce(graph: MomentGraphBlock, M: ZLattice, stab_gens):
@@ -1247,9 +1251,7 @@ def singular_reduce(graph: MomentGraphBlock, M: ZLattice, stab_gens):
 
     closure = set(M.slots) | {system.word_times(w, s) for w in M.slots}
     algebra = invariant_structure_algebra(graph, closure, s)
-    merged = ZLattice(
-        graph, tuple(rep(w) for w in M.slots), M.generators, M.degrees
-    )
+    merged = ZLattice.from_vectors(graph, tuple(rep(w) for w in M.slots), M.vectors)
     summands = decompose(merged, algebra)
     classes = []
     for S in summands:

@@ -1,14 +1,14 @@
 """The congruence algebra on a vertex subset, grown from the kernel of the
 edge congruences degree by degree: the route `blocko.zmod` took for the
 structure algebra of a singular block before the Schubert classes covered
-it.  Slow (a dense Fraction kernel per degree), but independent of Billey's
-words and of the Schubert recursion, so the tests compare the two, and it
-takes any vertex subset, where the Schubert classes need the whole
-truncated orbit."""
+it.  Slower (an integer kernel of every congruence row per degree), but
+independent of Billey's words and of the Schubert recursion, so the tests
+compare the two, and it takes any vertex subset, where the Schubert classes
+need the whole truncated orbit."""
 
 from blocko.errors import UnsupportedError
-from blocko.linalg import Echelon, integral, kernel_basis
-from blocko.zmod import _free_algebra, _label, _multiples, _restriction_rows, _width
+from blocko.linalg import Echelon, kernel_incremental
+from blocko.zmod import _certified_lattice, _label, _multiples, _restriction_rows, _width
 
 
 def congruence_rows(graph, vertex_words, d):
@@ -36,7 +36,9 @@ def grown_algebra(graph, vertex_words, count, edge_count, what):
     Degree by degree, each vector of the congruence kernel outside the
     S-span of the generators kept so far is kept, until there are `count`.
     Their polynomial degrees must then add up to `edge_count`, which makes
-    them the whole algebra (`zmod._free_algebra`).  Raises UnsupportedError
+    them the whole algebra (`zmod._certified_lattice`).  The kernel is
+    `linalg.kernel_incremental`'s over the sparse rows: primitive integer
+    vectors, from code the Schubert route does not use.  Raises UnsupportedError
     once the generators still missing cannot fit under `edge_count`."""
     chosen = []
     d = 0
@@ -47,13 +49,13 @@ def grown_algebra(graph, vertex_words, count, edge_count, what):
                 f"{what} is not free: {missing} generators of degree {d} or "
                 f"more do not fit under {edge_count} edges"
             )
-        rows = congruence_rows(graph, vertex_words, d)
+        rows = ([(c, x) for c, x in enumerate(row) if x]
+                for row in congruence_rows(graph, vertex_words, d))
         span = Echelon(v for _, _, v in _multiples(graph, chosen, d))
-        for vec in kernel_basis(rows, len(vertex_words) * _width(graph, d)):
-            vec, den = integral(vec)
+        for vec in kernel_incremental(rows, len(vertex_words) * _width(graph, d)):
             if span.add(vec):
-                chosen.append((vec, den, d))
+                chosen.append((vec, 1, d))
                 if len(chosen) == count:
                     break
         d += 1
-    return _free_algebra(graph, vertex_words, chosen, count, edge_count, what)
+    return _certified_lattice(graph, vertex_words, chosen, count, what, edge_count)

@@ -53,9 +53,14 @@ def test_bad_weight_is_usage_error(cartan_file, capsys):
         ({"rank": 2, "matrix": [2, 2]}, "Cartan matrix must be square"),
         ({"rank": 2, "matrix": A2, "symmetrizer": [1]}, "one entry per row"),
         ({"rank": 2, "matrix": A2, "symmetrizer": 1}, "symmetrizer must be a list"),
+        # JSON's true and false read as the Python ints 1 and 0
+        ({"matrix": A2, "symmetrizer": [True, True]}, "true is a boolean, not a number"),
+        ({"matrix": A2, "symmetrizer": [1, False]}, "false is a boolean, not a number"),
+        ({"rank": True, "matrix": A2}, "rank must be an integer"),
     ],
     ids=["fractional-entry", "no-matrix", "list", "empty", "flat-rows",
-         "short-symmetrizer", "scalar-symmetrizer"],
+         "short-symmetrizer", "scalar-symmetrizer", "true-symmetrizer",
+         "false-symmetrizer", "boolean-rank"],
 )
 def test_bad_cartan_file_is_usage_error(data, problem, tmp_path, capsys):
     path = tmp_path / "cartan.json"

@@ -97,7 +97,7 @@ def test_generic_values_match_poly_evaluation():
     # out, evaluated as Poly at the same point, give the same values
     for lattice in _lattices():
         point = zmod._GENERIC_PRIMES[: lattice.graph.nvars]
-        for gen, (vec, den, d) in zip(lattice.generators, zmod._gen_vectors(lattice)):
+        for gen, (vec, den, d) in zip(lattice.generators, lattice.vectors):
             assert (zmod._generic_values(lattice.graph, vec, d)
                     == [den * p.evaluate(point) for p in gen])
 

@@ -96,10 +96,11 @@ def test_in_blocks_only_integral_roots_names_a_height_bound():
 
 
 # the zmod functions that may build a Poly or call .evaluate: edge labels,
-# the generators of the lattices handed out, the generator-basis Hom
-# matrices and graded_char; everything else runs on integer slot vectors
+# the generators of the lattices handed out, the Verma lattice built from
+# its Poly generator, and the generator-basis Hom matrices; everything else
+# runs on integer slot vectors
 _POLY_BOUNDARY = {"root_form", "_poly_tuple", "verma_zmodule", "hom_graded", "apply_hom",
-                  "compose", "graded_char"}
+                  "compose"}
 
 
 def _poly_calls(tree):
@@ -165,9 +166,45 @@ def test_every_private_function_is_called(module, index, name):
 # and the inverse of a Weyl group element, read off its system's table
 _API = {"verma_hom_dim", "weight_from_json", "Element.inverse"}
 
-# every name the benchmark's scripts mention
-PERFBENCH_NAMES = set(re.findall(r"\w+", "\n".join(
-    p.read_text() for p in (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _wrapped():
+    """(layer, dotted path, module, attribute path) of every entry in
+    perfbench/tracer.py's WRAPPED; the "sympy" layer's paths start with
+    their module."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, paths in tracer.WRAPPED.items():
+        for dotted in paths:
+            parts = dotted.split(".")
+            module = parts.pop(0) if layer == "sympy" else layer
+            yield layer, dotted, module, parts
+
+
+WRAPPED = list(_wrapped())
+
+
+def _perfbench_names():
+    """The names the benchmark's code uses: every name, attribute and
+    imported name in its scripts, and every part of a path its tracer
+    wraps.  A word in a comment or a string is no use."""
+    names = set()
+    for path in PERFBENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name.split(".")[-1] for alias in node.names)
+    for _, _, _, parts in WRAPPED:
+        names.update(parts)
+    return names
+
+
+PERFBENCH_NAMES = _perfbench_names()
 
 
 @pytest.mark.parametrize("module, index, name", list(_top_functions(private=False)))
@@ -219,21 +256,9 @@ def test_every_method_has_a_caller(module, cls, name):
             or f"{cls}.{name}" in _API)
 
 
-def _wrapped_paths():
-    """(module, attribute path) of every entry in perfbench/tracer.py's
-    WRAPPED; the "sympy" layer's paths start with their module."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    for layer, paths in tracer.WRAPPED.items():
-        for dotted in paths:
-            parts = dotted.split(".")
-            module = parts.pop(0) if layer == "sympy" else layer
-            yield pytest.param(module, parts, id=f"{layer}.{dotted}")
-
-
-@pytest.mark.parametrize("module, parts", list(_wrapped_paths()))
+@pytest.mark.parametrize("module, parts", [
+    pytest.param(module, parts, id=f"{layer}.{dotted}") for layer, dotted, module, parts in WRAPPED
+])
 def test_traced_names_exist(module, parts):
     owner = importlib.import_module(f"blocko.{module}")
     for part in parts:

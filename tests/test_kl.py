@@ -341,7 +341,7 @@ def test_verma_hom_dim_on_a_singular_block():
             there = kl.verma_hom_dim(block, x, w)
             back = kl.verma_hom_dim(block, w, x)
             assert (there and back) == (wt[x.word] == wt[w.word])
-    s1, s2 = (block.coxeter_system.generator(i) for i in (0, 1))
+    s1, s2 = (block.coxeter_system.element((i,)) for i in (0, 1))
     # M(s_1.lambda) is the Verma below M(lambda) = M(s_2.lambda)
     assert kl.verma_hom_dim(block, s1, s2) == 1
     assert kl.verma_hom_dim(block, s2, s1) == 0

@@ -147,6 +147,13 @@ def test_weight_json_round_trip():
     assert again == w
 
 
+@pytest.mark.parametrize("obj", [{"coords": [True, 0]}, {"coords": [0, 0], "delta": False}],
+                         ids=["coordinate", "delta"])
+def test_weight_json_refuses_a_boolean(obj):
+    with pytest.raises(ValueError, match="is a boolean, not a number"):
+        weight_from_json(obj, cartan_datum(A1_AFFINE))
+
+
 def test_cartan_json_round_trip():
     cartan = cartan_datum(B2)
     again = cartan_from_json(cartan_to_json(cartan))
@@ -326,4 +333,4 @@ def test_elements_of_two_coxeter_systems_are_never_equal():
         assert x != y and y != x
         assert x == z and hash(x) == hash(z)
     with pytest.raises(ValueError):
-        a2.generator(0) * b2.generator(0)
+        a2.element((0,)) * b2.element((0,))

@@ -87,13 +87,10 @@ def test_structure_algebra_edge_divisibility(a2_graph):
 
 def test_structure_algebra_closed_under_products(a2_graph):
     z = structure_algebra(a2_graph)
-    for g in z.generators:
-        for h in z.generators:
+    for g, dg in zip(z.generators, z.degrees):
+        for h, dh in zip(z.generators, z.degrees):
             prod = tuple(p * q for p, q in zip(g, h))
-            d = max(
-                (p.degree() for p in prod if not p.is_zero()), default=0
-            )
-            assert lattice_contains(z, prod, d)
+            assert lattice_contains(z, prod, (dg + dh) // 2)
 
 
 def _graph(matrix, *coords, length_bound=blocks.DEFAULT_LENGTH_BOUND):
@@ -327,10 +324,10 @@ def test_invariant_subalgebra_fails_loudly_where_the_classes_do_not_span():
 @pytest.mark.parametrize("off", [-1, 1])
 def test_an_edge_count_off_by_one_is_not_certified(a2_graph, off):
     words = a2_graph.vertices
-    gens = zmod._gen_vectors(structure_algebra(a2_graph))
+    gens = structure_algebra(a2_graph).vectors
     edges = len(a2_graph.edges)
     with pytest.raises(UnsupportedError, match="not free"):
-        zmod._free_algebra(a2_graph, words, gens, len(words), edges + off, "A2")
+        zmod._certified_lattice(a2_graph, words, gens, len(words), "A2", edges + off)
 
 
 def test_structure_algebra_is_stored_on_the_graph(a2_graph):
@@ -375,12 +372,10 @@ SCHUBERT_GRAPHS = {
 def _contains(M, N):
     """Does the lattice M contain every generator of N?"""
     by_degree = {}
-    for vec, _, d in zmod._gen_vectors(N):
+    for vec, _, d in N.vectors:
         by_degree.setdefault(d, []).append(vec)
     for d, vecs in by_degree.items():
-        span = linalg.Echelon(
-            v for _, _, v in zmod._multiples(M.graph, zmod._gen_vectors(M), d)
-        )
+        span = linalg.Echelon(v for _, _, v in zmod._multiples(M.graph, M.vectors, d))
         if any(any(span.reduce(vec)) for vec in vecs):
             return False
     return True
@@ -541,7 +536,7 @@ def test_theta_is_stable_under_the_kernel_route_algebra_of_its_wall_closure(case
         if not graph.weights.keys() >= set(closure):
             continue  # the top of a truncated orbit
         T = theta_s(M, s)
-        gens = zmod._gen_vectors(T)
+        gens = T.vectors
         spans = {}
 
         def contains(vec, d):
@@ -551,10 +546,10 @@ def test_theta_is_stable_under_the_kernel_route_algebra_of_its_wall_closure(case
 
         sources = [j for w in closure for v in (w, system.word_times(w, s))
                    for j, u in enumerate(M.slots) if u == v]
-        for vec, _, d in zmod._gen_vectors(M):
+        for vec, _, d in M.vectors:
             assert contains(zmod._restrict(graph, vec, d, sources), d)
         at = [closure.index(w) for w in T.slots]
-        for z, _, zd in zmod._gen_vectors(_subset_algebra(graph, closure)):
+        for z, _, zd in _subset_algebra(graph, closure).vectors:
             for t, _, td in gens:
                 product = zmod._slot_product(graph, z, zd, at, t, td, range(T.rank))
                 assert contains(product, zd + td)
@@ -594,6 +589,18 @@ def test_hom_identity_and_composition(a2_graph):
     assert homs_equal(
         compose(u, ident, a2_graph.nvars), u
     )
+
+
+def test_hom_graded_computes_negative_degrees():
+    # A3, lambda = 0: P(2 1 3 2) has generators above those of P(2), and
+    # maps into it start in degree -2
+    graph = _graph(A3, 0, 0, 0)
+    big, small = (identify_projective(graph, w) for w in ((1, 0, 2, 1), (1,)))
+    assert [len(hom_graded(big, small, d)) for d in (-4, -2, 0)] == [0, 1, 5]
+    assert hom_graded(big, small, -1) == []
+    m, n = verma_zmodule(graph, ()), verma_zmodule(graph, (0,))
+    for d in (-4, -2):
+        assert hom_graded(m, n, d) == hom_graded(n, m, d) == []
 
 
 def test_hom_between_distinct_vermas_vanishes(a2_graph):
@@ -981,8 +988,11 @@ def test_stalk_certificate_fails_loudly(matrix, w, rank, error, sabotage, monkey
 
 
 def test_isomorphic_up_to_shift(a2_graph):
+    # x_1^2 * M: a copy of M, its generator two polynomial degrees higher
     m = verma_zmodule(a2_graph, ())
-    shifted = ZLattice(a2_graph, m.slots, m.generators, [d + 4 for d in m.degrees])
+    x1 = Poly(a2_graph.nvars, {(2, 0): 1})
+    shifted = ZLattice(a2_graph, m.slots, [tuple(x1 * p for p in g) for g in m.generators],
+                       [d + 4 for d in m.degrees])
     assert isomorphic_up_to_shift(m, shifted)
     assert not chars_equal(m, shifted)
 
@@ -1155,7 +1165,7 @@ def test_integer_graded_pieces_match_the_poly_route(case):
     nv = graph.nvars
     algebra = structure_algebra(graph)
     # generator vectors and their monomial multiples, as Fractions
-    gens = zmod._gen_vectors(M)
+    gens = M.vectors
     for (vec, den, d), g in zip(gens, M.generators):
         assert [Fraction(x, den) for x in vec] == poly_graded.flatten(g, d)
     for d in range(max(dg for _, _, dg in gens) + 2):
@@ -1211,7 +1221,8 @@ def test_structure_algebra_and_hom_form_no_poly_products(monkeypatch):
     are computed on integer graded pieces: no Poly product, no coefficient
     vector read back from a Poly or turned into one by coeffs_to_poly, no
     restriction through Poly.substitute.  Z and a projective evaluate no
-    Poly, and build one Poly tuple per generator they keep."""
+    Poly and build none until their generators are read, then one Poly
+    tuple per generator."""
     graph = _graph(B2, 0, 0)
     # on a graph of its own: translation computes that graph's Z
     M = bott_samelson(_graph(B2, 0, 0), (0, 1, 0))
@@ -1232,12 +1243,13 @@ def test_structure_algebra_and_hom_form_no_poly_products(monkeypatch):
         monkeypatch.setattr(zmod, name, wrapped, raising=False)
     monkeypatch.setattr(Poly, "evaluate", counting("Poly.evaluate", Poly.evaluate))
     monkeypatch.setattr(zmod, "_poly_tuple", counting("_poly_tuple", zmod._poly_tuple))
-    z = structure_algebra(graph)
-    assert calls == {"_poly_tuple": len(z.generators)}
-    calls.clear()
-    p = identify_projective(graph, (0, 1, 0, 1))
-    assert calls == {"_poly_tuple": len(p.generators)}
-    calls.clear()
+    for build in (lambda: structure_algebra(graph),
+                  lambda: identify_projective(graph, (0, 1, 0, 1))):
+        lattice = build()
+        assert calls == {}
+        assert lattice.generators is lattice.generators
+        assert calls == {"_poly_tuple": len(lattice.vectors)}
+        calls.clear()
     assert hom_graded(M, M, 0)
     assert len(decompose(M)) == 2
     assert calls.keys() <= {"_poly_tuple"}
