@@ -114,9 +114,10 @@ def cache_root() -> Path:
     return Path.home() / ".cache" / "blocko"
 
 
-# the file layout, its ShortLex word keys and its pairs (x < w only): a change
-# to any gets a new file name, so an old file is never read under new rules
-CACHE_FORMAT = "v3-shortlex"
+# the file layout, its ShortLex word keys and its pairs (extremal x < w only):
+# a change to any gets a new file name, so an old file is never read under
+# new rules
+CACHE_FORMAT = "v4-extremal"
 
 
 def _coxeter_cache_path(system: CoxeterSystem) -> Path:
@@ -130,11 +131,14 @@ def _coxeter_cache_path(system: CoxeterSystem) -> Path:
 
 
 def _possible_p(system: CoxeterSystem, x, w, coeffs):
-    """Whether a cached polynomial can be P_{x,w} (x, w ids) for x < w, the
-    only pairs the store holds: P(0) = 1 with degree <= (l(w)-l(x)-1)/2."""
+    """Whether a cached polynomial can be P_{x,w} (x, w ids) for an
+    extremal pair x < w, the only pairs the store holds: P(0) = 1 with
+    degree <= (l(w)-l(x)-1)/2."""
     if not isinstance(coeffs, list) or any(type(c) is not int for c in coeffs):
         return False
     if x == w or not system.cone(w) >> x & 1:
+        return False
+    if system.ldesc[w] & ~system.ldesc[x] or system.rdesc[w] & ~system.rdesc[x]:
         return False
     bound = (system.length[w] - system.length[x] - 1) // 2
     return (bool(coeffs) and coeffs[0] == 1 and coeffs[-1] != 0
@@ -239,8 +243,8 @@ def cmd_kl(args):
         raise UsageError("kl requires --x and --w")
     system = _integral_coxeter(cartan)
     # a letter outside the generators is bad input
-    x = _read(system.element, parse_word(args.x))
-    w = _read(system.element, parse_word(args.w))
+    x = _read(system.element, parse_word(_single(args.x, "--x")))
+    w = _read(system.element, parse_word(_single(args.w, "--w")))
     table = kl.KLTable(system)
     loaded = _load_kl_cache(table)
     p = table.poly(x, w)
@@ -260,7 +264,7 @@ def cmd_character(args):
     block = _build_block(args)
     if args.w is None:
         raise UsageError("character requires --w")
-    w = _read(block.coxeter_system.element, parse_word(args.w))
+    w = _read(block.coxeter_system.element, parse_word(_single(args.w, "--w")))
     table = kl.KLTable(block.coxeter_system)
     loaded = _load_kl_cache(table)
     char = kl.simple_character(block, w, table)
@@ -286,7 +290,7 @@ def cmd_bs(args):
     block = _build_block(args)
     if args.word is None:
         raise UsageError("bs requires --word")
-    word = parse_word(args.word)
+    word = parse_word(_single(args.word, "--word"))
     _read(block.coxeter_system.element, word)  # a letter outside W(lambda)'s is bad input
     from . import zmod  # only bs and center need it
     graph = zmod.moment_graph(block)
@@ -377,6 +381,9 @@ COMMAND_OPTIONS = {
 _OPTION_ARGUMENTS = {  # add_argument keywords beyond a plain string option
     "cartan": {"action": "append", "metavar": "FILE"},
     "weight": {"action": "append", "metavar": "STR"},
+    "x": {"action": "append"},
+    "w": {"action": "append"},
+    "word": {"action": "append"},
     "length-bound": {"type": int, "default": blocks.DEFAULT_LENGTH_BOUND},
     "degree-bound": {"type": int},
     "require-noncritical": {"action": "store_true"},

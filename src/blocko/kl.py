@@ -8,8 +8,12 @@ a finite group is numbered up to w0 it is P_{w0 y, w0 w}, else the
 inversion is run.  So the two character formulas are mutually inverse, and the
 decomposition numbers are read off in closed form: [M(y.l):L(w.l)] =
 P_{y,w}(1) for a dominant base weight and Q_{w,y}(1) for an antidominant
-one.  Only pairs x < w are stored: x = w gives 1, and x not <= w, a cone
-bit, gives 0.  Polynomials in q are dense integer tuples, index = power.
+one.  The P store holds extremal pairs x < w only (du Cloux): every left
+and every right descent of w is one of x.  x = w gives 1 and x not <= w, a
+cone bit, gives 0; any other x is first raised by each left, then each
+right descent of w that it lacks, as P_{x,w} = P_{sx,w} when sw < w
+(Kazhdan-Lusztig, Invent. Math. 53, 1979), and likewise on the right.
+Polynomials in q are dense integer tuples, index = power.
 """
 
 from __future__ import annotations
@@ -33,16 +37,6 @@ def poly_add(a, b):
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-def poly_sub(a, b):
-    return poly_add(a, tuple(-c for c in b))
-
-def poly_shift(a, k):
-    """Multiply by q^k."""
-    if not a:
-        return ZERO
-    return (0,) * k + tuple(a)
 
 
 def poly_scale(a, c):
@@ -78,8 +72,9 @@ def poly_str(a):
 class KLTable:
     """Memoized Kazhdan-Lusztig polynomials over one Coxeter system.
 
-    `memo` (P, which the disk cache reads and fills) and `q_memo` (Q, while
-    w0 is not numbered) are keyed by ids and hold pairs x < w only.
+    `memo` (P, which the disk cache reads and fills) is keyed by ids and
+    holds extremal pairs x < w only, `q_memo` (Q, while w0 is not numbered)
+    any pairs x < w.
     `mu_lists[v]` is (bitset of the z whose mu(z, v) was read, the (z, mu)
     among them with mu != 0)."""
 
@@ -96,27 +91,44 @@ class KLTable:
     def _p(self, x, w):
         if x == w:
             return ONE
-        if not self.system.cone(w) >> x & 1:
+        system = self.system
+        if not system.cone(w) >> x & 1:
             return ZERO
+        # s x <= w for a descent s of w, and a right ascent keeps every
+        # left descent: one walk per side ends at an extremal pair
+        ldesc, lmul = system.ldesc, system.lmul
+        while up := ldesc[w] & ~ldesc[x]:
+            x = lmul[(up & -up).bit_length() - 1][x]
+        rdesc, rmul = system.rdesc, system.rmul
+        while up := rdesc[w] & ~rdesc[x]:
+            x = rmul[(up & -up).bit_length() - 1][x]
+        if x == w:
+            return ONE
         val = self.memo.get((x, w))
         if val is None:
             val = self.memo[x, w] = self._compute(x, w)
         return val
 
     def _compute(self, x, w):
-        """P_{x,w} for x < w."""
+        """P_{x,w} for an extremal pair x < w, so s x < x for the first
+        letter s of w: P_{sx,v} + q P_{x,v} - sum mu(z, v) q^k P_{x,z}
+        with v = s w and k = (l(w) - l(z)) / 2, summed in one list."""
         system = self.system
-        s = system.words[w][0]  # left descent of w
+        s = system.words[w][0]  # left descent of w, and so of x
         v, sx = system.lmul[s][w], system.lmul[s][x]  # l(v) = l(w) - 1
         length = system.length
-        if length[sx] > length[x]:
-            # standard reduction: P_{x,w} = P_{sx,w} when sx > x, sw < w
-            return self._p(sx, w)
-        total = poly_add(self._p(sx, v), poly_shift(self._p(x, v), 1))
+        lw = length[w]
+        total = [0] * ((lw - length[x]) // 2 + 1)
+        for i, c in enumerate(self._p(sx, v)):
+            total[i] += c
+        for i, c in enumerate(self._p(x, v), 1):
+            total[i] += c
         for z, mu in self._mu_terms(x, s, v):
-            k = (length[w] - length[z]) // 2
-            total = poly_sub(total, poly_scale(poly_shift(self._p(x, z), k), mu))
-        return total
+            for i, c in enumerate(self._p(x, z), (lw - length[z]) // 2):
+                total[i] -= mu * c
+        while not total[-1]:
+            total.pop()
+        return tuple(total)
 
     def _mu_terms(self, x, s, v):
         """(z, mu) over the z < v with sz < z, x <= z and mu(z, v), the
@@ -302,17 +314,19 @@ def decomposition_matrix(block, table: KLTable = None):
     """[M(y.lambda) : L(w.lambda)] for orbit words y, w related in the Bruhat
     order: P_{y,w}(1) for y <= w over a dominant base, Q_{w,y}(1) for w <= y
     over an antidominant one.  Every entry only needs the Bruhat interval
-    between y and w, so truncation is exact.
+    between y and w, so truncation is exact.  The pairs are read off the
+    cone bitsets, not per pair through `bruhat_leq`.
     """
     position = _extremal_position(block)
     if table is None:
         table = KLTable(block.coxeter_system)
     elems, _ = _elements(block)
+    cone = block.coxeter_system.cone
     out = {}
     for y in elems:
         for w in elems:
             below, above = (y, w) if position == "dominant" else (w, y)
-            if bruhat_leq(below, above):
+            if cone(above.id) >> below.id & 1:
                 out[(y.word, w.word)] = _multiplicity(table, position, y, w)
     return out
 

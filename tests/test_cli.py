@@ -192,12 +192,14 @@ def test_kl_cache_forged_entry_is_recomputed(
     cache = tmp_path / "cache"
     monkeypatch.setenv("BLOCKO_CACHE", str(cache))
     path = cartan_file(A3)
-    argv = ["kl", "--cartan", path, "--x", "e", "--w", "1 2 1 3 2 1"]
+    # an extremal pair: the store keeps no other, so a forged value of any
+    # other pair is dropped before it is read
+    argv = ["kl", "--cartan", path, "--x", "2", "--w", "2 1 3 2"]
     _, cold = run(capsys, argv)
     (file,) = cache.glob("kl-*.json")
     assert cli.CACHE_FORMAT in file.name
     data = json.loads(file.read_text())
-    data["e|1 2 1 3 2 1"] = forged
+    data["2|2 1 3 2"] = forged
     file.write_text(json.dumps(data))
     code, warm = run(capsys, argv)
     assert code == 0
@@ -237,13 +239,13 @@ def test_kl_cache_load_numbers_no_further_than_a_word_read(
     path = cli._coxeter_cache_path(system)
     path.parent.mkdir(parents=True)
     path.write_text(json.dumps({
-        "e|1 2": [1],
+        "1|1 2 1": [1],
         "e|" + " ".join(["1"] * 500): [1],
     }))
     table = kl.KLTable(system)
     cli._load_kl_cache(table)
-    assert table.memo == {(system.ids[()], system.ids[(0, 1)]): (1,)}
-    assert max(system.length) == 2
+    assert table.memo == {(system.ids[(0,)], system.ids[(0, 1, 0)]): (1,)}
+    assert max(system.length) == 3
 
 
 def test_kl_cache_warm_run_writes_nothing(cartan_file, capsys, tmp_path, monkeypatch):
@@ -273,6 +275,32 @@ def test_kl_cache_store_drops_rejected_keys(cartan_file, capsys, tmp_path, monke
     assert "e|2 1 2" not in stored
     assert stored["2|2 1 3 2"] == [1, 1]
     assert json.loads(out)["p"] == "1+q"
+
+
+def test_kl_cache_drops_a_pair_that_is_not_extremal(
+    cartan_file, capsys, tmp_path, monkeypatch
+):
+    # P_{e,w} = P_{s2,w} = 1+q for w = s2 s1 s3 s2, whose left descent s2 e
+    # lacks: a true value, but the store keeps only the extremal pair
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("BLOCKO_CACHE", str(cache))
+    path = cartan_file(A3)
+    argv = ["kl", "--cartan", path, "--x", "2", "--w", "2 1 3 2"]
+    _, cold = run(capsys, argv)
+    (file,) = cache.glob("kl-*.json")
+    data = json.loads(file.read_text())
+    data["e|2 1 3 2"] = [1, 1]
+    file.write_text(json.dumps(data))
+    system = cli._integral_coxeter(cli.load_cartan(path))
+    table = kl.KLTable(system)
+    _, dropped = cli._load_kl_cache(table)
+    assert dropped == {"e|2 1 3 2"}
+    assert (system.ids[()], system.ids[(1, 0, 2, 1)]) not in table.memo
+    _, warm = run(capsys, argv)
+    assert warm == cold
+    stored = json.loads(file.read_text())
+    assert "e|2 1 3 2" not in stored
+    assert stored["2|2 1 3 2"] == [1, 1]
 
 
 def _singular_invert(args):
@@ -695,6 +723,19 @@ def test_each_command_reads_every_option_it_declares(
     monkeypatch.setattr(cli._Parser, "parse_args", recorded)
     assert run(capsys, _small_run(command, cartan_file(A2)))[0] == 0
     assert _declared_dests(command) <= reads
+
+
+@pytest.mark.parametrize(
+    "command, option", [("kl", "--x"), ("kl", "--w"), ("character", "--w"), ("bs", "--word")]
+)
+def test_a_repeated_word_option_is_usage_error(
+    command, option, cartan_file, capsys, tmp_path, monkeypatch
+):
+    # as a repeated --cartan or --weight is: the last value does not win
+    monkeypatch.setenv("BLOCKO_CACHE", str(tmp_path / "cache"))
+    code, out = run(capsys, _small_run(command, cartan_file(A2)) + [option, "2"])
+    assert code == 1
+    assert json.loads(out) == {"error": f"exactly one {option} required"}
 
 
 _UNREAD_OPTIONS = [("kl", ["--weight", "0,0"]), ("bs", ["--degree-bound", "12"])] + [

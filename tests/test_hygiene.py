@@ -5,8 +5,8 @@ caller or is named as API, no function keeps a global cache, only the root syste
 `Poly` only at its boundary, every name
 the benchmark's tracer wraps exists, `import blocko.cli` loads no module
 that only some commands need, package imports sit at module level, and no
-module reads another module's private names; README states the line count
-of the package."""
+module reads another module's private names; every blocko name the
+benchmark reads exists; README states the line count of the package."""
 
 import ast
 import importlib
@@ -264,6 +264,41 @@ def test_traced_names_exist(module, parts):
     for part in parts:
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def _perfbench_reads():
+    """The blocko names the benchmark's scripts read, as dotted paths from
+    `blocko`: each module or name they import from it, and each attribute
+    chain on `blocko` or on a name of one of its modules (the tracer takes
+    `cli` as a parameter)."""
+    modules = {path.stem for path in MODULES}
+    reads = set()
+    for path in PERFBENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                reads.update(a.name for a in node.names if a.name.startswith("blocko."))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("blocko"):
+                reads.update(f"{node.module}.{a.name}" for a in node.names)
+            elif isinstance(node, ast.Attribute):
+                chain = []
+                while isinstance(node, ast.Attribute):
+                    chain.insert(0, node.attr)
+                    node = node.value
+                if isinstance(node, ast.Name) and node.id in modules | {"blocko"}:
+                    head = "blocko" if node.id == "blocko" else f"blocko.{node.id}"
+                    reads.add(".".join([head] + chain))
+    return sorted(reads)
+
+
+@pytest.mark.parametrize("dotted", _perfbench_reads())
+def test_every_blocko_name_the_benchmark_reads_exists(dotted):
+    # WRAPPED is not all: the workloads call kl._poly_mul, coxeter.interval
+    # and zmod.ungraded_char directly, and a deleted one fails every
+    # benchmark operation that uses it
+    parts = dotted.split(".")
+    owner = importlib.import_module(".".join(parts[:2]))
+    for part in parts[2:]:
+        owner = getattr(owner, part)
 
 
 # modules `import blocko.cli` must not load: dataclasses (and the inspect it

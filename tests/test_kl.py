@@ -365,15 +365,49 @@ def _stored_words(store, system):
 
 def _nonzero_below(ref_store):
     """The word route's stored pairs (x, w) with x != w and a nonzero value:
-    the pairs x < w, the only ones the id store keeps."""
+    the pairs x < w, the only ones the id Q store keeps."""
     return {(x, w) for (x, w), val in ref_store.items() if x != w and val}
+
+
+def _reduced(ref, x, w):
+    """The pair (x, w) of words reduces to, by the word route's normal
+    forms: x raised by each left descent of w that it lacks, then by each
+    such right descent.  It is extremal, or x = w."""
+    nf = ref.normal_form
+    for times in (lambda s, u: nf((s,) + u), lambda s, u: nf(u + (s,))):
+        down = [s for s in range(ref.n) if len(times(s, w)) < len(w)]
+        while up := [s for s in down if len(times(s, x)) > len(x)]:
+            x = times(up[0], x)
+    return x, w
+
+
+def _extremal_store(table, system, ref):
+    """Check every pair of the id P store: extremal, x < w, P nonzero, and
+    the reduction of a pair x < w the word route stores, with its P.
+    Returns the stored pairs and those reductions, as pairs of words."""
+    reductions = {}
+    for (x, w), p in ref.memo.items():
+        if x != w and p and (pair := _reduced(ref, x, w))[0] != pair[1]:
+            reductions[pair] = p
+    words = system.words
+    stored = {(words[x], words[w]): p for (x, w), p in table.memo.items()}
+    for (x, w), p in stored.items():
+        assert _reduced(ref, x, w) == (x, w), (x, w)
+        assert x != w and ref.leq(x, w) and p, (x, w)
+        assert reductions.get((x, w)) == p, (x, w)
+    return stored.keys(), reductions.keys()
+
+
+# extremal pairs x < w of the full tables (to the length bound if affine)
+EXTREMAL_PAIRS = {"A3": 6, "B3": 64, "G2": 8, "A4": 122, "A1~": 24, "A2~": 69}
 
 
 @pytest.mark.parametrize("name", sorted(WORD_ROUTE_SYSTEMS))
 def test_id_core_matches_the_word_route(name):
     """Every P and every Q of the id-indexed recursion equals the word-keyed
-    recursion's, and the id stores hold exactly the word route's pairs
-    x < w, for P and for Q."""
+    recursion's.  The P store holds exactly the extremal pairs x < w that
+    the word route's pairs reduce to, and the Q store the word route's
+    pairs x < w."""
     matrix, bound = WORD_ROUTE_SYSTEMS[name]
     system = CoxeterSystem(matrix)
     if bound is None:
@@ -387,18 +421,26 @@ def test_id_core_matches_the_word_route(name):
     for w in elems:
         for y in elems:
             assert table.inverse_poly(w, y) == ref.inverse_poly(w.word, y.word), (w, y)
-    assert _stored_words(table.memo, system) == _nonzero_below(ref.memo)
+    stored, reductions = _extremal_store(table, system, ref)
+    assert stored == reductions
+    assert len(stored) == EXTREMAL_PAIRS[name]
     # a finite group reads Q off the P store
     want_q = set() if system.finite else _nonzero_below(ref.q_memo)
     assert _stored_words(table.q_memo, system) == want_q
 
 
+# (P store, reductions of the word route's pairs) after the twelve queries:
+# the two recursions walk different routes, so the store may hold fewer
+SINGLE_QUERY_PAIRS = {"B3": (14, 22), "A4": (1, 6), "A2~": (7, 7)}
+
+
 @pytest.mark.parametrize("name", ["B3", "A4", "A2~"])
 def test_single_queries_store_the_pairs_of_the_word_route(name):
-    """A lone query with x != e leaves the mu-lists partly read; the P store
-    (and so the disk cache) still gets exactly the word route's pairs.  On a
-    finite group Q_{x,w} is the word route's P_{w0 w, w0 x}, checked against
-    a second word route that inverts."""
+    """A lone query with x != e leaves the mu-lists partly read; every pair
+    the P store (and so the disk cache) gets is still the reduction of a
+    pair the word route stores, and the Q store gets exactly the word
+    route's pairs.  On a finite group Q_{x,w} is the word route's
+    P_{w0 w, w0 x}, checked against a second word route that inverts."""
     matrix, bound = WORD_ROUTE_SYSTEMS[name]
     system = CoxeterSystem(matrix)
     elems = coxeter.elements_up_to(system, bound or 64)
@@ -413,8 +455,10 @@ def test_single_queries_store_the_pairs_of_the_word_route(name):
             ref.inverse_poly(x.word, w.word)
         else:
             ref.poly((w0 * w).word, (w0 * x).word)
-        assert _stored_words(table.memo, system) == _nonzero_below(ref.memo)
+        stored, reductions = _extremal_store(table, system, ref)
+        assert stored <= reductions
         assert _stored_words(table.q_memo, system) == _nonzero_below(ref.q_memo)
+    assert (len(stored), len(reductions)) == SINGLE_QUERY_PAIRS[name]
 
 
 def test_p_table_makes_no_normal_form_call(monkeypatch):
@@ -431,11 +475,13 @@ def test_p_table_makes_no_normal_form_call(monkeypatch):
 
     monkeypatch.setattr(CoxeterSystem, "normal_form", counted)
     table = KLTable(system)
-    for w in elems:
-        for x in elems:
-            table.poly(x, w)
-    assert len(table.memo) == 799  # the pairs x < w of B3, each P nonzero
+    got = {(x.word, w.word): table.poly(x, w) for w in elems for x in elems}
     assert len(calls) == 0
+    ref = WordKL(system)
+    assert got == {pair: ref.poly(*pair) for pair in got}
+    stored, reductions = _extremal_store(table, system, ref)
+    assert stored == reductions
+    assert len(table.memo) == 64  # the extremal pairs x < w of B3, of 799 x < w
 
 
 def _below(system, x, w):
@@ -443,8 +489,9 @@ def _below(system, x, w):
 
 
 def test_p_store_keeps_only_pairs_below():
-    """The full B4 P-table stores its 39,865 pairs x < w and nothing for
-    x = w or x not <= w."""
+    """The full B4 P-table stores its 2,076 extremal pairs x < w (of its
+    39,865 pairs x < w), each P nonzero and the word route's, and nothing
+    for x = w, x not <= w or a pair that is not extremal."""
     system = CoxeterSystem(((1, 3, 2, 2), (3, 1, 3, 2), (2, 3, 1, 4), (2, 2, 4, 1)))
     elems = coxeter.all_elements(system)
     table = KLTable(system)
@@ -452,8 +499,14 @@ def test_p_store_keeps_only_pairs_below():
         for x in elems:
             table.poly(x, w)
     assert len(elems) == 384
-    assert len(table.memo) == 39865
-    assert all(_below(system, x, w) and p for (x, w), p in table.memo.items())
+    assert len(table.memo) == 2076
+    ldesc, rdesc = system.ldesc, system.rdesc
+    extremal = {(x.id, w.id) for w in elems for x in elems if _below(system, x.id, w.id)
+                and not ldesc[w.id] & ~ldesc[x.id] and not rdesc[w.id] & ~rdesc[x.id]}
+    assert table.memo.keys() == extremal
+    ref = WordKL(system)
+    for (x, w), p in table.memo.items():
+        assert p and ref.poly(system.words[x], system.words[w]) == p
 
 
 def test_q_store_keeps_only_pairs_below():
