@@ -12,7 +12,8 @@ one.  The P store holds extremal pairs x < w only (du Cloux): every left
 and every right descent of w is one of x.  x = w gives 1 and x not <= w, a
 cone bit, gives 0; any other x is first raised by each left, then each
 right descent of w that it lacks, as P_{x,w} = P_{sx,w} when sw < w
-(Kazhdan-Lusztig, Invent. Math. 53, 1979), and likewise on the right.
+(Kazhdan-Lusztig, Invent. Math. 53, 1979), and likewise on the right.  The
+readers map a whole column x <= w to its extremal pairs in one pass.
 Polynomials in q are dense integer tuples, index = power.
 """
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from . import coxeter
 from .blocks import is_critical, outside_the_length_bound
-from .coxeter import Element, bruhat_leq, lower_cone, members, word_str
+from .coxeter import Element, bruhat_leq, members, word_str
 from .errors import CriticalityError, TruncationError, UnsupportedError
 
 ONE = (1,)
@@ -76,19 +77,85 @@ class KLTable:
     holds extremal pairs x < w only, `q_memo` (Q, while w0 is not numbered)
     any pairs x < w.
     `mu_lists[v]` is (bitset of the z whose mu(z, v) was read, the (z, mu)
-    among them with mu != 0)."""
+    among them with mu != 0).  The readers go by column: `_column` is
+    (w, ext) for one w, ext[x] the x of the extremal pair that (x, w)
+    reduces to (w when P = 1), or -1 for x not <= w.  It holds ids only, so
+    filling the store or numbering more elements leaves it valid.  `_w0x[x]`
+    is the id of w0 x, once w0 is numbered."""
 
     def __init__(self, system):
         self.system = system
         self.memo = {}
         self.q_memo = {}
         self.mu_lists = {}
+        self._column = (None, [])
+        self._last = None  # the w of the last read that walked
+        self._w0x = None
 
     def poly(self, x: Element, w: Element):
-        """P_{x,w} as a dense coefficient tuple."""
-        return self._p(x.id, w.id)
+        """P_{x,w} as a dense coefficient tuple, read off the column of w."""
+        return self._read(x.id, w.id)
+
+    def column(self, w: Element):
+        """{x id: P_{x,w}} over the x <= w, in increasing id."""
+        w = w.id
+        if self._column[0] != w:
+            self._column = (w, self._reduce(w))
+        memo = self.memo  # a stored P is never empty: P(0) = 1
+        return {x: ONE if e == w else memo.get((e, w)) or self._extremal(e, w)
+                for x, e in enumerate(self._column[1]) if e >= 0}
+
+    def _read(self, x, w):
+        """P_{x,w} (ids) off the column of w.  A read of another w walks, as
+        the recursion does, and the next such read of the same w builds its
+        column: reads that change w each time (a row of Q, say) pay no
+        pass."""
+        column = self._column
+        if column[0] != w:
+            if self._last != w:
+                self._last = w
+                return self._p(x, w)
+            column = self._column = (w, self._reduce(w))
+        if x > w:
+            return ZERO
+        x = column[1][x]
+        if x == w:
+            return ONE
+        if x < 0:
+            return ZERO
+        # a stored P is never empty: P(0) = 1
+        return self.memo.get((x, w)) or self._extremal(x, w)
+
+    def _reduce(self, w):
+        """ext for the column of w.  ext[x] is the longest element of the
+        double coset W_I x W_J, I = L(w) and J = R(w), where every walk by
+        ascents in I on the left and J on the right ends, `_p`'s too; it is
+        still <= w.  One pass down the cone by decreasing id: x takes ext[sx]
+        for an s in I not in L(x), else ext[xs] for an s in J not in R(x),
+        else is that element."""
+        system = self.system
+        ldesc, rdesc, lmul, rmul = system.ldesc, system.rdesc, system.lmul, system.rmul
+        lw, rw = ldesc[w], rdesc[w]
+        ext = [-1] * (w + 1)
+        for x in reversed(members(system.cone(w))):
+            if up := lw & ~ldesc[x]:
+                ext[x] = ext[lmul[up.bit_length() - 1][x]]
+            elif up := rw & ~rdesc[x]:
+                ext[x] = ext[rmul[up.bit_length() - 1][x]]
+            else:
+                ext[x] = x
+        return ext
+
+    def _extremal(self, x, w):
+        """P_{x,w} for an extremal pair x < w."""
+        val = self.memo.get((x, w))
+        if val is None:
+            val = self.memo[x, w] = self._compute(x, w)
+        return val
 
     def _p(self, x, w):
+        """P_{x,w} (ids) for the recursion, which reads many columns a few
+        pairs each: walk the pair down to its extremal pair."""
         if x == w:
             return ONE
         system = self.system
@@ -102,12 +169,7 @@ class KLTable:
         rdesc, rmul = system.rdesc, system.rmul
         while up := rdesc[w] & ~rdesc[x]:
             x = rmul[(up & -up).bit_length() - 1][x]
-        if x == w:
-            return ONE
-        val = self.memo.get((x, w))
-        if val is None:
-            val = self.memo[x, w] = self._compute(x, w)
-        return val
+        return ONE if x == w else self._extremal(x, w)
 
     def _compute(self, x, w):
         """P_{x,w} for an extremal pair x < w, so s x < x for the first
@@ -154,17 +216,32 @@ class KLTable:
     def inverse_poly(self, w: Element, y: Element):
         """Q_{w,y}: unitriangular inversion of the signed P-matrix.
 
-        Once the numbering has reached w0 (the last element, every generator
-        a left descent), Q_{w,y} = P_{w0 y, w0 w} (Kazhdan-Lusztig, Invent.
-        Math. 53, 1979, (3.1)), read off the P store.  Before that, and on an
-        infinite group, `_q` inverts over the finite Bruhat interval [w, y],
-        so a short query numbers no element longer than y.
+        Q = 0 off the Bruhat order, a cone bit.  Once the numbering has
+        reached w0, Q_{w,y} = P_{w0 y, w0 w} (Kazhdan-Lusztig, Invent. Math.
+        53, 1979, (3.1)), read off the column of w0 w.  Before that, and on
+        an infinite group, `_q` inverts over the finite Bruhat interval
+        [w, y], so a short query numbers no element longer than y.
         """
+        w, y = w.id, y.id
+        if not self.system.cone(y) >> w & 1:
+            return ZERO
+        w0x = self._w0_times()
+        if w0x is None:
+            return self._q(w, y)
+        return self._read(w0x[y], w0x[w])
+
+    def _w0_times(self):
+        """`_w0x`, built once the numbering has reached w0 (the last
+        element, every generator a left descent), else None."""
         system = self.system
-        if system.ldesc[-1] != (1 << system.generator_count) - 1:
-            return self._q(w.id, y.id)
-        w0 = system.elements[-1]
-        return self._p((w0 * y).id, (w0 * w).id)
+        if self._w0x is None and system.ldesc[-1] == (1 << system.generator_count) - 1:
+            rmul, words = system.rmul, system.words
+            w0x = [len(words) - 1]
+            for x in range(1, len(words)):
+                t = words[x][-1]  # w0 x = (w0 (x t)) t
+                w0x.append(rmul[t][w0x[rmul[t][x]]])
+            self._w0x = w0x
+        return self._w0x
 
     def _q(self, w, y):
         if w == y:
@@ -280,55 +357,52 @@ def simple_character(block, w: Element, table: KLTable = None) -> CharacterVecto
     position = _extremal_position(block)
     if table is None:
         table = KLTable(block.coxeter_system)
-    coeffs = {}
     truncated = False
     if position == "antidominant":
-        for y in lower_cone(w):
-            sign = -1 if (w.length - y.length) % 2 else 1
-            c = sign * poly_eval_one(table.poly(y, w))
-            if c:
-                coeffs[y.word] = c
+        column = table.column(w)
     else:
         _require_within_the_bound(block, w)
         elems, truncated = _elements(block)
-        for y in elems:
-            if not bruhat_leq(w, y):
-                continue
-            sign = -1 if (y.length - w.length) % 2 else 1
-            c = sign * poly_eval_one(table.inverse_poly(w, y))
-            if c:
-                coeffs[y.word] = c
+        column = _q_column(table, w, elems)
+    words, length, lw = table.system.words, table.system.length, w.length
+    coeffs = {}
+    for y, p in column.items():
+        if c := poly_eval_one(p):
+            coeffs[words[y]] = -c if (length[y] - lw) % 2 else c
     return CharacterVector(block, coeffs, truncated)
 
 
-def _multiplicity(table, position, y, w):
-    """[M(y.lambda) : L(w.lambda)].  The character matrix is the signed
-    Q-matrix for a dominant base and the transposed signed P-matrix for an
-    antidominant one, so its inverse is P(1), resp. Q(1) transposed."""
-    if position == "dominant":
-        return poly_eval_one(table.poly(y, w))
-    return poly_eval_one(table.inverse_poly(w, y))
+def _q_column(table, w, elems):
+    """{y id: Q_{w,y}} over the listed y >= w, in their order."""
+    return {y.id: table.inverse_poly(w, y) for y in elems if bruhat_leq(w, y)}
+
+
+def _multiplicities(table, position, w, elems):
+    """{y id: [M(y.lambda) : L(w.lambda)]} over the listed y related to w.
+    The character matrix is the signed Q-matrix for a dominant base and the
+    transposed signed P-matrix for an antidominant one, so its inverse is
+    P(1), resp. Q(1) transposed: one column of either."""
+    column = table.column(w) if position == "dominant" else _q_column(table, w, elems)
+    return {y: poly_eval_one(p) for y, p in column.items()}
 
 
 def decomposition_matrix(block, table: KLTable = None):
     """[M(y.lambda) : L(w.lambda)] for orbit words y, w related in the Bruhat
     order: P_{y,w}(1) for y <= w over a dominant base, Q_{w,y}(1) for w <= y
     over an antidominant one.  Every entry only needs the Bruhat interval
-    between y and w, so truncation is exact.  The pairs are read off the
-    cone bitsets, not per pair through `bruhat_leq`.
+    between y and w, so truncation is exact.  The entries are read one
+    column w at a time, and listed by y, then w.
     """
     position = _extremal_position(block)
     if table is None:
         table = KLTable(block.coxeter_system)
     elems, _ = _elements(block)
-    cone = block.coxeter_system.cone
-    out = {}
-    for y in elems:
-        for w in elems:
-            below, above = (y, w) if position == "dominant" else (w, y)
-            if cone(above.id) >> below.id & 1:
-                out[(y.word, w.word)] = _multiplicity(table, position, y, w)
-    return out
+    words = table.system.words
+    rows = {y.id: {} for y in elems}
+    for w in elems:
+        for y, n in _multiplicities(table, position, w, elems).items():
+            rows[y][(words[y], w.word)] = n
+    return {key: n for row in rows.values() for key, n in row.items()}
 
 
 def projective_multiplicities(block, w: Element, table: KLTable = None):
@@ -344,12 +418,8 @@ def projective_multiplicities(block, w: Element, table: KLTable = None):
     if table is None:
         table = KLTable(block.coxeter_system)
     elems, _ = _elements(block)
-    out = {}
-    for y in elems:
-        mult = _multiplicity(table, position, y, w)
-        if mult:
-            out[y.word] = mult
-    return out
+    words = table.system.words
+    return {words[y]: n for y, n in _multiplicities(table, position, w, elems).items() if n}
 
 
 def verma_hom_dim(block, w: Element, w2: Element) -> int:

@@ -3,8 +3,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from blocko import blocks, coxeter, kl
+from blocko import blocks, cli, coxeter, kl
 from blocko.coxeter import INFINITY, CoxeterSystem, bruhat_leq
 from blocko.errors import TruncationError, UnsupportedError
 from blocko.kl import KLTable, ONE, ZERO, poly_eval_one, poly_str
@@ -200,6 +201,20 @@ def test_a_short_finite_kl_query_numbers_no_element_longer_than_w():
     assert system.length[-1] == w.length
 
 
+class WordTable:
+    """The two readers of a `KLTable`, on the word route: a reference that
+    shares no code with the column readers."""
+
+    def __init__(self, system):
+        self.ref = WordKL(system)
+
+    def poly(self, x, w):
+        return self.ref.poly(x.word, w.word)
+
+    def inverse_poly(self, w, y):
+        return self.ref.inverse_poly(w.word, y.word)
+
+
 @pytest.mark.parametrize("side, coords", [("antidominant", -2), ("dominant", 0)])
 @pytest.mark.parametrize(
     "matrix, length_bound",
@@ -207,7 +222,8 @@ def test_a_short_finite_kl_query_numbers_no_element_longer_than_w():
     ids=["A3", "B3", "G2", "A1~"],
 )
 def test_decomposition_matches_unitriangular_inversion(matrix, length_bound, side, coords):
-    # P(1) and Q(1) against the entrywise inverse of the character matrix
+    # P(1) and Q(1) against the entrywise inverse of the character matrix,
+    # and the simple characters against that matrix, all on the word route
     cartan = rootdata.cartan_datum(matrix)
     bounds = {} if length_bound is None else {"length_bound": length_bound}
     block = blocks.block_data(cartan, weight(cartan, *(coords,) * len(matrix)), **bounds)
@@ -218,7 +234,7 @@ def test_decomposition_matches_unitriangular_inversion(matrix, length_bound, sid
     else:
         elems = coxeter.elements_up_to(system, length_bound)
     table = KLTable(system)
-    inverse = UnitriangularInverse(KLTable(system), side)
+    inverse = UnitriangularInverse(WordTable(system), side)
     related = {
         (y.word, w.word)
         for y in elems
@@ -230,6 +246,10 @@ def test_decomposition_matches_unitriangular_inversion(matrix, length_bound, sid
         key: want[key] for key in related
     }
     assert all(not n for key, n in want.items() if key not in related)
+    for w in elems:
+        assert kl.simple_character(block, w, table).coefficients == {
+            y.word: c for y in elems if (c := inverse.char_coeff(w, y))
+        }
     if block.level_class != "dominant-containing":
         return
     for w in elems:
@@ -522,3 +542,151 @@ def test_q_store_keeps_only_pairs_below():
              if _below(system, w.id, y.id)}
     assert table.q_memo.keys() == pairs
     assert ZERO not in table.q_memo.values()
+
+
+def test_warm_antidominant_readers_make_no_right_product(monkeypatch):
+    """Q_{w,y} on a finite group reads the column of w0 w at w0 y, off a
+    table of w0 x built once: a warm B3 antidominant decomposition matrix
+    and its projectives form no product w s."""
+    cartan = rootdata.cartan_datum(B3)
+    block = blocks.block_data(cartan, weight(cartan, -2, -2, -2))
+    assert kl.base_weight_position(block) == "antidominant"
+    table = KLTable(block.coxeter_system)
+    elems = coxeter.all_elements(block.coxeter_system)
+    cold = kl.decomposition_matrix(block, table)
+    calls = []
+    original = CoxeterSystem.right
+
+    def counted(self, w, k):
+        calls.append((w, k))
+        return original(self, w, k)
+
+    monkeypatch.setattr(CoxeterSystem, "right", counted)
+    assert kl.decomposition_matrix(block, table) == cold
+    for w in elems:
+        kl.projective_multiplicities(block, w, table)
+    assert calls == []
+
+
+def test_readers_take_a_table_over_an_equal_system():
+    """A table may serve blocks of an equal system numbered less far, as
+    one table serves a dominant and an antidominant B3 block; the words
+    come from the table's own numbering."""
+    cartan = rootdata.cartan_datum(B3)
+    dom = blocks.block_data(cartan, weight(cartan, 0, 0, 0))
+    table = KLTable(dom.coxeter_system)
+    elems = coxeter.all_elements(dom.coxeter_system)
+    anti = blocks.block_data(cartan, weight(cartan, -2, -2, -2))
+    assert anti.coxeter_system is not dom.coxeter_system
+    for w in elems:
+        own = anti.coxeter_system.element(w.word)
+        assert (kl.simple_character(anti, w, table).coefficients
+                == kl.simple_character(anti, own).coefficients)
+        assert (kl.projective_multiplicities(anti, w, table)
+                == kl.projective_multiplicities(anti, own))
+
+
+def _finite_or_bounded(name):
+    matrix, bound = WORD_ROUTE_SYSTEMS[name]
+    system = CoxeterSystem(matrix)
+    if bound is None:
+        return system, coxeter.all_elements(system)
+    return system, coxeter.elements_up_to(system, bound)
+
+
+@pytest.mark.parametrize("name", sorted(WORD_ROUTE_SYSTEMS))
+def test_the_column_pass_ends_where_the_walk_does(name):
+    """For every w and every x, the column of w maps x to the x of the
+    extremal pair that `_p` walks (x, w) to (w when P = 1), and to -1 when
+    x is not <= w."""
+    system, elems = _finite_or_bounded(name)
+    table, walk = KLTable(system), KLTable(system)
+    walk._extremal = lambda x, w: x  # the walk's end, in place of its P
+    for w in elems:
+        ext = table._reduce(w.id)
+        for x in elems:
+            end = walk._p(x.id, w.id)
+            want = w.id if end == ONE else -1 if end == ZERO else end
+            assert (ext[x.id] if x.id <= w.id else -1) == want, (x, w)
+
+
+def test_a_column_is_built_once_per_w(monkeypatch):
+    """Reading the full B3 P-table column by column builds 48 columns, one
+    per w, and so does a dominant decomposition matrix on a fresh table."""
+    built = []
+    original = KLTable._reduce
+
+    def counted(self, w):
+        built.append(w)
+        return original(self, w)
+
+    monkeypatch.setattr(KLTable, "_reduce", counted)
+    cartan = rootdata.cartan_datum(B3)
+    block = blocks.block_data(cartan, weight(cartan, 0, 0, 0))
+    system = block.coxeter_system
+    elems = coxeter.all_elements(system)
+    table = KLTable(system)
+    for w in elems:
+        for x in elems:
+            table.poly(x, w)
+    assert len(built) == len(elems) == 48
+    assert len(table.memo) == EXTREMAL_PAIRS["B3"]
+    built.clear()
+    kl.decomposition_matrix(block, KLTable(system))
+    assert len(built) == 48
+
+
+@pytest.fixture(scope="module")
+def kl_cache_dir(tmp_path_factory):
+    """A KL disk cache holding, for each group of WORD_ROUTE_SYSTEMS, what
+    reading columns from its last listed element down stores, up to the
+    first column that stores a pair."""
+    root = tmp_path_factory.mktemp("kl-cache")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("BLOCKO_CACHE", str(root))
+        for name in WORD_ROUTE_SYSTEMS:
+            system, elems = _finite_or_bounded(name)
+            table = KLTable(system)
+            for w in reversed(elems):
+                if table.column(w) and table.memo:
+                    break
+            cli._store_kl_cache(table, (0, set()))
+    return root
+
+
+@pytest.fixture(scope="module")
+def word_routes():
+    """name -> (system, elements, WordKL), filled as used, so that the
+    examples of a property test share one reference."""
+    return {}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_ROUTE_SYSTEMS))
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_the_one_column_cache_reads_like_the_walk(name, kl_cache_dir, word_routes, data):
+    """`poly` read in any interleaving of a few w, with the disk cache
+    loaded once between reads, gives the word route's P, and its store gets
+    the keys of the per-pair walk `_p` over the same reads.  Read in full
+    afterwards, the store holds the table's extremal pairs."""
+    if name not in word_routes:
+        system, elems = _finite_or_bounded(name)
+        word_routes[name] = system, elems, WordKL(system)
+    system, elems, ref = word_routes[name]
+    ws = data.draw(st.lists(st.sampled_from(elems), min_size=1, max_size=3))
+    reads = data.draw(st.lists(st.tuples(st.sampled_from(elems), st.sampled_from(ws)),
+                               min_size=2, max_size=24))
+    load_at = data.draw(st.integers(1, len(reads) - 1))
+    table, walk = KLTable(system), KLTable(system)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("BLOCKO_CACHE", str(kl_cache_dir))
+        for i, (x, w) in enumerate(reads):
+            if i == load_at:
+                cli._load_kl_cache(table)
+                cli._load_kl_cache(walk)
+            assert table.poly(x, w) == ref.poly(x.word, w.word), (x, w)
+            walk._p(x.id, w.id)
+    assert table.memo.keys() == walk.memo.keys()
+    for w in elems:
+        table.column(w)
+    assert len(table.memo) == EXTREMAL_PAIRS[name]
