@@ -648,7 +648,8 @@ def kl_cache_dir(tmp_path_factory):
             system, elems = _finite_or_bounded(name)
             table = KLTable(system)
             for w in reversed(elems):
-                if table.column(w) and table.memo:
+                table.column(w)
+                if table.memo:
                     break
             cli._store_kl_cache(table, (0, set()))
     return root
