@@ -89,7 +89,6 @@ class KLTable:
         self.q_memo = {}
         self.mu_lists = {}
         self._column = (None, [])
-        self._last = None  # the w of the last read that walked
         self._w0x = None
 
     def poly(self, x: Element, w: Element):
@@ -99,32 +98,20 @@ class KLTable:
     def column(self, w: Element):
         """{x id: P_{x,w}} over the x <= w, in increasing id."""
         w = w.id
-        if self._column[0] != w:
-            self._column = (w, self._reduce(w))
-        memo = self.memo  # a stored P is never empty: P(0) = 1
-        return {x: ONE if e == w else memo.get((e, w)) or self._extremal(e, w)
-                for x, e in enumerate(self._column[1]) if e >= 0}
+        return {x: self._extremal(e, w) for x, e in enumerate(self._ext(w)) if e >= 0}
 
     def _read(self, x, w):
-        """P_{x,w} (ids) off the column of w.  A read of another w walks, as
-        the recursion does, and the next such read of the same w builds its
-        column: reads that change w each time (a row of Q, say) pay no
-        pass."""
-        column = self._column
-        if column[0] != w:
-            if self._last != w:
-                self._last = w
-                return self._p(x, w)
-            column = self._column = (w, self._reduce(w))
-        if x > w:
+        """P_{x,w} (ids) off the column of w."""
+        ext = self._ext(w)
+        if x > w or ext[x] < 0:
             return ZERO
-        x = column[1][x]
-        if x == w:
-            return ONE
-        if x < 0:
-            return ZERO
-        # a stored P is never empty: P(0) = 1
-        return self.memo.get((x, w)) or self._extremal(x, w)
+        return self._extremal(ext[x], w)
+
+    def _ext(self, w):
+        """ext of the column of w, reduced again when w changes."""
+        if self._column[0] != w:
+            self._column = (w, self._reduce(w))
+        return self._column[1]
 
     def _reduce(self, w):
         """ext for the column of w.  ext[x] is the longest element of the
@@ -147,7 +134,9 @@ class KLTable:
         return ext
 
     def _extremal(self, x, w):
-        """P_{x,w} for an extremal pair x < w."""
+        """P_{x,w} for an extremal pair x <= w."""
+        if x == w:
+            return ONE
         val = self.memo.get((x, w))
         if val is None:
             val = self.memo[x, w] = self._compute(x, w)
@@ -169,7 +158,7 @@ class KLTable:
         rdesc, rmul = system.rdesc, system.rmul
         while up := rdesc[w] & ~rdesc[x]:
             x = rmul[(up & -up).bit_length() - 1][x]
-        return ONE if x == w else self._extremal(x, w)
+        return self._extremal(x, w)
 
     def _compute(self, x, w):
         """P_{x,w} for an extremal pair x < w, so s x < x for the first
@@ -374,7 +363,7 @@ def simple_character(block, w: Element, table: KLTable = None) -> CharacterVecto
 
 def _q_column(table, w, elems):
     """{y id: Q_{w,y}} over the listed y >= w, in their order."""
-    return {y.id: table.inverse_poly(w, y) for y in elems if bruhat_leq(w, y)}
+    return {y.id: q for y in elems if (q := table.inverse_poly(w, y))}
 
 
 def _multiplicities(table, position, w, elems):
@@ -391,18 +380,15 @@ def decomposition_matrix(block, table: KLTable = None):
     order: P_{y,w}(1) for y <= w over a dominant base, Q_{w,y}(1) for w <= y
     over an antidominant one.  Every entry only needs the Bruhat interval
     between y and w, so truncation is exact.  The entries are read one
-    column w at a time, and listed by y, then w.
+    column w at a time.
     """
     position = _extremal_position(block)
     if table is None:
         table = KLTable(block.coxeter_system)
     elems, _ = _elements(block)
     words = table.system.words
-    rows = {y.id: {} for y in elems}
-    for w in elems:
-        for y, n in _multiplicities(table, position, w, elems).items():
-            rows[y][(words[y], w.word)] = n
-    return {key: n for row in rows.values() for key, n in row.items()}
+    return {(words[y], w.word): n for w in elems
+            for y, n in _multiplicities(table, position, w, elems).items()}
 
 
 def projective_multiplicities(block, w: Element, table: KLTable = None):
