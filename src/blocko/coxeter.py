@@ -40,8 +40,17 @@ _BOND_PAIRS = {2: (0, 0), 3: (1, 1), 4: (1, 2), 6: (1, 3), INFINITY: (2, 2)}
 
 
 def members(mask):
-    """The ids in a bitset, in increasing order."""
-    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+    """The ids in a bitset, in increasing order: set bit by set bit when
+    under one bit in eight is set (each step costs a pass over the integer's
+    words), else by one walk over its binary digits."""
+    if mask.bit_count() * 8 >= mask.bit_length():
+        return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def word_str(word):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, count, islice
 from math import gcd, lcm, prod
 from operator import add, mul, sub
 
@@ -63,7 +63,7 @@ def root_form(cartan, beta) -> Poly:
 class MomentGraphBlock:
     # a cache on a graph is one of the stores declared here
     __slots__ = ("block", "vertices", "weights", "edges", "billey", "nvars", "algebra",
-                 "monomials", "shifts", "annihilators", "quotients")
+                 "edges_up", "monomials", "shifts", "annihilators", "quotients")
 
     def __init__(self, block, vertices, weights, edges, billey, nvars):
         self.block = block
@@ -74,6 +74,7 @@ class MomentGraphBlock:
         self.billey = billey
         self.nvars = nvars
         self.algebra = None  # its structure algebra (structure_algebra)
+        self.edges_up = None  # per vertex, its edges up (_edges_up)
         # tables of _monomials and _shifts, and of _restriction_rows and
         # _quotient_rows keyed by the integer `_label` of an edge label;
         # each is filled on first use
@@ -159,6 +160,7 @@ class ZLattice:
     given graded degrees, which `generators` rebuilds on first read."""
 
     _generators = None  # the Poly tuples, once read
+    _actions = None  # (algebra, its `_action_matrices` on this lattice), once built
 
     def __init__(self, graph, slots, generators, degrees):
         self.graph = graph
@@ -600,7 +602,10 @@ def expand_many(M: ZLattice, vectors, pd):
 def _action_matrices(M: ZLattice, algebra: ZLattice):
     """For each algebra generator z, the matrix F with F[j][i] = coefficient
     of g_j in z * g_i, as {monomial position: Fraction}.  One expand_many
-    per target degree covers the products of every generator."""
+    per target degree covers the products of every generator.  Kept on M
+    for the algebra they were built with."""
+    if M._actions is not None and M._actions[0] is algebra:
+        return M._actions[1]
     index = {w: i for i, w in enumerate(algebra.slots)}
     z_slots = [index[w] for w in M.slots]
     n = len(M.vectors)
@@ -618,7 +623,8 @@ def _action_matrices(M: ZLattice, algebra: ZLattice):
                     "lattice is not stable under the structure algebra"
                 )
             cols[t][i] = coeffs
-    return [[[c[i][j] for i in range(n)] for j in range(n)] for c in cols]
+    M._actions = (algebra, [[[c[i][j] for i in range(n)] for j in range(n)] for c in cols])
+    return M._actions[1]
 
 
 def hom_graded(M: ZLattice, N: ZLattice, d: int, algebra: ZLattice = None):
@@ -999,18 +1005,21 @@ def isomorphic_up_to_shift(a: ZLattice, b: ZLattice) -> bool:
 
 
 def _quotient_rows(graph, label, d, k):
-    """Sparse integer rows over a degree-d slot, as (positions, integers):
-    the coordinates in S / h S (the `_restriction_rows` of the label key)
-    of c, for the slot value c * x_1^k.  Built once per label key and
-    degrees."""
-    if d < k:
-        return []
+    """The sparse integer rows, over a degree-d slot, of the coordinates in
+    S / h S (the `_restriction_rows` of the label key) of c, for the slot
+    value c * x_1^k, held by column: (number of rows, per position of the
+    slot the (row, integer) pairs it adds to).  Built once per label key
+    and degrees."""
     if (label, d, k) not in graph.quotients:
-        lift = _shifts(graph, k, d - k)[0]  # positions of x_1^k * a
-        graph.quotients[label, d, k] = [
-            (tuple(lift[q] for q, x in enumerate(r) if x), tuple(x for x in r if x))
-            for r in _restriction_rows(graph, label, d - k)
-        ]
+        table = [[] for _ in range(_width(graph, d))]
+        rows = _restriction_rows(graph, label, d - k) if d >= k else []
+        if rows:
+            lift = _shifts(graph, k, d - k)[0]  # positions of x_1^k * a
+            for r, row in enumerate(rows):
+                for q, x in enumerate(row):
+                    if x:
+                        table[lift[q]].append((r, x))
+        graph.quotients[label, d, k] = (len(rows), table)
     return graph.quotients[label, d, k]
 
 
@@ -1023,6 +1032,45 @@ def _section_vector(graph, values, vertices, stalks, d):
     return vec
 
 
+def _image_map(graph, up, stalks, d, width):
+    """The map of a degree-d slot vector over the stalk slots of the
+    vertices above, in `up`'s order, to the product of the quotients
+    B^y / h_E B^y, each target slot's by its `_quotient_rows`: per position
+    of the vector, the first row of its slot and the (row, integer) pairs;
+    the number of rows; and per edge E up to y, (y, its first row, the row
+    after its last)."""
+    bases, cols, spans, nq = [], [], [], 0
+    for y, label in up:
+        start = nq
+        for k in stalks[y]:
+            n, table = _quotient_rows(graph, label, d, k)
+            bases += [nq] * width
+            cols += table
+            nq += n
+        spans.append((y, start, nq))
+    return bases, cols, nq, spans
+
+
+def _image(bases, cols, nq, vec):
+    """A slot vector through an `_image_map`, by its nonzero entries."""
+    out = [0] * nq
+    for pos in compress(count(), vec):
+        x, base = vec[pos], bases[pos]
+        for r, c in cols[pos]:
+            out[base + r] += c * x
+    return out
+
+
+def _in_slots(place, coords, size):
+    """The slot vector of size `size` over the stalk at x with the given
+    coordinates, the one at column j placed at place[j] (None: no slot)."""
+    out = [0] * size
+    for pos, c in zip(place, coords):
+        if c and pos is not None:
+            out[pos] = c
+    return out
+
+
 def _glue(graph, x, up, stalks, sections, bound):
     """The sections over U and x, from those over U: B^x is free on the
     minimal generators of M_x, and a section over U with image m glues to
@@ -1030,13 +1078,14 @@ def _glue(graph, x, up, stalks, sections, bound):
     y, the pair of y and the `_label` of h_E.  Sets stalks[x].
 
     One elimination per degree d, of the rows [image | B^x coordinates] of
-    the multiples m_p * b_t of the generators found in lower degrees.  Each
-    section of degree d, with a coordinate column of its own, is reduced
-    against them once: an image left nonzero makes it the next generator
-    b_t (its row is added, stalks[x] grows, and the slot vectors at x made
-    before get b_t's zero slots), otherwise c times the section glues to
-    minus the B^x coordinates of its reduced row.  So every section over U
-    glues, and B^x maps onto M_x, by construction.
+    the multiples m_p * b_t of the generators found in lower degrees, the
+    images through one `_image_map` per degree.  Each section of degree d,
+    with a coordinate column of its own, is reduced against them once: an
+    image left nonzero makes it the next generator b_t (its row is added,
+    stalks[x] grows, and the slot vectors at x made before get b_t's zero
+    slots), otherwise c times the section glues to minus the B^x
+    coordinates of its reduced row.  So every section over U glues, and
+    B^x maps onto M_x, by construction.
 
     Certified within the polynomial degree bound: (a) on every edge E from
     x up to y, B^x -> B^y / h_E B^y is onto in every degree; (b) the kernel
@@ -1049,111 +1098,123 @@ def _glue(graph, x, up, stalks, sections, bound):
 
     (a) is checked in the degrees of B^y's generators only: the image of
     B^x in B^y / h_E B^y is an S-submodule, so once it holds the classes of
-    B^y's generators it is onto in every degree.  K_x's minimal generators
-    are found degree by degree, and the degrees stop at the first D that is
-    at least every section degree and every stalk degree of the y above x
-    and at which the generators found so far pass (b).  The localisation
-    argument holds for any submodule N of K_x that passes (b): its
-    determinant, nonzero of degree sum_E r_y, is a multiple of K_x's, which
-    prod_E h_E^(r_y) divides, so the two differ by a unit, N = K_x and no
-    later degree adds a generator."""
+    B^y's generators it is onto in every degree.  The rows of the
+    elimination whose pivots lie in E's columns are triangular on those
+    pivot columns, so as many such pivots as columns is full rank; with
+    fewer, the rank is computed.  K_x's minimal generators are found degree
+    by degree, and the degrees stop at the first D that is at least every
+    section degree and every stalk degree of the y above x and at which the
+    generators found so far pass (b); each generator's generic values join
+    one elimination once.  The localisation argument holds for any
+    submodule N of K_x that passes (b): its determinant, nonzero of degree
+    sum_E r_y, is a multiple of K_x's, which prod_E h_E^(r_y) divides, so
+    the two differ by a unit, N = K_x and no later degree adds a
+    generator."""
     where = f"Braden-MacPherson stalk at {word_str(x)} (degree bound {bound})"
-    targets = [(label, k) for y, label in up for k in stalks[y]]
-    quotients = {}  # degree -> per target slot, its `_quotient_rows`
-
-    def quotient(d):
-        if d not in quotients:
-            quotients[d] = [_quotient_rows(graph, label, d, k) for label, k in targets]
-        return quotients[d]
-
-    def image(vec, d):
-        """A degree-d slot vector over the target slots, mapped to the
-        product of the quotients B^y / h B^y."""
-        width = _width(graph, d)
-        out = []
-        for base, block in zip(range(0, len(vec), width), quotient(d)):
-            at = vec[base : base + width].__getitem__
-            out.extend(sum(map(mul, xs, map(at, ps))) for ps, xs in block)
-        return out
-
-    def padded(vec, d):  # slot-major: later generators' slots come last
-        return vec + [0] * (len(stalk) * _width(graph, d) - len(vec))
-
     above = [y for y, _ in up]
     stalk, stalks[x] = [], []  # B^x's generators, over the target slots
     glued = {}
     last = max([d for d, _ in sections] + [k for y in above for k in stalks[y]])
+    edge_ranks = sum(len(stalks[y]) for y in above)  # the r_y over the edges
     kgens = []  # K_x's minimal generators, in increasing degree
+    generic, total = Echelon(), 0  # (b): their generic values, their degree sum
+    by_degree = {}  # degree -> its sections
+    for i, (d, _) in enumerate(sections):
+        by_degree.setdefault(d, []).append(i)
 
     for d in range(bound + 1):
         width = _width(graph, d)
-        nq = sum(map(len, quotient(d)))
+        bases, cols, nq, spans = _image_map(graph, up, stalks, d, width)
         basis = list(_multiples(graph, stalk, d))  # m_p * b_t
-        own = [i for i, (dg, _) in enumerate(sections) if dg == d]
-        # coordinate columns: (t, p) per m_p * b_t, then one per section of
-        # degree d, (t, 0) once it is the generator b_t
-        cols = [(t, p) for t, p, _ in basis] + [None] * len(own)
-        aug = Echelon(
-            image(vec, d) + [int(j == c) for c in range(len(cols))]
-            for j, (_, _, vec) in enumerate(basis)
-        )
-
-        def in_slots(coeffs):
-            out = [0] * (len(stalk) * width)
-            for col, c in zip(cols, coeffs):
-                if col and c:
-                    t, p = col
-                    dt = stalks[x][t]
-                    out[t * width + _shifts(graph, d - dt, dt)[p][0]] = c
-            return out
+        own = by_degree.get(d, [])
+        ncols = len(basis) + len(own)
+        # coordinate columns: m_p * b_t, then one per section of degree d;
+        # place[j] is column j's slot position at x, once it has one
+        place = [t * width + shift[0] for t, dt in enumerate(stalks[x])
+                 for shift in _shifts(graph, d - dt, dt)] + [None] * len(own)
+        aug = Echelon()
+        for j, (_, _, vec) in enumerate(basis):
+            row = _image(bases, cols, nq, vec) + [0] * ncols
+            row[nq + j] = 1
+            aug.add(row)
 
         for j, i in enumerate(own, len(basis)):
             values = sections[i][1]
             vec = _section_vector(graph, values, above, stalks, d)
-            row = image(vec, d) + [int(j == c) for c in range(len(cols))]
+            row = _image(bases, cols, nq, vec) + [0] * ncols
+            row[nq + j] = 1
             rest = aug.reduce(row)
             if any(rest[:nq]):  # the next generator b_t glues to b_t
                 aug.add(rest)
-                cols[j] = (len(stalk), 0)
+                place[j] = len(stalk) * width
                 stalk.append((vec, 1, d))
                 stalks[x].append(d)
+                # slot-major: K_x's generators get b_t's zero slot last
+                kgens = [(v + [0] * _width(graph, dg), 1, dg) for v, _, dg in kgens]
                 c, coords = 1, row[nq:]
             else:  # c * section i glues to minus rest's coordinates
                 c, coords = rest[nq + j], [-a for a in rest[nq:]]
+            at_x = _in_slots(place, coords, len(stalk) * width)
+            # every section is primitive, so c = +-1 leaves no common factor
+            if c == 1:
+                glued[i] = {**values, x: at_x}
+                continue
             lifted = {y: [c * a for a in v] for y, v in values.items()}
-            lifted[x] = in_slots(coords)
-            g = gcd(*(a for v in lifted.values() for a in v))
-            glued[i] = {y: [a // g for a in v] for y, v in lifted.items()}
+            lifted[x] = at_x
+            g = 1 if c == -1 else gcd(*(a for v in lifted.values() for a in v))
+            glued[i] = {y: [a // g for a in v] for y, v in lifted.items()} if g > 1 else lifted
 
-        spans = [len(block) for block in quotient(d)]
-        start = 0
-        for y, _ in up:  # (a): each edge's columns have full rank
-            stop = start + sum(spans[: len(stalks[y])])
-            spans = spans[len(stalks[y]) :]
-            if d in stalks[y]:
+        for y, start, stop in spans:  # (a): each edge's columns have full rank
+            if d in stalks[y] and sum(start <= p < stop for p in aug.pivots) < stop - start:
                 found = len(Echelon(row[start:stop] for row in aug.rows).rows)
                 if found != stop - start:
                     raise TruncationError(
                         f"{where}: B^x has rank {found} in B^y / h B^y for the edge "
                         f"up to {word_str(y)} in degree {d}, expected {stop - start}"
                     )
-            start = stop
 
-        kgens = [(padded(vec, dg), 1, dg) for vec, _, dg in kgens]
-        kernel = [in_slots(row[nq:]) for row, p in zip(aug.rows, aug.pivots) if p >= nq]
-        if kernel:
-            kgens += _kept(graph, kgens, [(vec, 1, d) for vec in kernel], d)
         r = len(stalk)
-        expected = (r, r, sum(stalks[x]) + sum(len(stalks[y]) for y in above))
-        if d >= last and len(kgens) == r and _certificate(graph, kgens) == expected:
+        kernel = [_in_slots(place, row[nq:], r * width)
+                  for row, p in zip(aug.rows, aug.pivots) if p >= nq]
+        if kernel:
+            new = _kept(graph, kgens, [(vec, 1, d) for vec in kernel], d)
+            kgens += new
+            total += d * len(new)
+            for row in generic.rows:  # zero slots keep the rank
+                row.extend([0] * (r - len(row)))
+            for vec, _, _ in new:
+                generic.add(_generic_values(graph, vec, d))
+        if (d >= last and len(kgens) == len(generic.rows) == r
+                and total == sum(stalks[x]) + edge_ranks):
             break
     else:  # (b) never closed
         raise TruncationError(
             f"{where}: the kernel of B^x -> M_x has (generators, generic rank, "
-            f"degree sum) {_certificate(graph, kgens)}, expected {expected}"
+            f"degree sum) {(len(kgens), len(generic.rows), total)}, expected "
+            f"{(r, r, sum(stalks[x]) + edge_ranks)}"
         )
-    out = [(d, {**glued[i], x: padded(glued[i][x], d)}) for i, (d, _) in enumerate(sections)]
+    out = [(d, {**glued[i], x: _padded(graph, glued[i][x], d, r)})
+           for i, (d, _) in enumerate(sections)]
     return out + [(d, {x: vec}) for vec, _, d in kgens]
+
+
+def _padded(graph, vec, d, r):
+    """A degree-d slot vector at x with zero slots appended up to r."""
+    return vec + [0] * (r * _width(graph, d) - len(vec))
+
+
+def _edges_up(graph):
+    """Per vertex x, its edges up as (y, the `_label` of h_E), sorted by
+    `_vertex_key` of y; built once per graph."""
+    if graph.edges_up is None:
+        table = {x: [] for x in graph.vertices}
+        for edge, h in graph.edges.items():
+            x, y = sorted(edge, key=_vertex_key)
+            table[x].append((y, _label(graph, h)))
+        for up in table.values():
+            up.sort(key=lambda yh: _vertex_key(yh[0]))
+        graph.edges_up = table
+    return graph.edges_up
 
 
 def identify_projective(graph: MomentGraphBlock, w) -> ZLattice:
@@ -1175,15 +1236,11 @@ def identify_projective(graph: MomentGraphBlock, w) -> ZLattice:
     if top.word not in graph.weights:
         raise TruncationError(outside_the_length_bound(block, top.word))
     cone = sorted((x.word for x in lower_cone(top)), key=_vertex_key)
-    ups = {x: [] for x in cone}
-    for edge, h in graph.edges.items():
-        if edge <= ups.keys():
-            x, y = sorted(edge, key=_vertex_key)
-            ups[x].append((y, _label(graph, h)))
+    inside, table = set(cone), _edges_up(graph)
     stalks = {top.word: [0]}
     sections = [(0, {top.word: [1]})]
     for x in reversed(cone[:-1]):
-        up = sorted(ups[x], key=lambda yh: _vertex_key(yh[0]))
+        up = [(y, label) for y, label in table[x] if y in inside]
         sections = _glue(graph, x, up, stalks, sections, top.length)
     gens = sorted(
         ((_section_vector(graph, v, cone, stalks, d), 1, d) for d, v in sections),

@@ -1,9 +1,10 @@
 """Coxeter systems: normal forms, Bruhat order, cones and finiteness."""
 
 import itertools
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blocko import coxeter
 from blocko.coxeter import INFINITY, CoxeterSystem, bruhat_leq
@@ -282,6 +283,21 @@ def test_tables_match_matrix_reference(name):
         for picks in itertools.product((0, 1), repeat=len(word)):
             below.add(system.ids[nf(tuple(a for a, p in zip(word, picks) if p))])
         assert coxeter.members(system.cone(i)) == sorted(below)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 4000), st.sampled_from([0, 1, 2, 5, 10, 12, 13, 20, 50, 100]),
+       st.integers(0, 2**32))
+@example(0, 0, 0)  # the empty mask
+@example(4000, 100, 0)  # all ones
+@example(1920, 1, 0)  # a sparse mask of D5's numbering
+def test_members_lists_the_set_bits(bits, percent, seed):
+    """`members` walks set bits on a sparse mask and binary digits on a
+    dense one; both give the set bits in increasing order, at every
+    density from 0 to all-ones."""
+    rng = random.Random(seed)
+    ids = [i for i in range(bits) if rng.random() * 100 < percent]
+    assert coxeter.members(sum(1 << i for i in ids)) == ids
 
 
 @pytest.mark.parametrize("name", ["A1~", "A2~"])

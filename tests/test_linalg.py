@@ -128,6 +128,23 @@ def test_echelon_add_matches_span_membership(m):
         assert next(c for c, x in enumerate(row) if x) == p
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(matrices())
+def test_pivots_inside_a_column_block_give_it_full_rank(m):
+    """The rows of an Echelon whose pivots lie in a column block are
+    triangular on those pivot columns (each row is zero at the pivots of
+    the rows added before it), so when they are as many as the block's
+    columns, the rows sliced to the block have full rank.  The
+    Braden-MacPherson edge check counts pivots before it computes a rank."""
+    ncols, rows = m
+    span = Echelon(linalg.integral(v)[0] for v in rows)
+    for start in range(ncols + 1):
+        for stop in range(start, ncols + 1):
+            if sum(start <= p < stop for p in span.pivots) == stop - start:
+                assert linalg.rank([row[start:stop] for row in span.rows]) == stop - start
+                assert linalg.rank([row[start:stop] for row in rows]) == stop - start
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_mat_mul_matches_fraction_product(data):
