@@ -28,6 +28,7 @@ left descent s; it lists its elements in ShortLex order.
 
 from __future__ import annotations
 
+from itertools import compress, count
 from math import inf
 
 from .errors import CartanError, TruncationError, UnsupportedError
@@ -40,17 +41,10 @@ _BOND_PAIRS = {2: (0, 0), 3: (1, 1), 4: (1, 2), 6: (1, 3), INFINITY: (2, 2)}
 
 
 def members(mask):
-    """The ids in a bitset, in increasing order: set bit by set bit when
-    under one bit in eight is set (each step costs a pass over the integer's
-    words), else by one walk over its binary digits."""
-    if mask.bit_count() * 8 >= mask.bit_length():
-        return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    """The ids in a bitset, in increasing order: its binary digits, lowest
+    first, as bytes that are zero at a clear bit, pick the ids from a
+    counter in C."""
+    return list(compress(count(), bin(mask)[:1:-1].encode().replace(b"0", b"\0")))
 
 
 def word_str(word):

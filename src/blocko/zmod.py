@@ -160,7 +160,6 @@ class ZLattice:
     given graded degrees, which `generators` rebuilds on first read."""
 
     _generators = None  # the Poly tuples, once read
-    _actions = None  # (algebra, its `_action_matrices` on this lattice), once built
 
     def __init__(self, graph, slots, generators, degrees):
         self.graph = graph
@@ -602,10 +601,7 @@ def expand_many(M: ZLattice, vectors, pd):
 def _action_matrices(M: ZLattice, algebra: ZLattice):
     """For each algebra generator z, the matrix F with F[j][i] = coefficient
     of g_j in z * g_i, as {monomial position: Fraction}.  One expand_many
-    per target degree covers the products of every generator.  Kept on M
-    for the algebra they were built with."""
-    if M._actions is not None and M._actions[0] is algebra:
-        return M._actions[1]
+    per target degree covers the products of every generator."""
     index = {w: i for i, w in enumerate(algebra.slots)}
     z_slots = [index[w] for w in M.slots]
     n = len(M.vectors)
@@ -623,8 +619,7 @@ def _action_matrices(M: ZLattice, algebra: ZLattice):
                     "lattice is not stable under the structure algebra"
                 )
             cols[t][i] = coeffs
-    M._actions = (algebra, [[[c[i][j] for i in range(n)] for j in range(n)] for c in cols])
-    return M._actions[1]
+    return [[[c[i][j] for i in range(n)] for j in range(n)] for c in cols]
 
 
 def hom_graded(M: ZLattice, N: ZLattice, d: int, algebra: ZLattice = None):
@@ -1104,12 +1099,11 @@ def _glue(graph, x, up, stalks, sections, bound):
     fewer, the rank is computed.  K_x's minimal generators are found degree
     by degree, and the degrees stop at the first D that is at least every
     section degree and every stalk degree of the y above x and at which the
-    generators found so far pass (b); each generator's generic values join
-    one elimination once.  The localisation argument holds for any
-    submodule N of K_x that passes (b): its determinant, nonzero of degree
-    sum_E r_y, is a multiple of K_x's, which prod_E h_E^(r_y) divides, so
-    the two differ by a unit, N = K_x and no later degree adds a
-    generator."""
+    generators found so far pass (b).  The localisation argument holds for
+    any submodule N of K_x that passes (b): its determinant, nonzero of
+    degree sum_E r_y, is a multiple of K_x's, which prod_E h_E^(r_y)
+    divides, so the two differ by a unit, N = K_x and no later degree adds
+    a generator."""
     where = f"Braden-MacPherson stalk at {word_str(x)} (degree bound {bound})"
     above = [y for y, _ in up]
     stalk, stalks[x] = [], []  # B^x's generators, over the target slots
@@ -1117,7 +1111,6 @@ def _glue(graph, x, up, stalks, sections, bound):
     last = max([d for d, _ in sections] + [k for y in above for k in stalks[y]])
     edge_ranks = sum(len(stalks[y]) for y in above)  # the r_y over the edges
     kgens = []  # K_x's minimal generators, in increasing degree
-    generic, total = Echelon(), 0  # (b): their generic values, their degree sum
     by_degree = {}  # degree -> its sections
     for i, (d, _) in enumerate(sections):
         by_degree.setdefault(d, []).append(i)
@@ -1154,14 +1147,9 @@ def _glue(graph, x, up, stalks, sections, bound):
                 c, coords = 1, row[nq:]
             else:  # c * section i glues to minus rest's coordinates
                 c, coords = rest[nq + j], [-a for a in rest[nq:]]
-            at_x = _in_slots(place, coords, len(stalk) * width)
-            # every section is primitive, so c = +-1 leaves no common factor
-            if c == 1:
-                glued[i] = {**values, x: at_x}
-                continue
             lifted = {y: [c * a for a in v] for y, v in values.items()}
-            lifted[x] = at_x
-            g = 1 if c == -1 else gcd(*(a for v in lifted.values() for a in v))
+            lifted[x] = _in_slots(place, coords, len(stalk) * width)
+            g = gcd(*(a for v in lifted.values() for a in v))
             glued[i] = {y: [a // g for a in v] for y, v in lifted.items()} if g > 1 else lifted
 
         for y, start, stop in spans:  # (a): each edge's columns have full rank
@@ -1177,21 +1165,14 @@ def _glue(graph, x, up, stalks, sections, bound):
         kernel = [_in_slots(place, row[nq:], r * width)
                   for row, p in zip(aug.rows, aug.pivots) if p >= nq]
         if kernel:
-            new = _kept(graph, kgens, [(vec, 1, d) for vec in kernel], d)
-            kgens += new
-            total += d * len(new)
-            for row in generic.rows:  # zero slots keep the rank
-                row.extend([0] * (r - len(row)))
-            for vec, _, _ in new:
-                generic.add(_generic_values(graph, vec, d))
-        if (d >= last and len(kgens) == len(generic.rows) == r
-                and total == sum(stalks[x]) + edge_ranks):
+            kgens += _kept(graph, kgens, [(vec, 1, d) for vec in kernel], d)
+        expected = (r, r, sum(stalks[x]) + edge_ranks)
+        if d >= last and len(kgens) == r and _certificate(graph, kgens) == expected:
             break
     else:  # (b) never closed
         raise TruncationError(
             f"{where}: the kernel of B^x -> M_x has (generators, generic rank, "
-            f"degree sum) {(len(kgens), len(generic.rows), total)}, expected "
-            f"{(r, r, sum(stalks[x]) + edge_ranks)}"
+            f"degree sum) {_certificate(graph, kgens)}, expected {expected}"
         )
     out = [(d, {**glued[i], x: _padded(graph, glued[i][x], d, r)})
            for i, (d, _) in enumerate(sections)]

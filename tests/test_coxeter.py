@@ -292,9 +292,8 @@ def test_tables_match_matrix_reference(name):
 @example(4000, 100, 0)  # all ones
 @example(1920, 1, 0)  # a sparse mask of D5's numbering
 def test_members_lists_the_set_bits(bits, percent, seed):
-    """`members` walks set bits on a sparse mask and binary digits on a
-    dense one; both give the set bits in increasing order, at every
-    density from 0 to all-ones."""
+    """`members` gives the set bits in increasing order, at every density
+    from 0 to all-ones."""
     rng = random.Random(seed)
     ids = [i for i in range(bits) if rng.random() * 100 < percent]
     assert coxeter.members(sum(1 << i for i in ids)) == ids
