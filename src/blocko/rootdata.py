@@ -114,16 +114,11 @@ def _find_symmetrizer(matrix):
 def _kernel_marks(matrix):
     n = len(matrix)
     rows = [[Fraction(a) for a in row] for row in matrix]
+    # one kernel vector, as the symmetrized matrix has one zero eigenvalue;
+    # it has an entry 1, so it is primitive and never all negative
     kern = linalg.kernel_basis(rows, n)
-    if len(kern) != 1:
-        return None
-    # primitive already: the kernel vector has an entry 1
     ints = linalg.integral(kern[0])[0]
-    if all(x > 0 for x in ints):
-        return tuple(ints)
-    if all(x < 0 for x in ints):
-        return tuple(-x for x in ints)
-    return None
+    return tuple(ints) if all(x > 0 for x in ints) else None
 
 
 def cartan_datum(matrix, symmetrizer=None) -> CartanDatum:
@@ -151,20 +146,12 @@ def cartan_datum(matrix, symmetrizer=None) -> CartanDatum:
     if neg == 0 and zero == 1:
         marks = _kernel_marks(matrix)
         if marks is not None:
-            node = _pick_affine_node(matrix, symmetrizer)
-            return CartanDatum(matrix, symmetrizer, AFFINE, marks, node)
+            # a strictly positive kernel vector makes A indecomposable, and
+            # every proper principal submatrix of an indecomposable affine
+            # matrix is of finite type (Kac, Infinite-dimensional Lie
+            # algebras, Lemma 4.5): deleting node 0 leaves a finite diagram
+            return CartanDatum(matrix, symmetrizer, AFFINE, marks, 0)
     return CartanDatum(matrix, symmetrizer, INDEFINITE)
-
-
-def _pick_affine_node(matrix, symmetrizer):
-    n = len(matrix)
-    for j in range(n):
-        rest = [r for r in range(n) if r != j]
-        sub = [[symmetrizer[a] * matrix[a][b] for b in rest] for a in rest]
-        pos, zero, neg = linalg.congruence_inertia(sub)
-        if zero == 0 and neg == 0:
-            return j
-    raise CartanError("no affine node found")  # pragma: no cover
 
 
 class Weight(Value):

@@ -420,8 +420,8 @@ def _schubert_algebra(graph, what):
     Refuses, with UnsupportedError, a truncated orbit whose Billey
     endpoints leave it (sum_v l(m(v)) is not the edge count), where the
     classes do not span Z.  Certified by exact membership, every edge
-    congruence on every generator through the `_restriction_rows` of its
-    label, then by count, generic rank and degree sum (`_certified_lattice`)."""
+    congruence on every generator through its label's `_quotient_rows` at
+    k = 0, then by count, generic rank and degree sum (`_certified_lattice`)."""
     vertices, system = graph.vertices, graph.block.coxeter_system
     if sum(len(word) for word, _ in graph.billey.values()) != len(graph.edges):
         raise _not_a_lower_set(graph, what)
@@ -456,8 +456,10 @@ def _schubert_algebra(graph, what):
         for a, b, label in edges:
             ia, ib = index[a] * width, index[b] * width
             diff = list(map(sub, vec[ia : ia + width], vec[ib : ib + width]))
-            if any(diff) and any(sum(map(mul, r, diff))
-                                 for r in _restriction_rows(graph, label, k)):
+            if not any(diff):
+                continue
+            n, table = _quotient_rows(graph, label, k, 0)
+            if any(_image([0] * width, table, n, diff)):
                 raise TruncationError(
                     f"{what}: the Schubert class at {word_str(v)} breaks the "
                     f"congruence on the edge {word_str(a)} - {word_str(b)}"

@@ -8,6 +8,7 @@ from blocko import blocks, rootdata
 A1 = [[2]]
 A2 = [[2, -1], [-1, 2]]
 A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
 B2 = [[2, -2], [-1, 2]]
 B3 = [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]
 G2 = [[2, -1], [-3, 2]]

@@ -10,14 +10,13 @@ from blocko.coxeter import INFINITY, CoxeterSystem, bruhat_leq
 from blocko.errors import TruncationError, UnsupportedError
 from blocko.kl import KLTable, ONE, ZERO, poly_eval_one, poly_str
 
-from conftest import A1_AFFINE, A2, A3, B3, G2, weight
+from conftest import A1_AFFINE, A2, A3, A4, B3, G2, weight
 from blocko import rootdata
 from shapovalov import root_offset
 from unitriangular_decomposition import UnitriangularInverse
 from word_kl import WordKL
 
 S4_COX = ((1, 3, 2), (3, 1, 3), (2, 3, 1))
-A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
 
 
 def test_poly_str():

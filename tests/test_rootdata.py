@@ -1,5 +1,9 @@
 """Cartan data, the invariant form, roots and weights."""
 
+import itertools
+import math
+import operator
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -39,6 +43,39 @@ def test_kind_detection():
     assert cartan_datum(B2).kind == "finite"
     assert cartan_datum(A1_AFFINE).kind == "affine"
     assert cartan_datum([[2, -3], [-3, 2]]).kind == "indefinite"
+
+
+def _small_gcms():
+    """Every 2x2 and 3x3 GCM with off-diagonal entries in 0..-4 and a
+    symmetric zero pattern."""
+    pairs = [(0, 0)] + [(a, b) for a in range(-1, -5, -1) for b in range(-1, -5, -1)]
+    for n in (2, 3):
+        spots = list(itertools.combinations(range(n), 2))
+        for choice in itertools.product(pairs, repeat=len(spots)):
+            m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+            for (i, j), (a, b) in zip(spots, choice):
+                m[i][j], m[j][i] = a, b
+            yield m
+
+
+def test_every_small_gcm_is_typed_and_affine_ones_delete_node_0():
+    kinds = Counter()
+    for m in _small_gcms():
+        try:
+            cartan = cartan_datum(m)
+        except CartanError:
+            kinds["not symmetrizable"] += 1
+            continue
+        kinds[cartan.kind] += 1
+        if cartan.kind == "affine":
+            marks = cartan.marks
+            assert cartan.affine_node == 0
+            assert all(x > 0 for x in marks) and math.gcd(*marks) == 1
+            assert all(sum(map(operator.mul, row, marks)) == 0 for row in m)
+            rest = [row[1:] for row in m[1:]]
+            assert cartan_datum(rest).kind == "finite"
+    assert kinds == {"finite": 37, "affine": 28, "indefinite": 1109,
+                     "not symmetrizable": 3756}
 
 
 def test_bad_gcm_rejected():

@@ -1,6 +1,8 @@
 """Structure algebra, graded lattices, translation, decomposition."""
 
+import hashlib
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -37,7 +39,7 @@ from blocko.zmod import (
 from bs_projectives import projective_summand, reference_projective
 from lattice_homs import chars_equal, homs_equal, identity_hom
 from height_cut_graph import form_root_form, height_cut_edges
-from conftest import A1_AFFINE, A2, A2_AFFINE, A3, B2, B3, G2, weight
+from conftest import A1_AFFINE, A2, A2_AFFINE, A3, A4, B2, B3, G2, weight
 
 
 @pytest.fixture(scope="module")
@@ -1018,6 +1020,17 @@ def test_zlattice_json(a1_graph):
     report = zlattice_to_json(z)
     assert report["slots"] == ["e", "1"]
     assert [g["degree"] for g in report["generators"]] == [0, 2]
+
+
+def test_the_structure_algebra_of_a4_keeps_its_digest():
+    """Z of A4 at weight 0, all 120 vertices and 600 edges: its canonical
+    JSON (838 KB, too large for the golden file) pinned by its sha256."""
+    graph = _graph(A4, 0, 0, 0, 0, length_bound=10)
+    assert (len(graph.vertices), len(graph.edges)) == (120, 600)
+    text = json.dumps(zlattice_to_json(structure_algebra(graph)), sort_keys=True,
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "15df594b2485fd8ffbdb2f5f64d165fd74dc355275831e2662095beebf25c19e")
 
 
 def test_hom_graded_computes_action_matrices_once(a2_graph, monkeypatch):
