@@ -1,5 +1,7 @@
 """Integral root data of a weight, stabilizers, criticality, equivalence."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -487,3 +489,36 @@ def test_chamber_walk_refuses_a_chamber_the_block_lacks(coords, dominant, monkey
     if not blocks.is_critical(block):  # the chamber the block has is walked into
         shifted = block.base_weight + rho(cartan)
         assert blocks.chamber_walk(block, block.base_weight, not dominant) == ((), shifted)
+
+
+# (Cartan matrix, weight coordinates, length bound): a block of each level
+# class, an `inf` bond, an infinite stabilizer (a reflection's and a critical
+# translation's), a singular finite stabilizer and a non-integral weight
+_REPORT_BLOCKS = [
+    (A2, (0, 0), 8),  # dominant-containing
+    (A1_AFFINE, (-2, -2), 4),  # antidominant-containing, an inf bond
+    (A1_AFFINE, (-1, -1), 4),  # critical, fixed by all of W: neither-detected
+    (A2_AFFINE, (-1, -1, -1), 3),  # critical, a stabilizer of infinite order
+    (B2, (0, -1), 8),  # singular, a stabilizer of order 2
+    (G2, ("1/3", 0), 8),  # non-integral
+    (A2_AFFINE, (2, -3, -2), 2),  # a translation fixes it
+]
+
+
+def test_the_block_report_keeps_its_digest():
+    """`block_to_json` of each block above, pinned by the sha256 of its
+    canonical JSON."""
+    reports = []
+    for matrix, coords, bound in _REPORT_BLOCKS:
+        cartan = rootdata.cartan_datum(matrix)
+        block = blocks.block_data(cartan, weight(cartan, *coords), bound)
+        reports.append(blocks.block_to_json(block))
+    assert [r["level_class"] for r in reports] == [
+        "dominant-containing", "antidominant-containing", "neither-detected",
+        "neither-detected", "dominant-containing", "dominant-containing",
+        "neither-detected"]
+    assert [r["stabilizer_order"] for r in reports] == [1, 1, None, None, 2, 1, None]
+    assert reports[1]["coxeter_matrix"] == [[1, "inf"], ["inf", 1]]
+    text = json.dumps(reports, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "60539d72564c9471d339ff63b0e837431f53715521187dd12abece67757f7692")
