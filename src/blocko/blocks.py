@@ -50,19 +50,15 @@ class OrbitVertex(Value):
 
 class BlockData:
     def __init__(self, cartan, base_weight, length_bound, integral_simples,
-                 coxeter_matrix, coxeter_system, stab_simple_indices, stab_finite,
-                 stab_order, level_class, has_dominant, has_antidominant,
-                 position):
+                 coxeter_system, stab_simple_indices, stab_order, has_dominant,
+                 has_antidominant, position):
         self.cartan = cartan
         self.base_weight = base_weight
         self.length_bound = length_bound
         self.integral_simples = integral_simples  # Roots
-        self.coxeter_matrix = coxeter_matrix  # entries int or INFINITY
-        self.coxeter_system = coxeter_system
+        self.coxeter_system = coxeter_system  # its matrix: entries int or INFINITY
         self.stab_simple_indices = stab_simple_indices  # those fixing lambda
-        self.stab_finite = stab_finite
-        self.stab_order = stab_order
-        self.level_class = level_class
+        self.stab_order = stab_order  # None when the stabilizer is infinite
         self.has_dominant = has_dominant
         self.has_antidominant = has_antidominant
         # "dominant", "antidominant" or "interior": the signs of the base
@@ -188,11 +184,12 @@ def real_root_classes(cartan):
     """The classes beta + g Z delta of the real roots of affine type, as
     (the least positive root of the class, g).  As g is 1, 2 or 3 (Kac,
     Infinite-dimensional Lie algebras, Prop. 6.3), the two lowest positive
-    roots of a class lie below height 6 ht(delta)."""
-    delta, node = Root(cartan, cartan.marks), cartan.affine_node
+    roots of a class lie below height 6 ht(delta).  A class is keyed by its
+    root free of alpha_0, the affine node (see `rootdata.cartan_datum`)."""
+    delta = Root(cartan, cartan.marks)
     classes = {}  # beta modulo delta -> its positive roots, height ascending
     for r in build_root_system(cartan, 6 * delta.height).positive_real:
-        t = r.simple_coords[node] // cartan.marks[node]
+        t = r.simple_coords[0] // cartan.marks[0]
         key = tuple(m - t * d for m, d in zip(r.simple_coords, cartan.marks))
         classes.setdefault(key, []).append(r)
     return [(low, (high.height - low.height) // delta.height)
@@ -217,17 +214,13 @@ def _orbit(block: BlockData):
 
 
 def _classify_level(cartan, weight):
+    """(has_dominant, has_antidominant): does the class hold a dominant,
+    an antidominant weight?  In affine type that is the sign of the level
+    (lambda + rho, delta)."""
     if cartan.kind == "finite":
-        return "dominant-containing", True, True
-    if cartan.kind == "affine":
-        delta = Root(cartan, cartan.marks)
-        level = form(weight + rho(cartan), delta)
-        if level > 0:
-            return "dominant-containing", True, False
-        if level < 0:
-            return "antidominant-containing", False, True
-        return "neither-detected", False, False
-    return "neither-detected", False, False
+        return True, True
+    level = form(weight + rho(cartan), Root(cartan, cartan.marks))
+    return level > 0, level < 0
 
 
 def block_data(
@@ -240,11 +233,10 @@ def block_data(
     positive = _integral_candidates(cartan, weight)
     simples = _integral_simples(positive)
     fixed_simples = _integral_simples([b for b in positive if form(shifted, b) == 0])
-    cox_matrix = coxeter_matrix(simples)
-    system = CoxeterSystem(cox_matrix)
+    system = CoxeterSystem(coxeter_matrix(simples))
     stabilizer = CoxeterSystem(coxeter_matrix(fixed_simples))
-    stab_finite = coxeter.is_finite(stabilizer)
-    stab_order = len(coxeter.all_elements(stabilizer)) if stab_finite else None
+    stab_order = (len(coxeter.all_elements(stabilizer))
+                  if coxeter.is_finite(stabilizer) else None)
     pairings = [coroot_pairing(shifted, b) for b in simples]
     stab_simple_idx = tuple(i for i, p in enumerate(pairings) if p == 0)
     if all(p >= 0 for p in pairings):
@@ -253,24 +245,21 @@ def block_data(
         position = "antidominant"
     else:
         position = "interior"
-    level_class, has_dom, has_anti = _classify_level(cartan, weight)
+    has_dom, has_anti = _classify_level(cartan, weight)
     # At the critical level the translations of W(lambda) orthogonal to
     # lambda + rho fix it; when no reflection does, they are the stabilizer,
     # infinite once their lattice (rank of the simples less 1) has rank 2.
     if (cartan.is_affine and not has_dom and not has_anti and stab_order == 1
             and linalg.rank([b.simple_coords for b in simples]) > 2):
-        stab_finite, stab_order = False, None
+        stab_order = None
     block = BlockData(
         cartan=cartan,
         base_weight=weight,
         length_bound=length_bound,
         integral_simples=simples,
-        coxeter_matrix=cox_matrix,
         coxeter_system=system,
         stab_simple_indices=stab_simple_idx,
-        stab_finite=stab_finite,
         stab_order=stab_order,
-        level_class=level_class,
         has_dominant=has_dom,
         has_antidominant=has_anti,
         position=position,
@@ -335,10 +324,8 @@ def equivalence_check(block_a: BlockData, block_b: BlockData) -> str:
     for b in (block_a, block_b):
         if is_critical(b):
             raise CriticalityError("equivalence test rejects critical blocks")
-    if not (block_a.stab_finite and block_b.stab_finite):
-        return "not-determined"
-    if block_a.stab_order != block_b.stab_order:
-        return "not-determined"
+    if block_a.stab_order is None or block_a.stab_order != block_b.stab_order:
+        return "not-determined"  # infinite or unequal stabilizers
     levels_match = (block_a.has_dominant and block_b.has_dominant) or (
         block_a.has_antidominant and block_b.has_antidominant
     )
@@ -349,7 +336,7 @@ def equivalence_check(block_a: BlockData, block_b: BlockData) -> str:
         return "not-determined"
     if n > 8:
         raise UnsupportedError("graph isomorphism search capped at 8 generators")
-    ma, mb = block_a.coxeter_matrix, block_b.coxeter_matrix
+    ma, mb = block_a.coxeter_system.matrix, block_b.coxeter_system.matrix
     dominant = block_a.has_dominant and block_b.has_dominant
     sa = _chamber_stab_indices(block_a, dominant)
     sb = _chamber_stab_indices(block_b, dominant)
@@ -365,6 +352,12 @@ def equivalence_check(block_a: BlockData, block_b: BlockData) -> str:
 
 
 def block_to_json(block: BlockData):
+    if block.has_dominant:
+        level_class = "dominant-containing"
+    elif block.has_antidominant:
+        level_class = "antidominant-containing"
+    else:
+        level_class = "neither-detected"
     return {
         "cartan": cartan_to_json(block.cartan),
         "base_weight": weight_to_json(block.base_weight),
@@ -372,10 +365,10 @@ def block_to_json(block: BlockData):
         "integral_simples": [list(b.simple_coords) for b in block.integral_simples],
         "coxeter_matrix": [
             ["inf" if m is INFINITY else m for m in row]
-            for row in block.coxeter_matrix
+            for row in block.coxeter_system.matrix
         ],
         "stabilizer_order": block.stab_order,
-        "level_class": block.level_class,
+        "level_class": level_class,
         "has_dominant": block.has_dominant,
         "has_antidominant": block.has_antidominant,
         "orbit": [

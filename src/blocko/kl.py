@@ -394,7 +394,7 @@ def decomposition_matrix(block, table: KLTable = None):
 def projective_multiplicities(block, w: Element, table: KLTable = None):
     """(P(w.lambda) : M(y.lambda)) = [M(y.lambda) : L(w.lambda)] by BGG
     reciprocity."""
-    if block.level_class != "dominant-containing":
+    if not block.has_dominant:
         raise UnsupportedError(
             "projectives need a dominant-containing block; apply tilt first"
         )

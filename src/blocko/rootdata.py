@@ -40,15 +40,14 @@ class Value:
 
 
 class CartanDatum(Value):
-    __slots__ = ("matrix", "symmetrizer", "kind", "marks", "affine_node",
+    __slots__ = ("matrix", "symmetrizer", "kind", "marks",
                  "_scale", "_int_symmetrizer", "_int_form")
 
-    def __init__(self, matrix, symmetrizer, kind, marks=None, affine_node=None):
+    def __init__(self, matrix, symmetrizer, kind, marks=None):
         self.matrix = matrix  # generalized Cartan matrix, rows of ints
         self.symmetrizer = symmetrizer  # positive Fractions, d_i a_ij = d_j a_ji
         self.kind = kind
         self.marks = marks  # affine only: primitive positive kernel of A
-        self.affine_node = affine_node  # node deleted to get the finite subdiagram
         # the form on the root lattice times the lcm of the symmetrizer's
         # denominators: integers D_i = scale d_i and (D A)_ij = scale (alpha_i, alpha_j)
         self._scale = math.lcm(*(frac(d).denominator for d in symmetrizer))
@@ -150,7 +149,7 @@ def cartan_datum(matrix, symmetrizer=None) -> CartanDatum:
             # every proper principal submatrix of an indecomposable affine
             # matrix is of finite type (Kac, Infinite-dimensional Lie
             # algebras, Lemma 4.5): deleting node 0 leaves a finite diagram
-            return CartanDatum(matrix, symmetrizer, AFFINE, marks, 0)
+            return CartanDatum(matrix, symmetrizer, AFFINE, marks)
     return CartanDatum(matrix, symmetrizer, INDEFINITE)
 
 
@@ -245,7 +244,7 @@ def weight_gram(cartan: CartanDatum):
         # derivation; we symmetrically extend using a pseudoinverse-free
         # construction only in the affine case.
         raise CartanError("invariant form on weights needs finite or affine type")
-    jstar = cartan.affine_node
+    jstar = 0  # the affine node (see cartan_datum)
     rest = [r for r in range(n) if r != jstar]
     sub = [[a[r][c] for c in rest] for r in rest]
     subinv = linalg.invert(sub)
@@ -331,7 +330,8 @@ def _real_square(beta: Root):
 def _reflect(beta: Root, x: Weight, shift) -> Weight:
     """x - <x + shift rho, beta^vee> beta, built as one Weight: beta has
     weight coordinates <beta, alpha_i^vee> and, in affine type, the delta
-    coefficient m_j / a_j at the affine node j; and (rho, beta) = sum d_k m_k."""
+    coefficient m_0 / a_0 at the affine node 0 (see `cartan_datum`); and
+    (rho, beta) = sum d_k m_k."""
     bb = _real_square(beta)
     _same_cartan(x, beta)
     cartan, m = beta.cartan, beta.simple_coords
@@ -341,8 +341,7 @@ def _reflect(beta: Root, x: Weight, shift) -> Weight:
     c = Fraction(2 * num, bb)
     delta = x.delta
     if cartan.is_affine:
-        j = cartan.affine_node
-        delta -= c * Fraction(m[j], cartan.marks[j])
+        delta -= c * Fraction(m[0], cartan.marks[0])
     return Weight(cartan, [a - c * b for a, b in zip(x.coords, _root_coords(beta))], delta)
 
 
@@ -370,9 +369,7 @@ def reflect_root(beta: Root, gamma: Root) -> Root:
 
 
 class RootSystem:
-    def __init__(self, cartan, height_bound, positive_real, positive_imaginary):
-        self.cartan = cartan
-        self.height_bound = height_bound
+    def __init__(self, positive_real, positive_imaginary):
         self.positive_real = positive_real  # Roots, height ascending
         self.positive_imaginary = positive_imaginary  # delta multiples (affine)
 
@@ -418,7 +415,7 @@ def build_root_system(cartan: CartanDatum, height_bound: int) -> RootSystem:
                 Root(cartan, tuple(k * m for m in cartan.marks))
             )
             k += 1
-    return RootSystem(cartan, height_bound, tuple(real), tuple(imaginary))
+    return RootSystem(tuple(real), tuple(imaginary))
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +431,6 @@ def parse_rational(s) -> Fraction:
         return Fraction(str(s))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
-
-
-def format_rational(x: Fraction) -> str:
-    return str(x)
 
 
 def cartan_from_json(obj) -> CartanDatum:
@@ -460,7 +453,7 @@ def cartan_to_json(cartan: CartanDatum):
     return {
         "rank": cartan.rank,
         "matrix": [list(row) for row in cartan.matrix],
-        "symmetrizer": [format_rational(d) for d in cartan.symmetrizer],
+        "symmetrizer": [str(d) for d in cartan.symmetrizer],
     }
 
 
@@ -474,6 +467,6 @@ def weight_from_json(obj, cartan: CartanDatum) -> Weight:
 
 def weight_to_json(w: Weight):
     return {
-        "coords": [format_rational(c) for c in w.coords],
-        "delta": format_rational(w.delta),
+        "coords": [str(c) for c in w.coords],
+        "delta": str(w.delta),
     }

@@ -63,7 +63,7 @@ def root_form(cartan, beta) -> Poly:
 class MomentGraphBlock:
     # a cache on a graph is one of the stores declared here
     __slots__ = ("block", "vertices", "weights", "edges", "billey", "nvars", "algebra",
-                 "edges_up", "monomials", "shifts", "annihilators", "quotients")
+                 "edges_up", "monomials", "shifts", "quotients")
 
     def __init__(self, block, vertices, weights, edges, billey, nvars):
         self.block = block
@@ -75,11 +75,9 @@ class MomentGraphBlock:
         self.nvars = nvars
         self.algebra = None  # its structure algebra (structure_algebra)
         self.edges_up = None  # per vertex, its edges up (_edges_up)
-        # tables of _monomials and _shifts, and of _restriction_rows and
-        # _quotient_rows keyed by the integer `_label` of an edge label;
-        # each is filled on first use
-        self.monomials, self.shifts = {}, {}
-        self.annihilators, self.quotients = {}, {}
+        # tables of _monomials and _shifts, and of _quotient_rows keyed by
+        # the integer `_label` of an edge label; each is filled on first use
+        self.monomials, self.shifts, self.quotients = {}, {}, {}
 
 
 def moment_graph(block: BlockData) -> MomentGraphBlock:
@@ -293,40 +291,38 @@ def _restriction_rows(graph, label, d):
     nonzero coefficient, in monomial order: the coefficients at f of the
     restrictions to h = 0 of the degree-d monomials, as a primitive integer
     row positive at f.  Their common kernel is h times the degree-(d - 1)
-    polynomials.  Built once per label key and degree.
+    polynomials.  Stored by column in `_quotient_rows`, its one caller.
 
     For h = c x + r, restricting sets x = -r / c, so c^d times the
     restriction of x^e m, m free of x, is c^(d - e) m (-r)^e.  The row of f
     takes these integers' coefficients at f, whose entry at f itself is
     c^d, and divides them by their gcd times the sign of c^d."""
-    if (label, d) not in graph.annihilators:
-        var = next(i for i, c in enumerate(label) if c)
-        c = label[var]
-        monos = _monomials(graph, d)[0]
-        rows = {f: [0] * len(monos) for f in monos if not f[var]}
-        powers = [{(0,) * len(label): 1}]  # (-r)^e, monomial -> integer
-        for _ in range(d):
-            power = {}
-            for m, a in powers[-1].items():
-                for i, b in enumerate(label):
-                    if b and i != var:
-                        t = m[:i] + (m[i] + 1,) + m[i + 1 :]
-                        power[t] = power.get(t, 0) - a * b
-            powers.append(power)
-        for j, m in enumerate(monos):
-            e = m[var]
-            rest = m[:var] + (0,) + m[var + 1 :]
-            scale = c ** (d - e)
-            for t, a in powers[e].items():
-                if a:
-                    rows[tuple(map(add, rest, t))][j] = scale * a
-        sign = -1 if c ** d < 0 else 1
-        table = []
-        for row in rows.values():
-            g = sign * gcd(*row)
-            table.append([x // g for x in row])
-        graph.annihilators[label, d] = table
-    return graph.annihilators[label, d]
+    var = next(i for i, c in enumerate(label) if c)
+    c = label[var]
+    monos = _monomials(graph, d)[0]
+    rows = {f: [0] * len(monos) for f in monos if not f[var]}
+    powers = [{(0,) * len(label): 1}]  # (-r)^e, monomial -> integer
+    for _ in range(d):
+        power = {}
+        for m, a in powers[-1].items():
+            for i, b in enumerate(label):
+                if b and i != var:
+                    t = m[:i] + (m[i] + 1,) + m[i + 1 :]
+                    power[t] = power.get(t, 0) - a * b
+        powers.append(power)
+    for j, m in enumerate(monos):
+        e = m[var]
+        rest = m[:var] + (0,) + m[var + 1 :]
+        scale = c ** (d - e)
+        for t, a in powers[e].items():
+            if a:
+                rows[tuple(map(add, rest, t))][j] = scale * a
+    sign = -1 if c ** d < 0 else 1
+    table = []
+    for row in rows.values():
+        g = sign * gcd(*row)
+        table.append([x // g for x in row])
+    return table
 
 
 def minimal_generators(graph, candidates):

@@ -32,8 +32,8 @@ def root_to_weight(root):
     cartan = root.cartan
     delta = Fraction(0)
     if cartan.is_affine:
-        jstar = cartan.affine_node
-        delta = Fraction(root.simple_coords[jstar], cartan.marks[jstar])
+        # the affine node is node 0
+        delta = Fraction(root.simple_coords[0], cartan.marks[0])
     return Weight(cartan, _root_coords(root), delta)
 
 

@@ -303,7 +303,7 @@ def test_acceptance_7():
     a2 = rootdata.cartan_datum([[2, -1], [-1, 2]])
     half = blocks.block_data(a2, weight(a2, 0, "-1/2"))
     assert [list(b.simple_coords) for b in half.integral_simples] == [[1, 0]]
-    assert half.coxeter_matrix == ((1,),)
+    assert half.coxeter_system.matrix == ((1,),)
     antihalf = blocks.block_data(a2, weight(a2, "-1/2", "-1/2"))
     assert [list(b.simple_coords) for b in antihalf.integral_simples] == [[1, 1]]
     # affine A1 is critical exactly at level -2

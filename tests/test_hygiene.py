@@ -6,7 +6,8 @@ caller or is named as API, no function keeps a global cache, only the root syste
 the benchmark's tracer wraps exists, `import blocko.cli` loads no module
 that only some commands need, package imports sit at module level, and no
 module reads another module's private names; every blocko name the
-benchmark reads exists; README states the line count of the package."""
+benchmark reads exists; every attribute a class stores is read; README
+states the line count of the package."""
 
 import ast
 import importlib
@@ -399,3 +400,28 @@ def test_readme_states_the_src_line_count():
     assert int(stated.group(1).replace(",", "")) == sum(
         path.read_bytes().count(b"\n") for path in MODULES
     )
+
+
+def _stored_attributes():
+    """(module file, class, name) of each `self.<name> = ...` in a class of
+    the package."""
+    for path in MODULES:
+        for top in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(top, ast.ClassDef):
+                for node in ast.walk(top):
+                    if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                            and getattr(node.value, "id", None) == "self"):
+                        yield path.name, top.name, node.attr
+
+
+def test_every_stored_attribute_is_read():
+    # a field no code in the package, the tests or the benchmark reads is
+    # a second copy of a fact or a dead one
+    root = Path(__file__).resolve().parents[1]
+    read = {
+        node.attr
+        for path in [*MODULES, *root.glob("tests/*.py"), *PERFBENCH.glob("*.py")]
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted({s for s in _stored_attributes() if s[2] not in read}) == []

@@ -69,7 +69,6 @@ def test_every_small_gcm_is_typed_and_affine_ones_delete_node_0():
         kinds[cartan.kind] += 1
         if cartan.kind == "affine":
             marks = cartan.marks
-            assert cartan.affine_node == 0
             assert all(x > 0 for x in marks) and math.gcd(*marks) == 1
             assert all(sum(map(operator.mul, row, marks)) == 0 for row in m)
             rest = [row[1:] for row in m[1:]]
@@ -326,7 +325,7 @@ def test_value_types_built_separately_are_equal_and_hash_alike():
     a, b = cartan_datum(B2), cartan_datum([[2, -2], [-1, 2]])
     assert a is not b
     # the integer form table is derived, and left out of equality and hash
-    assert a._fields(a) == (a.matrix, a.symmetrizer, a.kind, a.marks, a.affine_node)
+    assert a._fields(a) == (a.matrix, a.symmetrizer, a.kind, a.marks)
     pairs = [
         (a, b),
         (Weight(a, (1, Fraction(-1, 2)), 3), Weight(b, [Fraction(1), "-1/2"], "3")),

@@ -209,6 +209,26 @@ def test_annihilator_rows_are_the_restriction_to_the_label(case):
             assert zmod._restriction_rows(graph, label, d) == _restriction_rows(graph, h, d)
 
 
+@pytest.mark.parametrize("case", sorted(LABEL_BLOCKS))
+def test_quotient_rows_are_the_restriction_rows_by_column(case):
+    """`_quotient_rows(graph, label, d, k)` holds the restriction rows of
+    degree d - k by column, each at the position of x_1^k a for the
+    degree-(d - k) monomial a of its entry."""
+    matrix, coords, length_bound = LABEL_BLOCKS[case]
+    graph = _graph(matrix, *coords, length_bound=length_bound)
+    for h in set(graph.edges.values()):
+        label = zmod._label(graph, h)
+        for d, k in itertools.product(range(7), range(3)):
+            rows = _restriction_rows(graph, h, d - k) if d >= k else []
+            index = zmod._monomials(graph, d)[1]
+            want = [[] for _ in index]
+            for r, row in enumerate(rows):
+                for a, x in zip(zmod._monomials(graph, d - k)[0], row):
+                    if x:
+                        want[index[(a[0] + k,) + a[1:]]].append((r, x))
+            assert zmod._quotient_rows(graph, label, d, k) == (len(rows), want)
+
+
 @pytest.mark.parametrize(
     "matrix, coords, length_bound, count",
     [
@@ -809,7 +829,7 @@ def test_stalks_and_schubert_classes_run_on_integer_rows(case, monkeypatch):
         graph = _graph(A1_AFFINE, 0, 0, length_bound=3)
         calls, types = _integer_route_calls(monkeypatch)
         assert structure_algebra(graph).rank == 7
-    assert graph.annihilators
+    assert graph.quotients
     assert calls == []
     assert types == {int}
 
