@@ -417,10 +417,10 @@ def _stored_attributes():
 def test_every_stored_attribute_is_read():
     # a field no code in the package, the tests or the benchmark reads is
     # a second copy of a fact or a dead one
-    root = Path(__file__).resolve().parents[1]
+    tests = Path(__file__).resolve().parent.glob("*.py")
     read = {
         node.attr
-        for path in [*MODULES, *root.glob("tests/*.py"), *PERFBENCH.glob("*.py")]
+        for path in [*MODULES, *tests, *PERFBENCH.glob("*.py")]
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
