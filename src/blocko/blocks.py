@@ -18,7 +18,6 @@ from .errors import CartanError, CriticalityError, TruncationError, UnsupportedE
 from .rootdata import (
     CartanDatum,
     Root,
-    Value,
     Weight,
     build_root_system,
     cartan_to_json,
@@ -34,18 +33,6 @@ from .rootdata import (
 DEFAULT_LENGTH_BOUND = 8
 
 _ORDER_FROM_PRODUCT = {0: 2, 1: 3, 2: 4, 3: 6}
-
-
-class OrbitVertex(Value):
-    __slots__ = ("word", "weight")
-
-    def __init__(self, word, weight):
-        self.word = word  # indices into integral_simples; shortlex-minimal coset rep
-        self.weight = weight
-
-    @property
-    def length(self):
-        return len(self.word)
 
 
 class BlockData:
@@ -64,7 +51,9 @@ class BlockData:
         # "dominant", "antidominant" or "interior": the signs of the base
         # weight's pairings with the integral simple coroots
         self.position = position
-        self.orbit = []  # OrbitVertex
+        # orbit word (indices into integral_simples, the ShortLex-minimal
+        # coset word) -> its weight, the words in ShortLex order
+        self.orbit = {}
 
 
 def integral_roots(cartan, weight, height_bound):
@@ -197,11 +186,12 @@ def real_root_classes(cartan):
 
 
 def _orbit(block: BlockData):
-    """The dot orbit up to the length bound, one vertex per weight.  In id
-    order, w.lambda = s_i.((s_i w).lambda) for the first letter i of w, and
-    the first w to reach a weight is its shortlex-minimal coset word."""
+    """The dot orbit up to the length bound, word -> weight with one word
+    per weight.  In id order, w.lambda = s_i.((s_i w).lambda) for the first
+    letter i of w, and the first w to reach a weight is its shortlex-minimal
+    coset word."""
     system, simples = block.coxeter_system, block.integral_simples
-    weights, vertices = [], {}  # id -> w.lambda; weight -> its vertex
+    weights, words = [], {}  # id -> w.lambda; weight -> its word
     for w in coxeter.elements_up_to(system, block.length_bound):
         if w.word:
             i = w.word[0]
@@ -209,8 +199,8 @@ def _orbit(block: BlockData):
         else:
             weight = block.base_weight
         weights.append(weight)
-        vertices.setdefault(weight, OrbitVertex(w.word, weight))
-    return list(vertices.values())
+        words.setdefault(weight, w.word)
+    return {word: weight for weight, word in words.items()}
 
 
 def _classify_level(cartan, weight):
@@ -372,7 +362,7 @@ def block_to_json(block: BlockData):
         "has_dominant": block.has_dominant,
         "has_antidominant": block.has_antidominant,
         "orbit": [
-            {"word": word_str(v.word), "weight": weight_to_json(v.weight)}
-            for v in block.orbit
+            {"word": word_str(word), "weight": weight_to_json(weight)}
+            for word, weight in block.orbit.items()
         ],
     }

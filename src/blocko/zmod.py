@@ -62,17 +62,16 @@ def root_form(cartan, beta) -> Poly:
 
 class MomentGraphBlock:
     # a cache on a graph is one of the stores declared here
-    __slots__ = ("block", "vertices", "weights", "edges", "billey", "nvars", "algebra",
+    __slots__ = ("block", "vertices", "edges", "billey", "nvars", "algebra",
                  "edges_up", "monomials", "shifts", "quotients")
 
-    def __init__(self, block, vertices, weights, edges, billey, nvars):
+    def __init__(self, block, edges, billey):
         self.block = block
-        self.vertices = vertices  # orbit words (tuples), sorted by (length, word)
-        self.weights = weights  # word -> Weight
+        self.vertices = list(block.orbit)  # orbit words, sorted by (length, word)
         self.edges = edges  # frozenset({word, word}) -> Poly (h_beta)
         # word -> (its Billey word a_1 ... a_l, the roots r_1, ..., r_l)
         self.billey = billey
-        self.nvars = nvars
+        self.nvars = _nvars(block.cartan)
         self.algebra = None  # its structure algebra (structure_algebra)
         self.edges_up = None  # per vertex, its edges up (_edges_up)
         # tables of _monomials and _shifts, and of _quotient_rows keyed by
@@ -88,13 +87,10 @@ def moment_graph(block: BlockData) -> MomentGraphBlock:
     no chamber, and translations can fix its weights."""
     if is_critical(block):
         raise CriticalityError("moment graphs need a non-critical block")
-    weights = {v.word: v.weight for v in block.orbit}
-    edges, billey = _billey_edges(block, weights)
-    return MomentGraphBlock(block, list(weights), weights, edges, billey,
-                            _nvars(block.cartan))
+    return MomentGraphBlock(block, *_billey_edges(block))
 
 
-def _billey_edges(block: BlockData, weights):
+def _billey_edges(block: BlockData):
     """Billey's edges (Duke Math. J. 96, 1999): for a reduced word
     a_1 ... a_l, the roots r_j = s_{a_1} ... s_{a_{j-1}}(alpha_{a_j}) over
     the integral simple roots are the l positive roots its element makes
@@ -117,12 +113,12 @@ def _billey_edges(block: BlockData, weights):
       outside the truncated orbit has no edge.
     """
     simples = block.integral_simples
-    by_weight = {mu: y for y, mu in weights.items()}
+    by_weight = {mu: y for y, mu in block.orbit.items()}
     own = block.stab_order == 1 or block.position != "interior"
     side = 1 if block.has_dominant else -1
     shift = rho(block.cartan)
     roots, edges, billey = {(): []}, {}, {}  # word -> r_1, ..., r_l; edge -> label
-    for y, mu in weights.items():
+    for y, mu in block.orbit.items():
         word = y if own else chamber_walk(block, mu, side > 0)[0]
         for j in range(len(word)):
             if word[: j + 1] not in roots:
@@ -385,9 +381,9 @@ def _not_a_lower_set(graph, what):
     naming the first vertex that has one outside and the chamber base
     weight of the orbit, whose truncations are lower sets."""
     block = graph.block
-    inside = set(graph.weights.values())
+    inside = set(block.orbit.values())
     y = next(y for y, (_, roots) in graph.billey.items()
-             if any(dot_reflect(r, graph.weights[y]) not in inside for r in roots))
+             if any(dot_reflect(r, block.orbit[y]) not in inside for r in roots))
     base = chamber_walk(block, block.base_weight, block.has_dominant)[1] - rho(block.cartan)
     text = ",".join(map(str, base.coords)) + (f";delta={base.delta}" if base.delta else "")
     return UnsupportedError(
@@ -488,7 +484,7 @@ def _restrict(graph, vec, d, slots):
 def verma_zmodule(graph: MomentGraphBlock, w) -> ZLattice:
     """Rank-1 lattice concentrated at the vertex w."""
     word = tuple(w)
-    if word not in graph.weights:
+    if word not in graph.block.orbit:
         raise ValueError("vertex outside the truncated orbit")
     one = Poly.const(graph.nvars, 1)
     return ZLattice(graph, (word,), [(one,)], [0])
@@ -521,7 +517,7 @@ def theta_s(M: ZLattice, s: int) -> ZLattice:
     closure = sorted(set(M.slots) | {system.word_times(w, s) for w in M.slots},
                      key=_vertex_key)
     for w in closure:
-        if w not in graph.weights:
+        if w not in graph.block.orbit:
             raise _outside_the_orbit(graph.block, w)
 
     # new slots: per vertex w, one per old slot at w, then one per old
@@ -1212,7 +1208,7 @@ def identify_projective(graph: MomentGraphBlock, w) -> ZLattice:
     if block.stab_order != 1:
         raise UnsupportedError("Braden-MacPherson sections need a regular block")
     top = block.coxeter_system.element(w)
-    if top.word not in graph.weights:
+    if top.word not in block.orbit:
         raise TruncationError(outside_the_length_bound(block, top.word))
     cone = sorted((x.word for x in lower_cone(top)), key=_vertex_key)
     inside, table = set(cone), _edges_up(graph)

@@ -28,12 +28,12 @@ def height_cut_edges(block, height_bound):
          if b.sign > 0),
         key=lambda r: (r.height, tuple(-c for c in r.simple_coords)),
     )
-    by_weight = {v.weight: v.word for v in block.orbit}
+    by_weight = {mu: word for word, mu in block.orbit.items()}
     edges = {}
-    for v in block.orbit:
+    for word, mu in block.orbit.items():
         for beta in positive:
-            other = blocks.dot_reflect(beta, v.weight)
-            if other != v.weight and other in by_weight:
-                key = frozenset({v.word, by_weight[other]})
+            other = blocks.dot_reflect(beta, mu)
+            if other != mu and other in by_weight:
+                key = frozenset({word, by_weight[other]})
                 edges[key] = form_root_form(block.cartan, beta)
     return edges

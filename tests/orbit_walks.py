@@ -8,7 +8,7 @@ dot-action weights.  Slow, but they share no code with the numbering, so the
 tests compare the two.
 """
 
-from blocko.blocks import OrbitVertex, dot_reflect
+from blocko.blocks import dot_reflect
 
 
 def _act(cartan, k, c):
@@ -32,27 +32,25 @@ def closes_within(system, length_bound):
 
 def weight_bfs(block):
     """The dot orbit up to the block's length bound by breadth-first search
-    over weights, keeping per weight the least word (i,) + v.word over the
-    vertices v one length shorter; sorted by length, then word."""
+    over weights, keeping per weight the least word (i,) + v over the words
+    v one length shorter; word -> weight, sorted by length, then word."""
     n = len(block.integral_simples)
-    start = OrbitVertex((), block.base_weight)
-    seen = {block.base_weight: start}
-    level = [start]
+    seen = {block.base_weight: ()}  # weight -> its word
+    level = [((), block.base_weight)]
     for _ in range(block.length_bound):
         candidates = {}
-        for v in level:
+        for v, mu in level:
             for i in range(n):
-                w = dot_reflect(block.integral_simples[i], v.weight)
+                w = dot_reflect(block.integral_simples[i], mu)
                 if w in seen:
                     continue
-                word = (i,) + v.word
+                word = (i,) + v
                 if w not in candidates or word < candidates[w]:
                     candidates[w] = word
         level = []
         for w, word in sorted(candidates.items(), key=lambda kv: kv[1]):
-            vert = OrbitVertex(word, w)
-            seen[w] = vert
-            level.append(vert)
+            seen[w] = word
+            level.append((word, w))
         if not level:
             break
-    return sorted(seen.values(), key=lambda v: (v.length, v.word))
+    return {word: w for w, word in sorted(seen.items(), key=lambda kv: (len(kv[1]), kv[1]))}

@@ -145,7 +145,7 @@ def test_acceptance_2():
 def test_acceptance_3():
     graph = _graph("a2")
     system = graph.block.coxeter_system
-    lattices = [verma_zmodule(graph, v.word) for v in graph.block.orbit]
+    lattices = [verma_zmodule(graph, word) for word in graph.block.orbit]
     lattices.append(bott_samelson(graph, (0,)))
     lattices.append(bott_samelson(graph, (0, 1)))
     for m in lattices:
@@ -172,11 +172,11 @@ def test_acceptance_4():
     for key in ("a2", "b2"):
         graph = _graph(key)
         block = graph.block
-        for v in block.orbit:
-            p = identify_projective(graph, v.word)
+        for word in block.orbit:
+            p = identify_projective(graph, word)
             got = ungraded_char(p)
             want = kl.projective_multiplicities(
-                block, block.coxeter_system.element(v.word)
+                block, block.coxeter_system.element(word)
             )
             assert got == {w: n for w, n in want.items() if n}
 
@@ -327,9 +327,9 @@ def test_acceptance_8():
     regular = blocks.block_data(a2, weight(a2, 0, 0))
     tilted = blocks.tilt(regular)
     r2 = rootdata.rho(a2).scale(2)
-    for v in regular.orbit:
-        assert (v.weight + r2).scale(-1) == blocks.dot_action(
-            tilted, v.word, tilted.base_weight
+    for word, mu in regular.orbit.items():
+        assert (mu + r2).scale(-1) == blocks.dot_action(
+            tilted, word, tilted.base_weight
         )
     anti = blocks.block_data(a2, weight(a2, -2, -2))
     elems = coxeter.all_elements(anti.coxeter_system)

@@ -320,8 +320,6 @@ def test_indefinite_form_on_roots_rejected():
 
 
 def test_value_types_built_separately_are_equal_and_hash_alike():
-    from blocko import blocks
-
     a, b = cartan_datum(B2), cartan_datum([[2, -2], [-1, 2]])
     assert a is not b
     # the integer form table is derived, and left out of equality and hash
@@ -330,14 +328,11 @@ def test_value_types_built_separately_are_equal_and_hash_alike():
         (a, b),
         (Weight(a, (1, Fraction(-1, 2)), 3), Weight(b, [Fraction(1), "-1/2"], "3")),
         (Root(a, (1, 2)), Root(b, [Fraction(1), 2.0])),
-        (blocks.OrbitVertex((0,), Weight(a, (0, 1))),
-         blocks.OrbitVertex((0,), Weight(b, (0, 1)))),
     ]
     for x, y in pairs:
         assert x == y and hash(x) == hash(y) and len({x, y}) == 1
     assert Weight(a, (0, 1)) != Weight(a, (0, 1), 1)
     assert Root(a, (1, 0)) != Root(cartan_datum(A2), (1, 0))
-    assert blocks.OrbitVertex((), Weight(a, (0, 1))) != pairs[3][0]
 
 
 def test_weight_and_root_normalise_their_coordinates():

@@ -51,8 +51,9 @@ _CHECKED = {}  # name -> (weight spaces, simple mismatches, Verma mismatches)
 
 def _checked_vertices(block, depth):
     if block.position == "dominant" and not coxeter.is_finite(block.coxeter_system):
-        return [v for v in block.orbit if len(v.word) + depth <= block.length_bound]
-    return block.orbit
+        return [(word, mu) for word, mu in block.orbit.items()
+                if len(word) + depth <= block.length_bound]
+    return block.orbit.items()
 
 
 def _check(name):
@@ -65,12 +66,12 @@ def _check(name):
         words = WordBasis(cartan, depth)
         table = kl.KLTable(block.coxeter_system)
         spaces = simple_bad = verma_bad = 0
-        for v in _checked_vertices(block, depth):
-            w = block.coxeter_system.element(v.word)
+        for word, mu in _checked_vertices(block, depth):
+            w = block.coxeter_system.element(word)
             simple = kl.simple_character(block, w, table).coefficients
-            ranks = words.ranks(v.weight.coords)
-            want = character_dimensions(block, simple, v.word, words)
-            verma = character_dimensions(block, {v.word: 1}, v.word, words)
+            ranks = words.ranks(mu.coords)
+            want = character_dimensions(block, simple, word, words)
+            verma = character_dimensions(block, {word: 1}, word, words)
             spaces += len(ranks)
             simple_bad += sum(ranks[nu] != want[nu] for nu in ranks)
             verma_bad += sum(ranks[nu] != verma[nu] for nu in ranks)
