@@ -273,8 +273,7 @@ class CharacterVector:
     """Finitely supported Z-combination of Verma characters ch M(y.lambda),
     keyed by orbit word (1-based string form)."""
 
-    def __init__(self, block, coefficients, truncated=False):
-        self.block = block
+    def __init__(self, coefficients, truncated=False):
         self.coefficients = coefficients
         self.truncated = truncated
 
@@ -358,7 +357,7 @@ def simple_character(block, w: Element, table: KLTable = None) -> CharacterVecto
     for y, p in column.items():
         if c := poly_eval_one(p):
             coeffs[words[y]] = -c if (length[y] - lw) % 2 else c
-    return CharacterVector(block, coeffs, truncated)
+    return CharacterVector(coeffs, truncated)
 
 
 def _q_column(table, w, elems):
