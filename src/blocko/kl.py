@@ -233,11 +233,10 @@ class KLTable:
         return self._w0x
 
     def _q(self, w, y):
+        # its callers pass w <= y; for w not below y the sum would be empty
         if w == y:
             return ONE
         cone, length = self.system.cone, self.system.length
-        if not cone(y) >> w & 1:
-            return ZERO
         val = self.q_memo.get((w, y))
         if val is None:
             # sum_{w <= z <= y} (-1)^{l(z)-l(w)} Q_{w,z} P_{z,y} = 0
