@@ -24,6 +24,7 @@ def test_poly_str():
     assert poly_str(ONE) == "1"
     assert poly_str((1, 1)) == "1+q"
     assert poly_str((0, -2, 1)) == "-2q+q^2"
+    assert poly_str((0, -1)) == "-q"
 
 
 @pytest.mark.parametrize("bond", [3, 4, 6, INFINITY])

@@ -46,8 +46,6 @@ def test_coxeter_system_refuses_a_bad_matrix(matrix, error, text):
 
 
 @pytest.mark.parametrize("build, error, text", [
-    (lambda: rootdata.cartan_datum([[2, 1], [1, 2]]), CartanError, "must be <= 0"),
-    (lambda: rootdata.cartan_datum(A2, [1, 0]), CartanError, "must be positive"),
     (lambda: rootdata.cartan_from_json({"rank": 3, "matrix": A2}), CartanError,
      "rank does not match"),
     (lambda: rootdata.weight_from_json({"coords": ["0"]}, rootdata.cartan_datum(A2)),
@@ -56,10 +54,7 @@ def test_coxeter_system_refuses_a_bad_matrix(matrix, error, text):
      "height_bound must be >= 1"),
     (lambda: rootdata.Root(rootdata.cartan_datum(A2), (1, -1)).sign, ValueError,
      "mixed-sign"),
-    (lambda: rootdata.weight_gram(rootdata.cartan_datum([[2, -3], [-3, 2]])), CartanError,
-     "finite or affine"),
-], ids=["positive-off-diagonal", "zero-symmetrizer", "rank", "weight-coordinates",
-        "height-bound-0", "mixed-sign-root", "indefinite-gram"])
+], ids=["rank", "weight-coordinates", "height-bound-0", "mixed-sign-root"])
 def test_rootdata_refuses(build, error, text):
     with pytest.raises(error, match=text):
         build()
@@ -70,7 +65,8 @@ def test_rootdata_refuses(build, error, text):
 
 
 def test_equivalence_is_not_determined_across_ranks():
-    assert blocks.equivalence_check(_block(A2, 0, 0), _block(A2, "1/2", 0)) == "not-determined"
+    verdict = blocks.equivalence_check(_block(A2, 0, 0), _block(A2, "1/2", 0))
+    assert verdict == "not-determined"
 
 
 def test_equivalence_search_stops_above_eight_generators():
@@ -88,10 +84,6 @@ def test_verma_hom_dim_refuses(matrix, coords, error):
     e = block.coxeter_system.element()
     with pytest.raises(error):
         kl.verma_hom_dim(block, e, e)
-
-
-def test_poly_str_of_a_negative_q():
-    assert kl.poly_str((0, -1)) == "-q"
 
 
 # ---------------------------------------------------------------------------

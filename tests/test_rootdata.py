@@ -84,6 +84,10 @@ def test_bad_gcm_rejected():
         cartan_datum([[1]])
     with pytest.raises(CartanError):
         cartan_datum(B2, symmetrizer=[1, 1])
+    with pytest.raises(CartanError, match="must be <= 0"):
+        cartan_datum([[2, 1], [1, 2]])
+    with pytest.raises(CartanError, match="must be positive"):
+        cartan_datum(A2, symmetrizer=[1, 0])
 
 
 def test_b2_symmetrizer():
@@ -317,6 +321,8 @@ def test_indefinite_form_on_roots_rejected():
         form(alpha, alpha)
     with pytest.raises(CartanError):
         form(alpha, Weight(cartan, (1, 0)))
+    with pytest.raises(CartanError):
+        form(Weight(cartan, (0, 1)), Weight(cartan, (1, 0)))
 
 
 def test_value_types_built_separately_are_equal_and_hash_alike():
